@@ -1,13 +1,13 @@
-"""B-spline Gram matrices, incremental inverses, decay bounds, certificates.
+"""B-spline Gram matrices, their inverses, decay bounds, certificates.
 
 The package computes the banded Gram matrices of B-spline bases in the
 partition-of-unity normalization (closed forms for orders 2 and 3,
-quadrature for any order), inverts
-their leading principal submatrices incrementally via rank-2 bordered
-updates, verifies geometric off-diagonal decay of the inverses against
-explicit mesh-ratio-independent constants, and machine-checks the symbolic
-nonnegativity certificates behind those constants with an exact sparse
-polynomial engine.
+quadrature for any order), inverts them and their leading principal
+submatrices from one banded LDL^T factorization (the pivots, and Takahashi's
+sparse-inverse recurrence for the full inverse), verifies geometric
+off-diagonal decay of the inverses against explicit mesh-ratio-independent
+constants, and machine-checks the symbolic nonnegativity certificates behind
+those constants with an exact sparse polynomial engine.
 """
 
 from .decay import (DecayConstants, DecayReport, LemmaCheck,
@@ -20,10 +20,9 @@ from .gram import (SymBandedMatrix, build_gram, check_total_positivity,
                    dump_matrix, gram_linear, gram_quadratic, gram_quadrature,
                    linear_entry, matrix_from_json, matrix_to_json, quad_entry,
                    quadratic_cross_terms)
-from .invstep import (BorderVectors, GrowingInverse, check_checkerboard,
-                      dense_inverse_oracle, extend_inverse, history_to_json,
-                      inverse_to_json, invert_iteratively, max_residual,
-                      sm_update)
+from .invstep import (GrowingInverse, check_checkerboard,
+                      dense_inverse_oracle, history_to_json, inverse_to_json,
+                      invert_iteratively, max_residual)
 from .knots import (KnotSequence, bspline_l1, build_knots, eval_bspline,
                     eval_quadratic_closed, knots_from_json, knots_to_json,
                     load_partition, save_partition)
@@ -41,7 +40,7 @@ from .polycert import (Certificate, GapBasis, INEQUALITY_NAMES,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticFailure", "BorderVectors", "Certificate", "DecayConstants",
+    "ArithmeticFailure", "Certificate", "DecayConstants",
     "DecayReport", "EXACT_SWEEP_MAX_M", "FactoredRational", "GapBasis",
     "GrowingInverse", "INEQUALITY_NAMES", "InputError", "KnotSequence",
     "LemmaCheck", "MultiPoly", "PartitionSpec", "RationalFn",
@@ -50,7 +49,7 @@ __all__ = [
     "build_knots", "certificate_to_json", "certify_inequality",
     "certify_nonneg", "check_checkerboard", "check_total_positivity",
     "decay_constants", "decay_report", "dense_inverse_oracle", "dump_matrix",
-    "eval_bspline", "eval_quadratic_closed", "extend_inverse",
+    "eval_bspline", "eval_quadratic_closed",
     "fit_decay_constants", "gaps_for", "get_term_budget", "gram_diag_sym",
     "gram_linear", "gram_off1_sym", "gram_off2_sym", "gram_quadratic",
     "gram_quadrature", "history_to_json", "inverse_to_json",
@@ -60,7 +59,7 @@ __all__ = [
     "phi_inv", "phi_inv_sym", "psi_fn", "psi_inv", "psi_inv_sym",
     "quad_entry", "quadratic_cross_terms", "realize", "report_csv_rows",
     "report_to_json",
-    "save_partition", "set_term_budget", "shrink_one_gap", "sm_update",
+    "save_partition", "set_term_budget", "shrink_one_gap",
     "spot_check", "sweep_partitions", "term_budget", "theta_fn",
     "verify_lemmas",
 ]

@@ -2,7 +2,7 @@
 
 Subcommands:
     gram      build a Gram matrix and dump it as JSON
-    invert    invert it by incremental bordered updates
+    invert    invert it (banded LDL^T factorization + Takahashi recurrence)
     verify    evaluate the decay bounds / lemma batteries on partitions
     certify   machine-check the symbolic nonnegativity certificates
     gen       generate a partition file
@@ -193,7 +193,7 @@ def _add_partition_args(p, need_spec=True):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splinegram",
-        description="B-spline Gram matrices, incremental inverses, "
+        description="B-spline Gram matrices, their inverses, "
                     "decay bounds, and nonnegativity certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.set_defaults(func=cmd_gram)
 
-    p = sub.add_parser("invert", help="invert by bordered updates")
+    p = sub.add_parser("invert", help="invert by banded LDL^T and the Takahashi "
+                       "recurrence")
     _add_partition_args(p)
     p.add_argument("--history", default=None,
                    help="also write the leading-inverse history here")

@@ -157,18 +157,6 @@ def theta_fn(ks: KnotSequence, n: int, b_nn):
     return b_nn * minor_adjusted_factor(ks, n)
 
 
-def bound_functions(ks: KnotSequence, n: int, b_nn=None):
-    """(phi_n, psi_n, theta_n) for an order-3 sequence.
-
-    theta_n needs the concrete diagonal value b_nn and n >= 3; it is None
-    when b_nn is not supplied or n < 3.
-    """
-    phi = phi_fn(ks, n)
-    psi = psi_fn(ks, n)
-    theta = theta_fn(ks, n, b_nn) if (b_nn is not None and n >= 3) else None
-    return phi, psi, theta
-
-
 # ---------------------------------------------------------------------------
 # Comparison helpers
 

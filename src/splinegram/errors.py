@@ -14,7 +14,7 @@ class ArithmeticFailure(ArithmeticError):
     """An exact computation hit a structurally impossible state.
 
     Carries enough context to reproduce: the step index and the offending
-    quantity (e.g. a singular capacitance matrix in a bordered update).
+    quantity (e.g. the diagonal entry whose LDL^T pivot came out zero).
     """
 
     def __init__(self, message, *, step=None, context=None):

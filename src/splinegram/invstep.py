@@ -1,21 +1,22 @@
-"""Incremental inversion of leading principal submatrices by Sherman-Morrison
-rank-2 bordered updates, with an independent dense exact oracle.
+"""Inversion of a symmetric banded matrix and of all its leading principal
+submatrices from one banded LDL^T factorization, with an independent dense
+exact oracle.
 
-Writing A_{n+1} as the rank-2 perturbation of blockdiag(A_n, a_{n+1,n+1})
-gives the bordered update
+A = L D L^T with L unit lower triangular of the same bandwidth w.  The pivot
+d_n is the Schur complement of A_{n-1} in A_n, so b_{n,n}^n = 1/d_n; and
+since L_n^{-1} e_n = e_n, the last column of A_n^{-1} is column n of L^{-T}
+divided by d_n.  L^T B = D^{-1} L^{-1} is lower triangular with diagonal
+1/d_i, which gives B = A^{-1} row by row from the bottom up (Takahashi,
+Fagan and Chen, 1973):
 
-    B_{n+1} = [[B_n, 0], [0, 0]]
-              + s^{-1} [[ (B_n u)(v^T B_n), -B_n u ],
-                        [ -v^T B_n,          1     ]],
-    s = a_{n+1,n+1} - v^T B_n u,
+    b_{i,j} = delta_{ij}/d_i - sum_{k=i+1}^{i+w} l_{k,i} b_{k,j}   (j >= i).
 
-where u, v hold the new column/row.  For banded input, u has at most
-``bandwidth`` nonzero trailing entries; the fast path skips the structural
-zeros and produces bit-identical exact results (adding exact zeros is the
-identity).
-
-Matrices here are dense: exact mode uses lists of Fractions, float mode numpy
-arrays.  Public (i,j) indices are 1-based to match the formulas.
+Y = L^{-T} D^{-1} satisfies the same recurrence (L^T Y = D^{-1}), but is
+upper triangular where B is symmetric; its column n, cut to length n, is
+the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
+recurrence O(m^2 w).  One routine serves both scalar modes: numpy arrays of
+dtype object hold Fractions in exact mode, float64 arrays hold floats in
+float mode.  Public (i,j) indices are 1-based to match the formulas.
 """
 
 from __future__ import annotations
@@ -29,42 +30,19 @@ from .gram import SymBandedMatrix
 from .scalars import is_exact
 
 
-def _is_np(B) -> bool:
-    return type(B).__module__.startswith("numpy")
-
-
-@dataclass(frozen=True)
-class BorderVectors:
-    """New column u, new row v, and corner entry bordering A_n to A_{n+1}."""
-
-    u: tuple
-    v: tuple
-    corner: object
-
-    def __post_init__(self):
-        if len(self.u) != len(self.v):
-            raise InputError("border vectors u and v must have equal length")
-
-
 @dataclass(frozen=True)
 class GrowingInverse:
-    """State of the incremental inversion: B = A_n^{-1}, plus opt-in history.
+    """The inverse B = A_n^{-1}, plus the opt-in leading-inverse history.
 
     ``diag_history`` holds (b_{1,1}^1, ..., b_{n,n}^n) and ``col_history`` the
-    last column of every intermediate inverse (b_{.,j}^j as a tuple of length
-    j) when history retention is on; both are None otherwise.
+    last column of every leading inverse (b_{.,j}^j as a tuple of length j)
+    when history retention is on; both are None otherwise.
     """
 
     n: int
     B: object
     diag_history: tuple | None = None
     col_history: tuple | None = None
-
-    @property
-    def last_cols(self):
-        """Last two columns of the current B (the banded fast-path inputs)."""
-        prev = self.column(self.n - 1) if self.n >= 2 else None
-        return (prev, self.column(self.n))
 
     def entry(self, i: int, j: int):
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -81,179 +59,68 @@ class GrowingInverse:
         return [list(row) for row in self.B]
 
 
-def border_from_matrix(A: SymBandedMatrix, n: int) -> BorderVectors:
-    """Border vectors for extending A_n to A_{n+1} (u = v by symmetry)."""
-    if not (1 <= n < A.n):
-        raise InputError(f"cannot border from {n} in a matrix of size {A.n}")
-    u = tuple(A.get(i, n + 1) for i in range(1, n + 1))
-    return BorderVectors(u, u, A.get(n + 1, n + 1))
-
-
-# ---------------------------------------------------------------------------
-# Generic dense helpers (lists of scalars, any field)
-
-
-def _mat_mul(X, Y):
-    n, k = len(X), len(Y)
-    p = len(Y[0])
-    return [[sum(X[i][t] * Y[t][j] for t in range(k)) for j in range(p)] for i in range(n)]
-
-
-def _dense_inverse_generic(M):
-    """Gauss-Jordan with max-|pivot| selection; works over any scalar field.
-
-    Used for small capacitance systems.  Raises ArithmeticFailure on exact
-    singularity (zero pivot column).
-    """
-    n = len(M)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv_row = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv_row][col] == 0:
-            raise ArithmeticFailure("singular matrix in Gauss-Jordan", context=M)
-        a[col], a[piv_row] = a[piv_row], a[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def sm_update(Ainv, U, V):
-    """(A + U V^T)^{-1} from A^{-1} by the Sherman-Morrison-Woodbury formula.
-
-    Ainv is dense n x n, U and V are n x j (lists of rows).  Raises
-    ArithmeticFailure carrying the j x j capacitance matrix if it is singular.
-    """
-    n = len(Ainv)
-    j = len(U[0]) if U else 0
-    if j == 0:
-        return [list(row) for row in Ainv]
-    AU = _mat_mul(Ainv, U)  # n x j
-    cap = [[(1 if r == c else 0) + sum(V[t][r] * AU[t][c] for t in range(n))
-            for c in range(j)] for r in range(j)]
-    try:
-        capinv = _dense_inverse_generic(cap)
-    except ArithmeticFailure as exc:
-        raise ArithmeticFailure("singular capacitance in sm_update",
-                                context=cap) from exc
-    VtA = [[sum(V[t][r] * Ainv[t][c] for t in range(n)) for c in range(n)]
-           for r in range(j)]
-    corr = _mat_mul(_mat_mul(AU, capinv), VtA)
-    return [[Ainv[r][c] - corr[r][c] for c in range(n)] for r in range(n)]
-
-
-def extend_inverse(state: GrowingInverse, border: BorderVectors,
-                   fast: bool = True) -> GrowingInverse:
-    """One bordered update step: B_n -> B_{n+1}.
-
-    ``fast`` skips multiplications against structural zeros of u/v (the
-    banded fast path); results are bit-identical to the full path in exact
-    arithmetic.  Raises ArithmeticFailure on a zero update denominator
-    (impossible for Gram inputs; asserted, never regularized).
-    """
-    n = state.n
-    if len(border.u) != n:
-        raise InputError(f"border length {len(border.u)} != state dimension {n}")
-    B = state.B
-    if _is_np(B):
-        return _extend_float(state, border)
-    u, v, corner = border.u, border.v, border.corner
-    if fast:
-        usup = [j for j in range(n) if u[j] != 0]
-        vsup = [j for j in range(n) if v[j] != 0]
-    else:
-        usup = vsup = range(n)
-    w = [sum(B[i][j] * u[j] for j in usup) for i in range(n)]  # B_n u
-    z = [sum(v[i] * B[i][j] for i in vsup) for j in range(n)]  # v^T B_n
-    s = corner - sum(v[i] * w[i] for i in vsup)
-    if s == 0:
-        raise ArithmeticFailure("zero denominator in bordered update",
-                                step=n + 1, context=corner)
-    body = [tuple(B[i][j] + w[i] * z[j] / s for j in range(n)) + (-w[i] / s,)
-            for i in range(n)]
-    body.append(tuple(-z[j] / s for j in range(n)) + (1 / s,))
-    newB = tuple(body)
-    diag_hist = col_hist = None
-    if state.diag_history is not None:
-        diag_hist = state.diag_history + (newB[n][n],)
-        col_hist = state.col_history + (tuple(newB[i][n] for i in range(n + 1)),)
-    return GrowingInverse(n + 1, newB, diag_hist, col_hist)
-
-
-def _extend_float(state: GrowingInverse, border: BorderVectors) -> GrowingInverse:
+def _ldlt(A: SymBandedMatrix, scalar, dtype):
+    """Pivots d (1-D array) and the columns of L below the diagonal
+    (``Lb[j, r] = l_{j+r+1, j}``, zero past the last row).  Lb has at least
+    one column, so that at bandwidth 0 products over it are zero scalars
+    rather than the integer 0 of an empty sum.  A zero pivot d_n raises
+    ArithmeticFailure with step n."""
     import numpy as np
 
-    n = state.n
-    B = np.asarray(state.B, dtype=float)
-    u = np.asarray(border.u, dtype=float)
-    v = np.asarray(border.v, dtype=float)
-    w = B @ u
-    z = v @ B
-    s = border.corner - float(v @ w)
-    if s == 0.0:
-        raise ArithmeticFailure("zero denominator in bordered update",
-                                step=n + 1, context=border.corner)
-    newB = np.empty((n + 1, n + 1))
-    newB[:n, :n] = B + np.outer(w, z) / s
-    newB[:n, n] = -w / s
-    newB[n, :n] = -z / s
-    newB[n, n] = 1.0 / s
-    diag_hist = col_hist = None
-    if state.diag_history is not None:
-        diag_hist = state.diag_history + (newB[n, n],)
-        col_hist = state.col_history + (tuple(newB[:, n]),)
-    return GrowingInverse(n + 1, newB, diag_hist, col_hist)
+    m, w, bands = A.n, A.bandwidth, A.bands  # a_{j+1, i+1} = bands[i-j][j]
+    zero = scalar(0)
+    d = np.empty(m, dtype)
+    Lb = np.full((m, max(w, 1)), zero, dtype)
+    for j in range(m):
+        dj = scalar(bands[0][j]) - sum(
+            (Lb[k, j - k - 1] ** 2 * d[k] for k in range(max(0, j - w), j)), zero)
+        if dj == 0:
+            raise ArithmeticFailure("zero pivot in the LDL^T factorization",
+                                    step=j + 1, context=bands[0][j])
+        d[j] = dj
+        for i in range(j + 1, min(m, j + w + 1)):
+            s = scalar(bands[i - j][j]) - sum(
+                (Lb[k, i - k - 1] * Lb[k, j - k - 1] * d[k]
+                 for k in range(max(0, i - w), j)), zero)
+            Lb[j, i - j - 1] = s / dj
+    return d, Lb
 
 
 def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> GrowingInverse:
-    """Invert A by m-1 bordered updates starting from B_1 = (1/a_{1,1}).
+    """Invert A and, with ``keep_history``, every leading A_n, from one
+    banded LDL^T factorization (see the module docstring).
 
-    Exact scalars run in rational arithmetic; float matrices use a vectorized
-    numpy path with the same update formulas.  Arithmetic failures propagate
-    with the failing step index attached.
+    Exact matrices run over Fractions and return B as a tuple of row
+    tuples; float matrices run in float64 and return B as an ndarray.  A
+    zero pivot raises ArithmeticFailure with the 1-based step n of the
+    singular leading submatrix A_n.
     """
-    if A.get(1, 1) == 0:
-        raise ArithmeticFailure("a_{1,1} = 0; cannot start inversion", step=1)
-    if A.is_exact_matrix():
-        b11 = 1 / Fraction(A.get(1, 1))
-        state = GrowingInverse(
-            1, ((b11,),),
-            diag_history=(b11,) if keep_history else None,
-            col_history=((b11,),) if keep_history else None)
-        for n in range(1, A.n):
-            state = extend_inverse(state, border_from_matrix(A, n))
-        return state
-    return _invert_float_loop(A, keep_history)
-
-
-def _invert_float_loop(A: SymBandedMatrix, keep_history: bool) -> GrowingInverse:
     import numpy as np
 
-    m, wband = A.n, A.bandwidth
-    B = np.empty((m, m))
-    B[0, 0] = 1.0 / float(A.get(1, 1))
-    diag_hist = [B[0, 0]] if keep_history else None
-    col_hist = [(B[0, 0],)] if keep_history else None
-    for n in range(1, m):  # current size n, extending to n+1
-        lo = max(0, n - wband)
-        u_tail = np.array([float(A.get(i + 1, n + 1)) for i in range(lo, n)])
-        wvec = B[:n, lo:n] @ u_tail
-        s = float(A.get(n + 1, n + 1)) - float(wvec[lo:n] @ u_tail)
-        if s == 0.0:
-            raise ArithmeticFailure("zero denominator in bordered update", step=n + 1)
-        B[:n, :n] += np.outer(wvec, wvec) / s
-        B[:n, n] = -wvec / s
-        B[n, :n] = -wvec / s
-        B[n, n] = 1.0 / s
+    exact = A.is_exact_matrix()
+    scalar, dtype = (Fraction, object) if exact else (float, float)
+    d, Lb = _ldlt(A, scalar, dtype)
+    m, w = Lb.shape
+    B = np.empty((m, m), dtype)
+    Y = np.full((m, m), scalar(0), dtype) if keep_history else None
+    for i in range(m - 1, -1, -1):
+        hi = min(m, i + w + 1)
+        neg_l = -Lb[i, : hi - i - 1]
+        row = neg_l @ B[i + 1:hi, i + 1:]
+        B[i, i + 1:] = B[i + 1:, i] = row
+        B[i, i] = 1 / d[i] + neg_l @ row[: hi - i - 1]
         if keep_history:
-            diag_hist.append(B[n, n])
-            col_hist.append(tuple(B[: n + 1, n]))
-    return GrowingInverse(m, B,
-                          tuple(diag_hist) if keep_history else None,
-                          tuple(col_hist) if keep_history else None)
+            Y[i, i] = 1 / d[i]
+            Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
+    diag_hist = col_hist = None
+    if keep_history:
+        diag_hist = tuple(Y.diagonal())
+        # the last leading inverse is B itself: take its column bit for bit
+        col_hist = tuple(tuple(Y[:n, n - 1]) for n in range(1, m))
+        col_hist += (tuple(B[:, m - 1]),)
+    if exact:
+        B = tuple(map(tuple, B))
+    return GrowingInverse(m, B, diag_hist, col_hist)
 
 
 # ---------------------------------------------------------------------------

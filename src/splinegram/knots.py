@@ -81,9 +81,6 @@ class KnotSequence:
         """(ell en)_j = t_{j+ell} - t_{j+en}."""
         return self.knot(j + ell) - self.knot(j + en)
 
-    def bracket_record(self, ell: int, en: int, j: int) -> "Bracket":
-        return Bracket(ell, en, j, self.bracket(ell, en, j))
-
     def eta(self, i: int, j: int):
         """eta_ij = t_{max(i,j)+k} - t_{min(i,j)}, the length of J_ij."""
         m = self.m
@@ -103,20 +100,6 @@ class KnotSequence:
         return (zero,) + self.interior + (one,)
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """The bracket (ell en)_j = t_{j+ell} - t_{j+en} as a tagged value."""
-
-    ell: int
-    en: int
-    j: int
-    value: object
-
-    def __post_init__(self):
-        if self.ell >= self.en and self.value < 0:
-            raise InputError("bracket with ell >= en cannot be negative")
-
-
 def build_knots(order: int, interior) -> KnotSequence:
     """Build the clamped knot sequence of the given order.
 
@@ -124,14 +107,6 @@ def build_knots(order: int, interior) -> KnotSequence:
     the boundary (endpoint multiplicities are fixed by the clamping).
     """
     return KnotSequence(order, tuple(interior))
-
-
-def bracket(ks: KnotSequence, ell: int, en: int, j: int):
-    return ks.bracket(ell, en, j)
-
-
-def eta(ks: KnotSequence, i: int, j: int):
-    return ks.eta(i, j)
 
 
 def _interval_index(ks: KnotSequence, x):

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Scalar = object  # Fraction or float; documented alias, not enforced
-
 
 def is_exact(x) -> bool:
     """True for scalars that carry exact rational semantics."""
@@ -49,8 +47,4 @@ def format_scalar(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):
         return f"{x}/1"
-    return float(x)
-
-
-def as_float(x) -> float:
     return float(x)

@@ -10,7 +10,7 @@ from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         phi_fn, phi_inv, psi_fn, psi_inv, report_csv_rows,
                         report_to_json, shrink_one_gap, theta_fn,
                         verify_lemmas)
-from splinegram.decay import attach_lemma_checks, bound_functions, minor_adjusted_factor
+from splinegram.decay import attach_lemma_checks, minor_adjusted_factor
 
 
 def _random_exact(rng, order, count):
@@ -87,14 +87,6 @@ def test_minor_adjusted_factor_and_theta():
         theta_fn(ks, 2, F(1))
     with pytest.raises(InputError):
         minor_adjusted_factor(ks, 2)
-
-
-def test_bound_functions_tuple():
-    ks = KnotSequence(3, [F(1, 4), F(1, 2), F(3, 4)])
-    phi, psi, theta = bound_functions(ks, 4, b_nn=F(1, 10))
-    assert phi == phi_fn(ks, 4) and psi == psi_fn(ks, 4)
-    assert theta == theta_fn(ks, 4, F(1, 10))
-    assert bound_functions(ks, 2)[2] is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Incremental bordered-update inversion against the dense exact oracle."""
+"""LDL^T + Takahashi inversion and leading-inverse history against the dense
+exact oracle."""
 
 import random
 from fractions import Fraction as F
@@ -7,10 +8,8 @@ import pytest
 
 from splinegram import (ArithmeticFailure, InputError, KnotSequence,
                         SymBandedMatrix, build_gram, check_checkerboard,
-                        dense_inverse_oracle, extend_inverse, gram_linear,
-                        gram_quadratic, invert_iteratively, max_residual,
-                        sm_update)
-from splinegram.invstep import BorderVectors, GrowingInverse, border_from_matrix
+                        dense_inverse_oracle, gram_linear, invert_iteratively,
+                        max_residual, shrink_one_gap)
 
 
 def _random_exact(rng, order, count):
@@ -58,6 +57,16 @@ def test_matches_dense_oracle_exactly():
             assert state.rows() == oracle, (order, ks.interior)
 
 
+def test_exact_entries_are_fractions():
+    # order 1 has bandwidth 0: its off-diagonal zeros are Fractions too
+    rng = random.Random(21)
+    for order in (1, 2, 3):
+        st = invert_iteratively(build_gram(_random_exact(rng, order, 4)),
+                                keep_history=True)
+        assert all(type(x) is F for row in st.B for x in row)
+        assert all(type(x) is F for col in st.col_history for x in col)
+
+
 def test_inverse_times_matrix_is_identity():
     rng = random.Random(12)
     for order in (2, 3):
@@ -71,38 +80,6 @@ def test_inverse_times_matrix_is_identity():
                 assert v == (1 if i == j else 0)
 
 
-def test_fast_path_bit_identical_to_full():
-    ks = _random_exact(random.Random(13), 3, 6)
-    A = build_gram(ks)
-    b11 = 1 / F(A.get(1, 1))
-    fast = slow = GrowingInverse(1, ((b11,),))
-    for n in range(1, A.n):
-        border = border_from_matrix(A, n)
-        fast = extend_inverse(fast, border, fast=True)
-        slow = extend_inverse(slow, border, fast=False)
-        assert fast.B == slow.B
-
-
-def test_sm_update_agrees_with_bordered_step():
-    # embed A_n in blockdiag(A_n, c) and add the rank-2 correction via
-    # Sherman-Morrison-Woodbury; must equal the bordered-update inverse
-    ks = _random_exact(random.Random(14), 3, 4)
-    A = build_gram(ks)
-    n = A.n - 1
-    Bn = invert_iteratively(A.leading(n)).rows()
-    border = border_from_matrix(A, n)
-    c = border.corner
-    # U V^T moves blockdiag(A_n, 1) to A_{n+1}: U = [[u, e], V = [[e, u],
-    # with e the last basis vector carrying the corner shift
-    block = [row + [0] for row in Bn]
-    block.append([0] * n + [1])
-    U = [[border.u[i], 0] for i in range(n)] + [[0, 1]]
-    V = [[0, border.u[i]] for i in range(n)] + [[1, c - 1]]
-    updated = sm_update(block, U, V)
-    direct = invert_iteratively(A).rows()
-    assert updated == direct
-
-
 def test_singular_step_raises():
     A = SymBandedMatrix(2, 1, [[F(1), F(1)], [F(1)]])  # [[1,1],[1,1]]
     with pytest.raises(ArithmeticFailure) as err:
@@ -110,27 +87,42 @@ def test_singular_step_raises():
     assert err.value.step == 2
 
 
+@pytest.mark.parametrize("scalar", [F, float])
+def test_zero_pivot_reports_its_step(scalar):
+    # [[1,1,0],[1,2,1],[0,1,1]]: pivots 1, 1, 0, so A_3 is the first
+    # singular leading submatrix; the pivots are exact in floats too
+    one, two = scalar(1), scalar(2)
+    A = SymBandedMatrix(3, 1, [[one, two, one], [one, one]])
+    for keep_history in (False, True):
+        with pytest.raises(ArithmeticFailure) as err:
+            invert_iteratively(A, keep_history=keep_history)
+        assert err.value.step == 3
+
+
 def test_zero_corner_start_raises():
     A = SymBandedMatrix(1, 0, [[F(0)]])
-    with pytest.raises(ArithmeticFailure):
+    with pytest.raises(ArithmeticFailure) as err:
         invert_iteratively(A)
+    assert err.value.step == 1
 
 
-def test_sm_update_singular_capacitance():
-    with pytest.raises(ArithmeticFailure):
-        # A = I, U V^T = -I at rank 1: capacitance 1 + v.Au = 0
-        sm_update([[F(1)]], [[F(1)]], [[F(-1)]])
-
-
-def test_border_validation():
-    A = build_gram(KnotSequence(2, [F(1, 2)]))
-    with pytest.raises(InputError):
-        border_from_matrix(A, A.n)
-    with pytest.raises(InputError):
-        BorderVectors((F(1),), (F(1), F(2)), F(1))
-    state = invert_iteratively(A.leading(1))
-    with pytest.raises(InputError):
-        extend_inverse(state, BorderVectors((F(1), F(2)), (F(1), F(2)), F(1)))
+def test_history_columns_match_oracle_of_leading_submatrices():
+    # col_history[n-1] is the last column of A_n^{-1}; every second mesh
+    # has one gap shrunk by 1e-4, which drives rational bit growth
+    rng = random.Random(19)
+    for order in (2, 3):
+        for trial in range(6):
+            ks = _random_exact(rng, order, rng.randint(1, 9))
+            if trial % 2:
+                ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1),
+                                    F(1, 10 ** 4))
+            A = build_gram(ks)
+            st = invert_iteratively(A, keep_history=True)
+            assert len(st.col_history) == len(st.diag_history) == A.n
+            for n in range(1, A.n + 1):
+                oracle = dense_inverse_oracle(A.leading(n))
+                assert st.col_history[n - 1] == tuple(row[n - 1] for row in oracle)
+                assert st.diag_history[n - 1] == oracle[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +193,17 @@ def test_float_residual_small():
         assert max_residual(A, st.B) <= 1e-10
 
 
+def test_float_history_last_column_is_inverse_column():
+    rng = random.Random(20)
+    for order in (2, 3):
+        ks = KnotSequence(order, sorted(rng.random() for _ in range(40)))
+        st = invert_iteratively(build_gram(ks), keep_history=True)
+        last = st.col_history[-1]
+        assert len(last) == st.n
+        assert all(x == y for x, y in zip(last, st.B[:, st.n - 1]))
+        assert st.diag_history[-1] == st.B[st.n - 1, st.n - 1]
+
+
 def test_float_history_matches_exact():
     exact_ks = KnotSequence(2, [F(1, 4), F(2, 3)])
     float_ks = KnotSequence(2, [0.25, 2 / 3])
@@ -238,8 +241,6 @@ def test_growing_inverse_accessors():
                             keep_history=True)
     assert st.entry(1, 3) == F(1)
     assert st.column(3) == (F(1), F(-2), F(7))
-    prev, last = st.last_cols
-    assert prev == (F(-2), F(4), F(-2)) and last == (F(1), F(-2), F(7))
     with pytest.raises(InputError):
         st.entry(0, 1)
     with pytest.raises(InputError):
