@@ -26,40 +26,36 @@ from .invstep import (GrowingInverse, check_checkerboard,
 from .knots import (KnotSequence, bspline_l1, build_knots, eval_bspline,
                     eval_quadratic_closed, knots_from_json, knots_to_json,
                     load_partition, save_partition)
-from .multipoly import (FactoredRational, MultiPoly, RationalFn,
-                        get_term_budget, set_term_budget, term_budget)
+from .multipoly import (FactoredRational, MultiPoly, get_term_budget,
+                        set_term_budget, term_budget)
 from .partitions import (EXACT_SWEEP_MAX_M, PartitionSpec, SweepConfig,
                          parse_spec, realize, shrink_one_gap,
                          sweep_partitions)
 from .polycert import (Certificate, GapBasis, INEQUALITY_NAMES,
                        build_inequality, certificate_to_json,
                        certify_inequality, certify_nonneg, gaps_for,
-                       gram_diag_sym, gram_off1_sym, gram_off2_sym,
-                       minor_factor_sym, phi_inv_sym, psi_inv_sym, spot_check)
+                       spot_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticFailure", "Certificate", "DecayConstants",
-    "DecayReport", "EXACT_SWEEP_MAX_M", "FactoredRational", "GapBasis",
-    "GrowingInverse", "INEQUALITY_NAMES", "InputError", "KnotSequence",
-    "LemmaCheck", "MultiPoly", "PartitionSpec", "RationalFn",
-    "ResourceBudgetError", "SweepConfig", "SymBandedMatrix",
-    "attach_lemma_checks", "bspline_l1", "build_gram", "build_inequality",
-    "build_knots", "certificate_to_json", "certify_inequality",
-    "certify_nonneg", "check_checkerboard", "check_total_positivity",
-    "decay_constants", "decay_report", "dense_inverse_oracle", "dump_matrix",
-    "eval_bspline", "eval_quadratic_closed",
-    "fit_decay_constants", "gaps_for", "get_term_budget", "gram_diag_sym",
-    "gram_linear", "gram_off1_sym", "gram_off2_sym", "gram_quadratic",
-    "gram_quadrature", "history_to_json", "inverse_to_json",
-    "invert_iteratively", "knots_from_json", "knots_to_json", "linear_entry",
-    "load_partition", "matrix_from_json", "matrix_to_json", "max_residual",
-    "minor_adjusted_factor", "minor_factor_sym", "parse_spec", "phi_fn",
-    "phi_inv", "phi_inv_sym", "psi_fn", "psi_inv", "psi_inv_sym",
-    "quad_entry", "quadratic_cross_terms", "realize", "report_csv_rows",
-    "report_to_json",
-    "save_partition", "set_term_budget", "shrink_one_gap",
-    "spot_check", "sweep_partitions", "term_budget", "theta_fn",
-    "verify_lemmas",
+    "ArithmeticFailure", "Certificate", "DecayConstants", "DecayReport",
+    "EXACT_SWEEP_MAX_M", "FactoredRational", "GapBasis", "GrowingInverse",
+    "INEQUALITY_NAMES", "InputError", "KnotSequence", "LemmaCheck",
+    "MultiPoly", "PartitionSpec", "ResourceBudgetError", "SweepConfig",
+    "SymBandedMatrix", "attach_lemma_checks", "bspline_l1", "build_gram",
+    "build_inequality", "build_knots", "certificate_to_json",
+    "certify_inequality", "certify_nonneg", "check_checkerboard",
+    "check_total_positivity", "decay_constants", "decay_report",
+    "dense_inverse_oracle", "dump_matrix", "eval_bspline",
+    "eval_quadratic_closed", "fit_decay_constants", "gaps_for",
+    "get_term_budget", "gram_linear", "gram_quadratic", "gram_quadrature",
+    "history_to_json", "inverse_to_json", "invert_iteratively",
+    "knots_from_json", "knots_to_json", "linear_entry", "load_partition",
+    "matrix_from_json", "matrix_to_json", "max_residual",
+    "minor_adjusted_factor", "parse_spec", "phi_fn", "phi_inv", "psi_fn",
+    "psi_inv", "quad_entry", "quadratic_cross_terms", "realize",
+    "report_csv_rows", "report_to_json", "save_partition",
+    "set_term_budget", "shrink_one_gap", "spot_check", "sweep_partitions",
+    "term_budget", "theta_fn", "verify_lemmas",
 ]

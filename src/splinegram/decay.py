@@ -15,6 +15,11 @@ the squared form
 
 which is lossless for nonnegative x.  For k >= 4 no certified constants are
 available and only an empirical least-squares fit is reported.
+
+The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
+(``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over a bracket
+provider and a ratio combinator, like gram.quad_formula; the functions here
+apply them to knot brackets, and polycert to gap-variable brackets.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
-from .gram import quad_entry
+from .gram import quad_entry, quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
 from .scalars import format_scalar, is_exact
@@ -72,41 +77,47 @@ def decay_constants(order: int) -> DecayConstants:
 # Bound functions phi, psi, theta (order 3)
 
 
-def _ratio_term(num_factors, den_factors):
-    """Monomial ratio with the zero-numerator rule: any zero factor in the
-    numerator makes the term vanish before the denominator is formed."""
-    num = 1
-    for f in num_factors:
-        if f == 0:
-            return f * 0
-        num = num * f
-    den = 1
-    for f in den_factors:
-        den = den * f
-    return num / den
-
-
-def phi_inv(ks: KnotSequence, n: int):
-    """1/phi_n: the lower bound for 1/b_{n,n}^n, brackets taken at n.
+def phi_inv_formula(br, ratio, n: int):
+    """1/phi_n over a bracket provider and a ratio combinator (as in
+    gram.quad_formula), brackets taken at n:
 
     (10)/9 + (21)/12 + (32)/5 - ((21)(32)/(30(31)))(1 + (32)/(6(31))
     - 20(10)/(9(20))) + 5(0,-1)(10)/(108(1,-1)) + 2(0,-1)^2(10)/(73(1,-1)^2),
-    expanded into monomial ratios under the zero-numerator rule.
+    expanded into monomial ratios.
     """
+    b10, b21, b32 = br(1, 0, n), br(2, 1, n), br(3, 2, n)
+    b20, b31 = br(2, 0, n), br(3, 1, n)
+    b0m1, b1m1 = br(0, -1, n), br(1, -1, n)
+    return (ratio((b10,), (9,)) + ratio((b21,), (12,)) + ratio((b32,), (5,))
+            - ratio((b21, b32), (30, b31))
+            - ratio((b21, b32, b32), (180, b31, b31))
+            + ratio((2, b10, b21, b32), (27, b20, b31))
+            + ratio((5, b0m1, b10), (108, b1m1))
+            + ratio((2, b0m1, b0m1, b10), (73, b1m1, b1m1)))
+
+
+def psi_inv_formula(br, ratio, n: int):
+    """1/psi_n = (10)/9 + (21)/12 + (32)/6, brackets at n."""
+    return (ratio((br(1, 0, n),), (9,)) + ratio((br(2, 1, n),), (12,))
+            + ratio((br(3, 2, n),), (6,)))
+
+
+def minor_formula(br, ratio, n: int):
+    """M_n = a_{n-1,n} - a_{n-2,n} a_{n-1,n-1} / a_{n-2,n-1}, from the
+    entries of gram.quad_formula."""
+    def a(i, d):
+        return quad_formula(br, ratio, i, d)
+    return a(n - 1, 1) - a(n - 2, 2) * a(n - 1, 0) / a(n - 2, 1)
+
+
+def phi_inv(ks: KnotSequence, n: int):
+    """1/phi_n: the lower bound for 1/b_{n,n}^n (phi_inv_formula at the knot
+    brackets, zero-numerator rule of gram.ratio)."""
     if ks.order != 3:
         raise InputError("phi is defined for order-3 sequences")
     if not (1 <= n <= ks.m):
         raise InputError(f"index {n} outside [1,{ks.m}]")
-    br = ks.bracket
-    b10, b21, b32 = br(1, 0, n), br(2, 1, n), br(3, 2, n)
-    b20, b31 = br(2, 0, n), br(3, 1, n)
-    b0m1, b1m1 = br(0, -1, n), br(1, -1, n)
-    return (b10 / 9 + b21 / 12 + b32 / 5
-            - _ratio_term((b21, b32), (30, b31))
-            - _ratio_term((b21, b32, b32), (180, b31, b31))
-            + _ratio_term((2, b10, b21, b32), (27, b20, b31))
-            + _ratio_term((5, b0m1, b10), (108, b1m1))
-            + _ratio_term((2, b0m1, b0m1, b10), (73, b1m1, b1m1)))
+    return phi_inv_formula(ks.bracket, ratio, n)
 
 
 def phi_fn(ks: KnotSequence, n: int):
@@ -118,13 +129,12 @@ def phi_fn(ks: KnotSequence, n: int):
 
 
 def psi_inv(ks: KnotSequence, n: int):
-    """1/psi_n = (10)/9 + (21)/12 + (32)/6, brackets at n."""
+    """1/psi_n (psi_inv_formula at the knot brackets)."""
     if ks.order != 3:
         raise InputError("psi is defined for order-3 sequences")
     if not (1 <= n <= ks.m):
         raise InputError(f"index {n} outside [1,{ks.m}]")
-    br = ks.bracket
-    return br(1, 0, n) / 9 + br(2, 1, n) / 12 + br(3, 2, n) / 6
+    return psi_inv_formula(ks.bracket, ratio, n)
 
 
 def psi_fn(ks: KnotSequence, n: int):
@@ -136,7 +146,7 @@ def psi_fn(ks: KnotSequence, n: int):
 
 
 def minor_adjusted_factor(ks: KnotSequence, n: int):
-    """M_n = a_{n-1,n} - a_{n-2,n} a_{n-1,n-1} / a_{n-2,n-1} (order 3, n >= 3).
+    """M_n (minor_formula at the knot brackets; order 3, n >= 3).
 
     The numerator of M_n is the 2x2 minor on rows (n-2,n-1), columns (n-1,n);
     total positivity makes it nonnegative.
@@ -147,9 +157,7 @@ def minor_adjusted_factor(ks: KnotSequence, n: int):
         raise InputError(f"minor-adjusted factor needs n >= 3, got {n}")
     if n > ks.m:
         raise InputError(f"index {n} outside [1,{ks.m}]")
-    return (quad_entry(ks, n - 1, n)
-            - quad_entry(ks, n - 2, n) * quad_entry(ks, n - 1, n - 1)
-            / quad_entry(ks, n - 2, n - 1))
+    return minor_formula(ks.bracket, ratio, n)
 
 
 def theta_fn(ks: KnotSequence, n: int, b_nn):
@@ -259,36 +267,42 @@ def verify_linear_lemmas(ks: KnotSequence, state: GrowingInverse,
         r = 3 * b20 / mid_den
         outer.add(float(r), (r <= 1) if exact else None, (n,))
 
+    return (lower.result(), middle.result(), outer.result(),
+            _lastcol_decay(ks, state, consts, exact, slack),
+            _full_decay(ks, state.B, consts, exact, slack))
+
+
+def _lastcol_decay(ks: KnotSequence, state: GrowingInverse,
+                   consts: DecayConstants, exact: bool, slack: float) -> LemmaCheck:
+    """|b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn for all j <= n <= m."""
     lastcol = _CheckAccumulator("lastcol_decay", slack)
-    for n in range(1, m + 1):
+    for n in range(1, ks.m + 1):
         col = state.col_history[n - 1]
         for j in range(1, n + 1):
             x = abs(col[j - 1])
             ev = ks.eta(j, n)
             d = n - j
-            ratio = _decay_ratio_float(x, ev, d, consts.lastcol_K, consts.gamma)
+            r = _decay_ratio_float(x, ev, d, consts.lastcol_K, consts.gamma)
             ok = _decay_ok_exact(x, ev, d, consts.lastcol_K, consts.gamma_sq) \
                 if exact else None
-            lastcol.add(ratio, ok, (j, n))
-
-    full = _CheckAccumulator("full_decay", slack)
-    _accumulate_full(full, ks, state.B, consts.K, consts, exact, slack)
-    return (lower.result(), middle.result(), outer.result(),
-            lastcol.result(), full.result())
+            lastcol.add(r, ok, (j, n))
+    return lastcol.result()
 
 
-def _accumulate_full(acc: _CheckAccumulator, ks: KnotSequence, B, K,
-                     consts: DecayConstants, exact: bool, slack: float) -> None:
-    m = ks.m
+def _full_decay(ks: KnotSequence, B, consts: DecayConstants, exact: bool,
+                slack: float) -> LemmaCheck:
+    """|b_{i,j}| <= K gamma^{|i-j|} / eta_ij over the full inverse."""
+    acc = _CheckAccumulator("full_decay", slack)
+    m, K = ks.m, consts.K
     if exact:
         for i in range(1, m + 1):
             for j in range(i, m + 1):
                 x = abs(B[i - 1][j - 1])
                 ev = ks.eta(i, j)
                 d = j - i
-                ratio = _decay_ratio_float(x, ev, d, K, consts.gamma)
-                acc.add(ratio, _decay_ok_exact(x, ev, d, K, consts.gamma_sq), (i, j))
-        return
+                r = _decay_ratio_float(x, ev, d, K, consts.gamma)
+                acc.add(r, _decay_ok_exact(x, ev, d, K, consts.gamma_sq), (i, j))
+        return acc.result()
     import numpy as np
 
     tk = np.array([float(ks.knot(i)) for i in range(1, m + ks.order + 1)])
@@ -303,6 +317,7 @@ def _accumulate_full(acc: _CheckAccumulator, ks: KnotSequence, B, K,
     worst = float(ratios[i0, j0])
     acc.add(worst, worst <= 1.0 + slack, (i0 + 1, j0 + 1))
     acc.count = m * m
+    return acc.result()
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +395,10 @@ def verify_quadratic_lemmas(ks: KnotSequence, state: GrowingInverse,
         r = lhs / rhs
         consec.add(float(r), (lhs <= rhs) if exact else None, (n,))
 
-    lastcol = _CheckAccumulator("lastcol_decay", slack)
-    for n in range(1, m + 1):
-        col = state.col_history[n - 1]
-        for j in range(1, n + 1):
-            x = abs(col[j - 1])
-            ev = ks.eta(j, n)
-            d = n - j
-            ratio = _decay_ratio_float(x, ev, d, consts.lastcol_K, consts.gamma)
-            ok = _decay_ok_exact(x, ev, d, consts.lastcol_K, consts.gamma_sq) \
-                if exact else None
-            lastcol.add(ratio, ok, (j, n))
-
-    full = _CheckAccumulator("full_decay", slack)
-    _accumulate_full(full, ks, state.B, consts.K, consts, exact, slack)
     return (chain_phi.result(), chain_psi.result(), chain_12.result(),
             pair.result(), minor.result(), hat.result(), consec.result(),
-            lastcol.result(), full.result())
+            _lastcol_decay(ks, state, consts, exact, slack),
+            _full_decay(ks, state.B, consts, exact, slack))
 
 
 def verify_lemmas(ks: KnotSequence, state: GrowingInverse,

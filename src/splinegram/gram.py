@@ -4,8 +4,13 @@ any order, and exact total-positivity checks.
 The Gram matrix A has entries a_{i,j} = integral of N_{i,k} N_{j,k} over
 [0,1]; it is symmetric, positive definite, and banded with bandwidth k-1.
 Closed forms follow the bracket notation (ln)_j = t_{j+l} - t_{j+n}; boundary
-0/0 ratios resolve by the rule: a monomial ratio whose numerator contains a
-zero factor is 0, before any division.
+0/0 ratios resolve by the rule of ``ratio``: a monomial ratio whose numerator
+contains a zero factor is 0, before any division.
+
+The order-3 entries are written once, in ``quad_formula``, over a bracket
+provider and a ratio combinator.  ``quad_entry`` instantiates it with the
+knot brackets and ``ratio``; polycert instantiates the same formula with
+gap-variable brackets and factored rational functions for the certificates.
 """
 
 from __future__ import annotations
@@ -86,11 +91,12 @@ class MinorReport:
         return self.min_value >= 0
 
 
-def _zero_ratio(num_factors, den_factors):
-    """Evaluate a monomial ratio under the 0/0 rule.
+def ratio(num_factors, den_factors):
+    """Monomial ratio under the 0/0 rule.
 
-    If any numerator factor is zero the ratio is 0 (no division attempted);
-    otherwise all denominator factors must be nonzero.
+    If any numerator factor is zero the ratio is that factor's zero (no
+    division attempted); otherwise all denominator factors must be nonzero.
+    Factors multiply left to right, the numerator's first.
     """
     num = None
     for f in num_factors:
@@ -117,13 +123,32 @@ def linear_entry(ks: KnotSequence, i: int, j: int):
     return ks.knot(1) * 0
 
 
-def quad_entry(ks: KnotSequence, i: int, j: int):
-    """Closed-form order-3 Gram entry a_{i,j} (zero beyond the band).
+def quad_formula(br, ratio, i: int, d: int):
+    """Order-3 Gram entry a_{i,i+d}, d in {0, 1, 2}, over a bracket provider
+    ``br(l, e, i)`` = (le)_i and a monomial ``ratio(num, den)`` combinator:
 
     a_{i,i}   = (30)_i/5 - (30)_i (21)_i^2 / (15 (20)_i (31)_i)
     a_{i,i+1} = (31)_i/10 + (21)_i^2 (10)_i / (30 (20)_i (31)_i)
                           + (32)_i^2 (43)_i / (30 (31)_i (42)_i)
     a_{i,i+2} = (32)_i^3 / (30 (31)_i (42)_i)
+    """
+    b31 = br(3, 1, i)
+    if d == 0:
+        b30, b21 = br(3, 0, i), br(2, 1, i)
+        return (ratio((b30,), (5,))
+                - ratio((b30, b21, b21), (15, br(2, 0, i), b31)))
+    b32 = br(3, 2, i)
+    if d == 1:
+        b21 = br(2, 1, i)
+        return (ratio((b31,), (10,))
+                + ratio((b21, b21, br(1, 0, i)), (30, br(2, 0, i), b31))
+                + ratio((b32, b32, br(4, 3, i)), (30, b31, br(4, 2, i))))
+    return ratio((b32, b32, b32), (30, b31, br(4, 2, i)))
+
+
+def quad_entry(ks: KnotSequence, i: int, j: int):
+    """Closed-form order-3 Gram entry a_{i,j} (zero beyond the band), the
+    formula of quad_formula over the knot brackets.
 
     Monomial ratios with a zero numerator factor vanish (clamped ends).
     """
@@ -132,22 +157,9 @@ def quad_entry(ks: KnotSequence, i: int, j: int):
     if not (1 <= i <= ks.m and 1 <= j <= ks.m):
         raise InputError(f"index ({i},{j}) outside [1,{ks.m}]^2")
     i, j = min(i, j), max(i, j)
-    br = ks.bracket
-    if j == i:
-        lead = br(3, 0, i) / 5
-        corr = _zero_ratio((br(3, 0, i), br(2, 1, i), br(2, 1, i)),
-                           (15, br(2, 0, i), br(3, 1, i)))
-        return lead - corr
-    if j == i + 1:
-        t1 = br(3, 1, i) / 10
-        t2 = _zero_ratio((br(2, 1, i), br(2, 1, i), br(1, 0, i)),
-                         (30, br(2, 0, i), br(3, 1, i)))
-        t3 = _zero_ratio((br(3, 2, i), br(3, 2, i), br(4, 3, i)),
-                         (30, br(3, 1, i), br(4, 2, i)))
-        return t1 + t2 + t3
-    if j == i + 2:
-        return _zero_ratio((br(3, 2, i),) * 3, (30, br(3, 1, i), br(4, 2, i)))
-    return ks.knot(1) * 0
+    if j - i > 2:
+        return ks.knot(1) * 0
+    return quad_formula(ks.bracket, ratio, i, j - i)
 
 
 def gram_linear(ks: KnotSequence) -> SymBandedMatrix:
@@ -182,16 +194,14 @@ def quadratic_cross_terms(ks: KnotSequence, i: int):
     if not (1 <= i <= ks.m - 1):
         raise InputError(f"cross-term index {i} outside [1,{ks.m - 1}]")
     br = ks.bracket
-    first = (_zero_ratio((br(2, 1, i),) * 2, (10, br(3, 1, i)))
-             + _zero_ratio((br(2, 1, i), br(2, 1, i), br(1, 0, i)),
-                           (30, br(2, 0, i), br(3, 1, i)))
-             + _zero_ratio((br(2, 1, i), br(2, 1, i), br(3, 2, i)),
-                           (5, br(3, 1, i), br(3, 1, i))))
-    second = (_zero_ratio((br(3, 2, i),) * 2, (10, br(3, 1, i)))
-              + _zero_ratio((br(3, 2, i), br(3, 2, i), br(4, 3, i)),
-                            (30, br(4, 2, i), br(3, 1, i)))
-              + _zero_ratio((br(3, 2, i), br(3, 2, i), br(2, 1, i)),
-                            (5, br(3, 1, i), br(3, 1, i))))
+    b10, b21, b32, b43 = br(1, 0, i), br(2, 1, i), br(3, 2, i), br(4, 3, i)
+    b20, b31, b42 = br(2, 0, i), br(3, 1, i), br(4, 2, i)
+    first = (ratio((b21, b21), (10, b31))
+             + ratio((b21, b21, b10), (30, b20, b31))
+             + ratio((b21, b21, b32), (5, b31, b31)))
+    second = (ratio((b32, b32), (10, b31))
+              + ratio((b32, b32, b43), (30, b42, b31))
+              + ratio((b32, b32, b21), (5, b31, b31)))
     return first, second
 
 

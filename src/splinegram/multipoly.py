@@ -7,13 +7,11 @@ then lexicographically on the exponent tuple, ascending.  Instances are
 immutable and hashable, so polynomials can serve as dictionary keys (the
 factored-denominator representation relies on this).
 
-``RationalFn`` is a quotient of two polynomials normalized only up to scalar
-content and denominator sign.  No polynomial GCD is ever computed: all
-denominator bookkeeping happens factor-wise in ``FactoredRational``, whose
-denominators are dicts {factor polynomial: exponent}.  Addition lifts both
-operands to the factor-wise least common denominator by *syntactic* factor
-matching; this keeps denominators as explicit products, which is exactly what
-the nonnegativity certificates need to inspect.
+``FactoredRational`` is a rational function whose denominator is a dict
+{factor polynomial: exponent}.  No polynomial GCD is ever computed: addition
+lifts both operands to the factor-wise least common denominator by
+*syntactic* factor matching; this keeps denominators as explicit products,
+which is exactly what the nonnegativity certificates need to inspect.
 
 Multiplications enforce a global term budget (default 5,000,000 accumulated
 terms) and raise ResourceBudgetError with partial statistics when exceeded.
@@ -21,10 +19,9 @@ terms) and raise ResourceBudgetError with partial statistics when exceeded.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import InputError, ResourceBudgetError
 
@@ -341,72 +338,13 @@ def poly_product(factors) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions
-
-
-class RationalFn:
-    """num/den with scalar-content normalization only (no polynomial GCD).
-
-    The denominator is normalized to positive leading coefficient and the
-    scalar content of the pair is reduced; two representations of the same
-    function therefore compare equal only up to that normalization, and
-    ``same_function`` decides true equality by cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly):
-        if num.nvars != den.nvars:
-            raise InputError("numerator and denominator variable counts differ")
-        if den.is_zero():
-            raise InputError("zero denominator in RationalFn")
-        cd = den.content()
-        if den.leading_coefficient() < 0:
-            cd = -cd
-        cn = num.content()
-        if cn == 0:
-            num = MultiPoly.zero(num.nvars)
-            den = den._scale(1 / cd)
-        else:
-            s = cn / cd
-            num = num._scale(1 / cn)._scale(s.numerator)
-            den = den._scale(1 / cd)._scale(s.denominator)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFn is immutable")
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RationalFn":
-        return cls(p, MultiPoly.constant(p.nvars, 1))
-
-    def __call__(self, point):
-        d = self.den(point)
-        if d == 0:
-            raise InputError(f"denominator vanishes at {point!r}")
-        return self.num(point) / d
-
-    def same_function(self, other: "RationalFn") -> bool:
-        return self.num * other.den == other.num * self.den
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RationalFn({self.num!r}, {self.den!r})"
+# Rational functions with factored denominators
 
 
 class FactoredRational:
     """scalar * num / prod(factor^exp): the certificate-side representation.
 
     Denominators stay factored forever; addition matches factors
-
     syntactically (equal MultiPoly keys) and lifts to the factor-wise LCD.
     All polynomial coefficients are integers; the rational content lives in
     ``scalar``.
@@ -537,11 +475,6 @@ class FactoredRational:
         for f, e in self._sorted_factors():
             den = den * f ** e
         return den
-
-    def expand(self) -> RationalFn:
-        """Single-fraction form; scalar folded in, no cancellation attempted."""
-        num = self.num._scale(self.scalar)
-        return RationalFn(num, self.denominator_expanded())
 
     def __call__(self, point):
         val = self.scalar * self.num(point)

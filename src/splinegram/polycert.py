@@ -18,6 +18,13 @@ t_{a+r-1}, and every knot bracket becomes the linear form
 
     (l e)_{a+p} = x_{p+e+1} + ... + x_{p+l}.
 
+The Gram entries and bound functions are not restated here.  The builders
+evaluate the formulas written once in gram (``quad_formula``) and decay
+(``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over
+``GapBasis.bracket``, with a ratio combinator that keeps integer constants in
+the scalar and bracket factors in the factored denominator.  A certificate
+is thus about the same functions that the numeric lemma checks evaluate.
+
 Certified inequalities (public names):
 
   offdiag        a_{n,n+1} a_{n-1,n} - 2 a_{n,n} a_{n-1,n+1} >= 0
@@ -37,8 +44,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
+from .decay import minor_formula, phi_inv_formula, psi_inv_formula
 from .errors import ArithmeticFailure, InputError
+from .gram import quad_formula
 from .multipoly import FactoredRational, MultiPoly
 from .scalars import format_scalar
 
@@ -76,76 +86,32 @@ class GapBasis:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic Gram entries and bound functions (order 3)
+# The shared order-3 formulas over gap brackets
 
 
-def gram_diag_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """a_{a+p,a+p} = (30)/5 - (30)(21)^2/(15(20)(31)), brackets at a+p."""
-    t30 = basis.bracket(3, 0, p)
-    t21 = basis.bracket(2, 1, p)
-    t20 = basis.bracket(2, 0, p)
-    t31 = basis.bracket(3, 1, p)
-    return (FactoredRational(Fraction(1, 5), t30)
-            - FactoredRational(Fraction(1, 15), t30 * t21 * t21,
-                               {t20: 1, t31: 1}))
+def sym_ratio(num_factors, den_factors) -> FactoredRational:
+    """The certificate-side ratio combinator: integer factors go to the
+    scalar, bracket polynomials to the numerator and to the factored
+    denominator."""
+    scalar, num, den = Fraction(1), None, {}
+    for f in num_factors:
+        if isinstance(f, int):
+            scalar *= f
+        else:
+            num = f if num is None else num * f
+    for f in den_factors:
+        if isinstance(f, int):
+            scalar /= f
+        else:
+            den[f] = den.get(f, 0) + 1
+    return FactoredRational(scalar, num, den)
 
 
-def gram_off1_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """a_{a+p,a+p+1} = (31)/10 + (21)^2(10)/(30(20)(31)) + (32)^2(43)/(30(31)(42))."""
-    t31 = basis.bracket(3, 1, p)
-    t21 = basis.bracket(2, 1, p)
-    t10 = basis.bracket(1, 0, p)
-    t20 = basis.bracket(2, 0, p)
-    t32 = basis.bracket(3, 2, p)
-    t43 = basis.bracket(4, 3, p)
-    t42 = basis.bracket(4, 2, p)
-    return (FactoredRational(Fraction(1, 10), t31)
-            + FactoredRational(Fraction(1, 30), t21 * t21 * t10, {t20: 1, t31: 1})
-            + FactoredRational(Fraction(1, 30), t32 * t32 * t43, {t31: 1, t42: 1}))
-
-
-def gram_off2_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """a_{a+p,a+p+2} = (32)^3/(30(31)(42))."""
-    t32 = basis.bracket(3, 2, p)
-    t31 = basis.bracket(3, 1, p)
-    t42 = basis.bracket(4, 2, p)
-    return FactoredRational(Fraction(1, 30), t32 ** 3, {t31: 1, t42: 1})
-
-
-def phi_inv_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """1/phi at index a+p as a factored rational (mirrors decay.phi_inv)."""
-    b10 = basis.bracket(1, 0, p)
-    b21 = basis.bracket(2, 1, p)
-    b32 = basis.bracket(3, 2, p)
-    b20 = basis.bracket(2, 0, p)
-    b31 = basis.bracket(3, 1, p)
-    b0m1 = basis.bracket(0, -1, p)
-    b1m1 = basis.bracket(1, -1, p)
-    return (FactoredRational(Fraction(1, 9), b10)
-            + FactoredRational(Fraction(1, 12), b21)
-            + FactoredRational(Fraction(1, 5), b32)
-            - FactoredRational(Fraction(1, 30), b21 * b32, {b31: 1})
-            - FactoredRational(Fraction(1, 180), b21 * b32 * b32, {b31: 2})
-            + FactoredRational(Fraction(2, 27), b10 * b21 * b32, {b20: 1, b31: 1})
-            + FactoredRational(Fraction(5, 108), b0m1 * b10, {b1m1: 1})
-            + FactoredRational(Fraction(2, 73), b0m1 * b0m1 * b10, {b1m1: 2}))
-
-
-def psi_inv_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """1/psi at index a+p: (10)/9 + (21)/12 + (32)/6."""
-    return (FactoredRational(Fraction(1, 9), basis.bracket(1, 0, p))
-            + FactoredRational(Fraction(1, 12), basis.bracket(2, 1, p))
-            + FactoredRational(Fraction(1, 6), basis.bracket(3, 2, p)))
-
-
-def minor_factor_sym(basis: GapBasis, p: int) -> FactoredRational:
-    """M at index a+p+2: a_{s-1,s} - a_{s-2,s} a_{s-1,s-1}/a_{s-2,s-1},
-    where s = a+p+2, expressed through entry offsets p..p+2."""
-    a12 = gram_off1_sym(basis, p + 1)   # a_{s-1,s}
-    a02 = gram_off2_sym(basis, p)       # a_{s-2,s}
-    a11 = gram_diag_sym(basis, p + 1)   # a_{s-1,s-1}
-    a01 = gram_off1_sym(basis, p)       # a_{s-2,s-1}
-    return a12 - a02 * a11 / a01
+def _sym(formula, basis: GapBasis):
+    """One of the shared formulas (gram.quad_formula, decay.phi_inv_formula,
+    psi_inv_formula, minor_formula) over the gap brackets of ``basis``; its
+    index is the offset p from the anchor."""
+    return partial(formula, basis.bracket, sym_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +189,8 @@ def _expect_den(fr: FactoredRational, expected: dict, name: str,
 def _build_offdiag() -> FactoredRational:
     """a_{n,n+1} a_{n-1,n} - 2 a_{n,n} a_{n-1,n+1}; gaps anchored at n-1."""
     basis = GapBasis(5)
-    p = (gram_off1_sym(basis, 1) * gram_off1_sym(basis, 0)
-         - 2 * gram_diag_sym(basis, 1) * gram_off2_sym(basis, 0))
+    a = _sym(quad_formula, basis)
+    p = a(1, 1) * a(0, 1) - 2 * a(1, 0) * a(0, 2)
     expected = {basis.bracket(1, -1, 1): 1, basis.bracket(2, 0, 1): 2,
                 basis.bracket(3, 1, 1): 2, basis.bracket(4, 2, 1): 1}
     _expect_den(p, expected, "offdiag")
@@ -233,9 +199,8 @@ def _build_offdiag() -> FactoredRational:
 
 def _build_tp_minor() -> FactoredRational:
     """The 2x2 minor a_{n-1,n} a_{n,n+1} - a_{n-1,n+1} a_{n,n}; anchor n-1."""
-    basis = GapBasis(5)
-    return (gram_off1_sym(basis, 0) * gram_off1_sym(basis, 1)
-            - gram_off2_sym(basis, 0) * gram_diag_sym(basis, 1))
+    a = _sym(quad_formula, GapBasis(5))
+    return a(0, 1) * a(1, 1) - a(0, 2) * a(1, 0)
 
 
 def _build_psi_a() -> FactoredRational:
@@ -243,8 +208,8 @@ def _build_psi_a() -> FactoredRational:
     basis = GapBasis(4)
     t20 = basis.bracket(2, 0, 1)
     t30 = basis.bracket(3, 0, 1)
-    lead = FactoredRational(Fraction(6, 5), t20, {t30: 1})
-    p = lead - gram_off1_sym(basis, 0) / psi_inv_sym(basis, 1)
+    lead = sym_ratio((6, t20), (5, t30))
+    p = lead - _sym(quad_formula, basis)(0, 1) / _sym(psi_inv_formula, basis)(1)
     expected = {basis.bracket(2, 0, 0): 1, t20: 1, basis.bracket(4, 2, 0): 1,
                 t30: 1, basis.linear_form({2: 4, 3: 3, 4: 6}): 1}
     _expect_den(p, expected, "psi_a")
@@ -264,8 +229,8 @@ def _build_psi_from_phi() -> FactoredRational:
 def _build_phi_step() -> FactoredRational:
     """Induction step for the diagonal bound phi; gaps anchored at n-2.
 
-    With F_s := 1/phi_s (phi_inv_sym), the step inequality multiplied by the
-    positive quantity F_n F_{n-1}^2 a_{n-1,n} reads
+    With F_s := 1/phi_s (decay.phi_inv_formula), the step inequality
+    multiplied by the positive quantity F_n F_{n-1}^2 a_{n-1,n} reads
 
         F_n F_{n-1}^2 a_{n-1,n} a_{n+1,n+1}
       - F_{n-1}^2 a_{n,n+1} (a_{n-1,n} a_{n,n+1} - 2 a_{n,n} a_{n-1,n+1})
@@ -279,14 +244,10 @@ def _build_phi_step() -> FactoredRational:
     bracket linear forms.
     """
     basis = GapBasis(6)
-    F1 = phi_inv_sym(basis, 1)   # at n-1
-    F2 = phi_inv_sym(basis, 2)   # at n
-    F3 = phi_inv_sym(basis, 3)   # at n+1
-    a12 = gram_off1_sym(basis, 1)   # a_{n-1,n}
-    a23 = gram_off1_sym(basis, 2)   # a_{n,n+1}
-    a13 = gram_off2_sym(basis, 1)   # a_{n-1,n+1}
-    a22 = gram_diag_sym(basis, 2)   # a_{n,n}
-    a33 = gram_diag_sym(basis, 3)   # a_{n+1,n+1}
+    a, phi_inv = _sym(quad_formula, basis), _sym(phi_inv_formula, basis)
+    F1, F2, F3 = phi_inv(1), phi_inv(2), phi_inv(3)   # at n-1, n, n+1
+    a12, a23, a13 = a(1, 1), a(2, 1), a(1, 2)   # a_{n-1,n}, a_{n,n+1}, a_{n-1,n+1}
+    a22, a33 = a(2, 0), a(3, 0)                 # a_{n,n}, a_{n+1,n+1}
     F1sq = F1 * F1
     p = (F2 * F1sq * a12 * a33
          - F1sq * a23 * (a12 * a23 - 2 * a22 * a13)
@@ -311,14 +272,11 @@ def _build_theta_product() -> FactoredRational:
     coefficient-wise rather than assuming a product of brackets.
     """
     basis = GapBasis(6)
-    th_n = minor_factor_sym(basis, 0) / phi_inv_sym(basis, 2)
-    th_n1 = minor_factor_sym(basis, 1) / phi_inv_sym(basis, 3)
-    t30_n = basis.bracket(3, 0, 2)
-    t20_n = basis.bracket(2, 0, 2)
-    t30_n1 = basis.bracket(3, 0, 3)
-    t20_n1 = basis.bracket(2, 0, 3)
-    ratio = FactoredRational(1, t30_n * t30_n1, {t20_n: 1, t20_n1: 1})
-    return FactoredRational.from_scalar(6, Fraction(87, 100)) - ratio * th_n * th_n1
+    M, phi_inv = _sym(minor_formula, basis), _sym(phi_inv_formula, basis)
+    th_n, th_n1 = M(2) / phi_inv(2), M(3) / phi_inv(3)
+    br = basis.bracket
+    lead = sym_ratio((br(3, 0, 2), br(3, 0, 3)), (br(2, 0, 2), br(2, 0, 3)))
+    return FactoredRational.from_scalar(6, Fraction(87, 100)) - lead * th_n * th_n1
 
 
 _BUILDERS = {

@@ -10,7 +10,7 @@ from splinegram import (InputError, KnotSequence, ResourceBudgetError,
                         dump_matrix, gram_linear, gram_quadratic,
                         gram_quadrature, linear_entry, matrix_from_json,
                         matrix_to_json, quad_entry)
-from splinegram.gram import quadratic_cross_terms
+from splinegram.gram import quadratic_cross_terms, ratio
 
 
 def _random_exact(rng, order, count):
@@ -94,6 +94,20 @@ def test_single_entry_accessors():
         quad_entry(ks, 0, 1)
     with pytest.raises(InputError):
         linear_entry(ks2, 1, 99)
+
+
+@pytest.mark.parametrize("zero", [F(0), 0.0], ids=["Fraction", "float"])
+def test_ratio_zero_numerator_rule(zero):
+    one = zero + 1
+    # a zero numerator factor wins before any division, even by zero
+    r = ratio((one, zero, one), (30, zero, one))
+    assert r == 0 and type(r) is type(zero)
+    with pytest.raises(ZeroDivisionError):
+        ratio((one,), (30, zero))
+    # otherwise factors multiply left to right, the numerator's first
+    a, b, c, d = one / 3, one / 7, one / 11, one / 13
+    assert ratio((a, b, c), (15, d, a)) == a * b * c / (15 * d * a)
+    assert type(ratio((a, b), (5,))) is type(zero)
 
 
 # ---------------------------------------------------------------------------

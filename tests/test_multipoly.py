@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinegram import (FactoredRational, InputError, MultiPoly, RationalFn,
+from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, get_term_budget, term_budget)
 from splinegram.multipoly import poly_product
 
@@ -141,31 +141,6 @@ def test_budget_validation():
 
 
 # ---------------------------------------------------------------------------
-# RationalFn
-
-
-def test_rationalfn_normalization():
-    x1 = MultiPoly.variable(NVARS, 1)
-    r = RationalFn(2 * x1, MultiPoly.constant(NVARS, -4))
-    # common content (2) cancelled, denominator sign flipped to positive
-    assert r.den == MultiPoly.constant(NVARS, 2)
-    assert r.num == -1 * x1
-    with pytest.raises(InputError):
-        RationalFn(x1, MultiPoly.zero(NVARS))
-
-
-def test_rationalfn_same_function():
-    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
-    a = RationalFn(x1 * x2, x2 * x2)
-    b = RationalFn(x1, x2)
-    assert a != b                # no polynomial GCD is taken
-    assert a.same_function(b)    # but cross-multiplication agrees
-    assert a((F(1), F(3))) == b((F(1), F(3))) == F(1, 3)
-    with pytest.raises(InputError):
-        b((F(1), F(0)))
-
-
-# ---------------------------------------------------------------------------
 # FactoredRational
 
 
@@ -193,9 +168,6 @@ def test_factored_inverse_division_expand():
     pt = (F(3), F(5))
     assert a.inverse()(pt) == 1 / a(pt)
     assert (a / a)(pt) == 1
-    r = a.expand()
-    assert isinstance(r, RationalFn)
-    assert r(pt) == a(pt)
     with pytest.raises(InputError):
         FactoredRational.from_scalar(2, 0).inverse()
 

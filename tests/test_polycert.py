@@ -8,12 +8,12 @@ from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         GapBasis, InputError, KnotSequence, MultiPoly,
                         ResourceBudgetError, build_inequality,
                         certificate_to_json, certify_inequality,
-                        certify_nonneg, gaps_for, gram_diag_sym,
-                        gram_off1_sym, gram_off2_sym, minor_adjusted_factor,
-                        minor_factor_sym, phi_fn, phi_inv, phi_inv_sym,
-                        psi_fn, psi_inv, psi_inv_sym, quad_entry, spot_check,
-                        term_budget)
-from splinegram.polycert import INEQUALITY_NAMES, _expect_den
+                        certify_nonneg, gaps_for, minor_adjusted_factor,
+                        phi_fn, phi_inv, psi_fn, psi_inv, quad_entry,
+                        spot_check, term_budget)
+from splinegram.decay import minor_formula, phi_inv_formula, psi_inv_formula
+from splinegram.gram import quad_formula, ratio
+from splinegram.polycert import INEQUALITY_NAMES, _expect_den, _sym
 
 # ---------------------------------------------------------------------------
 # GapBasis
@@ -41,13 +41,22 @@ def test_bracket_range_validation():
 
 
 # ---------------------------------------------------------------------------
-# Symbolic expressions agree with the concrete per-partition functions.
+# The shared formulas under the two combinators: over gap brackets with
+# polycert.sym_ratio and evaluated at a partition's gaps, they equal the same
+# formulas over its knot brackets with gram.ratio, and the public functions.
 # The partition is irregular so every bracket is a distinct positive rational.
 
 KS = KnotSequence(3, [F(1, 7), F(1, 3), F(2, 5), F(5, 9), F(3, 4), F(8, 9)])
 ANCHOR = 3          # gaps x_r = t_{3+r} - t_{2+r}, all six strictly positive
 BASIS = GapBasis(6)
 GAPS = gaps_for(KS, ANCHOR, 6)
+
+
+def both(formula, p, *args):
+    """``formula`` at offset p over the gaps and at ANCHOR + p over KS."""
+    sym = _sym(formula, BASIS)(p, *args)(GAPS)
+    assert sym == formula(KS.bracket, ratio, ANCHOR + p, *args)
+    return sym
 
 
 def test_gaps_for_values():
@@ -58,30 +67,32 @@ def test_gaps_for_values():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_symbolic_gram_diag_matches_concrete(p):
-    assert gram_diag_sym(BASIS, p)(GAPS) == quad_entry(KS, ANCHOR + p, ANCHOR + p)
+    assert both(quad_formula, p, 0) == quad_entry(KS, ANCHOR + p, ANCHOR + p)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_symbolic_gram_offdiag_matches_concrete(p):
-    assert gram_off1_sym(BASIS, p)(GAPS) == quad_entry(KS, ANCHOR + p, ANCHOR + p + 1)
-    assert gram_off2_sym(BASIS, p)(GAPS) == quad_entry(KS, ANCHOR + p, ANCHOR + p + 2)
+    n = ANCHOR + p
+    assert both(quad_formula, p, 1) == quad_entry(KS, n, n + 1)
+    assert both(quad_formula, p, 2) == quad_entry(KS, n, n + 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_symbolic_phi_psi_match_concrete(p):
-    assert phi_inv_sym(BASIS, p)(GAPS) == phi_inv(KS, ANCHOR + p)
-    assert psi_inv_sym(BASIS, p)(GAPS) == psi_inv(KS, ANCHOR + p)
+    assert both(phi_inv_formula, p) == phi_inv(KS, ANCHOR + p)
+    assert both(psi_inv_formula, p) == psi_inv(KS, ANCHOR + p)
 
 
 @pytest.mark.parametrize("p", [0, 1])
 def test_symbolic_minor_factor_matches_concrete(p):
-    assert minor_factor_sym(BASIS, p)(GAPS) == minor_adjusted_factor(KS, ANCHOR + p + 2)
+    # M at offset p is the formula at p + 2
+    assert both(minor_formula, p + 2) == minor_adjusted_factor(KS, ANCHOR + p + 2)
 
 
 def test_psi_at_unit_gaps():
     # 1/psi at unit gaps is 1/9 + 1/12 + 1/6, so psi = 36/13; on a uniform
     # partition the gap lengths scale psi to 36/(13 h)
-    assert psi_inv_sym(GapBasis(3), 0)((1, 1, 1)) == F(13, 36)
+    assert _sym(psi_inv_formula, GapBasis(3))(0)((1, 1, 1)) == F(13, 36)
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
     assert psi_fn(ks, 4) == F(36, 13) * 6
 
@@ -92,7 +103,7 @@ def test_phi_degenerates_without_interior_knots():
     Pointwise the symbolic form hits 0/0 (rejected as input); the limit
     along positive gaps exists, and the concrete function applies the
     zero-numerator convention to land exactly on 5/(30)."""
-    f = phi_inv_sym(GapBasis(4), 1)
+    f = _sym(phi_inv_formula, GapBasis(4))(1)
     with pytest.raises(InputError):
         f((0, 0, 0, 1))
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
@@ -104,13 +115,28 @@ def test_phi_degenerates_without_interior_knots():
 # ---------------------------------------------------------------------------
 # The five public certificates
 
+# (num_terms, den_terms, max_total_degree) of each certificate
+SHAPES = {
+    "offdiag": (64, 36, 8),
+    "phi_step": (10430, 4860, 29),
+    "psi_a": (18, 26, 5),
+    "theta_product": (11152, 11152, 32),
+    "tp_minor": (64, 36, 8),
+    "psi_from_phi": (2, 3, 3),
+}
+
+
+def _shape(cert):
+    return (cert.num_terms, cert.den_terms, cert.max_total_degree)
+
 
 @pytest.mark.parametrize("name", INEQUALITY_NAMES)
 def test_certificates_succeed(name):
     cert = certify_inequality(name)
     assert cert.success and cert.witness is None
-    assert cert.num_terms > 0 and cert.den_terms > 0
-    assert cert.max_total_degree > 0
+    assert _shape(cert) == SHAPES[name]
+    for pre in cert.prerequisites:
+        assert pre.success and _shape(pre) == SHAPES[pre.name]
     # independent numeric cross-route at random positive points
     assert spot_check(build_inequality(name), 100, seed=17) == 100
 
