@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 
@@ -70,6 +71,8 @@ def _partition_from_args(args) -> KnotSequence:
 
 def _resolve_slack(args) -> float:
     if args.slack is not None:
+        if not (math.isfinite(args.slack) and args.slack >= 0):
+            raise InputError(f"--slack must be finite and >= 0, got {args.slack}")
         return args.slack
     return 0.0 if args.mode == "exact" else 1e-12
 
@@ -217,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=20,
                    help="largest matrix size in a sweep")
     p.add_argument("--slack", type=float, default=None,
-                   help="relative tolerance (default 0 exact, 1e-12 float)")
+                   help="relative tolerance of float comparisons (default "
+                        "1e-12); exact mode compares exactly and ignores it")
     p.add_argument("--csv", default=None,
                    help="also write CSV: per-entry ratios for a single "
                         "--spec, per-trial summaries for a sweep")

@@ -16,6 +16,11 @@ the squared form
 which is lossless for nonnegative x.  For k >= 4 no certified constants are
 available and only an empirical least-squares fit is reported.
 
+One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
+entries in either scalar mode; the decay report (which also yields the
+full_decay lemma family), the last-column family, the empirical fit and the
+CSV rows only build its index vectors.
+
 The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
 (``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over a bracket
 provider and a ratio combinator, like gram.quad_formula; the functions here
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ArithmeticFailure, InputError
 from .gram import quad_entry, quad_formula, ratio
@@ -166,19 +172,7 @@ def theta_fn(ks: KnotSequence, n: int, b_nn):
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers
-
-
-def _decay_ok_exact(x, eta_val, d: int, K, gamma_sq) -> bool:
-    """Exact test of x <= K*gamma^d/eta for x, eta >= 0 via the squared form."""
-    lhs = Fraction(x) ** 2 * Fraction(eta_val) ** 2 * Fraction(gamma_sq).denominator ** d
-    rhs = Fraction(K) ** 2 * Fraction(gamma_sq).numerator ** d
-    return lhs <= rhs
-
-
-def _decay_ratio_float(x, eta_val, d: int, K, gamma: float) -> float:
-    """x*eta/(K*gamma^d) as a float (reporting value, 1.0 = bound attained)."""
-    return float(x) * float(eta_val) / (float(K) * gamma ** d)
+# Lemma families
 
 
 @dataclass(frozen=True)
@@ -219,33 +213,63 @@ class _CheckAccumulator:
                           self.witness, self.count)
 
 
-def _require_history(ks: KnotSequence, state: GrowingInverse):
-    if state.diag_history is None or state.col_history is None:
-        raise InputError("verification requires keep_history=True inversion state")
-    if state.n != ks.m:
-        raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
+# ---------------------------------------------------------------------------
+# The decay kernel
+
+
+def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
+    """x <= K gamma^d / eta at every entry of x, d = hi - lo.
+
+    x is a 1-D array of inverse entries (dtype object holding Fractions, or
+    float64) and lo <= hi the 0-based positions whose eta_{lo+1,hi+1} weighs
+    them.  Returns (eta, raw, ratio, ok): eta in the knots' scalar type, the
+    floats raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained),
+    and, given gamma_sq, the exact verdicts
+    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).
+    """
+    import numpy as np
+
+    knots = np.array(ks.knots)
+    eta = knots[hi + ks.order] - knots[lo]
+    d = hi - lo
+    ax = np.abs(x)
+    raw = ax.astype(float) * eta.astype(float)
+    powers = np.array([gamma ** e for e in range(ks.m)])
+    ratio = raw / (float(K) * powers[d])
+    ok = None
+    if gamma_sq is not None:
+        g = Fraction(gamma_sq)
+        den = np.array([g.denominator ** e for e in range(ks.m)], dtype=object)
+        rhs = np.array([K * K * g.numerator ** e for e in range(ks.m)], dtype=object)
+        v = ax * eta
+        ok = v * v * den[d] <= rhs[d]
+    return eta, raw, ratio, ok
+
+
+def _decay_check(name: str, lo, hi, ratio, ok, slack: float) -> LemmaCheck:
+    """One kernel pass as a lemma family: the exact verdicts decide when
+    given, else ratio <= 1 + slack; the witness (lo+1, hi+1) is the first
+    maximal ratio in the pass's order."""
+    import numpy as np
+
+    at = int(np.argmax(ratio))
+    worst = float(ratio[at])
+    passed = bool(np.all(ok if ok is not None else ratio <= 1.0 + slack))
+    return LemmaCheck(name, passed, worst, 1.0 - worst,
+                      (int(lo[at]) + 1, int(hi[at]) + 1), len(ratio))
 
 
 # ---------------------------------------------------------------------------
 # Order-2 lemma battery
 
 
-def verify_linear_lemmas(ks: KnotSequence, state: GrowingInverse,
-                         slack: float = 0.0) -> tuple:
-    """Check every inequality of the order-2 decay proof on this instance.
-
-    Families (all leading sizes n, exact or float per the input scalars):
+def _linear_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
+                     slack: float) -> tuple:
+    """The order-2 families over all leading sizes n:
       sandwich_lower   3/(20)_n <= b_{n,n}^n
       sandwich_middle  b_{n,n}^n <= 3/((3/4)(10)_n + (21)_n)
       sandwich_outer   3/((3/4)(10)_n + (21)_n) <= 4/(20)_n
-      lastcol_decay    |b_{j,n}^n| <= 4 (2/3)^{n-j} / eta_jn
-      full_decay       |b_{i,j}| <= (36/5)(2/3)^{|i-j|} / eta_ij  (n = m)
     """
-    if ks.order != 2:
-        raise InputError("verify_linear_lemmas requires an order-2 sequence")
-    _require_history(ks, state)
-    consts = decay_constants(2)
-    exact = is_exact(state.diag_history[0])
     m = ks.m
     br = ks.bracket
 
@@ -267,68 +291,17 @@ def verify_linear_lemmas(ks: KnotSequence, state: GrowingInverse,
         r = 3 * b20 / mid_den
         outer.add(float(r), (r <= 1) if exact else None, (n,))
 
-    return (lower.result(), middle.result(), outer.result(),
-            _lastcol_decay(ks, state, consts, exact, slack),
-            _full_decay(ks, state.B, consts, exact, slack))
-
-
-def _lastcol_decay(ks: KnotSequence, state: GrowingInverse,
-                   consts: DecayConstants, exact: bool, slack: float) -> LemmaCheck:
-    """|b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn for all j <= n <= m."""
-    lastcol = _CheckAccumulator("lastcol_decay", slack)
-    for n in range(1, ks.m + 1):
-        col = state.col_history[n - 1]
-        for j in range(1, n + 1):
-            x = abs(col[j - 1])
-            ev = ks.eta(j, n)
-            d = n - j
-            r = _decay_ratio_float(x, ev, d, consts.lastcol_K, consts.gamma)
-            ok = _decay_ok_exact(x, ev, d, consts.lastcol_K, consts.gamma_sq) \
-                if exact else None
-            lastcol.add(r, ok, (j, n))
-    return lastcol.result()
-
-
-def _full_decay(ks: KnotSequence, B, consts: DecayConstants, exact: bool,
-                slack: float) -> LemmaCheck:
-    """|b_{i,j}| <= K gamma^{|i-j|} / eta_ij over the full inverse."""
-    acc = _CheckAccumulator("full_decay", slack)
-    m, K = ks.m, consts.K
-    if exact:
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                x = abs(B[i - 1][j - 1])
-                ev = ks.eta(i, j)
-                d = j - i
-                r = _decay_ratio_float(x, ev, d, K, consts.gamma)
-                acc.add(r, _decay_ok_exact(x, ev, d, K, consts.gamma_sq), (i, j))
-        return acc.result()
-    import numpy as np
-
-    tk = np.array([float(ks.knot(i)) for i in range(1, m + ks.order + 1)])
-    idx = np.arange(m)
-    hi = np.maximum.outer(idx, idx) + ks.order  # max(i,j)+k as 0-based knot index
-    lo = np.minimum.outer(idx, idx)
-    eta_mat = tk[hi] - tk[lo]
-    d_mat = np.abs(np.subtract.outer(idx, idx))
-    ratios = np.abs(np.asarray(B, dtype=float)) * eta_mat / (float(K) * consts.gamma ** d_mat)
-    flat = int(np.argmax(ratios))
-    i0, j0 = divmod(flat, m)
-    worst = float(ratios[i0, j0])
-    acc.add(worst, worst <= 1.0 + slack, (i0 + 1, j0 + 1))
-    acc.count = m * m
-    return acc.result()
+    return lower.result(), middle.result(), outer.result()
 
 
 # ---------------------------------------------------------------------------
 # Order-3 lemma battery
 
 
-def verify_quadratic_lemmas(ks: KnotSequence, state: GrowingInverse,
-                            slack: float = 0.0) -> tuple:
-    """Check every inequality of the order-3 decay proof on this instance.
-
-    Families:
+def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
+                        slack: float) -> tuple:
+    """The order-3 families, from one loop over n that evaluates 1/phi_n,
+    1/psi_n, a_{n-1,n} and M_n once each:
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
       chain_psi_le_12   psi_n <= 12/(30)_n
@@ -337,20 +310,18 @@ def verify_quadratic_lemmas(ks: KnotSequence, state: GrowingInverse,
       theta_hat_bound   theta_n <= phi_n M_n                        (n >= 3)
       theta_consec      theta_n theta_{n+1} <= (87/100) *
                         ((20)_n/(30)_n)((20)_{n+1}/(30)_{n+1})      (3 <= n < m)
-      lastcol_decay     |b_{j,n}^n| <= C q^{n-j}/eta_jn, C = 576/29
-      full_decay        |b_{i,j}| <= C1 q^{|i-j|}/eta_ij at n = m
     """
-    if ks.order != 3:
-        raise InputError("verify_quadratic_lemmas requires an order-3 sequence")
-    _require_history(ks, state)
-    consts = decay_constants(3)
-    exact = is_exact(state.diag_history[0])
     m = ks.m
     br = ks.bracket
 
     chain_phi = _CheckAccumulator("chain_b_le_phi", slack)
     chain_psi = _CheckAccumulator("chain_phi_le_psi", slack)
     chain_12 = _CheckAccumulator("chain_psi_le_12", slack)
+    pair = _CheckAccumulator("offdiag_pair", slack)
+    minor = _CheckAccumulator("minor_nonneg", slack)
+    hat = _CheckAccumulator("theta_hat_bound", slack)
+    consec = _CheckAccumulator("theta_consec", slack)
+    prev = None  # theta_{n-1} and (20)_{n-1}/(30)_{n-1}
     for n in range(1, m + 1):
         b = state.diag_history[n - 1]
         phin_inv, psin_inv = phi_inv(ks, n), psi_inv(ks, n)
@@ -363,52 +334,64 @@ def verify_quadratic_lemmas(ks: KnotSequence, state: GrowingInverse,
         chain_psi.add(float(r), (r <= 1) if exact else None, (n,))
         r = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
         chain_12.add(float(r), (r <= 1) if exact else None, (n,))
-
-    pair = _CheckAccumulator("offdiag_pair", slack)
-    for n in range(2, m + 1):
-        b = state.diag_history[n - 1]
-        lhs = b * quad_entry(ks, n - 1, n)
+        if n < 2:
+            continue
+        a = quad_entry(ks, n - 1, n)
+        lhs = b * a
         r = 5 * lhs * br(3, 0, n) / (6 * br(2, 0, n))
         pair.add(float(r), (r <= 1) if exact else None, (n,))
-
-    minor = _CheckAccumulator("minor_nonneg", slack)
-    hat = _CheckAccumulator("theta_hat_bound", slack)
-    thetas = {}
-    for n in range(3, m + 1):
+        if n < 3:
+            continue
         Mn = minor_adjusted_factor(ks, n)
-        b = state.diag_history[n - 1]
-        thetas[n] = b * Mn
+        theta = b * Mn
         # ratio -M/scale so that any positive value signals failure
-        scale = quad_entry(ks, n - 1, n)
-        r = -Mn / scale
+        r = -Mn / a
         minor.add(float(r), (Mn >= 0) if exact else None, (n,))
-        hat_val = phi_fn(ks, n) * Mn
-        diff = hat_val - thetas[n]  # >= 0 since b <= phi and M >= 0
+        if phin_inv <= 0:
+            raise ArithmeticFailure("phi_n^{-1} must be positive", step=n,
+                                    context=phin_inv)
+        hat_val = (1 / phin_inv) * Mn
+        diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
         r = -diff / (hat_val if hat_val > 0 else 1)
         hat.add(float(r), (diff >= 0) if exact else None, (n,))
 
-    consec = _CheckAccumulator("theta_consec", slack)
-    for n in range(3, m):
-        lhs = thetas[n] * thetas[n + 1]
-        rhs = (Fraction(87, 100) if exact else 0.87) \
-            * (br(2, 0, n) / br(3, 0, n)) * (br(2, 0, n + 1) / br(3, 0, n + 1))
-        r = lhs / rhs
-        consec.add(float(r), (lhs <= rhs) if exact else None, (n,))
+        q = br(2, 0, n) / br(3, 0, n)
+        if prev is not None:
+            lhs = prev[0] * theta
+            rhs = (Fraction(87, 100) if exact else 0.87) * prev[1] * q
+            r = lhs / rhs
+            consec.add(float(r), (lhs <= rhs) if exact else None, (n - 1,))
+        prev = theta, q
 
     return (chain_phi.result(), chain_psi.result(), chain_12.result(),
-            pair.result(), minor.result(), hat.result(), consec.result(),
-            _lastcol_decay(ks, state, consts, exact, slack),
-            _full_decay(ks, state.B, consts, exact, slack))
+            pair.result(), minor.result(), hat.result(), consec.result())
 
 
 def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
                   slack: float = 0.0) -> tuple:
-    """Dispatch to the order-2 or order-3 battery."""
-    if ks.order == 2:
-        return verify_linear_lemmas(ks, state, slack)
-    if ks.order == 3:
-        return verify_quadratic_lemmas(ks, state, slack)
-    raise InputError(f"no certified lemma battery for order {ks.order}")
+    """Check the inequalities of the order-2 or order-3 decay proof on this
+    instance (exact or float per the history's scalars): the order's own
+    families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
+    for all j <= n <= m, one kernel pass over the history columns (n outer,
+    j inner).  The proofs' last family, full_decay, comes from decay_report.
+    """
+    import numpy as np
+
+    families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)
+    if families is None:
+        raise InputError(f"no certified lemma battery for order {ks.order}")
+    if state.diag_history is None or state.col_history is None:
+        raise InputError("verification requires keep_history=True inversion state")
+    if state.n != ks.m:
+        raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
+    consts = decay_constants(ks.order)
+    exact = is_exact(state.diag_history[0])
+    hi, lo = np.tril_indices(ks.m)
+    x = np.array(list(chain.from_iterable(state.col_history)))
+    _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
+                                    consts.gamma_sq if exact else None)
+    return families(ks, state, exact, slack) + (
+        _decay_check("lastcol_decay", lo, hi, ratio, ok, slack),)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +408,6 @@ class DecayReport:
     gamma_sq: object
     worst_ratio: float
     worst_entry: tuple
-    per_diagonal_max: tuple
     passed: bool
     certified: bool
     lemma_checks: tuple = field(default_factory=tuple)
@@ -436,9 +418,14 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     """Evaluate |b_ij| * eta_ij / (K gamma^|i-j|) over the full inverse.
 
     B is the dense m x m inverse (rows of exact scalars, or a numpy array).
-    With exact input and certified constants the pass/fail decision uses
-    exact squared comparisons; the reported ratios are floats either way.
+    One kernel pass covers the upper triangle in row-major order; the worst
+    entry is the first maximal ratio in that order.  With exact input and
+    certified constants the pass/fail decision uses exact squared
+    comparisons; the reported ratios are floats either way.  Certified
+    constants also carry this pass as the ``full_decay`` lemma family.
     """
+    import numpy as np
+
     if consts is None:
         consts = decay_constants(ks.order)
     if consts.order != ks.order:
@@ -446,31 +433,15 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     m = ks.m
     if len(B) != m or any(len(row) != m for row in B):
         raise InputError(f"inverse must be {m}x{m} to match the knot sequence")
-    exact = all(is_exact(x) for row in B for x in row)
-
-    per_diag = [0.0] * m
-    worst = float("-inf")
-    worst_entry = (1, 1)
-    passed = True
-    use_exact = exact and consts.certified
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            x = abs(B[i - 1][j - 1])
-            ev = ks.eta(i, j)
-            d = j - i
-            raw = float(x) * float(ev)
-            if raw > per_diag[d]:
-                per_diag[d] = raw
-            ratio = _decay_ratio_float(x, ev, d, consts.K, consts.gamma)
-            if ratio > worst:
-                worst, worst_entry = ratio, (i, j)
-            if use_exact:
-                if not _decay_ok_exact(x, ev, d, consts.K, consts.gamma_sq):
-                    passed = False
-            elif ratio > 1.0 + slack:
-                passed = False
-    return DecayReport(ks.order, m, consts.K, consts.gamma_sq, worst,
-                       worst_entry, tuple(per_diag), passed, consts.certified)
+    B = np.asarray(B)
+    exact_verdicts = B.dtype == object and consts.certified
+    lo, hi = np.triu_indices(m)
+    _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,
+                                    consts.gamma_sq if exact_verdicts else None)
+    full = _decay_check("full_decay", lo, hi, ratio, ok, slack)
+    return DecayReport(ks.order, m, consts.K, consts.gamma_sq, full.worst_ratio,
+                       full.witness, full.passed, consts.certified,
+                       (full,) if consts.certified else ())
 
 
 def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:
@@ -482,31 +453,27 @@ def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:
     """
     import numpy as np
 
-    m = ks.m
-    diag_max = [0.0] * m
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            raw = abs(float(B[i - 1][j - 1])) * float(ks.eta(i, j))
-            d = j - i
-            if raw > diag_max[d]:
-                diag_max[d] = raw
-    pts = [(d, v) for d, v in enumerate(diag_max) if v > 0]
-    if len(pts) >= 2:
-        ds = np.array([p[0] for p in pts], dtype=float)
-        logs = np.log(np.array([p[1] for p in pts]))
-        slope, intercept = np.polyfit(ds, logs, 1)
+    lo, hi = np.triu_indices(ks.m)
+    _, raw, _, _ = _decay_kernel(np.asarray(B)[lo, hi], lo, hi, ks, 1, 1.0)
+    diag_max = np.zeros(ks.m)
+    np.maximum.at(diag_max, hi - lo, raw)
+    ds = np.flatnonzero(diag_max > 0)
+    if len(ds) >= 2:
+        slope, intercept = np.polyfit(ds.astype(float), np.log(diag_max[ds]), 1)
         gamma = float(np.exp(slope))
         K = float(np.exp(intercept))
     else:
-        gamma, K = 1.0, (pts[0][1] if pts else 1.0)
+        gamma, K = 1.0, (float(diag_max[ds[0]]) if len(ds) else 1.0)
     gamma = min(max(gamma, 1e-12), 1.0)
     return DecayConstants(order=ks.order, K=K, lastcol_K=K, gamma=gamma,
                           gamma_sq=gamma * gamma, certified=False,
-                          provenance=f"least-squares fit over {len(pts)} diagonals")
+                          provenance=f"least-squares fit over {len(ds)} diagonals")
 
 
 def attach_lemma_checks(report: DecayReport, checks) -> DecayReport:
-    return replace(report, lemma_checks=tuple(checks),
+    """Put a battery's families in front of the report's own (full_decay)."""
+    checks = tuple(checks)
+    return replace(report, lemma_checks=checks + report.lemma_checks,
                    passed=report.passed and all(c.passed for c in checks))
 
 
@@ -534,11 +501,13 @@ def report_to_json(report: DecayReport) -> dict:
 
 
 def report_csv_rows(B, ks: KnotSequence, consts: DecayConstants):
-    """Yield (i, j, abs_b, eta, distance, ratio) rows for every entry."""
-    for i in range(1, ks.m + 1):
-        for j in range(1, ks.m + 1):
-            x = abs(B[i - 1][j - 1])
-            ev = ks.eta(i, j)
-            d = abs(i - j)
-            yield (i, j, float(x), float(ev), d,
-                   _decay_ratio_float(x, ev, d, consts.K, consts.gamma))
+    """(i, j, abs_b, eta, distance, ratio) rows of Python scalars for every
+    entry, row-major."""
+    import numpy as np
+
+    i, j = np.indices((ks.m, ks.m)).reshape(2, -1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    x = np.asarray(B)[i, j]
+    eta, _, ratio, _ = _decay_kernel(x, lo, hi, ks, consts.K, consts.gamma)
+    return zip((i + 1).tolist(), (j + 1).tolist(), np.abs(x).astype(float).tolist(),
+               eta.astype(float).tolist(), (hi - lo).tolist(), ratio.tolist())

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InputError
 from .knots import KnotSequence, load_partition
@@ -72,19 +73,19 @@ def uniform_interior(count: int) -> tuple:
     return tuple(Fraction(i, count + 1) for i in range(1, count + 1))
 
 
+def _breakpoints_from_gaps(gaps) -> tuple:
+    """Interior breakpoints of consecutive gaps normalized to [0, 1]: the
+    running sums of all gaps but the last, each divided by the total."""
+    total = sum(gaps)
+    return tuple(acc / total for acc in accumulate(gaps[:-1]))
+
+
 def geometric_interior(ratio, count: int) -> tuple:
     """Interior breakpoints whose count+1 gaps form a geometric progression
     1, r, ..., r^count (normalized); exact when the ratio is rational."""
     if not 0 < ratio < 1:
         raise InputError(f"geometric gap ratio must lie in (0,1), got {ratio!r}")
-    gaps = [ratio ** j for j in range(count + 1)]
-    total = sum(gaps)
-    acc = 0
-    points = []
-    for g in gaps[:-1]:
-        acc += g
-        points.append(acc / total)
-    return tuple(points)
+    return _breakpoints_from_gaps([ratio ** j for j in range(count + 1)])
 
 
 def random_interior(rng: random.Random, count: int, scalar_mode: str) -> tuple:
@@ -101,13 +102,7 @@ def random_interior(rng: random.Random, count: int, scalar_mode: str) -> tuple:
         return tuple(Fraction(p, den) for p in sorted(numerators))
     if scalar_mode == "float":
         gaps = [rng.expovariate(1.0) for _ in range(count + 1)]
-        total = sum(gaps)
-        acc = 0.0
-        points = []
-        for g in gaps[:-1]:
-            acc += g
-            points.append(acc / total)
-        return tuple(points)
+        return _breakpoints_from_gaps(gaps)
     raise InputError(f"unknown scalar mode {scalar_mode!r}")
 
 
@@ -138,13 +133,7 @@ def shrink_one_gap(ks: KnotSequence, index: int, factor) -> KnotSequence:
     if not (0 <= index < len(gaps)):
         raise InputError(f"gap index {index} outside 0..{len(gaps) - 1}")
     gaps[index] = gaps[index] * factor
-    total = sum(gaps)
-    acc = 0
-    interior = []
-    for g in gaps[:-1]:
-        acc += g
-        interior.append(acc / total)
-    return KnotSequence(ks.order, interior)
+    return KnotSequence(ks.order, _breakpoints_from_gaps(gaps))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 from splinegram import (KnotSequence, build_gram, invert_iteratively,
                         inverse_to_json, matrix_to_json, save_partition)
+from splinegram import decay
 from splinegram.cli import main
 
 UNIFORM = ["--order", "2", "--spec", "uniform:3"]
@@ -93,11 +95,26 @@ def test_verify_csv(capsys, tmp_path):
     assert len(lines) == 1 + ks.m * ks.m
 
 
-def test_verify_float_negative_slack_forces_violation(capsys):
-    code, obj = _run_json(capsys, ["verify", *UNIFORM, "--mode", "float",
-                                   "--slack", "-1"])
+def test_verify_rejects_bad_slack(capsys):
+    # a negative or non-finite tolerance is bad input, not a violation
+    for mode in ("float", "exact"):
+        for slack in ("-1", "nan", "inf"):
+            code = main(["verify", *UNIFORM, "--mode", mode, "--slack", slack])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            assert "--slack" in captured.err
+
+
+def test_verify_violation_exits_1(capsys, monkeypatch):
+    # constants 100 times too small make the full-decay family fail
+    certified = decay.decay_constants
+    monkeypatch.setattr(decay, "decay_constants",
+                        lambda k: replace(certified(k), K=certified(k).K / 100))
+    code, obj = _run_json(capsys, ["verify", *UNIFORM, "--mode", "float"])
     assert code == 1
     assert obj["certified"] is True and obj["passed"] is False
+    failed = [c["name"] for c in obj["lemma_checks"] if not c["pass"]]
+    assert failed == ["full_decay"]
     # float mode has no exact checkerboard claim
     assert obj["checkerboard"] is None
 

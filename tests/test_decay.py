@@ -99,7 +99,9 @@ def test_linear_battery_exact():
         ks = _random_exact(rng, 2, rng.randint(1, 10))
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
-        checks = verify_lemmas(ks, _inverted(ks))
+        st = _inverted(ks)
+        checks = attach_lemma_checks(decay_report(st.B, ks),
+                                     verify_lemmas(ks, st)).lemma_checks
         assert [c.name for c in checks] == [
             "sandwich_lower", "sandwich_middle", "sandwich_outer",
             "lastcol_decay", "full_decay"]
@@ -121,7 +123,9 @@ def test_quadratic_battery_exact():
         ks = _random_exact(rng, 3, rng.randint(2, 9))
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
-        checks = verify_lemmas(ks, _inverted(ks))
+        st = _inverted(ks)
+        checks = attach_lemma_checks(decay_report(st.B, ks),
+                                     verify_lemmas(ks, st)).lemma_checks
         assert [c.name for c in checks] == [
             "chain_b_le_phi", "chain_phi_le_psi", "chain_psi_le_12",
             "offdiag_pair", "minor_nonneg", "theta_hat_bound",
@@ -183,8 +187,8 @@ def test_attach_lemma_checks_combines_pass():
     ks = KnotSequence(2, [F(1, 2)])
     st = _inverted(ks)
     report = decay_report(st.B, ks)
-    failing = report.lemma_checks  # empty
-    assert attach_lemma_checks(report, failing).passed == report.passed
+    own = report.lemma_checks  # the report's own full_decay family
+    assert attach_lemma_checks(report, own).passed == report.passed
     from splinegram import LemmaCheck
     bad = LemmaCheck("synthetic", False, 2.0, -1.0, (1,), 1)
     assert not attach_lemma_checks(report, (bad,)).passed
@@ -219,3 +223,80 @@ def test_report_validation():
         decay_report(st.B, KnotSequence(2, [F(1, 3), F(2, 3)]))  # m mismatch
     with pytest.raises(InputError):
         decay_report(st.B, ks, consts=decay_constants(3))
+
+
+def test_exact_verdicts_at_the_bound_and_tie_witness():
+    # over KnotSequence(k, []) every eta_ij is 1, so b_ij is compared with
+    # K gamma^|i-j| itself
+    K2 = decay_constants(2).K
+    at_bound = ((K2, -K2 * F(2, 3)), (-K2 * F(2, 3), K2))
+    report = decay_report(at_bound, KnotSequence(2, []))
+    assert report.passed and report.worst_ratio == 1.0
+    # one part in 10^31 above the bound: the float ratio still reads 1.0
+    above = ((K2 + F(1, 10 ** 30), F(0)), (F(0), K2))
+    report = decay_report(above, KnotSequence(2, []))
+    assert not report.passed and report.worst_ratio == 1.0
+    assert report.worst_entry == (1, 1)
+    # k = 3 at distance 2: gamma^2 = 87/100 is exact although gamma is not
+    K3 = decay_constants(3).K
+    for extra, passed in ((F(0), True), (F(1, 10 ** 30), False)):
+        corner = K3 * F(87, 100) + extra
+        B = ((F(1), F(0), corner), (F(0), F(1), F(0)), (corner, F(0), F(1)))
+        report = decay_report(B, KnotSequence(3, []))
+        assert report.passed is passed and report.worst_entry == (1, 3)
+    # uniform:7, k = 2: (2,2) and (8,8) tie for the worst ratio; the first in
+    # row-major order is the witness
+    ks = KnotSequence(2, [F(i, 8) for i in range(1, 8)])
+    B = _inverted(ks, history=False).B
+    ratios = {(i, j): r for i, j, _, _, _, r in
+              report_csv_rows(B, ks, decay_constants(2))}
+    report = decay_report(B, ks)
+    assert ratios[2, 2] == ratios[8, 8] == report.worst_ratio
+    assert report.worst_entry == (2, 2)
+
+
+def _loop_decay(entries, ks, K, gamma, gamma_sq, exact):
+    """Per-entry reference for the decay kernel over ((i, j), b_ij) pairs in
+    order: (worst ratio, first witness, passed)."""
+    worst, witness, passed = float("-inf"), None, True
+    for (i, j), x in entries:
+        ev, d = ks.eta(i, j), abs(i - j)
+        r = float(abs(x)) * float(ev) / (float(K) * gamma ** d)
+        if r > worst:
+            worst, witness = r, (i, j)
+        if exact:
+            passed &= ((x * ev) ** 2 * gamma_sq.denominator ** d
+                       <= K ** 2 * gamma_sq.numerator ** d)
+        else:
+            passed &= r <= 1.0
+    return worst, witness, passed
+
+
+def test_kernel_families_match_per_entry_loop():
+    rng = random.Random(25)
+    for order in (2, 3):
+        for exact in (True, False):
+            ks = _random_exact(rng, order, rng.randint(1, 12))
+            if not exact:
+                ks = KnotSequence(order, [float(t) for t in ks.interior])
+            st, c, m = _inverted(ks), decay_constants(order), ks.m
+            report = attach_lemma_checks(decay_report(st.B, ks),
+                                         verify_lemmas(ks, st))
+            checks = {check.name: check for check in report.lemma_checks}
+            upper = [((i, j), st.B[i - 1][j - 1])
+                     for i in range(1, m + 1) for j in range(i, m + 1)]
+            full = checks["full_decay"]
+            assert (full.worst_ratio, full.witness, full.passed) == _loop_decay(
+                upper, ks, c.K, c.gamma, c.gamma_sq, exact)
+            assert (report.worst_ratio, report.worst_entry) == (full.worst_ratio,
+                                                         full.witness)
+            history = [((j, n), st.col_history[n - 1][j - 1])
+                       for n in range(1, m + 1) for j in range(1, n + 1)]
+            last = checks["lastcol_decay"]
+            assert (last.worst_ratio, last.witness, last.passed) == _loop_decay(
+                history, ks, c.lastcol_K, c.gamma, c.gamma_sq, exact)
+            rows = [(i, j, float(abs(st.B[i - 1][j - 1])), float(ks.eta(i, j)),
+                     abs(i - j), float(abs(st.B[i - 1][j - 1])) * float(ks.eta(i, j))
+                     / (float(c.K) * c.gamma ** abs(i - j)))
+                    for i in range(1, m + 1) for j in range(1, m + 1)]
+            assert list(report_csv_rows(st.B, ks, c)) == rows
