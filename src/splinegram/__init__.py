@@ -17,8 +17,8 @@ from .decay import (DecayConstants, DecayReport, LemmaCheck,
                     theta_fn, verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import (SymBandedMatrix, build_gram, check_total_positivity,
-                   dump_matrix, gram_linear, gram_quadratic, gram_quadrature,
-                   linear_entry, matrix_from_json, matrix_to_json, quad_entry,
+                   gram_linear, gram_quadratic, gram_quadrature, linear_entry,
+                   matrix_from_json, matrix_to_json, quad_entry,
                    quadratic_cross_terms)
 from .invstep import (GrowingInverse, check_checkerboard,
                       dense_inverse_oracle, history_to_json, inverse_to_json,
@@ -47,7 +47,7 @@ __all__ = [
     "build_inequality", "build_knots", "certificate_to_json",
     "certify_inequality", "certify_nonneg", "check_checkerboard",
     "check_total_positivity", "decay_constants", "decay_report",
-    "dense_inverse_oracle", "dump_matrix", "eval_bspline",
+    "dense_inverse_oracle", "eval_bspline",
     "eval_quadratic_closed", "fit_decay_constants", "gaps_for",
     "get_term_budget", "gram_linear", "gram_quadratic", "gram_quadrature",
     "history_to_json", "inverse_to_json", "invert_iteratively",

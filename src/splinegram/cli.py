@@ -7,6 +7,10 @@ Subcommands:
     certify   machine-check the symbolic nonnegativity certificates
     gen       generate a partition file
 
+Every subcommand writes one line of compact JSON (the json module's C
+encoder, default separators) to stdout or to the file its --out/--history
+option names; ``python -m json.tool FILE`` pretty-prints it.
+
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot),
 3 bad input.  All output is deterministic for fixed arguments (seeded RNG,
@@ -26,7 +30,7 @@ from .decay import (attach_lemma_checks, decay_constants, decay_report,
                     fit_decay_constants, report_csv_rows, report_to_json,
                     verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
-from .gram import build_gram, dump_matrix, matrix_to_json
+from .gram import build_gram, matrix_to_json
 from .invstep import (check_checkerboard, history_to_json, inverse_to_json,
                       invert_iteratively)
 from .knots import KnotSequence, knots_to_json
@@ -42,7 +46,7 @@ EXIT_INPUT = 3
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -79,11 +83,7 @@ def _resolve_slack(args) -> float:
 
 def cmd_gram(args) -> int:
     ks = _partition_from_args(args)
-    A = build_gram(ks, method=args.method)
-    if args.out:
-        dump_matrix(A, args.out)
-    else:
-        _emit(matrix_to_json(A), None)
+    _emit(matrix_to_json(build_gram(ks, method=args.method)), args.out)
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ gap-variable brackets and factored rational functions for the certificates.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -441,9 +440,3 @@ def matrix_from_json(obj) -> SymBandedMatrix:
         except KeyError as exc:
             raise InputError(f"matrix dump missing entry on diagonal {d}") from exc
     return SymBandedMatrix(n, w, tuple(bands))
-
-
-def dump_matrix(A: SymBandedMatrix, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_json(A), fh)
-        fh.write("\n")

@@ -27,7 +27,7 @@ from math import gcd
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
-from .scalars import is_exact
+from .scalars import format_scalars, is_exact
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,11 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
             Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
     diag_hist = col_hist = None
     if keep_history:
-        diag_hist = tuple(Y.diagonal())
+        # tolist: Python floats in float mode, the same Fractions in exact
+        diag_hist = tuple(Y.diagonal().tolist())
         # the last leading inverse is B itself: take its column bit for bit
-        col_hist = tuple(tuple(Y[:n, n - 1]) for n in range(1, m))
-        col_hist += (tuple(B[:, m - 1]),)
+        col_hist = tuple(tuple(Y[:n, n - 1].tolist()) for n in range(1, m))
+        col_hist += (tuple(B[:, m - 1].tolist()),)
     if exact:
         B = tuple(map(tuple, B))
     return GrowingInverse(m, B, diag_hist, col_hist)
@@ -227,25 +228,18 @@ def max_residual(A: SymBandedMatrix, B) -> float:
 
 
 def inverse_to_json(state: GrowingInverse) -> dict:
-    from .scalars import format_scalar
-
-    entries = []
-    for i in range(1, state.n + 1):
-        for j in range(i, state.n + 1):
-            entries.append([i, j, format_scalar(state.entry(i, j))])
+    """The upper triangle as (i, j, b_ij) triples, row by row."""
+    exact = is_exact(state.B[0][0])
+    entries = [[i, j, x] for i in range(1, state.n + 1)
+               for j, x in enumerate(format_scalars(state.B[i - 1][i - 1:], exact),
+                                     start=i)]
     return {"n": state.n, "bandwidth": state.n - 1, "entries": entries}
 
 
 def history_to_json(state: GrowingInverse) -> list:
-    from .scalars import format_scalar
-
     if state.diag_history is None:
         raise InputError("history was not retained; rerun with keep_history")
-    records = []
-    for idx, col in enumerate(state.col_history, start=1):
-        records.append({
-            "n": idx,
-            "b_nn": format_scalar(state.diag_history[idx - 1]),
-            "last_col": [format_scalar(x) for x in col],
-        })
-    return records
+    exact = is_exact(state.diag_history[0])
+    diag = format_scalars(state.diag_history, exact)
+    return [{"n": n, "b_nn": b, "last_col": format_scalars(col, exact)}
+            for n, (b, col) in enumerate(zip(diag, state.col_history), start=1)]

@@ -48,3 +48,12 @@ def format_scalar(x):
     if isinstance(x, int):
         return f"{x}/1"
     return float(x)
+
+
+def format_scalars(values, exact: bool) -> list:
+    """``format_scalar`` over a sequence of one scalar type, decided once by
+    the caller: exact values become ``"p/q"`` strings, floats pass through
+    as Python floats (an ndarray via ``tolist``)."""
+    if exact:
+        return [format_scalar(x) for x in values]
+    return values.tolist() if hasattr(values, "tolist") else list(values)

@@ -71,6 +71,44 @@ def test_invert_with_history(capsys, tmp_path):
     assert [rec["n"] for rec in history] == list(range(1, ks.m + 1))
 
 
+def test_output_is_compact_and_lossless(capsys, tmp_path):
+    # each file is one line of json.dumps' default form and parses back to
+    # the library's inverse and history: floats bit for bit, exact values
+    # through Fraction("p/q"); gram's stdout is its --out file
+    knots = tmp_path / "knots.json"
+    inv_path, hist_path = tmp_path / "inverse.json", tmp_path / "history.json"
+    gram_path = tmp_path / "gram.json"
+    interior = [F(1, 7), F(2, 7) + F(1, 10**4), F(3, 7), F(5, 7), F(6, 7)]
+    for order in (2, 3):
+        save_partition(KnotSequence(order, interior), knots)
+        for mode, scalar in (("exact", F), ("float", float)):
+            argv = ["--order", str(order), "--spec", f"explicit:{knots}",
+                    "--mode", mode]
+            assert main(["invert", *argv, "--out", str(inv_path),
+                         "--history", str(hist_path)]) == 0
+            texts = inv_path.read_text(), hist_path.read_text()
+            for text in texts:
+                assert text == json.dumps(json.loads(text)) + "\n"
+            inverse, history = map(json.loads, texts)
+
+            ks = KnotSequence(order, [scalar(x) for x in interior])
+            st = invert_iteratively(build_gram(ks), keep_history=True)
+            assert len(inverse["entries"]) == st.n * (st.n + 1) // 2
+            for i, j, x in inverse["entries"]:
+                assert scalar(x) == st.entry(i, j)
+            assert [rec["n"] for rec in history] == list(range(1, st.n + 1))
+            assert [scalar(rec["b_nn"]) for rec in history] \
+                == list(st.diag_history)
+            assert [tuple(map(scalar, rec["last_col"])) for rec in history] \
+                == list(st.col_history)
+
+            capsys.readouterr()
+            assert main(["gram", *argv]) == 0
+            out = capsys.readouterr().out
+            assert main(["gram", *argv, "--out", str(gram_path)]) == 0
+            assert out == gram_path.read_text()
+
+
 # ---------------------------------------------------------------------------
 # verify: single partition
 

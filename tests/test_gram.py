@@ -1,5 +1,6 @@
 """Gram matrices: closed forms, quadrature oracle, total positivity."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -7,9 +8,10 @@ import pytest
 
 from splinegram import (InputError, KnotSequence, ResourceBudgetError,
                         SymBandedMatrix, build_gram, check_total_positivity,
-                        dump_matrix, gram_linear, gram_quadratic,
-                        gram_quadrature, linear_entry, matrix_from_json,
-                        matrix_to_json, quad_entry)
+                        gram_linear, gram_quadratic, gram_quadrature,
+                        linear_entry, matrix_from_json, matrix_to_json,
+                        quad_entry)
+from splinegram.cli import main
 from splinegram.gram import quadratic_cross_terms, ratio
 
 
@@ -233,9 +235,11 @@ def test_matrix_json_roundtrip(tmp_path):
     A = gram_quadratic(ks)
     back = matrix_from_json(matrix_to_json(A))
     assert back.to_dense() == A.to_dense()
+    # the file half goes through the CLI, the one writer of matrix files
     path = tmp_path / "gram.json"
-    dump_matrix(A, path)
-    assert matrix_from_json(__import__("json").loads(path.read_text())).to_dense() \
+    assert main(["gram", "--order", "3", "--spec", "uniform:2",
+                 "--out", str(path)]) == 0
+    assert matrix_from_json(json.loads(path.read_text())).to_dense() \
         == A.to_dense()
 
 

@@ -204,6 +204,17 @@ def test_float_history_last_column_is_inverse_column():
         assert st.diag_history[-1] == st.B[st.n - 1, st.n - 1]
 
 
+def test_history_scalar_types():
+    # float history holds Python floats, not one np.float64 box per scalar;
+    # exact history holds the recurrence's Fractions
+    for order in (2, 3):
+        for scalar in (F, float):
+            ks = KnotSequence(order, [scalar(F(1, 4)), scalar(F(2, 3))])
+            st = invert_iteratively(build_gram(ks), keep_history=True)
+            values = [*st.diag_history, *(x for col in st.col_history for x in col)]
+            assert all(type(x) is scalar for x in values)
+
+
 def test_float_history_matches_exact():
     exact_ks = KnotSequence(2, [F(1, 4), F(2, 3)])
     float_ks = KnotSequence(2, [0.25, 2 / 3])
