@@ -1,56 +1,80 @@
 """Exact sparse multivariate polynomials and rational functions.
 
 ``MultiPoly`` stores a polynomial in ``nvars`` variables as a dict mapping
-exponent tuples to nonzero rational coefficients (int where possible).  The
-canonical term order is graded lexicographic: terms sorted by total degree,
-then lexicographically on the exponent tuple, ascending.  Instances are
-immutable and hashable, so polynomials can serve as dictionary keys (the
-factored-denominator representation relies on this).
+packed monomials to nonzero rational coefficients (int where possible).  A
+monomial x1^e1 ... xn^en is one int (Kronecker substitution, as in
+Monagan-Pearce sparse multiplication): n fields of ``bits`` bits hold
+e1, ..., en, variable 1 in the most significant field, and the total degree
+sits in an open-ended field above them.  Multiplying two monomials is then a
+single int addition, and ascending packed ints are exactly the canonical
+graded lexicographic order: total degree first, then the exponent tuple
+lexicographically.  The field width is a function of the polynomial, the
+bit length of its total degree but at least ``_MIN_BITS``, so no exponent
+can reach a neighbouring field and equal polynomials have equal packed
+dicts.  A product takes the width of its own degree, deg p + deg q, before
+any exponent is added, which rules out carries.  ``terms`` and
+``sorted_terms`` unpack to exponent tuples.
+
+The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
+tuple and coefficient.  The arithmetic builds its results through the
+trusted ``MultiPoly._make``, which takes packed terms the engine made itself
+without re-checking them.  Content and primitive part are computed over the
+integers (``math.gcd`` and exact ``//``).  Rational evaluation clears each
+variable's denominator once and sums over the packed terms in integers.
+Instances are immutable and hashable, so polynomials can serve as dictionary
+keys (the factored-denominator representation relies on this).
 
 ``FactoredRational`` is a rational function whose denominator is a dict
 {factor polynomial: exponent}.  No polynomial GCD is ever computed: addition
 lifts both operands to the factor-wise least common denominator by
 *syntactic* factor matching; this keeps denominators as explicit products,
-which is exactly what the nonnegativity certificates need to inspect.
+which is exactly what the nonnegativity certificates need to inspect.  Its
+scalars pass the same exactness check as polynomial coefficients.
 
-Multiplications enforce a global term budget (default 5,000,000 accumulated
-terms) and raise ResourceBudgetError with partial statistics when exceeded.
+Multiplications enforce a term budget (default 5,000,000 accumulated terms)
+and raise ResourceBudgetError with partial statistics when it is exceeded.
+The budget lives in a context variable: ``set_term_budget`` and
+``term_budget`` act on the current thread or task only.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, ResourceBudgetError
 
 DEFAULT_TERM_BUDGET = 5_000_000
-_term_budget = DEFAULT_TERM_BUDGET
-_BUDGET_CHECK_STRIDE = 4096
+_term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
+_MIN_BITS = 8
+
+
+def _valid_budget(n) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"term budget must be a positive integer, got {n!r}")
+    return n
 
 
 def get_term_budget() -> int:
-    return _term_budget
+    return _term_budget.get()
 
 
 def set_term_budget(n: int) -> None:
-    global _term_budget
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"term budget must be a positive integer, got {n!r}")
-    _term_budget = n
+    """Set the term budget of the current context."""
+    _term_budget.set(_valid_budget(n))
 
 
 @contextmanager
 def term_budget(n: int):
     """Temporarily cap the number of accumulated terms per multiplication."""
-    global _term_budget
-    old = _term_budget
-    set_term_budget(n)
+    token = _term_budget.set(_valid_budget(n))
     try:
         yield
     finally:
-        _term_budget = old
+        _term_budget.reset(token)
 
 
 def _norm_coeff(c):
@@ -61,18 +85,60 @@ def _norm_coeff(c):
     return c
 
 
-def _grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+def _check_nvars(nvars) -> None:
+    if not isinstance(nvars, int) or nvars < 0:
+        raise InputError(f"nvars must be a nonnegative integer, got {nvars!r}")
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials
+
+
+def _bits_for(degree: int) -> int:
+    """The canonical field width for a polynomial of total degree ``degree``."""
+    return max(_MIN_BITS, degree.bit_length())
+
+
+def _pack(exps, bits: int) -> int:
+    key = sum(exps)
+    for e in exps:
+        key = (key << bits) | e
+    return key
+
+
+def _unpacker(nvars: int, bits: int):
+    """Packed monomial -> exponent tuple, for fields of ``bits`` bits."""
+    mask = (1 << bits) - 1
+    shifts = [bits * (nvars - 1 - i) for i in range(nvars)]
+    return lambda key: tuple([(key >> s) & mask for s in shifts])
+
+
+def _repack(terms: dict, nvars: int, old: int, new: int) -> dict:
+    if old == new:
+        return terms
+    unpack = _unpacker(nvars, old)
+    return {_pack(unpack(k), new): c for k, c in terms.items()}
+
+
+def _tidy(terms: dict) -> dict:
+    """Turn integral Fraction coefficients back into ints, in place."""
+    for k, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
+
+
+def _all_int(terms: dict) -> bool:
+    return set(map(type, terms.values())) <= {int}
 
 
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "_bits", "_terms", "_hash", "_plan")
 
     def __init__(self, nvars: int, terms):
-        if not isinstance(nvars, int) or nvars < 0:
-            raise InputError(f"nvars must be a nonnegative integer, got {nvars!r}")
+        _check_nvars(nvars)
         clean = {}
         for exps, coeff in (terms.items() if isinstance(terms, dict) else terms):
             exps = tuple(exps)
@@ -87,9 +153,24 @@ class MultiPoly:
                     del clean[exps]
                     continue
             clean[exps] = coeff
+        bits = _bits_for(max(map(sum, clean), default=0))
+        self._init(nvars, bits, {_pack(e, bits): c for e, c in clean.items()})
+
+    def _init(self, nvars: int, bits: int, terms: dict) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_plan", None)
+
+    @classmethod
+    def _make(cls, nvars: int, bits: int, terms: dict) -> "MultiPoly":
+        """Trusted constructor for engine-made terms: ``terms`` maps packed
+        monomials of width ``bits`` (canonical for their degree) to nonzero
+        int or non-integral Fraction coefficients; nothing is re-checked."""
+        self = object.__new__(cls)
+        self._init(nvars, bits, terms)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -98,77 +179,104 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
+        _check_nvars(nvars)
+        return cls._make(nvars, _MIN_BITS, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: c})
+        _check_nvars(nvars)
+        c = _norm_coeff(c)
+        return cls._make(nvars, _MIN_BITS, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         """The variable x_i, 1-based index."""
         if not (1 <= i <= nvars):
             raise InputError(f"variable index {i} outside [1,{nvars}]")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        b = _MIN_BITS
+        return cls._make(nvars, b, {(1 << b * nvars) | (1 << b * (nvars - i)): 1})
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, unpacked afresh on each access."""
+        unpack = _unpacker(self.nvars, self._bits)
+        return {unpack(k): c for k, c in self._terms.items()}
+
+    def __len__(self) -> int:
+        """Number of nonzero terms."""
+        return len(self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
         """Maximum total degree (-1 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=-1)
+        if not self._terms:
+            return -1
+        return max(self._terms) >> (self._bits * self.nvars)
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coefficient), graded-lex ascending."""
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
+        unpack = _unpacker(self.nvars, self._bits)
+        return [(unpack(k), c) for k, c in sorted(self._terms.items())]
 
     def leading_coefficient(self):
         """Coefficient of the graded-lex greatest term (0 for zero poly)."""
-        if not self.terms:
+        if not self._terms:
             return 0
-        return self.terms[max(self.terms, key=_grlex_key)]
+        return self._terms[max(self._terms)]
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        top = 1 << self._bits
+        if len(exps) != self.nvars or any(
+                not isinstance(e, int) or not 0 <= e < top for e in exps):
+            return 0
+        return self._terms.get(_pack(exps, self._bits), 0)
+
+    def _integral(self):
+        """(d, numerators): the least common denominator d of the
+        coefficients, and the coefficients times d as ints."""
+        coeffs = self._terms.values()
+        dens = [c.denominator for c in coeffs if type(c) is not int]
+        if not dens:
+            return 1, coeffs
+        d = lcm(*dens)
+        return d, [c * d if type(c) is int else c.numerator * (d // c.denominator)
+                   for c in coeffs]
 
     def content(self) -> Fraction:
         """Positive rational content (0 for the zero polynomial)."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
-        nums = 0
-        dens = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            nums = gcd(nums, f.numerator)
-            dens = lcm(dens, f.denominator)
-        return Fraction(nums, dens)
+        d, nums = self._integral()
+        return Fraction(gcd(*nums), d)
 
     def primitive(self):
         """(content, self/content): content signed so the primitive part has
         positive leading coefficient and coprime integer coefficients."""
-        c = self.content()
-        if c == 0:
+        if not self._terms:
             return Fraction(0), self
+        d, nums = self._integral()
+        g = gcd(*nums)
         if self.leading_coefficient() < 0:
-            c = -c
-        return c, self._scale(1 / c)
+            g = -g
+        if g == 1 and d == 1:
+            return Fraction(1), self
+        return Fraction(g, d), MultiPoly._make(
+            self.nvars, self._bits, {k: n // g for k, n in zip(self._terms, nums)})
 
     def _scale(self, s) -> "MultiPoly":
         if s == 0:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
-
-    def min_coefficient(self):
-        """(exponents, coefficient) of the smallest coefficient, graded-lex
-        first among ties; (None, 0) for the zero polynomial."""
-        best = None
-        for exps, coeff in self.sorted_terms():
-            if best is None or coeff < best[1]:
-                best = (exps, coeff)
-        return best if best is not None else (None, 0)
+        if s == 1:
+            return self
+        terms = {k: c * s for k, c in self._terms.items()}
+        if type(s) is not int or not _all_int(self._terms):
+            _tidy(terms)
+        return MultiPoly._make(self.nvars, self._bits, terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -177,28 +285,43 @@ class MultiPoly:
             raise InputError(
                 f"mixing polynomials in {self.nvars} and {other.nvars} variables")
 
-    def __add__(self, other):
+    def _add(self, other, negate: bool) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.nvars, other)
         self._check_compat(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = acc.get(exps, 0) + coeff
-            if new == 0:
-                acc.pop(exps, None)
+        nvars = self.nvars
+        bits = max(self._bits, other._bits)
+        acc = dict(_repack(self._terms, nvars, self._bits, bits))
+        get = acc.get
+        items = _repack(other._terms, nvars, other._bits, bits).items()
+        if negate:
+            items = [(k, -c) for k, c in items]
+        for k, c in items:
+            new = get(k, 0) + c
+            if new:
+                if type(new) is Fraction and new.denominator == 1:
+                    new = new.numerator
+                acc[k] = new
             else:
-                acc[exps] = new
-        return MultiPoly(self.nvars, acc)
+                del acc[k]
+        if not acc:
+            return MultiPoly.zero(nvars)
+        if bits > _MIN_BITS:    # cancellation may have lowered the degree
+            canon = _bits_for(max(acc) >> (bits * nvars))
+            acc, bits = _repack(acc, nvars, bits, canon), canon
+        return MultiPoly._make(nvars, bits, acc)
+
+    def __add__(self, other):
+        return self._add(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, self._bits,
+                               {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
+        return self._add(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -207,32 +330,31 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self._scale(_norm_coeff(other))
         self._check_compat(other)
-        budget = _term_budget
+        nvars = self.nvars
+        if not self._terms or not other._terms:
+            return MultiPoly.zero(nvars)
+        # every exponent of the product is at most its total degree, so at
+        # this width no exponent sum carries into the neighbouring field
+        bits = _bits_for(self.total_degree() + other.total_degree())
+        left = _repack(self._terms, nvars, self._bits, bits)
+        right = list(_repack(other._terms, nvars, other._bits, bits).items())
+        budget = _term_budget.get()
         acc = {}
-        pairs = 0
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = acc.get(exps, 0) + c1 * c2
-                if new == 0:
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = new
-                pairs += 1
-                if pairs % _BUDGET_CHECK_STRIDE == 0 and len(acc) > budget:
-                    raise ResourceBudgetError(
-                        f"term budget {budget} exceeded during multiplication",
-                        partial={"accumulated_terms": len(acc),
-                                 "budget": budget,
-                                 "left_terms": len(self.terms),
-                                 "right_terms": len(other.terms)})
-        if len(acc) > budget:
-            raise ResourceBudgetError(
-                f"term budget {budget} exceeded during multiplication",
-                partial={"accumulated_terms": len(acc), "budget": budget,
-                         "left_terms": len(self.terms),
-                         "right_terms": len(other.terms)})
-        return MultiPoly(self.nvars, acc)
+        get = acc.get
+        for k1, c1 in left.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+            if len(acc) > budget:
+                raise ResourceBudgetError(
+                    f"term budget {budget} exceeded during multiplication",
+                    partial={"accumulated_terms": len(acc), "budget": budget,
+                             "left_terms": len(self._terms),
+                             "right_terms": len(other._terms)})
+        terms = {k: c for k, c in acc.items() if c}
+        if not (_all_int(self._terms) and _all_int(other._terms)):
+            _tidy(terms)
+        return MultiPoly._make(nvars, bits, terms)
 
     __rmul__ = __mul__
 
@@ -249,14 +371,15 @@ class MultiPoly:
                 base = base * base
         return result
 
+    # -- evaluation ---------------------------------------------------------
+
     def __call__(self, point):
         """Evaluate at a point (any scalar field; exact for rationals)."""
         point = tuple(point)
         if len(point) != self.nvars:
             raise InputError(f"point has {len(point)} coordinates, need {self.nvars}")
-        if (self.terms
-                and all(isinstance(x, (int, Fraction)) for x in point)
-                and all(isinstance(c, int) for c in self.terms.values())):
+        if (self._terms and all(isinstance(x, (int, Fraction)) for x in point)
+                and self._eval_plan()):
             return self._eval_rational(point)
         total = 0
         for exps, coeff in self.terms.items():
@@ -267,33 +390,60 @@ class MultiPoly:
             total = total + term
         return total
 
+    def _eval_plan(self):
+        """The integer evaluation layout, built once per polynomial: the
+        maximal exponent of each variable, and the terms grouped by the
+        exponents of the leading half of the variables.  Each group lists its
+        coefficients and, per term, the index of its trailing-half exponents
+        among the distinct ones.  Empty when a coefficient is not an int."""
+        if self._plan is None:
+            plan = ()
+            if _all_int(self._terms):
+                n, h = self.nvars, self.nvars // 2
+                terms = self.terms
+                dmax = tuple(map(max, zip(*terms))) if n else ()
+                lo_index, groups = {}, {}
+                for t, c in terms.items():
+                    idx, cs = groups.setdefault(t[:h], ([], []))
+                    idx.append(lo_index.setdefault(t[h:], len(lo_index)))
+                    cs.append(c)
+                plan = (dmax, h, list(lo_index),
+                        [(hi, idx, cs) for hi, (idx, cs) in groups.items()])
+            object.__setattr__(self, "_plan", plan)
+        return self._plan
+
     def _eval_rational(self, point):
-        """Exact evaluation over the integers: clear each variable's
-        denominator once, so the term sum avoids per-operation gcd
-        normalization (Fraction arithmetic is quadratically slower here)."""
-        fracs = [Fraction(x) for x in point]
-        dmax = [0] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > dmax[i]:
-                    dmax[i] = e
-        ppow, qpow = [], []
-        for i, x in enumerate(fracs):
-            prow, qrow = [1], [1]
-            for _ in range(dmax[i]):
-                prow.append(prow[-1] * x.numerator)
-                qrow.append(qrow[-1] * x.denominator)
-            ppow.append(prow)
-            qpow.append(qrow)
+        """Exact evaluation over the integers: with x_i = p_i/q_i and d_i the
+        largest exponent of x_i, the value times prod q_i^d_i is
+        sum c prod p_i^e_i q_i^(d_i-e_i).  Each variable's factors come from
+        a per-point table, products over the trailing half of the variables
+        are formed once per distinct exponent pattern, and each group of
+        terms sharing the leading half is summed before one multiplication
+        by its leading-half product."""
+        dmax, h, lo_keys, groups = self._plan
+        tables, den = [], 1
+        for x, d in zip(point, dmax):
+            x = Fraction(x)
+            p, q = x.numerator, x.denominator
+            ppow, qpow = [1], [1]
+            for _ in range(d):
+                ppow.append(ppow[-1] * p)
+                qpow.append(qpow[-1] * q)
+            tables.append([a * b for a, b in zip(ppow, reversed(qpow))])
+            den *= qpow[d]
+        lo_tables, hi_tables = tables[h:], tables[:h]
+        lo_vals = []
+        for lo in lo_keys:
+            v = 1
+            for t, e in zip(lo_tables, lo):
+                v *= t[e]
+            lo_vals.append(v)
         total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for i, e in enumerate(exps):
-                term *= ppow[i][e] * qpow[i][dmax[i] - e]
-            total += term
-        den = 1
-        for i in range(self.nvars):
-            den *= qpow[i][dmax[i]]
+        for hi, idx, cs in groups:
+            v = sum(map(mul, cs, map(lo_vals.__getitem__, idx)))
+            for t, e in zip(hi_tables, hi):
+                v *= t[e]
+            total += v
         # always a Fraction so downstream division stays exact
         return Fraction(total, den)
 
@@ -304,11 +454,11 @@ class MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return self == MultiPoly.constant(self.nvars, other)
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            key = (self.nvars, tuple(self.sorted_terms()))
+            key = (self.nvars, frozenset(self._terms.items()))
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 
@@ -317,7 +467,7 @@ class MultiPoly:
         return (self.total_degree(), tuple(self.sorted_terms()))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "MultiPoly(0)"
         bits = []
         for exps, coeff in self.sorted_terms():
@@ -328,7 +478,7 @@ class MultiPoly:
 
 
 def poly_product(factors) -> MultiPoly:
-    """Product of an iterable of MultiPolys (1 for an empty iterable)."""
+    """Product of a nonempty iterable of MultiPolys."""
     result = None
     for f in factors:
         result = f if result is None else result * f
@@ -354,7 +504,7 @@ class FactoredRational:
 
     def __init__(self, scalar, num: MultiPoly, den_factors=None):
         den_factors = dict(den_factors or {})
-        scalar = Fraction(scalar)
+        scalar = Fraction(_norm_coeff(scalar))
         content, num = num.primitive()
         scalar *= content
         clean = {}
@@ -398,7 +548,7 @@ class FactoredRational:
         if isinstance(other, MultiPoly):
             other = FactoredRational.from_poly(other)
         elif not isinstance(other, FactoredRational):
-            return FactoredRational(self.scalar * Fraction(other), self.num,
+            return FactoredRational(self.scalar * _norm_coeff(other), self.num,
                                     self.den_factors)
         if self.is_zero() or other.is_zero():
             return FactoredRational.from_scalar(self.nvars, 0)
@@ -461,7 +611,7 @@ class FactoredRational:
         if isinstance(other, MultiPoly):
             other = FactoredRational.from_poly(other)
         elif not isinstance(other, FactoredRational):
-            return FactoredRational(self.scalar / Fraction(other), self.num,
+            return FactoredRational(self.scalar / _norm_coeff(other), self.num,
                                     self.den_factors)
         return self * other.inverse()
 

@@ -149,8 +149,8 @@ def _nonneg_witness(poly: MultiPoly, sign: int):
 def certify_nonneg(fr: FactoredRational, name: str) -> Certificate:
     """Certify fr >= 0 on the positive orthant by coefficient inspection."""
     den = fr.denominator_expanded()
-    num_terms = len(fr.num.terms)
-    den_terms = len(den.terms)
+    num_terms = len(fr.num)
+    den_terms = len(den)
     degree = max(fr.num.total_degree(), den.total_degree())
     for factor, _ in fr._sorted_factors():
         bad = _nonneg_witness(factor, 1)

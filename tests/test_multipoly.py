@@ -1,5 +1,7 @@
-"""Exact sparse polynomial engine: ring laws, normalization, budgets."""
+"""Exact sparse polynomial engine: ring laws, normalization, packing,
+budgets."""
 
+import contextvars
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinegram import (FactoredRational, InputError, MultiPoly,
-                        ResourceBudgetError, get_term_budget, term_budget)
-from splinegram.multipoly import poly_product
+                        ResourceBudgetError, get_term_budget,
+                        set_term_budget, term_budget)
+from splinegram.multipoly import _MIN_BITS, poly_product
+from splinegram.polycert import _nonneg_witness
 
 NVARS = 3
 
@@ -61,6 +65,107 @@ def test_primitive_reconstruction(p):
 
 
 # ---------------------------------------------------------------------------
+# Packed monomials against a tuple-keyed reference
+#
+# Exponents are drawn around the packing field width 2^_MIN_BITS as well as
+# small, so products and sums cross it and widen the field.
+
+WIDE = 1 << _MIN_BITS
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    """Tuple-keyed schoolbook product, zero coefficients dropped."""
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_eval(terms: dict, point) -> F:
+    total = F(0)
+    for exps, coeff in terms.items():
+        term = F(coeff)
+        for x, e in zip(point, exps):
+            term *= F(x) ** e
+        total += term
+    return total
+
+
+wide_exponent = st.one_of(st.integers(0, 3),
+                          st.sampled_from([WIDE - 2, WIDE - 1, WIDE, WIDE + 1]))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two tuple-keyed term dicts in a common nvars in 1..6."""
+    nvars = draw(st.integers(1, 6))
+    terms = st.dictionaries(st.tuples(*(wide_exponent,) * nvars), coeffs,
+                            max_size=5)
+    return nvars, draw(terms), draw(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+def test_packed_product_matches_reference(pair):
+    nvars, a, b = pair
+    pa, pb = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    expected = ref_mul(a, b)
+    assert (pa * pb).terms == expected
+    assert (pa * pb) == MultiPoly(nvars, expected)
+    assert hash(pa * pb) == hash(MultiPoly(nvars, expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_pairs())
+def test_packed_sum_and_order_match_reference(pair):
+    nvars, a, b = pair
+    pa, pb = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    total = {e: c for e, c in a.items() if c}
+    for e, c in b.items():
+        total[e] = total.get(e, 0) + c
+    total = {e: c for e, c in total.items() if c}
+    assert (pa + pb).terms == total
+    assert (pa - pa).is_zero() and (pa - pb) + pb == pa
+    for p in (pa, pb, pa * pb, pa - pb):
+        terms = p.sorted_terms()
+        assert terms == sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        assert p.total_degree() == max((sum(e) for e, _ in terms), default=-1)
+        assert all(p.coefficient(e) == c for e, c in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_pairs(), st.lists(st.fractions(min_value=0, max_value=4,
+                                           max_denominator=6),
+                              min_size=6, max_size=6))
+def test_packed_evaluation_matches_reference(pair, coords):
+    nvars, a, b = pair
+    point = tuple(coords[:nvars])
+    for terms in (a, b):
+        p = MultiPoly(nvars, terms)
+        assert p(point) == ref_eval(terms, point)
+        # the all-int path, as FactoredRational numerators use it
+        _, prim = p.primitive()
+        assert prim(point) == ref_eval(prim.terms, point)
+
+
+def test_square_at_field_width_does_not_carry():
+    top = WIDE - 1
+    x = MultiPoly(3, {(top, 0, 0): 1})
+    y = MultiPoly(3, {(0, top, 0): 1, (0, 0, top): -1})
+    assert (x * x).terms == {(2 * top, 0, 0): 1}
+    assert (y * y).terms == {(0, 2 * top, 0): 1, (0, top, top): -2,
+                             (0, 0, 2 * top): 1}
+    assert (x * y).sorted_terms() == [((top, 0, top), -1), ((top, top, 0), 1)]
+    # cancelling the wide terms narrows the field back; equality and
+    # hashing still agree with a freshly built polynomial
+    small = MultiPoly(3, {(1, 0, 0): 1})
+    back = (x * x + small) - x * x
+    assert back == small and hash(back) == hash(small)
+
+
+# ---------------------------------------------------------------------------
 # Canonical order and inspection
 
 
@@ -71,7 +176,7 @@ def test_graded_lex_order():
     assert p.total_degree() == 1
     assert p.leading_coefficient() == 1
     # first negative coefficient in canonical order
-    assert p.min_coefficient() == ((0, 0, 1), -2)
+    assert _nonneg_witness(p, 1) == ((0, 0, 1), -2)
 
 
 def test_zero_polynomial_properties():
@@ -79,7 +184,7 @@ def test_zero_polynomial_properties():
     assert z.is_zero() and z.total_degree() == -1
     assert z.leading_coefficient() == 0
     assert z.content() == 0
-    assert z.min_coefficient() == (None, 0)
+    assert z.sorted_terms() == [] and _nonneg_witness(z, 1) is None
 
 
 def test_variables_and_constants():
@@ -138,6 +243,33 @@ def test_budget_validation():
     with pytest.raises(InputError):
         with term_budget(0):
             pass
+    with pytest.raises(InputError):
+        set_term_budget(-1)
+
+
+def test_budget_is_context_local():
+    default = get_term_budget()
+
+    def inner():
+        set_term_budget(7)
+        return get_term_budget()
+
+    ctx = contextvars.copy_context()
+    assert ctx.run(inner) == 7
+    assert ctx.run(get_term_budget) == 7
+    assert get_term_budget() == default
+    x1 = MultiPoly.variable(2, 1)
+    dense = (1 + x1 + MultiPoly.variable(2, 2)) ** 3
+    assert len(dense * dense) > 7      # the other context's cap is not ours
+
+
+def test_budget_restored_after_exception():
+    default = get_term_budget()
+    with pytest.raises(RuntimeError):
+        with term_budget(3):
+            assert get_term_budget() == 3
+            raise RuntimeError("boom")
+    assert get_term_budget() == default
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +316,30 @@ def test_factored_zero_collapse_and_scalars():
         FactoredRational(1, x1, {MultiPoly.zero(1): 1})
     with pytest.raises(InputError):
         FactoredRational(1, x1, {x1: 0})
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True, False, "1/2"])
+def test_factored_scalars_must_be_exact(bad):
+    x1 = MultiPoly.variable(1, 1)
+    fr = FactoredRational(F(1, 3), x1, {(x1 + 1): 1})
+    entry_points = [
+        lambda: FactoredRational(bad, x1),
+        lambda: FactoredRational.from_scalar(1, bad),
+        lambda: fr * bad, lambda: bad * fr,
+        lambda: fr + bad, lambda: bad + fr,
+        lambda: fr - bad, lambda: bad - fr,
+        lambda: fr / bad,
+    ]
+    for call in entry_points:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_factored_exact_scalars_still_accepted():
+    x1 = MultiPoly.variable(1, 1)
+    fr = FactoredRational(F(4, 2), x1)
+    assert fr.scalar == 2 and (fr * F(1, 2)).scalar == 1
+    assert (fr / 4).scalar == F(1, 2) and (fr + 1)((F(3),)) == 7
 
 
 def test_factored_denominator_expansion_order_independent():

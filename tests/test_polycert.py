@@ -1,5 +1,6 @@
 """Symbolic nonnegativity certificates: builders, dual routes, failure paths."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +140,26 @@ def test_certificates_succeed(name):
         assert pre.success and _shape(pre) == SHAPES[pre.name]
     # independent numeric cross-route at random positive points
     assert spot_check(build_inequality(name), 100, seed=17) == 100
+
+
+# First 16 hex digits of sha256(repr(build_inequality(name))).  The repr
+# lists every coefficient, monomial and denominator factor in canonical
+# order, so a change to the polynomial engine that alters any of them, or
+# the order, fails here even where the term counts above still agree.
+REPR_DIGESTS = {
+    "offdiag": "44a3f441a57515b6",
+    "phi_step": "b0b44636ce1a7ead",
+    "psi_a": "e573d82d215b1495",
+    "theta_product": "71039bad10a24aef",
+    "psi_from_phi": "82e4da70724bc293",
+    "tp_minor": "75f44a20b5905863",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPR_DIGESTS))
+def test_certificate_expressions_are_pinned(name):
+    text = repr(build_inequality(name))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPR_DIGESTS[name]
 
 
 def test_theta_product_records_minor_prerequisite():
