@@ -35,7 +35,8 @@ from .invstep import (check_checkerboard, history_to_json, inverse_to_json,
                       invert_iteratively)
 from .knots import KnotSequence, knots_to_json
 from .multipoly import term_budget
-from .partitions import SweepConfig, parse_spec, realize, sweep_partitions
+from .partitions import (EXACT_SWEEP_MAX_M, SweepConfig, parse_spec, realize,
+                         sweep_partitions)
 from .polycert import (INEQUALITY_NAMES, certificate_to_json,
                        certify_inequality)
 
@@ -152,9 +153,10 @@ def cmd_verify(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=list(trials[0]))
             writer.writeheader()
             writer.writerows(trials)
-    _emit({"k": args.order, "mode": args.mode, "trials": len(trials),
-           "violations": violations, "worst_ratio": worst[0],
-           "worst_trial": worst[1], "results": trials}, args.out)
+    _emit({"k": args.order, "mode": args.mode, "max_m": cfg.effective_max_m,
+           "trials": len(trials), "violations": violations,
+           "worst_ratio": worst[0], "worst_trial": worst[1], "results": trials},
+          args.out)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -218,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="random-partition sweep instead of a single --spec")
     p.add_argument("--max-m", type=int, default=20,
-                   help="largest matrix size in a sweep")
+                   help="largest matrix size in a sweep; exact sweeps cap it "
+                        f"at {EXACT_SWEEP_MAX_M} (the JSON's max_m is the "
+                        "size used)")
     p.add_argument("--slack", type=float, default=None,
                    help="relative tolerance of float comparisons (default "
                         "1e-12); exact mode compares exactly and ignores it")

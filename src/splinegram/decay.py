@@ -13,8 +13,13 @@ the squared form
 
     x <= K gamma^d / eta   <=>   (x*eta)^2 * den(gamma^2)^d <= K^2 * num(gamma^2)^d,
 
-which is lossless for nonnegative x.  For k >= 4 no certified constants are
-available and only an empirical least-squares fit is reported.
+which is lossless for nonnegative x.  Exact verdicts stay exact, but most
+are settled by a filter: an entry whose float ratio x eta / (K gamma^d) is
+at most 1 - (2m + 16) 2^-52 passes, since that margin exceeds every rounding
+error the ratio can carry (derived in ``_decay_kernel``), and only the
+remaining entries, near the bound or beyond it, are compared in the squared
+form over Fractions.  For k >= 4 no certified constants are available and
+only an empirical least-squares fit is reported.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
@@ -35,7 +40,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ArithmeticFailure, InputError
-from .gram import quad_entry, quad_formula, ratio
+from .gram import quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
 from .scalars import format_scalar, is_exact
@@ -108,11 +113,12 @@ def psi_inv_formula(br, ratio, n: int):
             + ratio((br(3, 2, n),), (6,)))
 
 
-def minor_formula(br, ratio, n: int):
-    """M_n = a_{n-1,n} - a_{n-2,n} a_{n-1,n-1} / a_{n-2,n-1}, from the
-    entries of gram.quad_formula."""
-    def a(i, d):
-        return quad_formula(br, ratio, i, d)
+def minor_formula(br, ratio, n: int, a=None):
+    """M_n = a_{n-1,n} - a_{n-2,n} a_{n-1,n-1} / a_{n-2,n-1}, from an entry
+    provider a(i, d) = a_{i,i+d}; by default gram.quad_formula over br."""
+    if a is None:
+        def a(i, d):
+            return quad_formula(br, ratio, i, d)
     return a(n - 1, 1) - a(n - 2, 2) * a(n - 1, 0) / a(n - 2, 1)
 
 
@@ -222,27 +228,67 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
 
     x is a 1-D array of inverse entries (dtype object holding Fractions, or
     float64) and lo <= hi the 0-based positions whose eta_{lo+1,hi+1} weighs
-    them.  Returns (eta, raw, ratio, ok): eta in the knots' scalar type, the
-    floats raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained),
-    and, given gamma_sq, the exact verdicts
+    them.  Returns (eta, raw, ratio, ok): the floats eta (correctly rounded),
+    raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained), and,
+    given gamma_sq, the exact verdicts
     (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).
+
+    The exact verdicts are filtered: an entry whose float ratio is at most
+    1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs
+    only on the rest (near-ties, failures, and entries with a zero,
+    subnormal or non-finite float among |x|, eta, raw, gamma^d, K gamma^d).
+    With u = 2^-53 and r = |x| eta / (K gamma^d) the true ratio, the float
+    ratio is r times factors (1 + e)^(+-1) with
+      |e| <= u   float(|x|), float(eta), float(K) (correctly rounded from
+                 Fractions), the products raw and K gamma^d, the division;
+      |e| <= 2u  gamma ** d from libm pow (accurate to one ulp);
+      |e| <= 2u  float gamma against sqrt(gamma_sq), d times, checked as
+                 |gamma^2 - gamma_sq| <= 4u gamma_sq (else nothing is
+                 filtered; 2/3 and sqrt(0.87) are within 1u in gamma^2).
+    These bounds hold as all operands are normal, so
+    L = |ln(ratio / r)| <= (8 + 2d) u / (1 - 2u) < (2m + 8) u, as d < m.
+    ratio <= 1 - delta = 1 - (4m + 32) u then gives
+    r <= (1 - delta) e^L <= e^(L - delta) < 1: the entry passes exactly.
+    A quotient that underflows lies far below 1 and needs no margin.
     """
     import numpy as np
 
-    knots = np.array(ks.knots)
-    eta = knots[hi + ks.order] - knots[lo]
+    k, ts = ks.order, ks.knots
+    knots = np.array(ts)
+    if isinstance(ts[0], Fraction):
+        # integer differences over the common denominator, each rounded once
+        # by int true division: the floats of float(t_a - t_b), far cheaper
+        common = math.lcm(*(t.denominator for t in ts))
+        num = np.array([t.numerator * (common // t.denominator) for t in ts],
+                       dtype=object)
+        eta = ((num[hi + k] - num[lo]) / common).astype(float)
+    else:
+        eta = knots[hi + k] - knots[lo]
     d = hi - lo
-    ax = np.abs(x)
-    raw = ax.astype(float) * eta.astype(float)
-    powers = np.array([gamma ** e for e in range(ks.m)])
-    ratio = raw / (float(K) * powers[d])
+    ax = np.abs(x.astype(float))
+    raw = ax * eta
+    pw = np.array([gamma ** e for e in range(ks.m)])[d]
+    scale = float(K) * pw
+    ratio = raw / scale
     ok = None
     if gamma_sq is not None:
         g = Fraction(gamma_sq)
-        den = np.array([g.denominator ** e for e in range(ks.m)], dtype=object)
-        rhs = np.array([K * K * g.numerator ** e for e in range(ks.m)], dtype=object)
-        v = ax * eta
-        ok = v * v * den[d] <= rhs[d]
+        ok = ratio <= 1 - (2 * ks.m + 16) * 2.0 ** -52  # False for nan
+        if not (math.isfinite(gamma)
+                and abs(Fraction(gamma) ** 2 - g) <= g * Fraction(4, 2 ** 53)):
+            ok[:] = False  # the margin needs gamma within 2u of sqrt(gamma_sq)
+        tiny = np.finfo(float).tiny
+        for v in (ax, eta, raw, pw, scale):
+            ok &= v >= tiny
+        todo = np.flatnonzero(~ok)
+        if len(todo):
+            dt = d[todo]
+            top = int(dt.max()) + 1
+            den = np.array([g.denominator ** e for e in range(top)], dtype=object)
+            rhs = np.array([K * K * g.numerator ** e for e in range(top)],
+                           dtype=object)
+            v = np.abs(x[todo]) * (knots[hi[todo] + k] - knots[lo[todo]])
+            ok[todo] = v * v * den[dt] <= rhs[dt]
     return eta, raw, ratio, ok
 
 
@@ -301,7 +347,8 @@ def _linear_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
 def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
                         slack: float) -> tuple:
     """The order-3 families, from one loop over n that evaluates 1/phi_n,
-    1/psi_n, a_{n-1,n} and M_n once each:
+    1/psi_n, a_{n-1,n} and M_n once each (M_n reuses a_{n-1,n} and the
+    previous step's a_{n-2,n-1}):
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
       chain_psi_le_12   psi_n <= 12/(30)_n
@@ -322,6 +369,11 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
     hat = _CheckAccumulator("theta_hat_bound", slack)
     consec = _CheckAccumulator("theta_consec", slack)
     prev = None  # theta_{n-1} and (20)_{n-1}/(30)_{n-1}
+    off = {}  # a_{i,i+1} by i, as computed for offdiag_pair
+
+    def entry(i, d):  # M_n takes a_{n-2,n-1} and a_{n-1,n} from off
+        return off[i] if d == 1 else quad_formula(br, ratio, i, d)
+
     for n in range(1, m + 1):
         b = state.diag_history[n - 1]
         phin_inv, psin_inv = phi_inv(ks, n), psi_inv(ks, n)
@@ -336,13 +388,13 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
         chain_12.add(float(r), (r <= 1) if exact else None, (n,))
         if n < 2:
             continue
-        a = quad_entry(ks, n - 1, n)
+        a = off[n - 1] = quad_formula(br, ratio, n - 1, 1)
         lhs = b * a
         r = 5 * lhs * br(3, 0, n) / (6 * br(2, 0, n))
         pair.add(float(r), (r <= 1) if exact else None, (n,))
         if n < 3:
             continue
-        Mn = minor_adjusted_factor(ks, n)
+        Mn = minor_formula(br, ratio, n, entry)
         theta = b * Mn
         # ratio -M/scale so that any positive value signals failure
         r = -Mn / a
@@ -420,8 +472,10 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     B is the dense m x m inverse (rows of exact scalars, or a numpy array).
     One kernel pass covers the upper triangle in row-major order; the worst
     entry is the first maximal ratio in that order.  With exact input and
-    certified constants the pass/fail decision uses exact squared
-    comparisons; the reported ratios are floats either way.  Certified
+    certified constants the pass/fail decision is exact: an entry passes on
+    its float ratio only below 1 - (2m + 16) 2^-52, a margin that covers the
+    ratio's rounding errors, and every other entry gets the exact squared
+    comparison.  The reported ratios are floats either way.  Certified
     constants also carry this pass as the ``full_decay`` lemma family.
     """
     import numpy as np
@@ -509,5 +563,5 @@ def report_csv_rows(B, ks: KnotSequence, consts: DecayConstants):
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     x = np.asarray(B)[i, j]
     eta, _, ratio, _ = _decay_kernel(x, lo, hi, ks, consts.K, consts.gamma)
-    return zip((i + 1).tolist(), (j + 1).tolist(), np.abs(x).astype(float).tolist(),
-               eta.astype(float).tolist(), (hi - lo).tolist(), ratio.tolist())
+    return zip((i + 1).tolist(), (j + 1).tolist(), np.abs(x.astype(float)).tolist(),
+               eta.tolist(), (hi - lo).tolist(), ratio.tolist())

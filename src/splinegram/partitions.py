@@ -150,17 +150,23 @@ class SweepConfig:
         if self.scalar_mode not in ("exact", "float"):
             raise InputError(f"unknown scalar mode {self.scalar_mode!r}")
 
+    @property
+    def effective_max_m(self) -> int:
+        """The largest m a sweep draws: max_m, capped at EXACT_SWEEP_MAX_M in
+        exact mode."""
+        if self.scalar_mode == "exact":
+            return min(self.max_m, EXACT_SWEEP_MAX_M)
+        return self.max_m
+
 
 def sweep_partitions(cfg: SweepConfig):
     """Yield ``cfg.trials`` random partitions of varying size.
 
-    Sizes m are drawn uniformly from [order+1, max_m] (at least one interior
-    breakpoint so the matrices are nontrivial).  With probability 1/2 each
-    partition has one random gap shrunk by 1e-4.
+    Sizes m are drawn uniformly from [order+1, cfg.effective_max_m] (at
+    least one interior breakpoint so the matrices are nontrivial).  With
+    probability 1/2 each partition has one random gap shrunk by 1e-4.
     """
-    max_m = cfg.max_m
-    if cfg.scalar_mode == "exact":
-        max_m = min(max_m, EXACT_SWEEP_MAX_M)
+    max_m = cfg.effective_max_m
     if max_m < cfg.order + 1:
         raise InputError(
             f"max_m {max_m} leaves no room for interior breakpoints at order {cfg.order}")

@@ -188,6 +188,17 @@ def test_verify_sweep_float_mode(capsys):
     assert all(t["checkerboard"] is None for t in obj["results"])
 
 
+def test_verify_sweep_reports_effective_max_m(capsys):
+    # exact sweeps cap m at EXACT_SWEEP_MAX_M = 60 and say so
+    code, obj = _run_json(capsys, ["verify", "--order", "2", "--mode", "exact",
+                                   "--trials", "2", "--max-m", "100"])
+    assert code == 0 and obj["max_m"] == 60
+    assert all(t["m"] <= 60 for t in obj["results"])
+    code, obj = _run_json(capsys, ["verify", "--order", "2", "--mode", "float",
+                                   "--trials", "2", "--max-m", "100"])
+    assert code == 0 and obj["max_m"] == 100
+
+
 def test_verify_spec_and_trials_mutually_exclusive(capsys):
     code, _ = _run(capsys, ["verify", *UNIFORM, "--trials", "3"])
     assert code == 3

@@ -1,7 +1,9 @@
 """Decay constants, bound functions, and the per-instance lemma batteries."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -10,7 +12,8 @@ from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         phi_fn, phi_inv, psi_fn, psi_inv, report_csv_rows,
                         report_to_json, shrink_one_gap, theta_fn,
                         verify_lemmas)
-from splinegram.decay import attach_lemma_checks, minor_adjusted_factor
+from splinegram.decay import (_decay_kernel, attach_lemma_checks,
+                              minor_adjusted_factor)
 
 
 def _random_exact(rng, order, count):
@@ -300,3 +303,86 @@ def test_kernel_families_match_per_entry_loop():
                      / (float(c.K) * c.gamma ** abs(i - j)))
                     for i in range(1, m + 1) for j in range(1, m + 1)]
             assert list(report_csv_rows(st.B, ks, c)) == rows
+
+
+def _gamma_power(gamma_sq, d):
+    """gamma^d: exact when rational, else to about 2^-200 relative."""
+    p = gamma_sq ** (d // 2)
+    if d % 2 == 0:
+        return p
+    n, q = gamma_sq.numerator, gamma_sq.denominator
+    if isqrt(n) ** 2 == n and isqrt(q) ** 2 == q:
+        return p * F(isqrt(n), isqrt(q))
+    return p * F(isqrt(n * q * 4 ** 200), q * 2 ** 200)
+
+
+def _kernel_verdicts(x, lo, hi, ks, K, c):
+    """(filtered kernel verdicts, unfiltered per-entry exact comparisons)."""
+    import numpy as np
+
+    ok = _decay_kernel(np.array(x, dtype=object), np.array(lo), np.array(hi),
+                       ks, K, c.gamma, c.gamma_sq)[3]
+    g = c.gamma_sq
+    ref = [(v * ks.eta(i + 1, j + 1)) ** 2 * g.denominator ** (j - i)
+           <= K ** 2 * g.numerator ** (j - i) for v, i, j in zip(x, lo, hi)]
+    return ok.tolist(), ref
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_filtered_verdicts_equal_exact_comparison_entrywise(order):
+    c, rng = decay_constants(order), random.Random(26 + order)
+    # real inverse entries: the upper triangle of a shrunk mesh
+    ks = _random_exact(rng, order, 38 - order)
+    ks = shrink_one_gap(ks, rng.randrange(39 - order), F(1, 10 ** 4))
+    B, m = _inverted(ks, history=False).B, ks.m
+    lo, hi = zip(*[(i, j) for i in range(m) for j in range(i, m)])
+    ok, ref = _kernel_verdicts([B[i][j] for i, j in zip(lo, hi)], lo, hi, ks, c.K, c)
+    assert ok == ref and all(ok)
+    # synthetic entries K gamma^d / eta (1 +- 2^-e) straddling the margin, up
+    # to d = m - 1 = 299, plus exact ties, a zero and a subnormal float
+    for count in (3, 300 - order):
+        ks = _random_exact(rng, order, count)
+        ks = shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4))
+        m = ks.m
+        for K in (c.K, c.lastcol_K):
+            x, lo, hi = [], [], []
+            for e in range(20, 101):
+                i = rng.randrange(m) if e % 3 else 0
+                j = rng.randrange(i, m) if e % 3 else m - 1
+                at = K * _gamma_power(c.gamma_sq, j - i) / ks.eta(i + 1, j + 1)
+                sign = rng.choice((-1, 1))
+                for entry in (at, at * (1 - F(1, 2 ** e)), at * (1 + F(1, 2 ** e))):
+                    x.append(sign * entry)
+                    lo.append(i)
+                    hi.append(j)
+            x += [F(0), F(1, 2 ** 1070)]
+            lo += [0, m - 1]
+            hi += [m - 1, m - 1]
+            ok, ref = _kernel_verdicts(x, lo, hi, ks, K, c)
+            assert ok == ref
+            assert 0 < sum(ok) < len(ok)
+
+
+def test_filtered_verdicts_with_subnormal_bounds():
+    # k = 2 at distance 1790: K gamma^d / eta is a subnormal float, so is
+    # gamma ** d, and only the exact comparison can decide
+    c, ks = decay_constants(2), KnotSequence(2, [F(i, 1799) for i in range(1, 1799)])
+    x, lo, hi = [], [], []
+    for i, j in ((0, 1790), (5, 1799), (0, 1799)):
+        at = c.K * _gamma_power(c.gamma_sq, j - i) / ks.eta(i + 1, j + 1)
+        for e in range(20, 101, 4):
+            x += [at, at * (1 - F(1, 2 ** e)), at * (1 + F(1, 2 ** e))]
+            lo += [i] * 3
+            hi += [j] * 3
+    ok, ref = _kernel_verdicts(x, lo, hi, ks, c.K, c)
+    assert ok == ref and 0 < sum(ok) < len(ok)
+
+
+def test_filter_off_for_a_gamma_that_is_not_sqrt_gamma_sq():
+    # with gamma = 1.2 against gamma_sq = 87/100 the float ratio of an entry
+    # 1.5 times over the bound reads 0.91; the verdict must stay exact
+    c = replace(decay_constants(3), gamma=1.2)
+    corner = F(3, 2) * c.K * c.gamma_sq
+    B = ((F(1), F(0), corner), (F(0), F(1), F(0)), (corner, F(0), F(1)))
+    report = decay_report(B, KnotSequence(3, []), consts=c)
+    assert report.worst_ratio < 1 and not report.passed
