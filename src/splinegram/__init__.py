@@ -12,9 +12,8 @@ those constants with an exact sparse polynomial engine.
 
 from .decay import (DecayConstants, DecayReport, LemmaCheck,
                     attach_lemma_checks, decay_constants, decay_report,
-                    fit_decay_constants, minor_adjusted_factor, phi_fn,
-                    phi_inv, psi_fn, psi_inv, report_csv_rows, report_to_json,
-                    theta_fn, verify_lemmas)
+                    fit_decay_constants, minor_adjusted_factor, phi_inv,
+                    psi_inv, report_csv_rows, report_to_json, verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import (SymBandedMatrix, build_gram, check_total_positivity,
                    gram_linear, gram_quadratic, gram_quadrature, linear_entry,
@@ -26,8 +25,7 @@ from .invstep import (GrowingInverse, check_checkerboard,
 from .knots import (KnotSequence, bspline_l1, build_knots, eval_bspline,
                     eval_quadratic_closed, knots_from_json, knots_to_json,
                     load_partition, save_partition)
-from .multipoly import (FactoredRational, MultiPoly, get_term_budget,
-                        set_term_budget, term_budget)
+from .multipoly import FactoredRational, MultiPoly, get_term_budget, term_budget
 from .partitions import (EXACT_SWEEP_MAX_M, PartitionSpec, SweepConfig,
                          parse_spec, realize, shrink_one_gap,
                          sweep_partitions)
@@ -53,9 +51,8 @@ __all__ = [
     "history_to_json", "inverse_to_json", "invert_iteratively",
     "knots_from_json", "knots_to_json", "linear_entry", "load_partition",
     "matrix_from_json", "matrix_to_json", "max_residual",
-    "minor_adjusted_factor", "parse_spec", "phi_fn", "phi_inv", "psi_fn",
-    "psi_inv", "quad_entry", "quadratic_cross_terms", "realize",
-    "report_csv_rows", "report_to_json", "save_partition",
-    "set_term_budget", "shrink_one_gap", "spot_check", "sweep_partitions",
-    "term_budget", "theta_fn", "verify_lemmas",
+    "minor_adjusted_factor", "parse_spec", "phi_inv", "psi_inv", "quad_entry",
+    "quadratic_cross_terms", "realize", "report_csv_rows", "report_to_json",
+    "save_partition", "shrink_one_gap", "spot_check", "sweep_partitions",
+    "term_budget", "verify_lemmas",
 ]

@@ -6,7 +6,7 @@ For orders k = 2 and k = 3 the inverse entries satisfy
 
 with explicit rational constants: K = 36/5, gamma = 2/3 for k = 2, and
 K = C(1 + (16/13)C), C = 576/29, gamma = sqrt(87/100) for k = 3.  This module
-evaluates the closed-form bound functions (phi, psi, theta), verifies every
+evaluates the closed-form bound functions (1/phi, 1/psi, M), verifies every
 intermediate inequality of the two proofs on concrete instances, and produces
 decay reports.  gamma is irrational for k = 3, so exact-mode comparisons use
 the squared form
@@ -25,6 +25,12 @@ One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
 full_decay lemma family), the last-column family, the empirical fit and the
 CSV rows only build its index vectors.
+
+The batteries only compute each lemma family's values and witnesses; one
+rule decides: exact values pass at value <= bound, floats at value <= bound
++ slack.  The bound is 1 for a value lhs/rhs and 0 for the signed values of
+minor_nonneg and theta_hat_bound, whose worst_slack (1 - worst_ratio, as
+for every family) is thus no distance to their bound.
 
 The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
 (``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over a bracket
@@ -132,14 +138,6 @@ def phi_inv(ks: KnotSequence, n: int):
     return phi_inv_formula(ks.bracket, ratio, n)
 
 
-def phi_fn(ks: KnotSequence, n: int):
-    """phi_n, the certified upper bound for b_{n,n}^n (order 3)."""
-    inv = phi_inv(ks, n)
-    if inv <= 0:
-        raise ArithmeticFailure("phi_n^{-1} must be positive", step=n, context=inv)
-    return 1 / inv
-
-
 def psi_inv(ks: KnotSequence, n: int):
     """1/psi_n (psi_inv_formula at the knot brackets)."""
     if ks.order != 3:
@@ -147,14 +145,6 @@ def psi_inv(ks: KnotSequence, n: int):
     if not (1 <= n <= ks.m):
         raise InputError(f"index {n} outside [1,{ks.m}]")
     return psi_inv_formula(ks.bracket, ratio, n)
-
-
-def psi_fn(ks: KnotSequence, n: int):
-    """psi_n, the weaker product-friendly upper bound for b_{n,n}^n."""
-    inv = psi_inv(ks, n)
-    if inv <= 0:
-        raise ArithmeticFailure("psi_n^{-1} must be positive", step=n, context=inv)
-    return 1 / inv
 
 
 def minor_adjusted_factor(ks: KnotSequence, n: int):
@@ -170,11 +160,6 @@ def minor_adjusted_factor(ks: KnotSequence, n: int):
     if n > ks.m:
         raise InputError(f"index {n} outside [1,{ks.m}]")
     return minor_formula(ks.bracket, ratio, n)
-
-
-def theta_fn(ks: KnotSequence, n: int, b_nn):
-    """theta_n = b_{n,n}^n * M_n; defined for n >= 3 (InputError below)."""
-    return b_nn * minor_adjusted_factor(ks, n)
 
 
 # ---------------------------------------------------------------------------
@@ -193,34 +178,43 @@ class LemmaCheck:
     comparisons: int
 
 
-class _CheckAccumulator:
-    """Tracks the worst ratio/witness over a family of comparisons."""
+def _lemma_check(name, ratio, ok, witness, slack, bound=1) -> LemmaCheck:
+    """The verdict rule of every lemma family: the exact verdicts ok decide
+    when given, else each float value in ratio passes at ratio <= bound +
+    slack.  The witness, from a tuple of index columns, is the first maximal
+    ratio's; an empty family reads ratio 0.0 and witness None."""
+    import numpy as np
 
-    def __init__(self, name: str, slack: float):
-        self.name = name
-        self.slack = slack
-        self.worst = float("-inf")
-        self.witness = None
-        self.count = 0
-        self.failed = False
-
-    def add(self, ratio: float, ok: bool | None, witness) -> None:
-        self.count += 1
-        if ratio > self.worst:
-            self.worst = ratio
-            self.witness = witness
-        passed = ok if ok is not None else (ratio <= 1.0 + self.slack)
-        if not passed:
-            self.failed = True
-
-    def result(self) -> LemmaCheck:
-        worst = self.worst if self.count else 0.0
-        return LemmaCheck(self.name, not self.failed, worst, 1.0 - worst,
-                          self.witness, self.count)
+    ratio = np.asarray(ratio, dtype=float)
+    if not len(ratio):
+        return LemmaCheck(name, True, 0.0, 1.0, None, 0)
+    at = int(np.argmax(ratio))
+    worst = float(ratio[at])
+    passed = bool(np.all(ok if ok is not None else ratio <= bound + slack))
+    return LemmaCheck(name, passed, worst, 1.0 - worst,
+                      tuple(int(c[at]) for c in witness), len(ratio))
 
 
 # ---------------------------------------------------------------------------
 # The decay kernel
+
+
+def _abs_float(v) -> float:
+    """|v| as a float, inf beyond the float range (where float() raises)."""
+    try:
+        return abs(float(v))
+    except OverflowError:
+        return math.inf
+
+
+def _abs_floats(x):
+    """|x| as float64 for a 1-D array of Fractions or floats."""
+    import numpy as np
+
+    try:
+        return np.abs(x.astype(float))
+    except OverflowError:
+        return np.array([_abs_float(v) for v in x])
 
 
 def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
@@ -231,7 +225,10 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     them.  Returns (eta, raw, ratio, ok): the floats eta (correctly rounded),
     raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained), and,
     given gamma_sq, the exact verdicts
-    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).
+    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  For exact
+    entries whose float |x| or eta is not a normal float (an entry beyond the
+    float range, an eta that underflows) raw is the float of the exact
+    product |x| eta.
 
     The exact verdicts are filtered: an entry whose float ratio is at most
     1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs
@@ -255,7 +252,8 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
 
     k, ts = ks.order, ks.knots
     knots = np.array(ts)
-    if isinstance(ts[0], Fraction):
+    exact_knots = isinstance(ts[0], Fraction)
+    if exact_knots:
         # integer differences over the common denominator, each rounded once
         # by int true division: the floats of float(t_a - t_b), far cheaper
         common = math.lcm(*(t.denominator for t in ts))
@@ -265,8 +263,13 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     else:
         eta = knots[hi + k] - knots[lo]
     d = hi - lo
-    ax = np.abs(x.astype(float))
-    raw = ax * eta
+    ax = _abs_floats(x)
+    with np.errstate(invalid="ignore"):  # inf * 0, replaced just below
+        raw = ax * eta
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    if exact_knots and x.dtype == object:
+        for e in np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny))):
+            raw[e] = _abs_float(x[e] * (knots[hi[e] + k] - knots[lo[e]]))
     pw = np.array([gamma ** e for e in range(ks.m)])[d]
     scale = float(K) * pw
     ratio = raw / scale
@@ -277,9 +280,8 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
         if not (math.isfinite(gamma)
                 and abs(Fraction(gamma) ** 2 - g) <= g * Fraction(4, 2 ** 53)):
             ok[:] = False  # the margin needs gamma within 2u of sqrt(gamma_sq)
-        tiny = np.finfo(float).tiny
         for v in (ax, eta, raw, pw, scale):
-            ok &= v >= tiny
+            ok &= (v >= tiny) & (v <= huge)
         todo = np.flatnonzero(~ok)
         if len(todo):
             dt = d[todo]
@@ -292,63 +294,38 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     return eta, raw, ratio, ok
 
 
-def _decay_check(name: str, lo, hi, ratio, ok, slack: float) -> LemmaCheck:
-    """One kernel pass as a lemma family: the exact verdicts decide when
-    given, else ratio <= 1 + slack; the witness (lo+1, hi+1) is the first
-    maximal ratio in the pass's order."""
-    import numpy as np
-
-    at = int(np.argmax(ratio))
-    worst = float(ratio[at])
-    passed = bool(np.all(ok if ok is not None else ratio <= 1.0 + slack))
-    return LemmaCheck(name, passed, worst, 1.0 - worst,
-                      (int(lo[at]) + 1, int(hi[at]) + 1), len(ratio))
-
-
 # ---------------------------------------------------------------------------
-# Order-2 lemma battery
+# Lemma batteries: each family as (name, bound, [(witness n, value)]), the
+# values exact scalars or floats; verify_lemmas applies the verdict rule.
 
 
-def _linear_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
-                     slack: float) -> tuple:
-    """The order-2 families over all leading sizes n:
+def _linear_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
+    """The order-2 families over all leading sizes n, each value lhs/rhs of
+    its inequality (bound 1; inf where b_{n,n}^n <= 0):
       sandwich_lower   3/(20)_n <= b_{n,n}^n
       sandwich_middle  b_{n,n}^n <= 3/((3/4)(10)_n + (21)_n)
       sandwich_outer   3/((3/4)(10)_n + (21)_n) <= 4/(20)_n
     """
-    m = ks.m
-    br = ks.bracket
-
-    lower = _CheckAccumulator("sandwich_lower", slack)
-    middle = _CheckAccumulator("sandwich_middle", slack)
-    outer = _CheckAccumulator("sandwich_outer", slack)
-    for n in range(1, m + 1):
+    br, inf = ks.bracket, float("inf")
+    lower, middle, outer = [], [], []
+    for n in range(1, ks.m + 1):
         b = state.diag_history[n - 1]
         b20, b10, b21 = br(2, 0, n), br(1, 0, n), br(2, 1, n)
         mid_den = 3 * b10 + 4 * b21  # 4*((3/4)(10) + (21))
-        if b <= 0:
-            lower.add(float("inf"), False, (n,))
-            middle.add(float("inf"), False, (n,))
-        else:
-            r = 3 / (b20 * b)
-            lower.add(float(r), (r <= 1) if exact else None, (n,))
-            r = b * mid_den / 12
-            middle.add(float(r), (r <= 1) if exact else None, (n,))
-        r = 3 * b20 / mid_den
-        outer.add(float(r), (r <= 1) if exact else None, (n,))
-
-    return lower.result(), middle.result(), outer.result()
+        lower.append((n, 3 / (b20 * b) if b > 0 else inf))
+        middle.append((n, b * mid_den / 12 if b > 0 else inf))
+        outer.append((n, 3 * b20 / mid_den))
+    return (("sandwich_lower", 1, lower), ("sandwich_middle", 1, middle),
+            ("sandwich_outer", 1, outer))
 
 
-# ---------------------------------------------------------------------------
-# Order-3 lemma battery
-
-
-def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
-                        slack: float) -> tuple:
+def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
     """The order-3 families, from one loop over n that evaluates 1/phi_n,
     1/psi_n, a_{n-1,n} and M_n once each (M_n reuses a_{n-1,n} and the
-    previous step's a_{n-2,n-1}):
+    previous step's a_{n-2,n-1}).  Each value is lhs/rhs of its inequality
+    (bound 1; inf where b_{n,n}^n <= 0), except the two sign families, whose
+    signed values -M_n/a_{n-1,n} and -(phi_n M_n - theta_n)/(phi_n M_n) have
+    bound 0:
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
       chain_psi_le_12   psi_n <= 12/(30)_n
@@ -358,65 +335,46 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse, exact: bool,
       theta_consec      theta_n theta_{n+1} <= (87/100) *
                         ((20)_n/(30)_n)((20)_{n+1}/(30)_{n+1})      (3 <= n < m)
     """
-    m = ks.m
-    br = ks.bracket
-
-    chain_phi = _CheckAccumulator("chain_b_le_phi", slack)
-    chain_psi = _CheckAccumulator("chain_phi_le_psi", slack)
-    chain_12 = _CheckAccumulator("chain_psi_le_12", slack)
-    pair = _CheckAccumulator("offdiag_pair", slack)
-    minor = _CheckAccumulator("minor_nonneg", slack)
-    hat = _CheckAccumulator("theta_hat_bound", slack)
-    consec = _CheckAccumulator("theta_consec", slack)
+    br, inf = ks.bracket, float("inf")
+    chain_phi, chain_psi, chain_12, pair, minor, hat, consec = ([] for _ in range(7))
     prev = None  # theta_{n-1} and (20)_{n-1}/(30)_{n-1}
     off = {}  # a_{i,i+1} by i, as computed for offdiag_pair
 
     def entry(i, d):  # M_n takes a_{n-2,n-1} and a_{n-1,n} from off
         return off[i] if d == 1 else quad_formula(br, ratio, i, d)
 
-    for n in range(1, m + 1):
+    for n in range(1, ks.m + 1):
         b = state.diag_history[n - 1]
         phin_inv, psin_inv = phi_inv(ks, n), psi_inv(ks, n)
-        if b <= 0:
-            chain_phi.add(float("inf"), False, (n,))
-        else:
-            r = b * phin_inv  # b/phi
-            chain_phi.add(float(r), (r <= 1) if exact else None, (n,))
-        r = psin_inv / phin_inv  # phi/psi = (1/psi)/(1/phi) inverted
-        chain_psi.add(float(r), (r <= 1) if exact else None, (n,))
-        r = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
-        chain_12.add(float(r), (r <= 1) if exact else None, (n,))
+        chain_phi.append((n, b * phin_inv if b > 0 else inf))  # b/phi
+        chain_psi.append((n, psin_inv / phin_inv))  # phi/psi
+        chain_12.append((n, br(3, 0, n) / (12 * psin_inv)))  # psi*(30)/12
         if n < 2:
             continue
         a = off[n - 1] = quad_formula(br, ratio, n - 1, 1)
-        lhs = b * a
-        r = 5 * lhs * br(3, 0, n) / (6 * br(2, 0, n))
-        pair.add(float(r), (r <= 1) if exact else None, (n,))
+        pair.append((n, 5 * (b * a) * br(3, 0, n) / (6 * br(2, 0, n))))
         if n < 3:
             continue
         Mn = minor_formula(br, ratio, n, entry)
         theta = b * Mn
-        # ratio -M/scale so that any positive value signals failure
-        r = -Mn / a
-        minor.add(float(r), (Mn >= 0) if exact else None, (n,))
+        minor.append((n, -Mn / a))
         if phin_inv <= 0:
             raise ArithmeticFailure("phi_n^{-1} must be positive", step=n,
                                     context=phin_inv)
         hat_val = (1 / phin_inv) * Mn
         diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
-        r = -diff / (hat_val if hat_val > 0 else 1)
-        hat.add(float(r), (diff >= 0) if exact else None, (n,))
+        hat.append((n, -diff / (hat_val if hat_val > 0 else 1)))
 
         q = br(2, 0, n) / br(3, 0, n)
         if prev is not None:
-            lhs = prev[0] * theta
-            rhs = (Fraction(87, 100) if exact else 0.87) * prev[1] * q
-            r = lhs / rhs
-            consec.add(float(r), (lhs <= rhs) if exact else None, (n - 1,))
+            # Fraction * float is the float product, so both modes share this
+            consec.append((n - 1, prev[0] * theta / (Fraction(87, 100) * prev[1] * q)))
         prev = theta, q
 
-    return (chain_phi.result(), chain_psi.result(), chain_12.result(),
-            pair.result(), minor.result(), hat.result(), consec.result())
+    return (("chain_b_le_phi", 1, chain_phi), ("chain_phi_le_psi", 1, chain_psi),
+            ("chain_psi_le_12", 1, chain_12), ("offdiag_pair", 1, pair),
+            ("minor_nonneg", 0, minor), ("theta_hat_bound", 0, hat),
+            ("theta_consec", 1, consec))
 
 
 def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
@@ -426,7 +384,8 @@ def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
     families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
     for all j <= n <= m, one kernel pass over the history columns (n outer,
     j inner).  The proofs' last family, full_decay, comes from decay_report.
-    """
+    Exact values are compared with their family's bound here, float values
+    in _lemma_check."""
     import numpy as np
 
     families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)
@@ -438,12 +397,17 @@ def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
         raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
     consts = decay_constants(ks.order)
     exact = is_exact(state.diag_history[0])
+    checks = []
+    for name, bound, rows in families(ks, state):
+        ok = [v <= bound for _, v in rows] if exact else None
+        checks.append(_lemma_check(name, [float(v) for _, v in rows], ok,
+                                   ([n for n, _ in rows],), slack, bound))
     hi, lo = np.tril_indices(ks.m)
     x = np.array(list(chain.from_iterable(state.col_history)))
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
                                     consts.gamma_sq if exact else None)
-    return families(ks, state, exact, slack) + (
-        _decay_check("lastcol_decay", lo, hi, ratio, ok, slack),)
+    checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +456,7 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     lo, hi = np.triu_indices(m)
     _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,
                                     consts.gamma_sq if exact_verdicts else None)
-    full = _decay_check("full_decay", lo, hi, ratio, ok, slack)
+    full = _lemma_check("full_decay", ratio, ok, (lo + 1, hi + 1), slack)
     return DecayReport(ks.order, m, consts.K, consts.gamma_sq, full.worst_ratio,
                        full.witness, full.passed, consts.certified,
                        (full,) if consts.certified else ())
@@ -563,5 +527,5 @@ def report_csv_rows(B, ks: KnotSequence, consts: DecayConstants):
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     x = np.asarray(B)[i, j]
     eta, _, ratio, _ = _decay_kernel(x, lo, hi, ks, consts.K, consts.gamma)
-    return zip((i + 1).tolist(), (j + 1).tolist(), np.abs(x.astype(float)).tolist(),
+    return zip((i + 1).tolist(), (j + 1).tolist(), _abs_floats(x).tolist(),
                eta.tolist(), (hi - lo).tolist(), ratio.tolist())

@@ -193,19 +193,18 @@ def dense_inverse_oracle(A):
     return inv
 
 
-def check_checkerboard(B, tol=0):
+def check_checkerboard(B):
     """Check (-1)^{i+j} b_{i,j} >= 0 for all entries.
 
     Returns (passed, witness) with witness the first violating 1-based (i,j)
-    in row-major order, or None.  ``tol`` allows float-mode noise; exact mode
-    uses the default 0.
+    in row-major order, or None.
     """
     n = len(B)
     for i in range(n):
         row = B[i]
         for j in range(len(row)):
             signed = row[j] if (i + j) % 2 == 0 else -row[j]
-            if signed < -tol:
+            if signed < 0:
                 return False, (i + 1, j + 1)
     return True, None
 

@@ -33,8 +33,8 @@ scalars pass the same exactness check as polynomial coefficients.
 
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
 and raise ResourceBudgetError with partial statistics when it is exceeded.
-The budget lives in a context variable: ``set_term_budget`` and
-``term_budget`` act on the current thread or task only.
+The budget lives in a context variable: ``term_budget`` acts on the current
+thread or task only.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def _valid_budget(n) -> int:
 
 def get_term_budget() -> int:
     return _term_budget.get()
-
-
-def set_term_budget(n: int) -> None:
-    """Set the term budget of the current context."""
-    _term_budget.set(_valid_budget(n))
 
 
 @contextmanager

@@ -157,6 +157,27 @@ def test_verify_violation_exits_1(capsys, monkeypatch):
     assert obj["checkerboard"] is None
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+def test_verify_entries_beyond_the_float_range(capsys, tmp_path):
+    # gaps of 10^-400: inverse entries overflow floats and eta underflows,
+    # yet each |b| eta / (K gamma^d) is a finite ratio below 1
+    tiny = F(1, 10 ** 400)
+    path = tmp_path / "mesh.json"
+    save_partition(KnotSequence(2, [F(1, 2), F(1, 2) + tiny, F(1, 2) + 2 * tiny]),
+                   path)
+    csv_path = tmp_path / "ratios.csv"
+    argv = ["verify", "--order", "2", "--spec", f"explicit:{path}"]
+    for extra in ([], ["--csv", str(csv_path)]):
+        code, out = _run(capsys, argv + extra)
+        assert code == 0
+        obj = json.loads(out, parse_constant=_no_constant)
+        assert obj["passed"] and 0 < obj["worst_ratio"] < 1
+    assert len(csv_path.read_text().strip().splitlines()) == 1 + 5 * 5
+
+
 def test_verify_fitted_order_never_fails(capsys):
     code, obj = _run_json(capsys, ["verify", "--order", "4",
                                    "--spec", "uniform:6"])

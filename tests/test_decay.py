@@ -9,9 +9,8 @@ import pytest
 
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         decay_report, fit_decay_constants, invert_iteratively,
-                        phi_fn, phi_inv, psi_fn, psi_inv, report_csv_rows,
-                        report_to_json, shrink_one_gap, theta_fn,
-                        verify_lemmas)
+                        phi_inv, psi_inv, report_csv_rows, report_to_json,
+                        shrink_one_gap, verify_lemmas)
 from splinegram.decay import (_decay_kernel, attach_lemma_checks,
                               minor_adjusted_factor)
 
@@ -57,13 +56,13 @@ def test_phi_first_index():
     # at n=1 every term with a left-reaching bracket vanishes: phi_1 = 5/(30)_1
     ks = KnotSequence(3, [F(1, 5), F(1, 2)])
     assert phi_inv(ks, 1) == ks.bracket(3, 0, 1) / 5
-    assert phi_fn(ks, 1) == 5 / ks.bracket(3, 0, 1)
+    assert 1 / phi_inv(ks, 1) == 5 / ks.bracket(3, 0, 1)
 
 
 def test_psi_uniform_value():
     # uniform interior gaps h: psi = 36/(13h); h = 1/6 gives 216/13
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
-    assert psi_fn(ks, 4) == F(216, 13)
+    assert 1 / psi_inv(ks, 4) == F(216, 13)
     assert psi_inv(ks, 4) == F(13, 216)
 
 
@@ -75,7 +74,8 @@ def test_bound_chain():
         st = _inverted(ks)
         for n in range(1, ks.m + 1):
             b = st.diag_history[n - 1]
-            assert b <= phi_fn(ks, n) <= psi_fn(ks, n) <= 12 / ks.bracket(3, 0, n)
+            phi, psi = 1 / phi_inv(ks, n), 1 / psi_inv(ks, n)
+            assert b <= phi <= psi <= 12 / ks.bracket(3, 0, n)
 
 
 def test_minor_adjusted_factor_and_theta():
@@ -83,11 +83,8 @@ def test_minor_adjusted_factor_and_theta():
     st = _inverted(ks)
     for n in range(3, ks.m + 1):
         mval = minor_adjusted_factor(ks, n)
-        assert mval >= 0
-        b = st.diag_history[n - 1]
-        assert theta_fn(ks, n, b) == b * mval
-    with pytest.raises(InputError):
-        theta_fn(ks, 2, F(1))
+        theta = st.diag_history[n - 1] * mval
+        assert mval >= 0 and 0 <= theta <= mval / phi_inv(ks, n)  # <= phi_n M_n
     with pytest.raises(InputError):
         minor_adjusted_factor(ks, 2)
 
@@ -145,6 +142,28 @@ def test_battery_float_with_slack():
             ks = KnotSequence(order, pts)
             checks = verify_lemmas(ks, _inverted(ks), slack=1e-12)
             assert all(c.passed for c in checks), (order, count)
+
+
+def test_negative_minor_fails_in_both_modes(monkeypatch):
+    # M_n = -a_{n-1,n}/2 breaks M_n >= 0 and theta_n <= phi_n M_n; their signed
+    # values pass only at <= 0, so float mode fails them as exact mode does
+    from splinegram import decay
+    monkeypatch.setattr(decay, "minor_formula",
+                        lambda br, ratio, n, a: -a(n - 1, 1) / 2)
+    rng = random.Random(27)
+    for _ in range(4):
+        ks = _random_exact(rng, 3, rng.randint(2, 12))
+        if rng.random() < 0.5:
+            ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
+        fks = KnotSequence(3, [float(t) for t in ks.interior])
+        exact = verify_lemmas(ks, _inverted(ks))
+        floats = verify_lemmas(fks, _inverted(fks), slack=1e-12)
+        assert [c.name for c in exact] == [c.name for c in floats]
+        for e, f in zip(exact, floats):
+            if e.name in ("minor_nonneg", "theta_hat_bound"):
+                assert not e.passed and not f.passed, e.name
+            else:
+                assert e.passed == f.passed, e.name
 
 
 def test_battery_requires_history():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinegram import (FactoredRational, InputError, MultiPoly,
-                        ResourceBudgetError, get_term_budget,
-                        set_term_budget, term_budget)
+                        ResourceBudgetError, get_term_budget, term_budget)
 from splinegram.multipoly import _MIN_BITS, poly_product
 from splinegram.polycert import _nonneg_witness
 
@@ -244,19 +243,21 @@ def test_budget_validation():
         with term_budget(0):
             pass
     with pytest.raises(InputError):
-        set_term_budget(-1)
+        with term_budget(-1):
+            pass
 
 
 def test_budget_is_context_local():
     default = get_term_budget()
 
     def inner():
-        set_term_budget(7)
-        return get_term_budget()
+        with term_budget(7):
+            return get_term_budget(), contextvars.copy_context()
 
     ctx = contextvars.copy_context()
-    assert ctx.run(inner) == 7
-    assert ctx.run(get_term_budget) == 7
+    inside, snapshot = ctx.run(inner)
+    assert inside == 7 and snapshot.run(get_term_budget) == 7
+    assert ctx.run(get_term_budget) == default
     assert get_term_budget() == default
     x1 = MultiPoly.variable(2, 1)
     dense = (1 + x1 + MultiPoly.variable(2, 2)) ** 3

@@ -10,8 +10,7 @@ from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         ResourceBudgetError, build_inequality,
                         certificate_to_json, certify_inequality,
                         certify_nonneg, gaps_for, minor_adjusted_factor,
-                        phi_fn, phi_inv, psi_fn, psi_inv, quad_entry,
-                        spot_check, term_budget)
+                        phi_inv, psi_inv, quad_entry, spot_check, term_budget)
 from splinegram.decay import minor_formula, phi_inv_formula, psi_inv_formula
 from splinegram.gram import quad_formula, ratio
 from splinegram.polycert import INEQUALITY_NAMES, _expect_den, _sym
@@ -95,7 +94,7 @@ def test_psi_at_unit_gaps():
     # partition the gap lengths scale psi to 36/(13 h)
     assert _sym(psi_inv_formula, GapBasis(3))(0)((1, 1, 1)) == F(13, 36)
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
-    assert psi_fn(ks, 4) == F(36, 13) * 6
+    assert 1 / psi_inv(ks, 4) == F(36, 13) * 6
 
 
 def test_phi_degenerates_without_interior_knots():
@@ -110,7 +109,7 @@ def test_phi_degenerates_without_interior_knots():
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
         assert abs(f((eps, eps, eps, F(1))) - F(1, 5)) < eps
     ks = KnotSequence(3, [])
-    assert phi_fn(ks, 1) == 5 / ks.bracket(3, 0, 1) == 5
+    assert 1 / phi_inv(ks, 1) == 5 / ks.bracket(3, 0, 1) == 5
 
 
 # ---------------------------------------------------------------------------
