@@ -14,13 +14,15 @@ option names; ``python -m json.tool FILE`` pretty-prints it.
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot),
 3 bad input.  All output is deterministic for fixed arguments (seeded RNG,
-no timestamps).
+no timestamps).  ``main`` builds its argument parser on the first call and
+reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -246,10 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

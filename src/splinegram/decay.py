@@ -34,8 +34,14 @@ for every family) is thus no distance to their bound.
 
 The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
 (``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over a bracket
-provider and a ratio combinator, like gram.quad_formula; the functions here
-apply them to knot brackets, and polycert to gap-variable brackets.
+provider and a ratio combinator, like gram.quad_formula.  The batteries
+evaluate them, and every family, as array passes over all leading sizes n at
+once: the array brackets ``KnotSequence.brackets`` with gram.ratio acting
+elementwise, float64 arrays in float mode and object arrays of Fractions in
+exact mode, with the per-element operation order of a loop over n.
+``phi_inv``, ``psi_inv`` and ``minor_adjusted_factor`` evaluate one n over
+the scalar knot brackets, and polycert the same formulas over gap-variable
+brackets.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ArithmeticFailure, InputError
-from .gram import quad_formula, ratio
+from .gram import _quad_bands, quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
 from .scalars import format_scalar, is_exact
@@ -295,37 +301,48 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
 
 
 # ---------------------------------------------------------------------------
-# Lemma batteries: each family as (name, bound, [(witness n, value)]), the
-# values exact scalars or floats; verify_lemmas applies the verdict rule.
+# Lemma batteries: each family as (name, bound, witness n, values), the
+# values one array over n of exact scalars (an object array) or float64;
+# verify_lemmas applies the verdict rule.
+
+
+def _select(cond, value, fill=math.inf):
+    """value(at) at the positions ``at`` where cond holds, fill elsewhere:
+    value sees only those positions, so what cond guards never runs."""
+    import numpy as np
+
+    at = np.flatnonzero(cond)
+    part = value(at)
+    out = np.full(len(cond), fill, part.dtype)
+    out[at] = part
+    return out
 
 
 def _linear_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
-    """The order-2 families over all leading sizes n, each value lhs/rhs of
-    its inequality (bound 1; inf where b_{n,n}^n <= 0):
+    """The order-2 families over all leading sizes n, one array pass each,
+    each value lhs/rhs of its inequality (bound 1; inf where b_{n,n}^n <= 0):
       sandwich_lower   3/(20)_n <= b_{n,n}^n
       sandwich_middle  b_{n,n}^n <= 3/((3/4)(10)_n + (21)_n)
       sandwich_outer   3/((3/4)(10)_n + (21)_n) <= 4/(20)_n
     """
-    br, inf = ks.bracket, float("inf")
-    lower, middle, outer = [], [], []
-    for n in range(1, ks.m + 1):
-        b = state.diag_history[n - 1]
-        b20, b10, b21 = br(2, 0, n), br(1, 0, n), br(2, 1, n)
-        mid_den = 3 * b10 + 4 * b21  # 4*((3/4)(10) + (21))
-        lower.append((n, 3 / (b20 * b) if b > 0 else inf))
-        middle.append((n, b * mid_den / 12 if b > 0 else inf))
-        outer.append((n, 3 * b20 / mid_den))
-    return (("sandwich_lower", 1, lower), ("sandwich_middle", 1, middle),
-            ("sandwich_outer", 1, outer))
+    import numpy as np
+
+    br, n = ks.brackets, np.arange(1, ks.m + 1)
+    b = np.array(state.diag_history)
+    b20, b10, b21 = br(2, 0, n), br(1, 0, n), br(2, 1, n)
+    mid_den = 3 * b10 + 4 * b21  # 4*((3/4)(10) + (21))
+    return (("sandwich_lower", 1, n, _select(b > 0, lambda at: 3 / (b20[at] * b[at]))),
+            ("sandwich_middle", 1, n, _select(b > 0, lambda at: b[at] * mid_den[at] / 12)),
+            ("sandwich_outer", 1, n, 3 * b20 / mid_den))
 
 
 def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
-    """The order-3 families, from one loop over n that evaluates 1/phi_n,
-    1/psi_n, a_{n-1,n} and M_n once each (M_n reuses a_{n-1,n} and the
-    previous step's a_{n-2,n-1}).  Each value is lhs/rhs of its inequality
-    (bound 1; inf where b_{n,n}^n <= 0), except the two sign families, whose
-    signed values -M_n/a_{n-1,n} and -(phi_n M_n - theta_n)/(phi_n M_n) have
-    bound 0:
+    """The order-3 families, each one array pass over n: 1/phi_n and 1/psi_n
+    for all n at once, a_{n-1,n} and the other entries of M_n from the
+    Gram diagonals of gram._quad_bands.  Each value is lhs/rhs of its
+    inequality (bound 1; inf where b_{n,n}^n <= 0), except the two sign
+    families, whose signed values -M_n/a_{n-1,n} and
+    -(phi_n M_n - theta_n)/(phi_n M_n) have bound 0:
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
       chain_psi_le_12   psi_n <= 12/(30)_n
@@ -334,47 +351,41 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
       theta_hat_bound   theta_n <= phi_n M_n                        (n >= 3)
       theta_consec      theta_n theta_{n+1} <= (87/100) *
                         ((20)_n/(30)_n)((20)_{n+1}/(30)_{n+1})      (3 <= n < m)
+    A 1/phi_n <= 0 at n >= 3 raises ArithmeticFailure at the first such n.
     """
-    br, inf = ks.bracket, float("inf")
-    chain_phi, chain_psi, chain_12, pair, minor, hat, consec = ([] for _ in range(7))
-    prev = None  # theta_{n-1} and (20)_{n-1}/(30)_{n-1}
-    off = {}  # a_{i,i+1} by i, as computed for offdiag_pair
+    import numpy as np
 
-    def entry(i, d):  # M_n takes a_{n-2,n-1} and a_{n-1,n} from off
-        return off[i] if d == 1 else quad_formula(br, ratio, i, d)
+    br, n = ks.brackets, np.arange(1, ks.m + 1)
+    b = np.array(state.diag_history)
+    phin_inv, psin_inv = phi_inv_formula(br, ratio, n), psi_inv_formula(br, ratio, n)
+    bad = np.flatnonzero(phin_inv[2:] <= 0)
+    if len(bad):
+        at = 2 + int(bad[0])
+        raise ArithmeticFailure("phi_n^{-1} must be positive", step=at + 1,
+                                context=phin_inv.tolist()[at])
+    chain_phi = _select(b > 0, lambda at: b[at] * phin_inv[at])  # b/phi
+    chain_psi = psin_inv / phin_inv  # phi/psi
+    chain_12 = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
 
-    for n in range(1, ks.m + 1):
-        b = state.diag_history[n - 1]
-        phin_inv, psin_inv = phi_inv(ks, n), psi_inv(ks, n)
-        chain_phi.append((n, b * phin_inv if b > 0 else inf))  # b/phi
-        chain_psi.append((n, psin_inv / phin_inv))  # phi/psi
-        chain_12.append((n, br(3, 0, n) / (12 * psin_inv)))  # psi*(30)/12
-        if n < 2:
-            continue
-        a = off[n - 1] = quad_formula(br, ratio, n - 1, 1)
-        pair.append((n, 5 * (b * a) * br(3, 0, n) / (6 * br(2, 0, n))))
-        if n < 3:
-            continue
-        Mn = minor_formula(br, ratio, n, entry)
-        theta = b * Mn
-        minor.append((n, -Mn / a))
-        if phin_inv <= 0:
-            raise ArithmeticFailure("phi_n^{-1} must be positive", step=n,
-                                    context=phin_inv)
-        hat_val = (1 / phin_inv) * Mn
-        diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
-        hat.append((n, -diff / (hat_val if hat_val > 0 else 1)))
+    bands = _quad_bands(ks)
+    a = bands[1]  # a_{n-1,n} for n = 2..m
+    n2, n3 = n[1:], n[2:]
+    pair = 5 * (b[1:] * a) * br(3, 0, n2) / (6 * br(2, 0, n2))
+    Mn = minor_formula(br, ratio, n3, lambda i, d: bands[d][i - 1])
+    theta = b[2:] * Mn
+    minor = -Mn / a[1:]
+    hat_val = (1 / phin_inv[2:]) * Mn
+    diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
+    hat = -diff / np.where(hat_val > 0, hat_val, 1)
+    q = br(2, 0, n3) / br(3, 0, n3)
+    # the float of 87/100 in float mode, as Fraction * float computes
+    g = Fraction(87, 100) if q.dtype == object else float(Fraction(87, 100))
+    consec = theta[:-1] * theta[1:] / (g * q[:-1] * q[1:])
 
-        q = br(2, 0, n) / br(3, 0, n)
-        if prev is not None:
-            # Fraction * float is the float product, so both modes share this
-            consec.append((n - 1, prev[0] * theta / (Fraction(87, 100) * prev[1] * q)))
-        prev = theta, q
-
-    return (("chain_b_le_phi", 1, chain_phi), ("chain_phi_le_psi", 1, chain_psi),
-            ("chain_psi_le_12", 1, chain_12), ("offdiag_pair", 1, pair),
-            ("minor_nonneg", 0, minor), ("theta_hat_bound", 0, hat),
-            ("theta_consec", 1, consec))
+    return (("chain_b_le_phi", 1, n, chain_phi), ("chain_phi_le_psi", 1, n, chain_psi),
+            ("chain_psi_le_12", 1, n, chain_12), ("offdiag_pair", 1, n2, pair),
+            ("minor_nonneg", 0, n3, minor), ("theta_hat_bound", 0, n3, hat),
+            ("theta_consec", 1, n3[:-1], consec))
 
 
 def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
@@ -398,10 +409,9 @@ def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
     consts = decay_constants(ks.order)
     exact = is_exact(state.diag_history[0])
     checks = []
-    for name, bound, rows in families(ks, state):
-        ok = [v <= bound for _, v in rows] if exact else None
-        checks.append(_lemma_check(name, [float(v) for _, v in rows], ok,
-                                   ([n for n, _ in rows],), slack, bound))
+    for name, bound, n, values in families(ks, state):
+        ok = values <= bound if exact else None
+        checks.append(_lemma_check(name, values, ok, (n,), slack, bound))
     hi, lo = np.tril_indices(ks.m)
     x = np.array(list(chain.from_iterable(state.col_history)))
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,

@@ -5,12 +5,17 @@ The Gram matrix A has entries a_{i,j} = integral of N_{i,k} N_{j,k} over
 [0,1]; it is symmetric, positive definite, and banded with bandwidth k-1.
 Closed forms follow the bracket notation (ln)_j = t_{j+l} - t_{j+n}; boundary
 0/0 ratios resolve by the rule of ``ratio``: a monomial ratio whose numerator
-contains a zero factor is 0, before any division.
+contains a zero factor is 0, before any division, elementwise over arrays.
 
-The order-3 entries are written once, in ``quad_formula``, over a bracket
-provider and a ratio combinator.  ``quad_entry`` instantiates it with the
-knot brackets and ``ratio``; polycert instantiates the same formula with
-gap-variable brackets and factored rational functions for the certificates.
+The order-2 and order-3 entries are written once (``linear_formula``,
+``quad_formula``) over a bracket provider and a ratio combinator.
+``gram_linear`` and ``gram_quadratic`` evaluate them as array passes over
+all indices i at once, with the array brackets ``KnotSequence.brackets``
+(object arrays of Fractions in exact mode, float64 in float mode) and
+``ratio``; ``linear_entry`` and ``quad_entry`` evaluate one entry over the
+scalar brackets ``KnotSequence.bracket``; polycert instantiates the same
+formula with gap-variable brackets and factored rational functions for the
+certificates.
 """
 
 from __future__ import annotations
@@ -90,22 +95,61 @@ class MinorReport:
         return self.min_value >= 0
 
 
-def ratio(num_factors, den_factors):
-    """Monomial ratio under the 0/0 rule.
+def _product(factors):
+    """The factors multiplied left to right."""
+    out = None
+    for f in factors:
+        out = f if out is None else out * f
+    return out
 
-    If any numerator factor is zero the ratio is that factor's zero (no
-    division attempted); otherwise all denominator factors must be nonzero.
-    Factors multiply left to right, the numerator's first.
-    """
-    num = None
-    for f in num_factors:
-        if f == 0:
-            return f * 0
-        num = f if num is None else num * f
-    den = None
-    for f in den_factors:
-        den = f if den is None else den * f
+
+def _divide(num, den):
+    """num / den; a zero float64 denominator raises ZeroDivisionError, as a
+    zero float or Fraction denominator does, instead of dividing to inf."""
+    if getattr(den, "dtype", None) == float and not den.all():
+        raise ZeroDivisionError("float division by zero")
     return num / den
+
+
+def ratio(num_factors, den_factors):
+    """Monomial ratio under the 0/0 rule, for scalar factors or elementwise
+    over 1-D numpy arrays of one length (scalar factors broadcast).
+
+    Where any numerator factor is zero the ratio is that factor's zero, and
+    nothing is divided there; elsewhere all denominator factors must be
+    nonzero (ZeroDivisionError).  Factors multiply left to right, the
+    numerator's first.
+    """
+    import numpy as np
+
+    live = True
+    for f in num_factors:
+        live = live & (f != 0)
+    if not isinstance(live, np.ndarray):  # scalar factors
+        if not live:
+            return next(f for f in num_factors if f == 0) * 0
+        return _product(num_factors) / _product(den_factors)
+    num, den = _product(num_factors), _product(den_factors)
+    if live.all():
+        return _divide(num, den)
+    dead = np.flatnonzero(~live)
+    if isinstance(den, np.ndarray):  # no division at the dead positions
+        den = den.copy()
+        den[dead] = 1
+    out = _divide(num, den)
+    for e in dead.tolist():
+        for f in num_factors:
+            z = f[e] if isinstance(f, np.ndarray) else f
+            if z == 0:
+                out[e] = z * 0
+                break
+    return out
+
+
+def linear_formula(br, i, d: int):
+    """Order-2 Gram entry a_{i,i+d}, d in {0, 1}, over a bracket provider
+    ``br(l, e, i)`` = (le)_i: a_{i,i} = (20)_i/3, a_{i,i+1} = (21)_i/6."""
+    return br(2, 0, i) / 3 if d == 0 else br(2, 1, i) / 6
 
 
 def linear_entry(ks: KnotSequence, i: int, j: int):
@@ -115,11 +159,9 @@ def linear_entry(ks: KnotSequence, i: int, j: int):
     if not (1 <= i <= ks.m and 1 <= j <= ks.m):
         raise InputError(f"index ({i},{j}) outside [1,{ks.m}]^2")
     i, j = min(i, j), max(i, j)
-    if j == i:
-        return ks.bracket(2, 0, i) / 3
-    if j == i + 1:
-        return ks.bracket(2, 1, i) / 6
-    return ks.knot(1) * 0
+    if j - i > 1:
+        return ks.knot(1) * 0
+    return linear_formula(ks.bracket, i, j - i)
 
 
 def quad_formula(br, ratio, i: int, d: int):
@@ -161,25 +203,36 @@ def quad_entry(ks: KnotSequence, i: int, j: int):
     return quad_formula(ks.bracket, ratio, i, j - i)
 
 
+def _indices(ks: KnotSequence, d: int):
+    """The index array i = 1..m-d of the d-th diagonal."""
+    import numpy as np
+
+    return np.arange(1, ks.m - d + 1)
+
+
+def _quad_bands(ks: KnotSequence) -> tuple:
+    """The diagonals a_{i,i+d}, d = 0, 1, 2, of the order-3 Gram matrix as
+    arrays, each one pass of quad_formula over the array brackets."""
+    return tuple(quad_formula(ks.brackets, ratio, _indices(ks, d), d) for d in range(3))
+
+
+def _banded(ks: KnotSequence, bands) -> SymBandedMatrix:
+    # tolist: Python floats in float mode, the same Fractions in exact
+    return SymBandedMatrix(ks.m, len(bands) - 1, tuple(tuple(b.tolist()) for b in bands))
+
+
 def gram_linear(ks: KnotSequence) -> SymBandedMatrix:
     """Order-2 Gram matrix: a_{i,i} = (20)_i/3, a_{i,i+1} = (21)_i/6."""
     if ks.order != 2:
         raise InputError("gram_linear requires an order-2 knot sequence")
-    m = ks.m
-    diag = tuple(linear_entry(ks, i, i) for i in range(1, m + 1))
-    off = tuple(linear_entry(ks, i, i + 1) for i in range(1, m))
-    return SymBandedMatrix(m, 1, (diag, off))
+    return _banded(ks, [linear_formula(ks.brackets, _indices(ks, d), d) for d in (0, 1)])
 
 
 def gram_quadratic(ks: KnotSequence) -> SymBandedMatrix:
-    """Order-3 Gram matrix with the closed-form bracket entries of quad_entry."""
+    """Order-3 Gram matrix with the closed-form bracket entries of quad_formula."""
     if ks.order != 3:
         raise InputError("gram_quadratic requires an order-3 knot sequence")
-    m = ks.m
-    diag = tuple(quad_entry(ks, i, i) for i in range(1, m + 1))
-    off1 = tuple(quad_entry(ks, i, i + 1) for i in range(1, m))
-    off2 = tuple(quad_entry(ks, i, i + 2) for i in range(1, m - 1))
-    return SymBandedMatrix(m, 2, (diag, off1, off2))
+    return _banded(ks, _quad_bands(ks))
 
 
 def quadratic_cross_terms(ks: KnotSequence, i: int):

@@ -199,12 +199,10 @@ def check_checkerboard(B):
     Returns (passed, witness) with witness the first violating 1-based (i,j)
     in row-major order, or None.
     """
-    n = len(B)
-    for i in range(n):
-        row = B[i]
-        for j in range(len(row)):
-            signed = row[j] if (i + j) % 2 == 0 else -row[j]
-            if signed < 0:
+    for i, row in enumerate(B):
+        for j, x in enumerate(row):
+            # (-1)^{i+j} x < 0 decided by one comparison, without negating x
+            if (x > 0) if (i + j) & 1 else (x < 0):
                 return False, (i + 1, j + 1)
     return True, None
 

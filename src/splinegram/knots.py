@@ -8,6 +8,10 @@ clamp: t_i = 0 for i <= 0 and t_i = 1 for i >= m+k+1.
 All scalar arithmetic is generic: build the sequence from ``Fraction`` values
 and every evaluation stays exact; build from floats and it runs in double
 precision.  Indexing follows the mathematical convention (1-based).
+
+``KnotSequence.bracket`` gives one bracket; ``KnotSequence.brackets`` is
+the array bracket provider, which evaluates a bracket at a whole index array
+n at once (numpy arrays of Fractions in exact mode, float64 in float mode).
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from fractions import Fraction
 
 from .errors import InputError
 from .scalars import format_scalar, is_exact, parse_scalar
+
+# Knot indices the array bracket provider reaches beyond 1..m+k on each side.
+BRACKET_PAD = 4
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,9 @@ class KnotSequence:
     order: int
     interior: tuple
     knots: tuple = field(init=False, repr=False)
+    # (ell, en) -> bracket array of ``brackets``; the padded knots at None
+    _arrays: dict = field(init=False, repr=False, compare=False,
+                          default_factory=dict)
 
     def __post_init__(self):
         k = self.order
@@ -80,6 +90,32 @@ class KnotSequence:
     def bracket(self, ell: int, en: int, j: int):
         """(ell en)_j = t_{j+ell} - t_{j+en}."""
         return self.knot(j + ell) - self.knot(j + en)
+
+    def brackets(self, ell: int, en: int, n):
+        """The array bracket provider: (ell en)_n for every entry of an int
+        index array n with 0 <= n <= m, as a numpy array (Fractions in an
+        object array in exact mode, float64 in float mode), each entry the
+        same knot difference as ``bracket(ell, en, n)``.
+
+        The brackets come from a clamped knot array padded by BRACKET_PAD
+        knots on each side, built once; each (ell, en) bracket is computed
+        once for all n per sequence, and a call only gathers its entries."""
+        arrays = self._arrays
+        key = (ell, en)
+        if key not in arrays:
+            import numpy as np
+
+            pad, m = BRACKET_PAD, self.m
+            if not (-pad <= min(ell, en) and max(ell, en) <= self.order + pad):
+                raise InputError(f"bracket ({ell},{en}) reaches past the "
+                                 f"knot padding of {pad}")
+            if None not in arrays:  # t_i at position i + pad
+                arrays[None] = np.array(
+                    [self.knot(i) for i in range(-pad, m + self.order + pad + 1)],
+                    dtype=float if isinstance(self.knots[0], float) else object)
+            t = arrays[None]
+            arrays[key] = t[pad + ell:pad + ell + m + 1] - t[pad + en:pad + en + m + 1]
+        return arrays[key][n]
 
     def eta(self, i: int, j: int):
         """eta_ij = t_{max(i,j)+k} - t_{min(i,j)}, the length of J_ij."""

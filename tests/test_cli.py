@@ -316,3 +316,53 @@ def test_bad_spec_rejected(capsys):
         code, _ = _run(capsys, ["gram", "--order", "2",
                                 "--spec", f"geometric:{ratio}:3"])
         assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# One parser per process, and no numpy at import
+
+SEQUENCE = (
+    ["verify", "--order", "3", "--spec", "random:6", "--seed", "2"],
+    ["verify", "--order", "2", "--no-such-flag"],           # usage error: exit 2
+    ["gram", "--order", "3", "--spec", "geometric:2:5"],    # bad spec: exit 3
+    ["invert", "--order", "3", "--spec", "uniform:4", "--mode", "float"],
+    ["certify", "offdiag"],
+    ["verify", "--order", "2", "--trials", "3", "--max-m", "8"],
+)
+
+
+def _call(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors exit from parse_args
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_fresh_parsers(capsys, monkeypatch):
+    from splinegram import cli
+
+    shared = [_call(capsys, argv) for argv in SEQUENCE]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_call(capsys, argv) for argv in SEQUENCE]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 3, 0, 0, 0]
+    assert "unrecognized arguments: --no-such-flag" in shared[1][2]
+    assert shared[2][2].startswith("error: ")
+
+
+def test_cli_import_loads_no_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import splinegram
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(splinegram.__file__)))
+    code = "import sys, splinegram.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -112,6 +112,26 @@ def test_ratio_zero_numerator_rule(zero):
     assert type(ratio((a, b), (5,))) is type(zero)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("zero", [F(0), 0.0], ids=["Fraction", "float"])
+def test_ratio_acts_elementwise(zero):
+    import numpy as np
+
+    one = zero + 1
+    dtype = object if isinstance(zero, F) else float
+    num = (np.array([one / 3, zero, one / 5, one], dtype), 2,
+           np.array([one / 7, one, zero, one / 9], dtype))
+    den = (30, np.array([one / 11, zero, zero, one / 13], dtype))
+    r = ratio(num, den)
+    assert r.dtype == dtype
+    for e, x in enumerate(r.tolist()):
+        scalar = ratio(tuple(f[e] if np.ndim(f) else f for f in num),
+                       tuple(f[e] if np.ndim(f) else f for f in den))
+        assert x == scalar and type(x) is type(zero)
+    with pytest.raises(ZeroDivisionError):  # a live ratio over zero
+        ratio(num, (np.array([one, one, one, zero], dtype),))
+
+
 # ---------------------------------------------------------------------------
 # Cross terms (order 3, first off-diagonal)
 

@@ -78,6 +78,28 @@ def test_bracket_values():
     assert KnotSequence(3, []).bracket(3, 0, 1) == 1
 
 
+@pytest.mark.parametrize("interior", [[F(1, 7), F(2, 5), F(3, 4)], [0.1, 0.35, 0.9], []],
+                         ids=["exact", "float", "no-interior"])
+def test_array_brackets_equal_scalar_brackets(interior):
+    import numpy as np
+
+    for k in (2, 3):
+        ks = KnotSequence(k, interior)
+        n = np.arange(0, ks.m + 1)
+        for ell in range(-4, k + 5):
+            for en in range(-4, ell + 1):
+                got = ks.brackets(ell, en, n).tolist()
+                assert got == [ks.bracket(ell, en, j) for j in range(ks.m + 1)]
+                assert all(type(x) is type(ks.knot(1)) for x in got)
+        # any int index array, in any order, with repeats
+        at = np.array([ks.m, 1, 1])
+        assert ks.brackets(3, 0, at).tolist() == [ks.bracket(3, 0, j) for j in at.tolist()]
+        with pytest.raises(InputError):
+            ks.brackets(k + 5, 0, n)
+        with pytest.raises(InputError):
+            ks.brackets(1, -5, n)
+
+
 def test_eta_values():
     assert KnotSequence(2, []).eta(1, 1) == 1
     ks = KnotSequence(2, [F(1, 2)])
