@@ -12,8 +12,9 @@ encoder, default separators) to stdout or to the file its --out/--history
 option names; ``python -m json.tool FILE`` pretty-prints it.
 
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
-failed or arithmetic/resource failure (term budget, singular pivot),
-3 bad input.  All output is deterministic for fixed arguments (seeded RNG,
+failed or arithmetic/resource failure (term budget, singular pivot, a float
+bracket product that underflows, a float inverse entry that overflows),
+3 bad input (including an unreadable partition file).  All output is deterministic for fixed arguments (seeded RNG,
 no timestamps).  ``main`` builds its argument parser on the first call and
 reuses it for every later call in the process.
 """

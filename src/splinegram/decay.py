@@ -38,10 +38,9 @@ provider and a ratio combinator, like gram.quad_formula.  The batteries
 evaluate them, and every family, as array passes over all leading sizes n at
 once: the array brackets ``KnotSequence.brackets`` with gram.ratio acting
 elementwise, float64 arrays in float mode and object arrays of Fractions in
-exact mode, with the per-element operation order of a loop over n.
-``phi_inv``, ``psi_inv`` and ``minor_adjusted_factor`` evaluate one n over
-the scalar knot brackets, and polycert the same formulas over gap-variable
-brackets.
+exact mode, with the per-element operation order of a loop over n.  That
+is their one numeric evaluation; polycert evaluates the same formulas over
+gap-variable brackets.
 """
 
 from __future__ import annotations
@@ -132,40 +131,6 @@ def minor_formula(br, ratio, n: int, a=None):
         def a(i, d):
             return quad_formula(br, ratio, i, d)
     return a(n - 1, 1) - a(n - 2, 2) * a(n - 1, 0) / a(n - 2, 1)
-
-
-def phi_inv(ks: KnotSequence, n: int):
-    """1/phi_n: the lower bound for 1/b_{n,n}^n (phi_inv_formula at the knot
-    brackets, zero-numerator rule of gram.ratio)."""
-    if ks.order != 3:
-        raise InputError("phi is defined for order-3 sequences")
-    if not (1 <= n <= ks.m):
-        raise InputError(f"index {n} outside [1,{ks.m}]")
-    return phi_inv_formula(ks.bracket, ratio, n)
-
-
-def psi_inv(ks: KnotSequence, n: int):
-    """1/psi_n (psi_inv_formula at the knot brackets)."""
-    if ks.order != 3:
-        raise InputError("psi is defined for order-3 sequences")
-    if not (1 <= n <= ks.m):
-        raise InputError(f"index {n} outside [1,{ks.m}]")
-    return psi_inv_formula(ks.bracket, ratio, n)
-
-
-def minor_adjusted_factor(ks: KnotSequence, n: int):
-    """M_n (minor_formula at the knot brackets; order 3, n >= 3).
-
-    The numerator of M_n is the 2x2 minor on rows (n-2,n-1), columns (n-1,n);
-    total positivity makes it nonnegative.
-    """
-    if ks.order != 3:
-        raise InputError("the minor-adjusted factor requires order 3")
-    if n < 3:
-        raise InputError(f"minor-adjusted factor needs n >= 3, got {n}")
-    if n > ks.m:
-        raise InputError(f"index {n} outside [1,{ks.m}]")
-    return minor_formula(ks.bracket, ratio, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
 Three failure classes are distinguished so the CLI can map them to exit codes:
-bad input (3), exact-arithmetic breakdown (2), and blown resource budgets (2).
+bad input (3), arithmetic breakdown (2), and blown resource budgets (2).
 Bound *violations* are not errors; they are reported as failing checks.
 """
 
@@ -11,7 +11,8 @@ class InputError(ValueError):
 
 
 class ArithmeticFailure(ArithmeticError):
-    """An exact computation hit a structurally impossible state.
+    """A computation hit a structurally impossible state, or in float mode
+    left the double range.
 
     Carries enough context to reproduce: the step index and the offending
     quantity (e.g. the diagonal entry whose LDL^T pivot came out zero).
@@ -24,7 +25,7 @@ class ArithmeticFailure(ArithmeticError):
 
 
 class ResourceBudgetError(RuntimeError):
-    """A configurable budget (term count, minor count) was exceeded.
+    """A configurable budget (such as the polynomial term count) was exceeded.
 
     ``partial`` holds whatever partial statistics or report were accumulated
     before the budget tripped.

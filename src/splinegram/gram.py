@@ -1,5 +1,5 @@
-"""B-spline Gram matrices: closed forms (k=2, k=3), a quadrature oracle for
-any order, and exact total-positivity checks.
+"""B-spline Gram matrices: closed forms (k=2, k=3) and quadrature for any
+order.
 
 The Gram matrix A has entries a_{i,j} = integral of N_{i,k} N_{j,k} over
 [0,1]; it is symmetric, positive definite, and banded with bandwidth k-1.
@@ -12,10 +12,9 @@ The order-2 and order-3 entries are written once (``linear_formula``,
 ``gram_linear`` and ``gram_quadratic`` evaluate them as array passes over
 all indices i at once, with the array brackets ``KnotSequence.brackets``
 (object arrays of Fractions in exact mode, float64 in float mode) and
-``ratio``; ``linear_entry`` and ``quad_entry`` evaluate one entry over the
-scalar brackets ``KnotSequence.bracket``; polycert instantiates the same
-formula with gap-variable brackets and factored rational functions for the
-certificates.
+``ratio``, the one evaluation of a Gram entry; polycert instantiates the
+same formulas with gap-variable brackets and factored rational functions
+for the certificates.
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .errors import InputError, ResourceBudgetError
+from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence, eval_bspline
-from .scalars import format_scalar, is_exact, parse_scalar
+from .scalars import format_scalar, is_exact
 
 
 @dataclass(frozen=True)
@@ -59,40 +57,8 @@ class SymBandedMatrix:
             return self.bands[0][0] * 0
         return self.bands[d][min(i, j) - 1]
 
-    def row_sum(self, i: int):
-        lo = max(1, i - self.bandwidth)
-        hi = min(self.n, i + self.bandwidth)
-        total = self.bands[0][0] * 0
-        for j in range(lo, hi + 1):
-            total = total + self.get(i, j)
-        return total
-
-    def to_dense(self):
-        return [[self.get(i, j) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
-
     def is_exact_matrix(self) -> bool:
         return all(is_exact(x) for band in self.bands for x in band)
-
-    def leading(self, n: int) -> "SymBandedMatrix":
-        """Leading principal submatrix A_n (same bandwidth)."""
-        if not (1 <= n <= self.n):
-            raise InputError(f"leading dimension {n} outside [1,{self.n}]")
-        bands = tuple(tuple(band[: max(n - d, 0)]) for d, band in enumerate(self.bands))
-        return SymBandedMatrix(n, self.bandwidth, bands)
-
-
-@dataclass(frozen=True)
-class MinorReport:
-    """Result of exhaustive minor enumeration up to a given order."""
-
-    max_order: int
-    minors_checked: int
-    min_value: object
-    witness: tuple  # (alpha, beta) of the minimal minor
-
-    @property
-    def passed(self) -> bool:
-        return self.min_value >= 0
 
 
 def _product(factors):
@@ -104,20 +70,31 @@ def _product(factors):
 
 
 def _divide(num, den):
-    """num / den; a zero float64 denominator raises ZeroDivisionError, as a
-    zero float or Fraction denominator does, instead of dividing to inf."""
-    if getattr(den, "dtype", None) == float and not den.all():
-        raise ZeroDivisionError("float division by zero")
-    return num / den
+    """num / den elementwise, for den an array or a nonzero int.  A zero
+    denominator raises ArithmeticFailure with step its 1-based position
+    (the first), in both scalar modes: float64 would divide to inf, and a
+    product of tiny float brackets can underflow to 0.0."""
+    import numpy as np
+
+    try:
+        if getattr(den, "dtype", None) != float or den.all():
+            return num / den
+    except ZeroDivisionError:  # a Fraction denominator
+        pass
+    at = int(np.flatnonzero(den == 0)[0])
+    raise ArithmeticFailure("a monomial ratio has a zero denominator (in float "
+                            "mode, a bracket product that underflows)",
+                            step=at + 1)
 
 
 def ratio(num_factors, den_factors):
-    """Monomial ratio under the 0/0 rule, for scalar factors or elementwise
-    over 1-D numpy arrays of one length (scalar factors broadcast).
+    """Monomial ratio under the 0/0 rule, elementwise over 1-D numpy arrays
+    of one length; scalar factors broadcast, and at least one numerator
+    factor is an array.
 
     Where any numerator factor is zero the ratio is that factor's zero, and
     nothing is divided there; elsewhere all denominator factors must be
-    nonzero (ZeroDivisionError).  Factors multiply left to right, the
+    nonzero (see ``_divide``).  Factors multiply left to right, the
     numerator's first.
     """
     import numpy as np
@@ -125,10 +102,6 @@ def ratio(num_factors, den_factors):
     live = True
     for f in num_factors:
         live = live & (f != 0)
-    if not isinstance(live, np.ndarray):  # scalar factors
-        if not live:
-            return next(f for f in num_factors if f == 0) * 0
-        return _product(num_factors) / _product(den_factors)
     num, den = _product(num_factors), _product(den_factors)
     if live.all():
         return _divide(num, den)
@@ -152,18 +125,6 @@ def linear_formula(br, i, d: int):
     return br(2, 0, i) / 3 if d == 0 else br(2, 1, i) / 6
 
 
-def linear_entry(ks: KnotSequence, i: int, j: int):
-    """Closed-form order-2 Gram entry a_{i,j} (zero beyond the band)."""
-    if ks.order != 2:
-        raise InputError("linear_entry requires an order-2 knot sequence")
-    if not (1 <= i <= ks.m and 1 <= j <= ks.m):
-        raise InputError(f"index ({i},{j}) outside [1,{ks.m}]^2")
-    i, j = min(i, j), max(i, j)
-    if j - i > 1:
-        return ks.knot(1) * 0
-    return linear_formula(ks.bracket, i, j - i)
-
-
 def quad_formula(br, ratio, i: int, d: int):
     """Order-3 Gram entry a_{i,i+d}, d in {0, 1, 2}, over a bracket provider
     ``br(l, e, i)`` = (le)_i and a monomial ``ratio(num, den)`` combinator:
@@ -185,22 +146,6 @@ def quad_formula(br, ratio, i: int, d: int):
                 + ratio((b21, b21, br(1, 0, i)), (30, br(2, 0, i), b31))
                 + ratio((b32, b32, br(4, 3, i)), (30, b31, br(4, 2, i))))
     return ratio((b32, b32, b32), (30, b31, br(4, 2, i)))
-
-
-def quad_entry(ks: KnotSequence, i: int, j: int):
-    """Closed-form order-3 Gram entry a_{i,j} (zero beyond the band), the
-    formula of quad_formula over the knot brackets.
-
-    Monomial ratios with a zero numerator factor vanish (clamped ends).
-    """
-    if ks.order != 3:
-        raise InputError("quad_entry requires an order-3 knot sequence")
-    if not (1 <= i <= ks.m and 1 <= j <= ks.m):
-        raise InputError(f"index ({i},{j}) outside [1,{ks.m}]^2")
-    i, j = min(i, j), max(i, j)
-    if j - i > 2:
-        return ks.knot(1) * 0
-    return quad_formula(ks.bracket, ratio, i, j - i)
 
 
 def _indices(ks: KnotSequence, d: int):
@@ -235,30 +180,8 @@ def gram_quadratic(ks: KnotSequence) -> SymBandedMatrix:
     return _banded(ks, _quad_bands(ks))
 
 
-def quadratic_cross_terms(ks: KnotSequence, i: int):
-    """The two partial integrals of N_i N_{i+1} (order 3).
-
-    Returns (integral over [t_{i+1},t_{i+2}], integral over [t_{i+2},t_{i+3}]);
-    their sum is the Gram entry a_{i,i+1}.
-    """
-    if ks.order != 3:
-        raise InputError("quadratic_cross_terms requires an order-3 knot sequence")
-    if not (1 <= i <= ks.m - 1):
-        raise InputError(f"cross-term index {i} outside [1,{ks.m - 1}]")
-    br = ks.bracket
-    b10, b21, b32, b43 = br(1, 0, i), br(2, 1, i), br(3, 2, i), br(4, 3, i)
-    b20, b31, b42 = br(2, 0, i), br(3, 1, i), br(4, 2, i)
-    first = (ratio((b21, b21), (10, b31))
-             + ratio((b21, b21, b10), (30, b20, b31))
-             + ratio((b21, b21, b32), (5, b31, b31)))
-    second = (ratio((b32, b32), (10, b31))
-              + ratio((b32, b32, b43), (30, b42, b31))
-              + ratio((b32, b32, b21), (5, b31, b31)))
-    return first, second
-
-
 # ---------------------------------------------------------------------------
-# Quadrature oracle
+# Quadrature
 
 
 def _gauss_nodes(k: int):
@@ -360,7 +283,7 @@ def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
     """Assemble the Gram matrix for a knot sequence.
 
     method "closed" uses the order-2/3 closed forms, "quadrature" the
-    quadrature oracle, "auto" the closed form when one exists.
+    quadrature, "auto" the closed form when one exists.
     """
     if method == "auto":
         method = "closed" if ks.order in (2, 3) else "quadrature"
@@ -376,93 +299,6 @@ def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Total positivity
-
-
-def _int_det_bareiss(rows) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            for i in range(r + 1, n):
-                if a[i][r] != 0:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[r][r]
-        for i in range(r + 1, n):
-            air = a[i][r]
-            row_i = a[i]
-            row_r = a[r]
-            for j in range(r + 1, n):
-                row_i[j] = (piv * row_i[j] - air * row_r[j]) // prev
-            row_i[r] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
-
-
-DEFAULT_MINOR_BUDGET = 2_000_000
-
-
-def check_total_positivity(A: SymBandedMatrix, max_order: int,
-                           budget: int = DEFAULT_MINOR_BUDGET) -> MinorReport:
-    """Enumerate all minors det A[alpha;beta] of order <= max_order, exactly.
-
-    Minors are visited in increasing order, lexicographic alpha then beta;
-    enumeration stops early at the first negative minor (witness retained).
-    Banded structural zeros (some |alpha_p - beta_p| > bandwidth forces a zero
-    block meeting the antidiagonal) are counted without elimination.  Raises
-    ResourceBudgetError with a partial report when the minor count exceeds
-    ``budget``.
-    """
-    if not A.is_exact_matrix():
-        raise InputError("total positivity check requires exact scalars")
-    if not (1 <= max_order <= A.n):
-        raise InputError(f"max_order must lie in [1,{A.n}]")
-    n, w = A.n, A.bandwidth
-    dense = [[Fraction(A.get(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    den_lcm = 1
-    for row in dense:
-        for x in row:
-            den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    M = [[int(x * den_lcm) for x in row] for row in dense]
-
-    checked = 0
-    min_value = None
-    witness = None
-    for ell in range(1, max_order + 1):
-        scale = Fraction(1, den_lcm**ell)
-        for alpha in itertools.combinations(range(1, n + 1), ell):
-            for beta in itertools.combinations(range(1, n + 1), ell):
-                checked += 1
-                if checked > budget:
-                    partial = MinorReport(max_order, checked - 1,
-                                          min_value if min_value is not None else 0,
-                                          witness if witness is not None else ((), ()))
-                    raise ResourceBudgetError(
-                        f"minor budget {budget} exceeded at order {ell}",
-                        partial=partial)
-                if any(abs(a - b) > w for a, b in zip(alpha, beta)):
-                    value = Fraction(0)
-                else:
-                    sub = [[M[a - 1][b - 1] for b in beta] for a in alpha]
-                    value = _int_det_bareiss(sub) * scale
-                if min_value is None or value < min_value:
-                    min_value = value
-                    witness = (alpha, beta)
-                    if value < 0:
-                        return MinorReport(max_order, checked, min_value, witness)
-    return MinorReport(max_order, checked, min_value, witness)
-
-
-# ---------------------------------------------------------------------------
 # Matrix dump JSON
 
 
@@ -474,22 +310,3 @@ def matrix_to_json(A: SymBandedMatrix) -> dict:
     entries.sort(key=lambda e: (e[0], e[1]))
     return {"n": A.n, "bandwidth": A.bandwidth, "entries": entries}
 
-
-def matrix_from_json(obj) -> SymBandedMatrix:
-    try:
-        n = obj["n"]
-        w = obj["bandwidth"]
-        raw = obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"malformed matrix dump: {exc}") from exc
-    vals = {}
-    for item in raw:
-        i, j, v = item
-        vals[(min(i, j), abs(i - j))] = parse_scalar(v)
-    bands = []
-    for d in range(w + 1):
-        try:
-            bands.append(tuple(vals[(i, d)] for i in range(1, n - d + 1)))
-        except KeyError as exc:
-            raise InputError(f"matrix dump missing entry on diagonal {d}") from exc
-    return SymBandedMatrix(n, w, tuple(bands))

@@ -1,6 +1,5 @@
 """Inversion of a symmetric banded matrix and of all its leading principal
-submatrices from one banded LDL^T factorization, with an independent dense
-exact oracle.
+submatrices from one banded LDL^T factorization.
 
 A = L D L^T with L unit lower triangular of the same bandwidth w.  The pivot
 d_n is the Schur complement of A_{n-1} in A_n, so b_{n,n}^n = 1/d_n; and
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
@@ -48,15 +46,6 @@ class GrowingInverse:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise InputError(f"index ({i},{j}) outside [1,{self.n}]^2")
         return self.B[i - 1][j - 1]
-
-    def column(self, j: int) -> tuple:
-        if not (1 <= j <= self.n):
-            raise InputError(f"column {j} outside [1,{self.n}]")
-        return tuple(self.B[i][j - 1] for i in range(self.n))
-
-    def rows(self):
-        """Dense inverse as a list of row lists."""
-        return [list(row) for row in self.B]
 
 
 def _ldlt(A: SymBandedMatrix, scalar, dtype):
@@ -93,25 +82,34 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     Exact matrices run over Fractions and return B as a tuple of row
     tuples; float matrices run in float64 and return B as an ndarray.  A
     zero pivot raises ArithmeticFailure with the 1-based step n of the
-    singular leading submatrix A_n.
+    singular leading submatrix A_n.  In float mode a non-finite entry of B
+    or of the history (a subnormal pivot whose reciprocal overflows)
+    raises ArithmeticFailure with step its 1-based row, the first.
     """
     import numpy as np
 
     exact = A.is_exact_matrix()
     scalar, dtype = (Fraction, object) if exact else (float, float)
-    d, Lb = _ldlt(A, scalar, dtype)
-    m, w = Lb.shape
-    B = np.empty((m, m), dtype)
-    Y = np.full((m, m), scalar(0), dtype) if keep_history else None
-    for i in range(m - 1, -1, -1):
-        hi = min(m, i + w + 1)
-        neg_l = -Lb[i, : hi - i - 1]
-        row = neg_l @ B[i + 1:hi, i + 1:]
-        B[i, i + 1:] = B[i + 1:, i] = row
-        B[i, i] = 1 / d[i] + neg_l @ row[: hi - i - 1]
-        if keep_history:
-            Y[i, i] = 1 / d[i]
-            Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
+    with np.errstate(all="ignore"):  # float overflow is caught below
+        d, Lb = _ldlt(A, scalar, dtype)
+        m, w = Lb.shape
+        B = np.empty((m, m), dtype)
+        Y = np.full((m, m), scalar(0), dtype) if keep_history else None
+        for i in range(m - 1, -1, -1):
+            hi = min(m, i + w + 1)
+            neg_l = -Lb[i, : hi - i - 1]
+            row = neg_l @ B[i + 1:hi, i + 1:]
+            B[i, i + 1:] = B[i + 1:, i] = row
+            B[i, i] = 1 / d[i] + neg_l @ row[: hi - i - 1]
+            if keep_history:
+                Y[i, i] = 1 / d[i]
+                Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
+    if not exact:
+        finite = np.isfinite(B) if Y is None else np.isfinite(B) & np.isfinite(Y)
+        if not finite.all():
+            raise ArithmeticFailure("non-finite entry in the float inverse "
+                                    "(a pivot too small for float64)",
+                                    step=int(np.argmin(finite.all(axis=1))) + 1)
     diag_hist = col_hist = None
     if keep_history:
         # tolist: Python floats in float mode, the same Fractions in exact
@@ -122,75 +120,6 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     if exact:
         B = tuple(map(tuple, B))
     return GrowingInverse(m, B, diag_hist, col_hist)
-
-
-# ---------------------------------------------------------------------------
-# Dense exact oracle
-
-
-def dense_inverse_oracle(A):
-    """Exact inverse by fraction-free Gauss-Jordan elimination.
-
-    Rows are scaled to integers (row lcm of denominators), eliminated with
-    Bareiss-style one-step exact divisions, and the result is verified by
-    A * Ainv == I before returning.  Accepts a dense list of rows or a
-    SymBandedMatrix.  Raises ArithmeticFailure if A is exactly singular.
-    """
-    if isinstance(A, SymBandedMatrix):
-        A = A.to_dense()
-    n = len(A)
-    rows = [[Fraction(x) for x in row] for row in A]
-    if any(len(r) != n for r in rows):
-        raise InputError("dense_inverse_oracle requires a square matrix")
-    if not all(is_exact(x) for row in A for x in row):
-        raise InputError("dense_inverse_oracle requires exact scalars")
-    aug = []
-    for i, row in enumerate(rows):
-        scale = 1
-        for x in row:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        irow = [int(x * scale) for x in row]
-        aug.append(irow + [scale if j == i else 0 for j in range(n)])
-
-    prev = 1
-    for col in range(n):
-        if aug[col][col] == 0:
-            for r in range(col + 1, n):
-                if aug[r][col] != 0:
-                    aug[col], aug[r] = aug[r], aug[col]
-                    break
-            else:
-                raise ArithmeticFailure("singular matrix in dense_inverse_oracle",
-                                        context=A)
-        piv = aug[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            row_r, row_c = aug[r], aug[col]
-            for j in range(2 * n):
-                q, rem = divmod(piv * row_r[j] - f * row_c[j], prev)
-                if rem:
-                    raise ArithmeticFailure("fraction-free division failed",
-                                            step=col, context=A)
-                row_r[j] = q
-        prev = piv
-
-    inv = []
-    for i in range(n):
-        d = aug[i][i]
-        if d == 0:
-            raise ArithmeticFailure("singular matrix in dense_inverse_oracle",
-                                    context=A)
-        inv.append([Fraction(aug[i][n + j], d) for j in range(n)])
-
-    for i in range(n):  # full verification: A * inv == I
-        for j in range(n):
-            acc = sum(rows[i][t] * inv[t][j] for t in range(n))
-            if acc != (1 if i == j else 0):
-                raise ArithmeticFailure("oracle verification A*Ainv != I failed",
-                                        context=(i + 1, j + 1))
-    return inv
 
 
 def check_checkerboard(B):

@@ -9,9 +9,11 @@ All scalar arithmetic is generic: build the sequence from ``Fraction`` values
 and every evaluation stays exact; build from floats and it runs in double
 precision.  Indexing follows the mathematical convention (1-based).
 
-``KnotSequence.bracket`` gives one bracket; ``KnotSequence.brackets`` is
-the array bracket provider, which evaluates a bracket at a whole index array
-n at once (numpy arrays of Fractions in exact mode, float64 in float mode).
+``KnotSequence.brackets`` is the array bracket provider, which evaluates a
+bracket at a whole index array n at once (numpy arrays of Fractions in exact
+mode, float64 in float mode); every closed form in the package reads its
+brackets from it.  ``KnotSequence.bracket`` and ``KnotSequence.eta`` are the
+one-line scalar definitions of a bracket and of eta.
 """
 
 from __future__ import annotations
@@ -73,12 +75,6 @@ class KnotSequence:
         """Number of B-splines of order k on this sequence."""
         return self.order + len(self.interior)
 
-    @property
-    def mesh(self):
-        """|Delta| = max_i (t_{i+1} - t_i)."""
-        ts = self.knots
-        return max(b - a for a, b in zip(ts, ts[1:]))
-
     def knot(self, i: int):
         """t_i with index clamping (t_i = 0 for i <= 0, = 1 past the end)."""
         if i < 1:
@@ -124,25 +120,11 @@ class KnotSequence:
             raise InputError(f"eta indices must lie in [1,{m}], got ({i},{j})")
         return self.knot(max(i, j) + self.order) - self.knot(min(i, j))
 
-    def gaps(self) -> tuple:
-        """All knot gaps (t_{i+1} - t_i) for i = 1..m+k-1 (many are zero)."""
-        ts = self.knots
-        return tuple(b - a for a, b in zip(ts, ts[1:]))
-
     def breakpoints(self) -> tuple:
         """Distinct breakpoints 0 = x_0 < x_1 < ... < x_last = 1."""
         zero = self.knots[0] * 0
         one = self.knots[-1]
         return (zero,) + self.interior + (one,)
-
-
-def build_knots(order: int, interior) -> KnotSequence:
-    """Build the clamped knot sequence of the given order.
-
-    Raises InputError for non-monotone interior breakpoints or breakpoints on
-    the boundary (endpoint multiplicities are fixed by the clamping).
-    """
-    return KnotSequence(order, tuple(interior))
 
 
 def _interval_index(ks: KnotSequence, x):
@@ -203,42 +185,6 @@ def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
     return cur.get(i, zero)
 
 
-def eval_quadratic_closed(ks: KnotSequence, i: int, x):
-    """The explicit three-branch quadratic N_{i,3}(x) (order k = 3 only).
-
-    Branches (b := the index of the interval containing x, x = 1 clamping to
-    the last nonempty interval, matching eval_bspline):
-
-      [t_i,t_{i+1}):   (x-t_i)^2 / ((20)_i (10)_i)
-      [t_{i+1},t_{i+2}): (x-t_i)(t_{i+2}-x)/((20)_i (21)_i)
-                          + (x-t_{i+1})(t_{i+3}-x)/((31)_i (21)_i)
-      [t_{i+2},t_{i+3}): (t_{i+3}-x)^2 / ((31)_i (32)_i)
-    """
-    if ks.order != 3:
-        raise InputError("eval_quadratic_closed requires an order-3 sequence")
-    if not (1 <= i <= ks.m):
-        raise InputError(f"spline index {i} outside [1,{ks.m}]")
-    j = _interval_index(ks, x)
-    zero = x * 0
-    t = ks.knot
-    if j == i:
-        return (x - t(i)) ** 2 / (ks.bracket(2, 0, i) * ks.bracket(1, 0, i))
-    if j == i + 1:
-        first = (x - t(i)) * (t(i + 2) - x) / (ks.bracket(2, 0, i) * ks.bracket(2, 1, i))
-        second = (x - t(i + 1)) * (t(i + 3) - x) / (ks.bracket(3, 1, i) * ks.bracket(2, 1, i))
-        return first + second
-    if j == i + 2:
-        return (t(i + 3) - x) ** 2 / (ks.bracket(3, 1, i) * ks.bracket(3, 2, i))
-    return zero
-
-
-def bspline_l1(ks: KnotSequence, i: int):
-    """||N_{i,k}||_{L^1} = (t_{i+k} - t_i)/k."""
-    if not (1 <= i <= ks.m):
-        raise InputError(f"spline index {i} outside [1,{ks.m}]")
-    return (ks.knot(i + ks.order) - ks.knot(i)) / ks.order
-
-
 # ---------------------------------------------------------------------------
 # Partition file format: {"order": int, "interior": [numbers or "p/q"]}
 
@@ -250,8 +196,9 @@ def knots_from_json(obj) -> KnotSequence:
     order = obj["order"]
     if not isinstance(order, int) or isinstance(order, bool):
         raise InputError(f"partition order must be an integer, got {order!r}")
-    interior = [parse_scalar(v) for v in obj["interior"]]
-    return build_knots(order, interior)
+    if not isinstance(obj["interior"], list):
+        raise InputError(f"partition interior must be a list, got {obj['interior']!r}")
+    return KnotSequence(order, tuple(parse_scalar(v) for v in obj["interior"]))
 
 
 def knots_to_json(ks: KnotSequence) -> dict:
@@ -259,15 +206,13 @@ def knots_to_json(ks: KnotSequence) -> dict:
 
 
 def load_partition(path) -> KnotSequence:
-    with open(path) as fh:
-        try:
+    """Read a partition file; a file that cannot be read or parsed is an
+    InputError."""
+    try:
+        with open(path) as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"partition file {path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"partition file {path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"partition file {path}: {exc}") from exc
     return knots_from_json(obj)
-
-
-def save_partition(ks: KnotSequence, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(knots_to_json(ks), fh)
-        fh.write("\n")

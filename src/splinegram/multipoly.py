@@ -223,14 +223,6 @@ class MultiPoly:
             return 0
         return self._terms[max(self._terms)]
 
-    def coefficient(self, exps):
-        exps = tuple(exps)
-        top = 1 << self._bits
-        if len(exps) != self.nvars or any(
-                not isinstance(e, int) or not 0 <= e < top for e in exps):
-            return 0
-        return self._terms.get(_pack(exps, self._bits), 0)
-
     def _integral(self):
         """(d, numerators): the least common denominator d of the
         coefficients, and the coefficients times d as ints."""
@@ -241,13 +233,6 @@ class MultiPoly:
         d = lcm(*dens)
         return d, [c * d if type(c) is int else c.numerator * (d // c.denominator)
                    for c in coeffs]
-
-    def content(self) -> Fraction:
-        """Positive rational content (0 for the zero polynomial)."""
-        if not self._terms:
-            return Fraction(0)
-        d, nums = self._integral()
-        return Fraction(gcd(*nums), d)
 
     def primitive(self):
         """(content, self/content): content signed so the primitive part has
@@ -333,7 +318,7 @@ class MultiPoly:
         bits = _bits_for(self.total_degree() + other.total_degree())
         left = _repack(self._terms, nvars, self._bits, bits)
         right = list(_repack(other._terms, nvars, other._bits, bits).items())
-        budget = _term_budget.get()
+        budget = get_term_budget()
         acc = {}
         get = acc.get
         for k1, c1 in left.items():

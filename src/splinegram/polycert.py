@@ -324,13 +324,6 @@ def certify_inequality(name: str) -> Certificate:
     return cert
 
 
-def gaps_for(ks, anchor: int, nvars: int) -> tuple:
-    """Concrete gap values (t_{anchor+1}-t_{anchor}, ...) from a knot
-    sequence, for evaluating certificate expressions at real partitions."""
-    return tuple(ks.knot(anchor + r) - ks.knot(anchor + r - 1)
-                 for r in range(1, nvars + 1))
-
-
 def spot_check(fr: FactoredRational, npoints: int, seed: int) -> int:
     """Evaluate fr at random positive rational points; InputError on a
     negative value.  Returns the number of points checked (the independent

@@ -3,9 +3,10 @@
 gram_linear/gram_quadratic and the lemma batteries evaluate the order-2/3
 formulas once over whole index arrays (KnotSequence.brackets, gram.ratio
 acting elementwise).  The oracle here evaluates the same formulas one index
-at a time over the scalar brackets KnotSequence.bracket, with its own scalar
-zero-numerator ratio, and every value must be equal: exact values with ==
-and the same type, floats bit for bit (signed zeros included).
+at a time over the scalar brackets KnotSequence.bracket, with the scalar
+zero-numerator ratio of tests/oracles.py, and every value must be equal:
+exact values with == and the same type, floats bit for bit (signed zeros
+included).
 """
 
 import math
@@ -15,6 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import scalar_ratio
 from splinegram import (ArithmeticFailure, KnotSequence, build_gram,
                         invert_iteratively)
 from splinegram.decay import (_linear_families, _quadratic_families,
@@ -22,21 +24,6 @@ from splinegram.decay import (_linear_families, _quadratic_families,
                               psi_inv_formula)
 from splinegram.gram import linear_formula, quad_formula
 from splinegram.partitions import parse_spec, realize, shrink_one_gap
-
-
-def scalar_ratio(num_factors, den_factors):
-    """The zero-numerator rule on scalars: a zero numerator factor gives
-    that factor's zero before any division; factors multiply left to
-    right, the numerator's first."""
-    num = None
-    for f in num_factors:
-        if f == 0:
-            return f * 0
-        num = f if num is None else num * f
-    den = None
-    for f in den_factors:
-        den = f if den is None else den * f
-    return num / den
 
 
 def oracle_bands(ks):

@@ -4,8 +4,11 @@ import json
 from dataclasses import replace
 from fractions import Fraction as F
 
+import pytest
+
+from oracles import save_partition
 from splinegram import (KnotSequence, build_gram, invert_iteratively,
-                        inverse_to_json, matrix_to_json, save_partition)
+                        inverse_to_json, matrix_to_json)
 from splinegram import decay
 from splinegram.cli import main
 
@@ -316,6 +319,53 @@ def test_bad_spec_rejected(capsys):
         code, _ = _run(capsys, ["gram", "--order", "2",
                                 "--spec", f"geometric:{ratio}:3"])
         assert code == 3
+
+
+def test_unreadable_partition_file_exits_3(capsys, tmp_path):
+    # a missing file, a directory, an interior that is not a list, and bytes
+    # that are not text: bad input, one error line and no traceback
+    not_a_list = tmp_path / "scalar.json"
+    not_a_list.write_text('{"order": 3, "interior": 5}')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "missing.json", tmp_path, not_a_list, binary):
+        code, out, err = _call(capsys, ["gen", "--order", "3",
+                                        "--spec", f"explicit:{path}"])
+        assert (code, out) == (3, ""), path
+        assert err.startswith("error: partition ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_bracket_underflow_exits_2(capsys, tmp_path):
+    # breakpoints near 0: at k = 3 a bracket product in a monomial ratio
+    # underflows to 0.0, an arithmetic failure rather than a violation;
+    # the order-2 closed forms divide by no bracket product and run
+    for k, expected in ((3, 2), (2, 0)):
+        path = tmp_path / f"k{k}.json"
+        save_partition(KnotSequence(k, [1e-170, 2e-170, 0.5]), path)
+        for cmd in ("gram", "verify"):
+            code, out, err = _call(capsys, [cmd, "--order", str(k), "--mode", "float",
+                                            "--spec", f"explicit:{path}"])
+            assert code == expected, (k, cmd)
+            if expected:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith("error: a monomial ratio has a zero denominator")
+            else:
+                assert err == "" and json.loads(out)
+
+
+@pytest.mark.filterwarnings("error")
+def test_float_inverse_overflow_exits_2(capsys, tmp_path):
+    # a subnormal pivot: 1/d overflows, which is an arithmetic failure, not
+    # a violated bound (exit 1) or an inverse holding Infinity (exit 0)
+    path = tmp_path / "mesh.json"
+    save_partition(KnotSequence(3, [1e-310, 0.5]), path)
+    for cmd in ("verify", "invert"):
+        code, out, err = _call(capsys, [cmd, "--order", "3", "--mode", "float",
+                                        "--spec", f"explicit:{path}"])
+        assert (code, out) == (2, ""), cmd
+        assert err == "error: non-finite entry in the float inverse " \
+                      "(a pivot too small for float64)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ from dataclasses import replace
 from fractions import Fraction as F
 from math import isqrt
 
+import numpy as np
 import pytest
 
+from oracles import array_at
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         decay_report, fit_decay_constants, invert_iteratively,
-                        phi_inv, psi_inv, report_csv_rows, report_to_json,
-                        shrink_one_gap, verify_lemmas)
+                        report_csv_rows, report_to_json, verify_lemmas)
 from splinegram.decay import (_decay_kernel, attach_lemma_checks,
-                              minor_adjusted_factor)
+                              minor_formula, phi_inv_formula, psi_inv_formula)
+from splinegram.gram import ratio
+from splinegram.partitions import shrink_one_gap
 
 
 def _random_exact(rng, order, count):
@@ -55,15 +58,15 @@ def test_constants_unknown_order():
 def test_phi_first_index():
     # at n=1 every term with a left-reaching bracket vanishes: phi_1 = 5/(30)_1
     ks = KnotSequence(3, [F(1, 5), F(1, 2)])
-    assert phi_inv(ks, 1) == ks.bracket(3, 0, 1) / 5
-    assert 1 / phi_inv(ks, 1) == 5 / ks.bracket(3, 0, 1)
+    assert array_at(phi_inv_formula, ks, 1) == ks.bracket(3, 0, 1) / 5
+    assert 1 / array_at(phi_inv_formula, ks, 1) == 5 / ks.bracket(3, 0, 1)
 
 
 def test_psi_uniform_value():
     # uniform interior gaps h: psi = 36/(13h); h = 1/6 gives 216/13
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
-    assert 1 / psi_inv(ks, 4) == F(216, 13)
-    assert psi_inv(ks, 4) == F(13, 216)
+    assert 1 / array_at(psi_inv_formula, ks, 4) == F(216, 13)
+    assert array_at(psi_inv_formula, ks, 4) == F(13, 216)
 
 
 def test_bound_chain():
@@ -72,9 +75,12 @@ def test_bound_chain():
     for _ in range(5):
         ks = _random_exact(rng, 3, rng.randint(2, 9))
         st = _inverted(ks)
+        ns = np.arange(1, ks.m + 1)
+        phis = 1 / phi_inv_formula(ks.brackets, ratio, ns)
+        psis = 1 / psi_inv_formula(ks.brackets, ratio, ns)
         for n in range(1, ks.m + 1):
             b = st.diag_history[n - 1]
-            phi, psi = 1 / phi_inv(ks, n), 1 / psi_inv(ks, n)
+            phi, psi = phis[n - 1], psis[n - 1]
             assert b <= phi <= psi <= 12 / ks.bracket(3, 0, n)
 
 
@@ -82,11 +88,13 @@ def test_minor_adjusted_factor_and_theta():
     ks = KnotSequence(3, [F(1, 6), F(1, 3), F(2, 3), F(5, 6)])
     st = _inverted(ks)
     for n in range(3, ks.m + 1):
-        mval = minor_adjusted_factor(ks, n)
+        mval = array_at(minor_formula, ks, n)
         theta = st.diag_history[n - 1] * mval
-        assert mval >= 0 and 0 <= theta <= mval / phi_inv(ks, n)  # <= phi_n M_n
-    with pytest.raises(InputError):
-        minor_adjusted_factor(ks, 2)
+        # <= phi_n M_n
+        assert mval >= 0 and 0 <= theta <= mval / array_at(phi_inv_formula, ks, n)
+    # M_n needs n >= 3: at n = 2 it divides by a_{0,1} = 0
+    with pytest.raises(ZeroDivisionError):
+        array_at(minor_formula, ks, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Gram matrices: closed forms, quadrature oracle, total positivity."""
+"""Gram matrices: closed forms, quadrature, total positivity (against the
+oracle in tests/oracles.py)."""
 
 import json
 import random
@@ -6,13 +7,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from splinegram import (InputError, KnotSequence, ResourceBudgetError,
-                        SymBandedMatrix, build_gram, check_total_positivity,
-                        gram_linear, gram_quadratic, gram_quadrature,
-                        linear_entry, matrix_from_json, matrix_to_json,
-                        quad_entry)
+from oracles import (check_total_positivity, quadratic_cross_terms,
+                     scalar_ratio, to_dense)
+from splinegram import (ArithmeticFailure, InputError, KnotSequence,
+                        ResourceBudgetError, SymBandedMatrix, build_gram,
+                        gram_quadrature, matrix_to_json)
 from splinegram.cli import main
-from splinegram.gram import quadratic_cross_terms, ratio
+from splinegram.gram import (gram_linear, gram_quadratic, linear_formula,
+                             quad_formula, ratio)
+from splinegram.scalars import parse_scalar
 
 
 def _random_exact(rng, order, count):
@@ -28,7 +31,7 @@ def _random_exact(rng, order, count):
 def test_linear_bernstein():
     # hand integration: int (1-x)^2 = 1/3, int x(1-x) = 1/6
     A = gram_linear(KnotSequence(2, []))
-    assert A.to_dense() == [[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]]
+    assert to_dense(A) == [[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]]
 
 
 def test_linear_single_knot():
@@ -81,35 +84,53 @@ def test_quadratic_row_sums():
 
 
 def test_single_entry_accessors():
+    # build_gram(ks).get(i, j) against the closed form of that one entry
+    # over the scalar brackets, zero beyond the band
     ks = KnotSequence(3, [F(1, 3), F(1, 2)])
-    A = gram_quadratic(ks)
+    A = build_gram(ks)
     for i in range(1, ks.m + 1):
         for j in range(1, ks.m + 1):
-            assert quad_entry(ks, i, j) == A.get(i, j)
-    assert quad_entry(ks, 1, 4) == 0
+            d = abs(i - j)
+            entry = quad_formula(ks.bracket, scalar_ratio, min(i, j), d) if d <= 2 else 0
+            assert A.get(i, j) == entry
+    assert A.get(1, 4) == 0
     ks2 = KnotSequence(2, [F(1, 3)])
-    A2 = gram_linear(ks2)
+    A2 = build_gram(ks2)
     for i in range(1, ks2.m + 1):
         for j in range(1, ks2.m + 1):
-            assert linear_entry(ks2, i, j) == A2.get(i, j)
+            d = abs(i - j)
+            entry = linear_formula(ks2.bracket, min(i, j), d) if d <= 1 else 0
+            assert A2.get(i, j) == entry
     with pytest.raises(InputError):
-        quad_entry(ks, 0, 1)
+        A.get(0, 1)
     with pytest.raises(InputError):
-        linear_entry(ks2, 1, 99)
+        A2.get(1, 99)
 
 
 @pytest.mark.parametrize("zero", [F(0), 0.0], ids=["Fraction", "float"])
 def test_ratio_zero_numerator_rule(zero):
+    import numpy as np
+
+    dtype = object if isinstance(zero, F) else float
+
+    def one_entry(x):
+        return np.array([x], dtype)
+
     one = zero + 1
     # a zero numerator factor wins before any division, even by zero
-    r = ratio((one, zero, one), (30, zero, one))
-    assert r == 0 and type(r) is type(zero)
-    with pytest.raises(ZeroDivisionError):
-        ratio((one,), (30, zero))
+    r = ratio((one_entry(one), one_entry(zero), one_entry(one)),
+              (30, one_entry(zero), one_entry(one))).tolist()
+    assert r == [0] and type(r[0]) is type(zero)
+    with pytest.raises(ArithmeticFailure) as err:
+        ratio((one_entry(one),), (30, one_entry(zero)))
+    assert err.value.step == 1
     # otherwise factors multiply left to right, the numerator's first
     a, b, c, d = one / 3, one / 7, one / 11, one / 13
-    assert ratio((a, b, c), (15, d, a)) == a * b * c / (15 * d * a)
-    assert type(ratio((a, b), (5,))) is type(zero)
+    r = ratio((one_entry(a), one_entry(b), one_entry(c)),
+              (15, one_entry(d), one_entry(a))).tolist()
+    assert r == [a * b * c / (15 * d * a)]
+    r = ratio((one_entry(a), one_entry(b)), (5,)).tolist()
+    assert type(r[0]) is type(zero)
 
 
 @pytest.mark.filterwarnings("error")
@@ -125,11 +146,12 @@ def test_ratio_acts_elementwise(zero):
     r = ratio(num, den)
     assert r.dtype == dtype
     for e, x in enumerate(r.tolist()):
-        scalar = ratio(tuple(f[e] if np.ndim(f) else f for f in num),
-                       tuple(f[e] if np.ndim(f) else f for f in den))
+        scalar = scalar_ratio(tuple(f[e] if np.ndim(f) else f for f in num),
+                              tuple(f[e] if np.ndim(f) else f for f in den))
         assert x == scalar and type(x) is type(zero)
-    with pytest.raises(ZeroDivisionError):  # a live ratio over zero
+    with pytest.raises(ArithmeticFailure) as err:  # a live ratio over zero
         ratio(num, (np.array([one, one, one, zero], dtype),))
+    assert err.value.step == 4
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,7 @@ def test_cross_terms_validation():
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracle (independent route)
+# Quadrature (independent route)
 
 
 def test_quadrature_matches_linear_float():
@@ -191,7 +213,7 @@ def test_quadrature_exact_mode_equals_closed():
     for order, builder in ((2, gram_linear), (3, gram_quadratic)):
         for _ in range(3):
             ks = _random_exact(rng, order, rng.randint(1, 5))
-            assert gram_quadrature(ks).to_dense() == builder(ks).to_dense()
+            assert to_dense(gram_quadrature(ks)) == to_dense(builder(ks))
 
 
 def test_quadrature_order4_row_sums():
@@ -207,17 +229,17 @@ def test_quadrature_order1_midpoint():
     # order 1: piecewise constants; Gram is diagonal with the gap lengths
     ks = KnotSequence(1, [F(1, 3)])
     Q = gram_quadrature(ks)
-    assert Q.to_dense() == [[F(1, 3), 0], [0, F(2, 3)]]
+    assert to_dense(Q) == [[F(1, 3), 0], [0, F(2, 3)]]
 
 
 def test_build_gram_dispatch():
     ks2 = KnotSequence(2, [F(1, 2)])
-    assert build_gram(ks2).to_dense() == gram_linear(ks2).to_dense()
+    assert to_dense(build_gram(ks2)) == to_dense(gram_linear(ks2))
     ks3 = KnotSequence(3, [F(1, 2)])
-    assert build_gram(ks3).to_dense() == gram_quadratic(ks3).to_dense()
+    assert to_dense(build_gram(ks3)) == to_dense(gram_quadratic(ks3))
     ks4 = KnotSequence(4, [F(1, 2)])
-    assert build_gram(ks4).to_dense() == gram_quadrature(ks4).to_dense()
-    assert build_gram(ks3, "quadrature").to_dense() == gram_quadratic(ks3).to_dense()
+    assert to_dense(build_gram(ks4)) == to_dense(gram_quadrature(ks4))
+    assert to_dense(build_gram(ks3, "quadrature")) == to_dense(gram_quadratic(ks3))
     with pytest.raises(InputError):
         build_gram(ks4, "closed")
     with pytest.raises(InputError):
@@ -253,14 +275,20 @@ def test_total_positivity_catches_negative():
 def test_matrix_json_roundtrip(tmp_path):
     ks = KnotSequence(3, [F(1, 3), F(2, 3)])
     A = gram_quadratic(ks)
-    back = matrix_from_json(matrix_to_json(A))
-    assert back.to_dense() == A.to_dense()
+
+    def read_back(obj):
+        """The dump's entries as {(i, j): scalar}: the band, i <= j."""
+        assert (obj["n"], obj["bandwidth"]) == (A.n, A.bandwidth)
+        return {(i, j): parse_scalar(v) for i, j, v in obj["entries"]}
+
+    band = {(i, j): A.get(i, j) for i in range(1, A.n + 1)
+            for j in range(i, min(A.n, i + A.bandwidth) + 1)}
+    assert read_back(matrix_to_json(A)) == band
     # the file half goes through the CLI, the one writer of matrix files
     path = tmp_path / "gram.json"
     assert main(["gram", "--order", "3", "--spec", "uniform:2",
                  "--out", str(path)]) == 0
-    assert matrix_from_json(json.loads(path.read_text())).to_dense() \
-        == A.to_dense()
+    assert read_back(json.loads(path.read_text())) == band
 
 
 def test_banded_matrix_validation():

@@ -1,15 +1,17 @@
 """LDL^T + Takahashi inversion and leading-inverse history against the dense
-exact oracle."""
+exact oracle of tests/oracles.py."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import dense_inverse_oracle, to_dense
 from splinegram import (ArithmeticFailure, InputError, KnotSequence,
                         SymBandedMatrix, build_gram, check_checkerboard,
-                        dense_inverse_oracle, gram_linear, invert_iteratively,
-                        max_residual, shrink_one_gap)
+                        invert_iteratively, max_residual)
+from splinegram.gram import gram_linear
+from splinegram.partitions import shrink_one_gap
 
 
 def _random_exact(rng, order, count):
@@ -54,7 +56,7 @@ def test_matches_dense_oracle_exactly():
             A = build_gram(ks)
             state = invert_iteratively(A)
             oracle = dense_inverse_oracle(A)
-            assert state.rows() == oracle, (order, ks.interior)
+            assert [list(row) for row in state.B] == oracle, (order, ks.interior)
 
 
 def test_exact_entries_are_fractions():
@@ -72,7 +74,7 @@ def test_inverse_times_matrix_is_identity():
     for order in (2, 3):
         ks = _random_exact(rng, order, 7)
         A = build_gram(ks)
-        B = invert_iteratively(A).rows()
+        B = invert_iteratively(A).B
         n = A.n
         for i in range(n):
             for j in range(n):
@@ -99,6 +101,17 @@ def test_zero_pivot_reports_its_step(scalar):
         assert err.value.step == 3
 
 
+@pytest.mark.filterwarnings("error")
+def test_float_overflow_reports_its_row():
+    # the first pivot is subnormal and its reciprocal overflows float64:
+    # row 1 of B (and of the history) is the first non-finite one
+    A = build_gram(KnotSequence(3, [1e-310, 0.5]))
+    for keep_history in (False, True):
+        with pytest.raises(ArithmeticFailure) as err:
+            invert_iteratively(A, keep_history=keep_history)
+        assert err.value.step == 1
+
+
 def test_zero_corner_start_raises():
     A = SymBandedMatrix(1, 0, [[F(0)]])
     with pytest.raises(ArithmeticFailure) as err:
@@ -119,8 +132,9 @@ def test_history_columns_match_oracle_of_leading_submatrices():
             A = build_gram(ks)
             st = invert_iteratively(A, keep_history=True)
             assert len(st.col_history) == len(st.diag_history) == A.n
+            rows = to_dense(A)
             for n in range(1, A.n + 1):
-                oracle = dense_inverse_oracle(A.leading(n))
+                oracle = dense_inverse_oracle([row[:n] for row in rows[:n]])
                 assert st.col_history[n - 1] == tuple(row[n - 1] for row in oracle)
                 assert st.diag_history[n - 1] == oracle[n - 1][n - 1]
 
@@ -244,15 +258,17 @@ def test_checkerboard_detects_violation():
 
 def test_oracle_accepts_banded_and_dense():
     A = build_gram(KnotSequence(2, [F(1, 3), F(2, 3)]))
-    assert dense_inverse_oracle(A) == dense_inverse_oracle(A.to_dense())
+    assert dense_inverse_oracle(A) == dense_inverse_oracle(to_dense(A))
 
 
 def test_growing_inverse_accessors():
     st = invert_iteratively(build_gram(KnotSequence(2, [F(1, 2)])),
                             keep_history=True)
     assert st.entry(1, 3) == F(1)
-    assert st.column(3) == (F(1), F(-2), F(7))
+    # the last column of the full inverse is the history's last column
+    assert tuple(st.entry(i, 3) for i in (1, 2, 3)) == st.col_history[2] \
+        == (F(1), F(-2), F(7))
     with pytest.raises(InputError):
         st.entry(0, 1)
     with pytest.raises(InputError):
-        st.column(4)
+        st.entry(1, 4)

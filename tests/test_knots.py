@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from splinegram import (InputError, KnotSequence, bspline_l1, build_knots,
-                        eval_bspline, eval_quadratic_closed, knots_from_json,
-                        knots_to_json, load_partition, save_partition)
+from oracles import eval_quadratic_closed, save_partition
+from splinegram import InputError, KnotSequence, gram_quadrature, knots_to_json
+from splinegram.knots import eval_bspline, knots_from_json, load_partition
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,8 @@ def test_scalar_field_normalization():
 
 
 def test_build_knots_helper():
-    assert build_knots(2, [F(1, 2)]) == KnotSequence(2, (F(1, 2),))
+    # a list of breakpoints builds the same sequence as a tuple
+    assert KnotSequence(2, [F(1, 2)]) == KnotSequence(2, (F(1, 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +197,18 @@ def test_eval_at_right_endpoint():
 
 
 # ---------------------------------------------------------------------------
-# L1 norms
+# L1 norms: by the partition of unity, row i of the Gram matrix sums to
+# ||N_i||_1 = (t_{i+k} - t_i)/k; the quadrature route gives it exactly
+
+
+def _l1(ks, i):
+    A = gram_quadrature(ks)
+    return sum(A.get(i, j) for j in range(1, ks.m + 1))
 
 
 def test_bspline_l1_values():
-    assert bspline_l1(KnotSequence(2, []), 1) == F(1, 2)
-    assert bspline_l1(KnotSequence(3, [F(1, 2)]), 2) == F(1, 3)
+    assert _l1(KnotSequence(2, []), 1) == F(1, 2)
+    assert _l1(KnotSequence(3, [F(1, 2)]), 2) == F(1, 3)
 
 
 def test_bspline_l1_identity():
@@ -209,7 +216,7 @@ def test_bspline_l1_identity():
     ks = KnotSequence(2, [F(1, 2)])
     total = 0
     for i in range(1, ks.m + 1):
-        v = bspline_l1(ks, i)
+        v = _l1(ks, i)
         assert v == ks.bracket(2, 0, i) / 2
         total += v
     assert total == 1

@@ -5,11 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import save_partition
 from splinegram import (EXACT_SWEEP_MAX_M, InputError, KnotSequence,
                         PartitionSpec, SweepConfig, parse_spec, realize,
-                        save_partition, shrink_one_gap, sweep_partitions)
+                        sweep_partitions)
 from splinegram.partitions import (geometric_interior, random_interior,
-                                   uniform_interior)
+                                   shrink_one_gap, uniform_interior)
 
 # ---------------------------------------------------------------------------
 # deterministic generators

@@ -5,14 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import array_at, gaps_for, scalar_ratio
 from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         GapBasis, InputError, KnotSequence, MultiPoly,
-                        ResourceBudgetError, build_inequality,
+                        ResourceBudgetError, build_gram, build_inequality,
                         certificate_to_json, certify_inequality,
-                        certify_nonneg, gaps_for, minor_adjusted_factor,
-                        phi_inv, psi_inv, quad_entry, spot_check, term_budget)
+                        certify_nonneg, spot_check, term_budget)
 from splinegram.decay import minor_formula, phi_inv_formula, psi_inv_formula
-from splinegram.gram import quad_formula, ratio
+from splinegram.gram import quad_formula
 from splinegram.polycert import INEQUALITY_NAMES, _expect_den, _sym
 
 # ---------------------------------------------------------------------------
@@ -41,9 +41,10 @@ def test_bracket_range_validation():
 
 
 # ---------------------------------------------------------------------------
-# The shared formulas under the two combinators: over gap brackets with
+# The shared formulas under the combinators: over gap brackets with
 # polycert.sym_ratio and evaluated at a partition's gaps, they equal the same
-# formulas over its knot brackets with gram.ratio, and the public functions.
+# formulas over its scalar knot brackets with the oracle's scalar ratio, and
+# the package's array pass (knot brackets, gram.ratio) at that index.
 # The partition is irregular so every bracket is a distinct positive rational.
 
 KS = KnotSequence(3, [F(1, 7), F(1, 3), F(2, 5), F(5, 9), F(3, 4), F(8, 9)])
@@ -55,7 +56,7 @@ GAPS = gaps_for(KS, ANCHOR, 6)
 def both(formula, p, *args):
     """``formula`` at offset p over the gaps and at ANCHOR + p over KS."""
     sym = _sym(formula, BASIS)(p, *args)(GAPS)
-    assert sym == formula(KS.bracket, ratio, ANCHOR + p, *args)
+    assert sym == formula(KS.bracket, scalar_ratio, ANCHOR + p, *args)
     return sym
 
 
@@ -67,26 +68,27 @@ def test_gaps_for_values():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_symbolic_gram_diag_matches_concrete(p):
-    assert both(quad_formula, p, 0) == quad_entry(KS, ANCHOR + p, ANCHOR + p)
+    assert both(quad_formula, p, 0) == build_gram(KS).get(ANCHOR + p, ANCHOR + p)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_symbolic_gram_offdiag_matches_concrete(p):
     n = ANCHOR + p
-    assert both(quad_formula, p, 1) == quad_entry(KS, n, n + 1)
-    assert both(quad_formula, p, 2) == quad_entry(KS, n, n + 2)
+    A = build_gram(KS)
+    assert both(quad_formula, p, 1) == A.get(n, n + 1)
+    assert both(quad_formula, p, 2) == A.get(n, n + 2)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_symbolic_phi_psi_match_concrete(p):
-    assert both(phi_inv_formula, p) == phi_inv(KS, ANCHOR + p)
-    assert both(psi_inv_formula, p) == psi_inv(KS, ANCHOR + p)
+    assert both(phi_inv_formula, p) == array_at(phi_inv_formula, KS, ANCHOR + p)
+    assert both(psi_inv_formula, p) == array_at(psi_inv_formula, KS, ANCHOR + p)
 
 
 @pytest.mark.parametrize("p", [0, 1])
 def test_symbolic_minor_factor_matches_concrete(p):
     # M at offset p is the formula at p + 2
-    assert both(minor_formula, p + 2) == minor_adjusted_factor(KS, ANCHOR + p + 2)
+    assert both(minor_formula, p + 2) == array_at(minor_formula, KS, ANCHOR + p + 2)
 
 
 def test_psi_at_unit_gaps():
@@ -94,7 +96,7 @@ def test_psi_at_unit_gaps():
     # partition the gap lengths scale psi to 36/(13 h)
     assert _sym(psi_inv_formula, GapBasis(3))(0)((1, 1, 1)) == F(13, 36)
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
-    assert 1 / psi_inv(ks, 4) == F(36, 13) * 6
+    assert 1 / array_at(psi_inv_formula, ks, 4) == F(36, 13) * 6
 
 
 def test_phi_degenerates_without_interior_knots():
@@ -109,7 +111,7 @@ def test_phi_degenerates_without_interior_knots():
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
         assert abs(f((eps, eps, eps, F(1))) - F(1, 5)) < eps
     ks = KnotSequence(3, [])
-    assert 1 / phi_inv(ks, 1) == 5 / ks.bracket(3, 0, 1) == 5
+    assert 1 / array_at(phi_inv_formula, ks, 1) == 5 / ks.bracket(3, 0, 1) == 5
 
 
 # ---------------------------------------------------------------------------
