@@ -110,7 +110,7 @@ def _verify_one(ks: KnotSequence, slack: float):
     if battery:
         consts = decay_constants(ks.order)
         report = decay_report(state.B, ks, slack=slack)
-        report = attach_lemma_checks(report, verify_lemmas(ks, state, slack))
+        report = attach_lemma_checks(report, verify_lemmas(ks, A, state, slack))
     else:
         consts = fit_decay_constants(state.B, ks)
         report = decay_report(state.B, ks, consts=consts)

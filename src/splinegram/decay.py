@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ArithmeticFailure, InputError
-from .gram import _quad_bands, quad_formula, ratio
+from .gram import SymBandedMatrix, quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
 from .scalars import format_scalar, is_exact
@@ -283,7 +283,8 @@ def _select(cond, value, fill=math.inf):
     return out
 
 
-def _linear_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
+def _linear_families(ks: KnotSequence, A: SymBandedMatrix,
+                     state: GrowingInverse) -> tuple:
     """The order-2 families over all leading sizes n, one array pass each,
     each value lhs/rhs of its inequality (bound 1; inf where b_{n,n}^n <= 0):
       sandwich_lower   3/(20)_n <= b_{n,n}^n
@@ -301,10 +302,11 @@ def _linear_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
             ("sandwich_outer", 1, n, 3 * b20 / mid_den))
 
 
-def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
+def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix,
+                        state: GrowingInverse) -> tuple:
     """The order-3 families, each one array pass over n: 1/phi_n and 1/psi_n
     for all n at once, a_{n-1,n} and the other entries of M_n from the
-    Gram diagonals of gram._quad_bands.  Each value is lhs/rhs of its
+    diagonals of the Gram matrix A.  Each value is lhs/rhs of its
     inequality (bound 1; inf where b_{n,n}^n <= 0), except the two sign
     families, whose signed values -M_n/a_{n-1,n} and
     -(phi_n M_n - theta_n)/(phi_n M_n) have bound 0:
@@ -332,7 +334,7 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
     chain_psi = psin_inv / phin_inv  # phi/psi
     chain_12 = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
 
-    bands = _quad_bands(ks)
+    bands = [np.array(band, b.dtype) for band in A.bands]
     a = bands[1]  # a_{n-1,n} for n = 2..m
     n2, n3 = n[1:], n[2:]
     pair = 5 * (b[1:] * a) * br(3, 0, n2) / (6 * br(2, 0, n2))
@@ -353,11 +355,12 @@ def _quadratic_families(ks: KnotSequence, state: GrowingInverse) -> tuple:
             ("theta_consec", 1, n3[:-1], consec))
 
 
-def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
+def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
                   slack: float = 0.0) -> tuple:
     """Check the inequalities of the order-2 or order-3 decay proof on this
-    instance (exact or float per the history's scalars): the order's own
-    families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
+    instance: the Gram matrix A of ks and its inverse ``state`` (exact or
+    float per the history's scalars).  First the order's own families, then
+    lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
     for all j <= n <= m, one kernel pass over the history columns (n outer,
     j inner).  The proofs' last family, full_decay, comes from decay_report.
     Exact values are compared with their family's bound here, float values
@@ -369,12 +372,15 @@ def verify_lemmas(ks: KnotSequence, state: GrowingInverse,
         raise InputError(f"no certified lemma battery for order {ks.order}")
     if state.diag_history is None or state.col_history is None:
         raise InputError("verification requires keep_history=True inversion state")
+    if A.n != ks.m or A.bandwidth != ks.order - 1:
+        raise InputError(f"Gram matrix of size {A.n} and bandwidth {A.bandwidth} "
+                         f"does not match m = {ks.m} and order {ks.order}")
     if state.n != ks.m:
         raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
     consts = decay_constants(ks.order)
     exact = is_exact(state.diag_history[0])
     checks = []
-    for name, bound, n, values in families(ks, state):
+    for name, bound, n, values in families(ks, A, state):
         ok = values <= bound if exact else None
         checks.append(_lemma_check(name, values, ok, (n,), slack, bound))
     hi, lo = np.tril_indices(ks.m)

@@ -31,10 +31,27 @@ lifts both operands to the factor-wise least common denominator by
 which is exactly what the nonnegativity certificates need to inspect.  Its
 scalars pass the same exactness check as polynomial coefficients.
 
+A product of at least ``_ARRAY_MIN_PAIRS`` term pairs runs as numpy arrays
+over the packed monomials (``_array_product``): blocks of whole left rows,
+at most ``_BLOCK_PAIRS`` pairs each, form the outer sums of the keys and
+the outer products of the coefficients, and each block is merged into the
+sorted result so far with one argsort and one ``add.reduceat``; the result
+dict is built once at the end, zeros dropped.  Coefficients are int64 only
+when max|a| max|b| min(len a, len b) < 2^63, which bounds every product and
+every per-monomial sum (a monomial gets at most one pair per term of either
+operand); otherwise they are object arrays of Python ints or Fractions,
+summed exactly in numpy's C loops.  Keys are int64 when the product's
+packed monomials fit, object arrays otherwise.  Smaller products stay in
+the dict loop, and most certificate products are that small: numpy's fixed
+cost per call makes a 42-pair product take 34 us instead of 15 us, and the
+two ways break even near 256 pairs (CPython 3.11, numpy 2.4, 2-core VM).
+numpy is imported on the first large product, not with this module.
+
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
-and raise ResourceBudgetError with partial statistics when it is exceeded.
-The budget lives in a context variable: ``term_budget`` acts on the current
-thread or task only.
+and raise ResourceBudgetError with partial statistics when it is exceeded,
+checked after each left row of the dict loop and after each block of the
+array product.  The budget lives in a context variable: ``term_budget``
+acts on the current thread or task only.
 """
 
 from __future__ import annotations
@@ -50,6 +67,8 @@ from .errors import InputError, ResourceBudgetError
 DEFAULT_TERM_BUDGET = 5_000_000
 _term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
 _MIN_BITS = 8
+_ARRAY_MIN_PAIRS = 256     # smaller products stay in the dict loop
+_BLOCK_PAIRS = 1 << 16     # term pairs per block of the array product
 
 
 def _valid_budget(n) -> int:
@@ -125,6 +144,50 @@ def _tidy(terms: dict) -> dict:
 
 def _all_int(terms: dict) -> bool:
     return set(map(type, terms.values())) <= {int}
+
+
+def _budget_error(budget: int, accumulated: int, left: dict, right: dict):
+    return ResourceBudgetError(
+        f"term budget {budget} exceeded during multiplication",
+        partial={"accumulated_terms": accumulated, "budget": budget,
+                 "left_terms": len(left), "right_terms": len(right)})
+
+
+def _array_product(left: dict, right: dict, degree: int, bits: int, nvars: int,
+                   budget: int) -> dict:
+    """The nonzero terms of left * right (packed at width ``bits``, product
+    degree ``degree``) by the blocked array product of the module
+    docstring, with its int64 exactness rules; every packed monomial of the
+    product lies below (degree + 1) << (bits * nvars).  The right keys are
+    sorted first, so every row of a block is an ascending run, which the
+    stable sort merges rather than sorts.  Zero sums stay in the result
+    until the end: the budget, checked after each block, counts every
+    distinct monomial formed, as the dict loop does."""
+    import numpy as np
+
+    lc, rc = list(left.values()), list(right.values())
+    exact64 = (_all_int(left) and _all_int(right)
+               and max(map(abs, lc)) * max(map(abs, rc)) * min(len(lc), len(rc))
+               < 1 << 63)
+    cdtype = np.int64 if exact64 else object
+    kdtype = np.int64 if (degree + 1) << (bits * nvars) <= 1 << 63 else object
+    lk, lc = np.array(list(left), kdtype), np.array(lc, cdtype)
+    rk, rc = np.array(list(right), kdtype), np.array(rc, cdtype)
+    order = rk.argsort()
+    rk, rc = rk[order], rc[order]
+    keys, coeffs = np.empty(0, kdtype), np.empty(0, cdtype)
+    rows = max(1, _BLOCK_PAIRS // len(rk))
+    for i in range(0, len(lk), rows):
+        k = np.concatenate((keys, np.add.outer(lk[i:i + rows], rk).ravel()))
+        c = np.concatenate((coeffs, np.multiply.outer(lc[i:i + rows], rc).ravel()))
+        order = k.argsort(kind="stable")
+        k = k[order]
+        first = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+        keys, coeffs = k[first], np.add.reduceat(c[order], first)
+        if len(keys) > budget:
+            raise _budget_error(budget, len(keys), left, right)
+    nonzero = coeffs != 0
+    return dict(zip(keys[nonzero].tolist(), coeffs[nonzero].tolist()))
 
 
 class MultiPoly:
@@ -315,24 +378,25 @@ class MultiPoly:
             return MultiPoly.zero(nvars)
         # every exponent of the product is at most its total degree, so at
         # this width no exponent sum carries into the neighbouring field
-        bits = _bits_for(self.total_degree() + other.total_degree())
+        degree = self.total_degree() + other.total_degree()
+        bits = _bits_for(degree)
         left = _repack(self._terms, nvars, self._bits, bits)
-        right = list(_repack(other._terms, nvars, other._bits, bits).items())
+        right = _repack(other._terms, nvars, other._bits, bits)
         budget = get_term_budget()
-        acc = {}
-        get = acc.get
-        for k1, c1 in left.items():
-            for k2, c2 in right:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-            if len(acc) > budget:
-                raise ResourceBudgetError(
-                    f"term budget {budget} exceeded during multiplication",
-                    partial={"accumulated_terms": len(acc), "budget": budget,
-                             "left_terms": len(self._terms),
-                             "right_terms": len(other._terms)})
-        terms = {k: c for k, c in acc.items() if c}
-        if not (_all_int(self._terms) and _all_int(other._terms)):
+        if len(left) * len(right) >= _ARRAY_MIN_PAIRS:
+            terms = _array_product(left, right, degree, bits, nvars, budget)
+        else:
+            acc = {}
+            get = acc.get
+            right_items = list(right.items())
+            for k1, c1 in left.items():
+                for k2, c2 in right_items:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+                if len(acc) > budget:
+                    raise _budget_error(budget, len(acc), left, right)
+            terms = {k: c for k, c in acc.items() if c}
+        if not (_all_int(left) and _all_int(right)):
             _tidy(terms)
         return MultiPoly._make(nvars, bits, terms)
 

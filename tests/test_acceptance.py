@@ -190,10 +190,11 @@ def _run_battery(order, check_names, float_trials, exact_trials):
         n = 0
         cap = 1.0 + slack
         for ks in sweep_partitions(cfg):
-            state = invert_iteratively(build_gram(ks), keep_history=True)
+            A = build_gram(ks)
+            state = invert_iteratively(A, keep_history=True)
             report = decay_report(state.B, ks, slack=slack)
             report = attach_lemma_checks(report,
-                                         verify_lemmas(ks, state, slack))
+                                         verify_lemmas(ks, A, state, slack))
             assert report.certified and report.passed
             names = set()
             for check in report.lemma_checks:

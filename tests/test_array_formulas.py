@@ -135,8 +135,9 @@ def test_gram_bands_equal_per_entry_formulas(ks, mode):
 @pytest.mark.parametrize("ks,mode", CASES)
 def test_battery_families_equal_per_n_loop(ks, mode):
     ks = _in_mode(ks, mode)
-    state = invert_iteratively(build_gram(ks), keep_history=True)
-    families = {2: _linear_families, 3: _quadratic_families}[ks.order](ks, state)
+    A = build_gram(ks)
+    state = invert_iteratively(A, keep_history=True)
+    families = {2: _linear_families, 3: _quadratic_families}[ks.order](ks, A, state)
     expected = oracle_families(ks, state)
     assert [f[0] for f in families] == [e[0] for e in expected]
     for (name, bound, n, values), (_, ref_bound, rows) in zip(families, expected):
@@ -152,7 +153,8 @@ def test_first_nonpositive_phi_raises_at_its_step(monkeypatch):
     from splinegram import decay
 
     ks = KnotSequence(3, [F(i, 9) for i in range(1, 8)])
-    state = invert_iteratively(build_gram(ks), keep_history=True)
+    A = build_gram(ks)
+    state = invert_iteratively(A, keep_history=True)
     real = decay.phi_inv_formula
 
     def bent(br, ratio, n):
@@ -164,6 +166,6 @@ def test_first_nonpositive_phi_raises_at_its_step(monkeypatch):
 
     monkeypatch.setattr(decay, "phi_inv_formula", bent)
     with pytest.raises(ArithmeticFailure) as err:
-        decay._quadratic_families(ks, state)
+        decay._quadratic_families(ks, A, state)
     assert err.value.step == 5 and type(err.value.step) is int
     assert err.value.context == F(-2) and type(err.value.context) is F

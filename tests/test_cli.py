@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracles import save_partition
-from splinegram import (KnotSequence, build_gram, invert_iteratively,
+from splinegram import (InputError, KnotSequence, build_gram, invert_iteratively,
                         inverse_to_json, matrix_to_json)
 from splinegram import decay
 from splinegram.cli import main
@@ -124,6 +124,36 @@ def test_verify_single_exact(capsys):
     assert obj["certified"] is True and obj["worst_ratio"] <= 1
     assert obj["checkerboard"] is True
     assert len(obj["lemma_checks"]) == 9
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_evaluates_the_gram_bands_once(capsys, monkeypatch, mode):
+    # the lemma battery reads a_{n-1,n} and M_n's entries from the Gram
+    # matrix it verifies instead of evaluating the order-3 bands again
+    from splinegram import gram
+    calls = []
+    quad_bands = gram._quad_bands
+
+    def counted(ks):
+        calls.append(ks.m)
+        return quad_bands(ks)
+
+    monkeypatch.setattr(gram, "_quad_bands", counted)
+    # a module importing it by name would escape the patch of gram alone
+    monkeypatch.setattr(decay, "_quad_bands", counted, raising=False)
+    code, obj = _run_json(capsys, ["verify", "--order", "3", "--spec", "random:12",
+                                   "--mode", mode])
+    assert code == 0 and len(obj["lemma_checks"]) == 9
+    assert calls == [15]
+
+
+def test_verify_lemmas_rejects_a_gram_matrix_of_another_partition():
+    ks, other = KnotSequence(3, [F(1, 2)]), KnotSequence(3, [F(1, 3), F(1, 2)])
+    state = invert_iteratively(build_gram(ks), keep_history=True)
+    for A in (build_gram(other), build_gram(KnotSequence(2, [F(1, 2), F(3, 4)]))):
+        with pytest.raises(InputError):
+            decay.verify_lemmas(ks, A, state)
+    assert decay.verify_lemmas(ks, build_gram(ks), state)
 
 
 def test_verify_csv(capsys, tmp_path):

@@ -109,7 +109,7 @@ def test_linear_battery_exact():
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         st = _inverted(ks)
         checks = attach_lemma_checks(decay_report(st.B, ks),
-                                     verify_lemmas(ks, st)).lemma_checks
+                                     verify_lemmas(ks, build_gram(ks), st)).lemma_checks
         assert [c.name for c in checks] == [
             "sandwich_lower", "sandwich_middle", "sandwich_outer",
             "lastcol_decay", "full_decay"]
@@ -121,7 +121,7 @@ def test_linear_battery_equality_at_first_index():
     ks = KnotSequence(2, [F(1, 3), F(2, 3)])
     st = _inverted(ks)
     assert st.diag_history[0] == 3 / ks.bracket(2, 0, 1)
-    lower = verify_lemmas(ks, st)[0]
+    lower = verify_lemmas(ks, build_gram(ks), st)[0]
     assert lower.worst_ratio == 1.0 and lower.witness == (1,)
 
 
@@ -133,7 +133,7 @@ def test_quadratic_battery_exact():
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         st = _inverted(ks)
         checks = attach_lemma_checks(decay_report(st.B, ks),
-                                     verify_lemmas(ks, st)).lemma_checks
+                                     verify_lemmas(ks, build_gram(ks), st)).lemma_checks
         assert [c.name for c in checks] == [
             "chain_b_le_phi", "chain_phi_le_psi", "chain_psi_le_12",
             "offdiag_pair", "minor_nonneg", "theta_hat_bound",
@@ -148,7 +148,7 @@ def test_battery_float_with_slack():
             count = rng.randint(2, 30)
             pts = sorted(rng.random() for _ in range(count))
             ks = KnotSequence(order, pts)
-            checks = verify_lemmas(ks, _inverted(ks), slack=1e-12)
+            checks = verify_lemmas(ks, build_gram(ks), _inverted(ks), slack=1e-12)
             assert all(c.passed for c in checks), (order, count)
 
 
@@ -164,8 +164,8 @@ def test_negative_minor_fails_in_both_modes(monkeypatch):
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         fks = KnotSequence(3, [float(t) for t in ks.interior])
-        exact = verify_lemmas(ks, _inverted(ks))
-        floats = verify_lemmas(fks, _inverted(fks), slack=1e-12)
+        exact = verify_lemmas(ks, build_gram(ks), _inverted(ks))
+        floats = verify_lemmas(fks, build_gram(fks), _inverted(fks), slack=1e-12)
         assert [c.name for c in exact] == [c.name for c in floats]
         for e, f in zip(exact, floats):
             if e.name in ("minor_nonneg", "theta_hat_bound"):
@@ -177,10 +177,10 @@ def test_negative_minor_fails_in_both_modes(monkeypatch):
 def test_battery_requires_history():
     ks = KnotSequence(2, [F(1, 2)])
     with pytest.raises(InputError):
-        verify_lemmas(ks, _inverted(ks, history=False))
+        verify_lemmas(ks, build_gram(ks), _inverted(ks, history=False))
     with pytest.raises(InputError):
-        verify_lemmas(KnotSequence(4, [F(1, 2)]),
-                      _inverted(KnotSequence(4, [F(1, 2)])))
+        k4 = KnotSequence(4, [F(1, 2)])
+        verify_lemmas(k4, build_gram(k4), _inverted(k4))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,7 @@ def test_report_json_shape():
     ks = KnotSequence(3, [F(1, 4), F(1, 2), F(3, 4)])
     st = _inverted(ks)
     report = attach_lemma_checks(decay_report(st.B, ks),
-                                 verify_lemmas(ks, st))
+                                 verify_lemmas(ks, build_gram(ks), st))
     obj = report_to_json(report)
     assert set(obj) == {"k", "m", "K", "gamma_sq", "certified", "passed",
                         "worst_ratio", "worst_entry", "lemma_checks"}
@@ -311,7 +311,7 @@ def test_kernel_families_match_per_entry_loop():
                 ks = KnotSequence(order, [float(t) for t in ks.interior])
             st, c, m = _inverted(ks), decay_constants(order), ks.m
             report = attach_lemma_checks(decay_report(st.B, ks),
-                                         verify_lemmas(ks, st))
+                                         verify_lemmas(ks, build_gram(ks), st))
             checks = {check.name: check for check in report.lemma_checks}
             upper = [((i, j), st.B[i - 1][j - 1])
                      for i in range(1, m + 1) for j in range(i, m + 1)]

@@ -2,6 +2,9 @@
 budgets."""
 
 import contextvars
+import random
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
+from splinegram import multipoly
 from splinegram.multipoly import _MIN_BITS, get_term_budget, poly_product
 from splinegram.polycert import _nonneg_witness
 
@@ -223,6 +227,139 @@ def test_poly_product():
 
 
 # ---------------------------------------------------------------------------
+# The blocked array product against the dict loop and evaluation
+#
+# Products of at least _ARRAY_MIN_PAIRS term pairs run as numpy arrays.  Each
+# is compared with the tuple-keyed schoolbook product, with the same product
+# forced through the dict loop, and with p(x) q(x) at a rational point.
+
+
+@contextmanager
+def _dict_loop_only():
+    saved = multipoly._ARRAY_MIN_PAIRS
+    multipoly._ARRAY_MIN_PAIRS = float("inf")
+    try:
+        yield
+    finally:
+        multipoly._ARRAY_MIN_PAIRS = saved
+
+
+def _check_array_product(nvars, a, b, point):
+    p, q = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    assert len(p) * len(q) >= multipoly._ARRAY_MIN_PAIRS
+    product = p * q
+    with _dict_loop_only():
+        by_dict = p * q
+    expected = ref_mul(a, b)
+    assert product == by_dict == MultiPoly(nvars, expected)
+    assert product.terms == expected and hash(product) == hash(by_dict)
+    assert all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in product.terms.values())
+    assert product(point) == p(point) * q(point)
+    return product
+
+
+big_ints = st.integers(2 ** 62, 2 ** 70).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+array_coeffs = {
+    "int64": st.integers(-1000, 1000),
+    "object_int": st.one_of(big_ints, st.integers(-3, 3)),
+    "fraction": st.fractions(min_value=-9, max_value=9, max_denominator=12),
+}
+
+
+@st.composite
+def array_pairs(draw, coeffs):
+    """Two term dicts of 16..40 terms each in nvars in 2..4."""
+    nvars = draw(st.integers(2, 4))
+    terms = st.dictionaries(st.tuples(*(st.integers(0, 9),) * nvars),
+                            coeffs.filter(bool), min_size=16, max_size=40)
+    point = draw(st.tuples(*(st.fractions(min_value=-3, max_value=3,
+                                          max_denominator=7),) * nvars))
+    return nvars, draw(terms), draw(terms), point
+
+
+@pytest.mark.parametrize("kind", sorted(array_coeffs))
+def test_array_product_matches_dict_loop(kind):
+    @settings(max_examples=25, deadline=None)
+    @given(array_pairs(array_coeffs[kind]))
+    def check(case):
+        _check_array_product(*case)
+
+    check()
+
+
+def test_array_product_coefficients_at_the_int64_bound():
+    # dense univariate operands of 32 terms: the middle coefficient sums 32
+    # products, 32 (2^29)^2 = 2^63, one past int64; 2^29 - 1 stays below
+    rng = random.Random(5)
+    for c in (2 ** 29 - 1, 2 ** 29, -(2 ** 29)):
+        a = {(i,): c for i in range(32)}
+        b = {(i,): c if rng.random() < 0.9 else -c for i in range(32)}
+        _check_array_product(1, a, b, (F(-2, 3),))
+        _check_array_product(1, a, a, (F(5, 4),))
+
+
+def test_array_product_with_mixed_int_and_fraction_coefficients():
+    rng = random.Random(6)
+    a = {(i, j): F(rng.randint(-9, 9), rng.randint(1, 4))
+         for i in range(5) for j in range(5)}
+    b = {(i, j): rng.randint(-2 ** 40, 2 ** 40) for i in range(4) for j in range(6)}
+    _check_array_product(2, a, b, (F(1, 2), F(-3, 5)))
+
+
+def test_array_product_cancellation():
+    # (sum_{i+j=15} x^i y^j) (x - y) h = (x^16 - y^16) h: 512 term pairs
+    # whose sums cancel to 2 len(h) terms, no zero coefficient kept
+    x, y = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    f = MultiPoly(2, {(i, 15 - i): 1 for i in range(16)})
+    h = MultiPoly(2, {(i, 2 * i % 7): i + 1 for i in range(16)})
+    g = (x - y) * h
+    product = _check_array_product(2, f.terms, g.terms, (F(2), F(3)))
+    assert product == (x ** 16 - y ** 16) * h and len(product) == 2 * len(h)
+    assert 0 not in product.terms.values()
+
+
+def test_array_product_keys_beyond_int64():
+    # 7 fields of 8 bits leave the degree field room for degree 127 in an
+    # int64 key; degree 128 and 8 variables need object keys
+    rng = random.Random(7)
+    for nvars, top in ((7, 127), (7, 128), (8, 24)):
+        def terms():
+            out = {(top // 2,) + (0,) * (nvars - 1): 1}
+            while len(out) < 20:
+                e = [rng.randint(0, 1) for _ in range(nvars)]
+                out[tuple(e)] = rng.randint(-50, 50) or 1
+            return out
+        a, b = terms(), terms()
+        a[(0,) * (nvars - 1) + (top - top // 2,)] = 3
+        point = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars))
+        product = _check_array_product(nvars, a, b, point)
+        assert product.total_degree() == top
+
+
+@pytest.mark.parametrize("rows, cols, array_path", [(15, 17, False), (16, 16, True)])
+def test_products_either_side_of_the_cutoff(monkeypatch, rows, cols, array_path):
+    assert (rows * cols >= multipoly._ARRAY_MIN_PAIRS) == array_path
+    calls = []
+    array_product = multipoly._array_product
+
+    def spy(*args):
+        calls.append(len(args[0]) * len(args[1]))
+        return array_product(*args)
+
+    monkeypatch.setattr(multipoly, "_array_product", spy)
+    rng = random.Random(rows)
+    a = {(i, 0): F(rng.randint(-9, 9), rng.randint(1, 3)) or 1 for i in range(rows)}
+    b = {(i % 5, i): rng.randint(-9, 9) or 1 for i in range(cols)}
+    p, q = MultiPoly(2, a), MultiPoly(2, b)
+    product, point = p * q, (F(-5, 3), F(2, 7))
+    assert calls == ([rows * cols] if array_path else [])
+    assert product == MultiPoly(2, ref_mul(a, b))
+    assert product(point) == p(point) * q(point)
+
+
+# ---------------------------------------------------------------------------
 # Term budget
 
 
@@ -262,6 +399,27 @@ def test_budget_is_context_local():
     x1 = MultiPoly.variable(2, 1)
     dense = (1 + x1 + MultiPoly.variable(2, 2)) ** 3
     assert len(dense * dense) > 7      # the other context's cap is not ours
+
+
+def test_budget_stops_a_large_product_after_one_block():
+    # 1000 x 1000 distinct monomials: 10^6 term pairs, which the array
+    # product would hold in 8 MB per int64 array; the budget of 1000 trips
+    # after the first block, before any array of 10^6 elements exists
+    import numpy  # noqa: F401  (imported before tracing starts)
+    p = MultiPoly(2, {(i, 0): i % 7 + 1 for i in range(1000)})
+    q = MultiPoly(2, {(0, j): j % 5 + 1 for j in range(1000)})
+    tracemalloc.start()
+    try:
+        with term_budget(1000):
+            with pytest.raises(ResourceBudgetError) as err:
+                p * q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    partial = err.value.partial
+    assert 1000 < partial["accumulated_terms"] <= multipoly._BLOCK_PAIRS
+    assert (partial["left_terms"], partial["right_terms"]) == (1000, 1000)
+    assert peak < 8 * 10 ** 6
 
 
 def test_budget_restored_after_exception():
