@@ -48,13 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix, quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
-from .scalars import format_scalar, is_exact
+from .scalars import format_scalar
 
 
 @dataclass(frozen=True)
@@ -283,10 +282,10 @@ def _select(cond, value, fill=math.inf):
     return out
 
 
-def _linear_families(ks: KnotSequence, A: SymBandedMatrix,
-                     state: GrowingInverse) -> tuple:
-    """The order-2 families over all leading sizes n, one array pass each,
-    each value lhs/rhs of its inequality (bound 1; inf where b_{n,n}^n <= 0):
+def _linear_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
+    """The order-2 families over all leading sizes n, one array pass each
+    over the diagonal history b, each value lhs/rhs of its inequality
+    (bound 1; inf where b_{n,n}^n <= 0):
       sandwich_lower   3/(20)_n <= b_{n,n}^n
       sandwich_middle  b_{n,n}^n <= 3/((3/4)(10)_n + (21)_n)
       sandwich_outer   3/((3/4)(10)_n + (21)_n) <= 4/(20)_n
@@ -294,7 +293,6 @@ def _linear_families(ks: KnotSequence, A: SymBandedMatrix,
     import numpy as np
 
     br, n = ks.brackets, np.arange(1, ks.m + 1)
-    b = np.array(state.diag_history)
     b20, b10, b21 = br(2, 0, n), br(1, 0, n), br(2, 1, n)
     mid_den = 3 * b10 + 4 * b21  # 4*((3/4)(10) + (21))
     return (("sandwich_lower", 1, n, _select(b > 0, lambda at: 3 / (b20[at] * b[at]))),
@@ -302,13 +300,12 @@ def _linear_families(ks: KnotSequence, A: SymBandedMatrix,
             ("sandwich_outer", 1, n, 3 * b20 / mid_den))
 
 
-def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix,
-                        state: GrowingInverse) -> tuple:
-    """The order-3 families, each one array pass over n: 1/phi_n and 1/psi_n
-    for all n at once, a_{n-1,n} and the other entries of M_n from the
-    diagonals of the Gram matrix A.  Each value is lhs/rhs of its
-    inequality (bound 1; inf where b_{n,n}^n <= 0), except the two sign
-    families, whose signed values -M_n/a_{n-1,n} and
+def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
+    """The order-3 families, each one array pass over n: the diagonal
+    history b, 1/phi_n and 1/psi_n for all n at once, a_{n-1,n} and the
+    other entries of M_n from the diagonals of the Gram matrix A.  Each
+    value is lhs/rhs of its inequality (bound 1; inf where b_{n,n}^n <= 0),
+    except the two sign families, whose signed values -M_n/a_{n-1,n} and
     -(phi_n M_n - theta_n)/(phi_n M_n) have bound 0:
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
@@ -323,7 +320,6 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix,
     import numpy as np
 
     br, n = ks.brackets, np.arange(1, ks.m + 1)
-    b = np.array(state.diag_history)
     phin_inv, psin_inv = phi_inv_formula(br, ratio, n), psi_inv_formula(br, ratio, n)
     bad = np.flatnonzero(phin_inv[2:] <= 0)
     if len(bad):
@@ -359,7 +355,7 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
                   slack: float = 0.0) -> tuple:
     """Check the inequalities of the order-2 or order-3 decay proof on this
     instance: the Gram matrix A of ks and its inverse ``state`` (exact or
-    float per the history's scalars).  First the order's own families, then
+    float per B's dtype).  First the order's own families, then
     lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
     for all j <= n <= m, one kernel pass over the history columns (n outer,
     j inner).  The proofs' last family, full_decay, comes from decay_report.
@@ -378,13 +374,13 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
     if state.n != ks.m:
         raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
     consts = decay_constants(ks.order)
-    exact = is_exact(state.diag_history[0])
+    exact = state.B.dtype == object
     checks = []
-    for name, bound, n, values in families(ks, A, state):
+    for name, bound, n, values in families(ks, A, state.diag_history):
         ok = values <= bound if exact else None
         checks.append(_lemma_check(name, values, ok, (n,), slack, bound))
     hi, lo = np.tril_indices(ks.m)
-    x = np.array(list(chain.from_iterable(state.col_history)))
+    x = np.concatenate(state.col_history)
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
                                     consts.gamma_sq if exact else None)
     checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))
@@ -430,9 +426,12 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     if consts.order != ks.order:
         raise InputError(f"constants for order {consts.order} used with order {ks.order}")
     m = ks.m
-    if len(B) != m or any(len(row) != m for row in B):
+    try:
+        B = np.asarray(B)
+    except ValueError:  # ragged rows
+        B = np.empty(0)
+    if B.shape != (m, m):
         raise InputError(f"inverse must be {m}x{m} to match the knot sequence")
-    B = np.asarray(B)
     exact_verdicts = B.dtype == object and consts.certified
     lo, hi = np.triu_indices(m)
     _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,

@@ -15,7 +15,8 @@ upper triangular where B is symmetric; its column n, cut to length n, is
 the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
 recurrence O(m^2 w).  One routine serves both scalar modes: numpy arrays of
 dtype object hold Fractions in exact mode, float64 arrays hold floats in
-float mode.  Public (i,j) indices are 1-based to match the formulas.
+float mode; the returned history is views of Y.  Public (i,j) indices
+are 1-based to match the formulas.
 """
 
 from __future__ import annotations
@@ -25,27 +26,23 @@ from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
-from .scalars import format_scalars, is_exact
+from .scalars import format_scalars
 
 
 @dataclass(frozen=True)
 class GrowingInverse:
-    """The inverse B = A_n^{-1}, plus the opt-in leading-inverse history.
+    """The inverse B = A_n^{-1}, an n x n array of dtype object (Fractions)
+    or float64, plus the opt-in leading-inverse history.
 
     ``diag_history`` holds (b_{1,1}^1, ..., b_{n,n}^n) and ``col_history`` the
-    last column of every leading inverse (b_{.,j}^j as a tuple of length j)
-    when history retention is on; both are None otherwise.
+    last column of every leading inverse (b_{.,j}^j, of length j), 1-D views
+    of one array of B's dtype, when history retention is on; else None.
     """
 
     n: int
     B: object
-    diag_history: tuple | None = None
+    diag_history: object = None
     col_history: tuple | None = None
-
-    def entry(self, i: int, j: int):
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise InputError(f"index ({i},{j}) outside [1,{self.n}]^2")
-        return self.B[i - 1][j - 1]
 
 
 def _ldlt(A: SymBandedMatrix, scalar, dtype):
@@ -79,12 +76,12 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     """Invert A and, with ``keep_history``, every leading A_n, from one
     banded LDL^T factorization (see the module docstring).
 
-    Exact matrices run over Fractions and return B as a tuple of row
-    tuples; float matrices run in float64 and return B as an ndarray.  A
-    zero pivot raises ArithmeticFailure with the 1-based step n of the
-    singular leading submatrix A_n.  In float mode a non-finite entry of B
-    or of the history (a subnormal pivot whose reciprocal overflows)
-    raises ArithmeticFailure with step its 1-based row, the first.
+    Exact matrices run over Fractions and float matrices in float64, and B
+    and the history are arrays of that dtype.  A zero pivot raises
+    ArithmeticFailure with the 1-based step n of the singular A_n.  In
+    float mode a non-finite entry of B or of the history (a subnormal pivot
+    whose reciprocal overflows) raises ArithmeticFailure with step its
+    1-based row, the first.
     """
     import numpy as np
 
@@ -112,13 +109,10 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
                                     step=int(np.argmin(finite.all(axis=1))) + 1)
     diag_hist = col_hist = None
     if keep_history:
-        # tolist: Python floats in float mode, the same Fractions in exact
-        diag_hist = tuple(Y.diagonal().tolist())
         # the last leading inverse is B itself: take its column bit for bit
-        col_hist = tuple(tuple(Y[:n, n - 1].tolist()) for n in range(1, m))
-        col_hist += (tuple(B[:, m - 1].tolist()),)
-    if exact:
-        B = tuple(map(tuple, B))
+        Y[:, m - 1] = B[:, m - 1]
+        diag_hist = Y.diagonal()
+        col_hist = tuple(Y[:n, n - 1] for n in range(1, m + 1))
     return GrowingInverse(m, B, diag_hist, col_hist)
 
 
@@ -128,12 +122,16 @@ def check_checkerboard(B):
     Returns (passed, witness) with witness the first violating 1-based (i,j)
     in row-major order, or None.
     """
-    for i, row in enumerate(B):
-        for j, x in enumerate(row):
-            # (-1)^{i+j} x < 0 decided by one comparison, without negating x
-            if (x > 0) if (i + j) & 1 else (x < 0):
-                return False, (i + 1, j + 1)
-    return True, None
+    import numpy as np
+
+    B = np.asarray(B)
+    odd = np.indices(B.shape).sum(axis=0) & 1 == 1
+    bad = np.empty(B.shape, bool)  # one comparison per entry, x not negated
+    bad[odd], bad[~odd] = B[odd] > 0, B[~odd] < 0
+    at = np.flatnonzero(bad)
+    if not len(at):
+        return True, None
+    return False, tuple(int(x) + 1 for x in np.unravel_index(at[0], B.shape))
 
 
 def max_residual(A: SymBandedMatrix, B) -> float:
@@ -155,9 +153,9 @@ def max_residual(A: SymBandedMatrix, B) -> float:
 
 def inverse_to_json(state: GrowingInverse) -> dict:
     """The upper triangle as (i, j, b_ij) triples, row by row."""
-    exact = is_exact(state.B[0][0])
+    exact = state.B.dtype == object
     entries = [[i, j, x] for i in range(1, state.n + 1)
-               for j, x in enumerate(format_scalars(state.B[i - 1][i - 1:], exact),
+               for j, x in enumerate(format_scalars(state.B[i - 1, i - 1:], exact),
                                      start=i)]
     return {"n": state.n, "bandwidth": state.n - 1, "entries": entries}
 
@@ -165,7 +163,7 @@ def inverse_to_json(state: GrowingInverse) -> dict:
 def history_to_json(state: GrowingInverse) -> list:
     if state.diag_history is None:
         raise InputError("history was not retained; rerun with keep_history")
-    exact = is_exact(state.diag_history[0])
+    exact = state.B.dtype == object
     diag = format_scalars(state.diag_history, exact)
     return [{"n": n, "b_nn": b, "last_col": format_scalars(col, exact)}
             for n, (b, col) in enumerate(zip(diag, state.col_history), start=1)]

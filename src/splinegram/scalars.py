@@ -51,9 +51,9 @@ def format_scalar(x):
 
 
 def format_scalars(values, exact: bool) -> list:
-    """``format_scalar`` over a sequence of one scalar type, decided once by
+    """``format_scalar`` over an ndarray of one scalar type, decided once by
     the caller: exact values become ``"p/q"`` strings, floats pass through
-    as Python floats (an ndarray via ``tolist``)."""
+    as Python floats (via ``tolist``)."""
     if exact:
         return [format_scalar(x) for x in values]
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+    return values.tolist()

@@ -58,7 +58,7 @@ def _exact_residual_is_zero(state, A):
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             lo, hi = max(1, j - A.bandwidth), min(m, j + A.bandwidth)
-            s = sum(state.entry(i, l) * A.get(l, j) for l in range(lo, hi + 1))
+            s = sum(state.B[i - 1, l - 1] * A.get(l, j) for l in range(lo, hi + 1))
             if s != (1 if i == j else 0):
                 return False
     return True
@@ -83,7 +83,7 @@ def test_criterion_01_exact_inversion_matches_oracle():
                 A = build_gram(ks)
                 state = invert_iteratively(A)
                 oracle = dense_inverse_oracle(A)
-                assert all(state.entry(i, j) == oracle[i - 1][j - 1]
+                assert all(state.B[i - 1, j - 1] == oracle[i - 1][j - 1]
                            for i in range(1, ks.m + 1)
                            for j in range(1, ks.m + 1))
                 assert _exact_residual_is_zero(state, A)

@@ -37,7 +37,7 @@ def oracle_bands(ks):
 def oracle_families(ks, state):
     """(name, bound, [(n, value)]) of each family, one loop over n."""
     br, inf = ks.bracket, math.inf
-    hist = state.diag_history
+    hist = state.diag_history.tolist()  # Python scalars, as the loop makes them
     if ks.order == 2:
         lower, middle, outer = [], [], []
         for n in range(1, ks.m + 1):
@@ -137,7 +137,8 @@ def test_battery_families_equal_per_n_loop(ks, mode):
     ks = _in_mode(ks, mode)
     A = build_gram(ks)
     state = invert_iteratively(A, keep_history=True)
-    families = {2: _linear_families, 3: _quadratic_families}[ks.order](ks, A, state)
+    families = {2: _linear_families, 3: _quadratic_families}[ks.order](
+        ks, A, state.diag_history)
     expected = oracle_families(ks, state)
     assert [f[0] for f in families] == [e[0] for e in expected]
     for (name, bound, n, values), (_, ref_bound, rows) in zip(families, expected):
@@ -166,6 +167,6 @@ def test_first_nonpositive_phi_raises_at_its_step(monkeypatch):
 
     monkeypatch.setattr(decay, "phi_inv_formula", bent)
     with pytest.raises(ArithmeticFailure) as err:
-        decay._quadratic_families(ks, A, state)
+        decay._quadratic_families(ks, A, state.diag_history)
     assert err.value.step == 5 and type(err.value.step) is int
     assert err.value.context == F(-2) and type(err.value.context) is F

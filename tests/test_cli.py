@@ -98,12 +98,12 @@ def test_output_is_compact_and_lossless(capsys, tmp_path):
             st = invert_iteratively(build_gram(ks), keep_history=True)
             assert len(inverse["entries"]) == st.n * (st.n + 1) // 2
             for i, j, x in inverse["entries"]:
-                assert scalar(x) == st.entry(i, j)
+                assert scalar(x) == st.B[i - 1, j - 1]
             assert [rec["n"] for rec in history] == list(range(1, st.n + 1))
             assert [scalar(rec["b_nn"]) for rec in history] \
-                == list(st.diag_history)
-            assert [tuple(map(scalar, rec["last_col"])) for rec in history] \
-                == list(st.col_history)
+                == st.diag_history.tolist()
+            assert [list(map(scalar, rec["last_col"])) for rec in history] \
+                == [col.tolist() for col in st.col_history]
 
             capsys.readouterr()
             assert main(["gram", *argv]) == 0

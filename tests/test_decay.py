@@ -252,6 +252,10 @@ def test_report_validation():
     with pytest.raises(InputError):
         decay_report(st.B, KnotSequence(2, [F(1, 3), F(2, 3)]))  # m mismatch
     with pytest.raises(InputError):
+        decay_report(st.B[:, :2], ks)  # not square
+    with pytest.raises(InputError):
+        decay_report((tuple(st.B[0]), tuple(st.B[1]), tuple(st.B[2, :2])), ks)  # ragged
+    with pytest.raises(InputError):
         decay_report(st.B, ks, consts=decay_constants(3))
 
 

@@ -4,11 +4,12 @@ exact oracle of tests/oracles.py."""
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from oracles import dense_inverse_oracle, to_dense
-from splinegram import (ArithmeticFailure, InputError, KnotSequence,
-                        SymBandedMatrix, build_gram, check_checkerboard,
+from splinegram import (ArithmeticFailure, KnotSequence, SymBandedMatrix,
+                        build_gram, check_checkerboard, history_to_json,
                         invert_iteratively, max_residual)
 from splinegram.gram import gram_linear
 from splinegram.partitions import shrink_one_gap
@@ -27,7 +28,7 @@ def _random_exact(rng, order, count):
 def test_bernstein_linear_inverse():
     # A = [[1/3,1/6],[1/6,1/3]] -> inverse [[4,-2],[-2,4]] (det = 1/12)
     state = invert_iteratively(gram_linear(KnotSequence(2, [])))
-    assert state.B == ((F(4), F(-2)), (F(-2), F(4)))
+    assert state.B.tolist() == [[F(4), F(-2)], [F(-2), F(4)]]
 
 
 def test_single_knot_linear_inverse_and_history():
@@ -36,12 +37,12 @@ def test_single_knot_linear_inverse_and_history():
     # leading inverses give b_{1,1}^1 = 6 and b_{2,2}^2 = 24/7
     state = invert_iteratively(gram_linear(KnotSequence(2, [F(1, 2)])),
                                keep_history=True)
-    assert state.B == ((F(7), F(-2), F(1)),
-                       (F(-2), F(4), F(-2)),
-                       (F(1), F(-2), F(7)))
-    assert state.diag_history == (F(6), F(24, 7), F(7))
-    assert state.col_history[1] == (F(-12, 7), F(24, 7))
-    assert state.col_history[2] == (F(1), F(-2), F(7))
+    assert state.B.tolist() == [[F(7), F(-2), F(1)],
+                                [F(-2), F(4), F(-2)],
+                                [F(1), F(-2), F(7)]]
+    assert state.diag_history.tolist() == [F(6), F(24, 7), F(7)]
+    assert state.col_history[1].tolist() == [F(-12, 7), F(24, 7)]
+    assert state.col_history[2].tolist() == [F(1), F(-2), F(7)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def test_history_columns_match_oracle_of_leading_submatrices():
             rows = to_dense(A)
             for n in range(1, A.n + 1):
                 oracle = dense_inverse_oracle([row[:n] for row in rows[:n]])
-                assert st.col_history[n - 1] == tuple(row[n - 1] for row in oracle)
+                assert st.col_history[n - 1].tolist() == [row[n - 1] for row in oracle]
                 assert st.diag_history[n - 1] == oracle[n - 1][n - 1]
 
 
@@ -219,14 +220,23 @@ def test_float_history_last_column_is_inverse_column():
 
 
 def test_history_scalar_types():
-    # float history holds Python floats, not one np.float64 box per scalar;
-    # exact history holds the recurrence's Fractions
+    # the history is views of one array of B's dtype: the recurrence's
+    # Fractions in exact mode, float64 in float mode; history_to_json still
+    # writes Python floats
     for order in (2, 3):
-        for scalar in (F, float):
+        for scalar, dtype in ((F, object), (float, np.float64)):
             ks = KnotSequence(order, [scalar(F(1, 4)), scalar(F(2, 3))])
             st = invert_iteratively(build_gram(ks), keep_history=True)
-            values = [*st.diag_history, *(x for col in st.col_history for x in col)]
-            assert all(type(x) is scalar for x in values)
+            arrays = (st.B, st.diag_history, *st.col_history)
+            assert all(a.dtype == dtype for a in arrays)
+            Y = st.diag_history.base
+            assert all(col.base is Y for col in st.col_history)
+            if scalar is F:
+                values = [*st.diag_history, *(x for col in st.col_history for x in col)]
+                assert all(type(x) is F for x in values)
+            else:
+                for rec in history_to_json(st):
+                    assert all(type(x) is float for x in (rec["b_nn"], *rec["last_col"]))
 
 
 def test_float_history_matches_exact():
@@ -254,6 +264,17 @@ def test_checkerboard_sign_pattern():
 def test_checkerboard_detects_violation():
     ok, witness = check_checkerboard(((F(1), F(1)), (F(1), F(1))))
     assert not ok and witness == (1, 2)
+    # a positive entry at odd i+j, (2,1), and a negative one at even i+j,
+    # (1,3): the witness is the first in row-major order; zeros never
+    # violate; float arrays are checked the same way
+    B = [[F(1), F(-1), F(-1)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    for rows in (B, np.array(B, dtype=float)):
+        ok, witness = check_checkerboard(rows)
+        assert not ok and witness == (1, 3) and all(type(x) is int for x in witness)
+    B[0][2] = F(1)
+    assert check_checkerboard(B) == (False, (2, 1))
+    B[1][0] = F(-1)
+    assert check_checkerboard(B) == (True, None)
 
 
 def test_oracle_accepts_banded_and_dense():
@@ -264,11 +285,7 @@ def test_oracle_accepts_banded_and_dense():
 def test_growing_inverse_accessors():
     st = invert_iteratively(build_gram(KnotSequence(2, [F(1, 2)])),
                             keep_history=True)
-    assert st.entry(1, 3) == F(1)
+    assert st.B[0, 2] == F(1)
     # the last column of the full inverse is the history's last column
-    assert tuple(st.entry(i, 3) for i in (1, 2, 3)) == st.col_history[2] \
-        == (F(1), F(-2), F(7))
-    with pytest.raises(InputError):
-        st.entry(0, 1)
-    with pytest.raises(InputError):
-        st.entry(1, 4)
+    assert [st.B[i - 1, 2] for i in (1, 2, 3)] == st.col_history[2].tolist() \
+        == [F(1), F(-2), F(7)]

@@ -34,7 +34,7 @@ DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense"),
     splinegram.KnotSequence: ("mesh", "gaps"),
-    splinegram.GrowingInverse: ("column", "rows"),
+    splinegram.GrowingInverse: ("column", "rows", "entry"),
     splinegram.MultiPoly: ("coefficient", "content"),
 }
 
