@@ -58,14 +58,10 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _is_float_partition(ks: KnotSequence) -> bool:
-    return isinstance(ks.knot(1), float)
-
-
 def _apply_mode(ks: KnotSequence, mode: str) -> KnotSequence:
-    if mode == "float" and not _is_float_partition(ks):
+    if mode == "float" and ks.exact:
         return KnotSequence(ks.order, tuple(float(x) for x in ks.interior))
-    if mode == "exact" and _is_float_partition(ks):
+    if mode == "exact" and not ks.exact:
         raise InputError("cannot promote a float partition to exact mode")
     return ks
 
@@ -114,7 +110,7 @@ def _verify_one(ks: KnotSequence, slack: float):
     else:
         consts = fit_decay_constants(state.B, ks)
         report = decay_report(state.B, ks, consts=consts)
-    board = None if _is_float_partition(ks) else check_checkerboard(state.B)[0]
+    board = check_checkerboard(state.B)[0] if state.B.dtype == object else None
     return report, board, state.B, consts
 
 

@@ -222,8 +222,7 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
 
     k, ts = ks.order, ks.knots
     knots = np.array(ts)
-    exact_knots = isinstance(ts[0], Fraction)
-    if exact_knots:
+    if ks.exact:
         # integer differences over the common denominator, each rounded once
         # by int true division: the floats of float(t_a - t_b), far cheaper
         common = math.lcm(*(t.denominator for t in ts))
@@ -237,7 +236,7 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     with np.errstate(invalid="ignore"):  # inf * 0, replaced just below
         raw = ax * eta
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    if exact_knots and x.dtype == object:
+    if ks.exact and x.dtype == object:
         for e in np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny))):
             raw[e] = _abs_float(x[e] * (knots[hi[e] + k] - knots[lo[e]]))
     pw = np.array([gamma ** e for e in range(ks.m)])[d]
@@ -330,11 +329,10 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
     chain_psi = psin_inv / phin_inv  # phi/psi
     chain_12 = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
 
-    bands = [np.array(band, b.dtype) for band in A.bands]
-    a = bands[1]  # a_{n-1,n} for n = 2..m
+    a = A.bands[1]  # a_{n-1,n} for n = 2..m
     n2, n3 = n[1:], n[2:]
     pair = 5 * (b[1:] * a) * br(3, 0, n2) / (6 * br(2, 0, n2))
-    Mn = minor_formula(br, ratio, n3, lambda i, d: bands[d][i - 1])
+    Mn = minor_formula(br, ratio, n3, lambda i, d: A.bands[d][i - 1])
     theta = b[2:] * Mn
     minor = -Mn / a[1:]
     hat_val = (1 / phin_inv[2:]) * Mn

@@ -6,6 +6,9 @@ The Gram matrix A has entries a_{i,j} = integral of N_{i,k} N_{j,k} over
 Closed forms follow the bracket notation (ln)_j = t_{j+l} - t_{j+n}; boundary
 0/0 ratios resolve by the rule of ``ratio``: a monomial ratio whose numerator
 contains a zero factor is 0, before any division, elementwise over arrays.
+The scalar mode comes from the knots (``KnotSequence.exact``): every builder
+returns bands of Fractions in object arrays for exact knots, float64 arrays
+for float knots.
 
 The order-2 and order-3 entries are written once (``linear_formula``,
 ``quad_formula``) over a bracket provider and a ratio combinator.
@@ -25,15 +28,19 @@ from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence, eval_bspline
-from .scalars import format_scalar, is_exact
+from .scalars import format_scalars, scalar_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymBandedMatrix:
-    """Symmetric banded matrix over a generic scalar field.
+    """Symmetric banded matrix, exact or float.
 
     ``bands[d]`` stores the d-th superdiagonal (a_{i,i+d} for i = 1..n-d);
     entries with |i-j| > bandwidth are exactly zero.  Indices are 1-based.
+    The constructor decides the scalar mode once: the bands become 1-D
+    arrays of one dtype, object holding Fractions when every entry is an int
+    or a Fraction, float64 otherwise (float64 arrays pass as they are); any
+    other entry is an InputError.  Equality is identity.
     """
 
     n: int
@@ -41,6 +48,8 @@ class SymBandedMatrix:
     bands: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         if self.n < 1 or self.bandwidth < 0:
             raise InputError("matrix dimension must be >= 1 and bandwidth >= 0")
         if len(self.bands) != self.bandwidth + 1:
@@ -48,6 +57,14 @@ class SymBandedMatrix:
         for d, band in enumerate(self.bands):
             if len(band) != max(self.n - d, 0):
                 raise InputError(f"band {d} has wrong length")
+        bands = tuple(self.bands)
+        if not all(isinstance(b, np.ndarray) and b.ndim == 1 and b.dtype == float
+                   for b in bands):
+            rows = [b.tolist() if isinstance(b, np.ndarray) else list(b) for b in bands]
+            scalar = scalar_type([x for row in rows for x in row], "band entry")
+            dtype = object if scalar is Fraction else float
+            bands = tuple(np.array([scalar(x) for x in row], dtype) for row in rows)
+        object.__setattr__(self, "bands", bands)
 
     def get(self, i: int, j: int):
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -56,9 +73,6 @@ class SymBandedMatrix:
         if d > self.bandwidth:
             return self.bands[0][0] * 0
         return self.bands[d][min(i, j) - 1]
-
-    def is_exact_matrix(self) -> bool:
-        return all(is_exact(x) for band in self.bands for x in band)
 
 
 def _product(factors):
@@ -162,8 +176,7 @@ def _quad_bands(ks: KnotSequence) -> tuple:
 
 
 def _banded(ks: KnotSequence, bands) -> SymBandedMatrix:
-    # tolist: Python floats in float mode, the same Fractions in exact
-    return SymBandedMatrix(ks.m, len(bands) - 1, tuple(tuple(b.tolist()) for b in bands))
+    return SymBandedMatrix(ks.m, len(bands) - 1, tuple(bands))
 
 
 def gram_linear(ks: KnotSequence) -> SymBandedMatrix:
@@ -227,29 +240,20 @@ def _newton_cotes_weights(npoints: int):
     return out
 
 
-def gram_quadrature(ks: KnotSequence, mode: str | None = None) -> SymBandedMatrix:
-    """Gram matrix of any order by per-interval quadrature.
+def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
+    """Gram matrix of any order by per-interval quadrature, in the scalar
+    mode of the knots.
 
-    mode "float": k-node Gauss-Legendre per knot interval (exact for degree
-    2k-1 >= 2k-2 up to rounding).  mode "exact": closed Newton-Cotes on 2k-1
+    Float knots: k-node Gauss-Legendre per knot interval (exact for degree
+    2k-1 >= 2k-2 up to rounding).  Exact knots: closed Newton-Cotes on 2k-1
     rational nodes per interval, exact for the degree-(2k-2) integrand; valid
     because order >= 2 splines are continuous (endpoint values are two-sided)
     and the order-1 case uses the midpoint rule on each interval.
-    If mode is None it is inferred from the knot scalars.
     """
-    if mode is None:
-        mode = "exact" if all(is_exact(t) for t in ks.knots) else "float"
-    if mode not in ("exact", "float"):
-        raise InputError(f"unknown quadrature mode {mode!r}")
+    import numpy as np
+
     k, m = ks.order, ks.m
-    if mode == "float" and not all(isinstance(t, float) for t in ks.knots):
-        ks = KnotSequence(k, tuple(float(t) for t in ks.interior))
-    if mode == "exact":
-        if not all(is_exact(t) for t in ks.knots):
-            raise InputError("exact quadrature requires rational knots")
-        ref_nodes, ref_weights = _newton_cotes_weights(2 * k - 1) if k > 1 else _newton_cotes_weights(1)
-    else:
-        ref_nodes, ref_weights = _gauss_nodes(k)
+    ref_nodes, ref_weights = _newton_cotes_weights(2 * k - 1) if ks.exact else _gauss_nodes(k)
 
     zero = ks.knot(1) * 0
     acc = {}  # (i,j) i<=j -> accumulated integral
@@ -261,7 +265,7 @@ def gram_quadrature(ks: KnotSequence, mode: str | None = None) -> SymBandedMatri
             continue
         active = [i for i in range(l - k + 1, l + 1) if 1 <= i <= m]
         for node, weight in zip(ref_nodes, ref_weights):
-            if mode == "exact":
+            if ks.exact:
                 x = a + h * node
                 w = h * weight
             else:
@@ -272,11 +276,10 @@ def gram_quadrature(ks: KnotSequence, mode: str | None = None) -> SymBandedMatri
                 key = (i, j) if i <= j else (j, i)
                 acc[key] = acc.get(key, zero) + w * vi * vj
 
-    w_band = k - 1
-    bands = []
-    for d in range(w_band + 1):
-        bands.append(tuple(acc.get((i, i + d), zero) for i in range(1, m - d + 1)))
-    return SymBandedMatrix(m, w_band, tuple(bands))
+    dtype = object if ks.exact else float
+    return SymBandedMatrix(m, k - 1, tuple(
+        np.array([acc.get((i, i + d), zero) for i in range(1, m - d + 1)], dtype)
+        for d in range(k)))
 
 
 def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
@@ -303,10 +306,9 @@ def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
 
 
 def matrix_to_json(A: SymBandedMatrix) -> dict:
-    entries = []
-    for d in range(A.bandwidth + 1):
-        for i in range(1, A.n - d + 1):
-            entries.append([i, i + d, format_scalar(A.bands[d][i - 1])])
-    entries.sort(key=lambda e: (e[0], e[1]))
+    """The band's upper half as (i, j, a_ij) triples, row by row."""
+    bands = [format_scalars(b) for b in A.bands]
+    entries = [[i, i + d, bands[d][i - 1]] for i in range(1, A.n + 1)
+               for d in range(min(A.bandwidth, A.n - i) + 1)]
     return {"n": A.n, "bandwidth": A.bandwidth, "entries": entries}
 

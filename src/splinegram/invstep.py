@@ -13,10 +13,10 @@ Fagan and Chen, 1973):
 Y = L^{-T} D^{-1} satisfies the same recurrence (L^T Y = D^{-1}), but is
 upper triangular where B is symmetric; its column n, cut to length n, is
 the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
-recurrence O(m^2 w).  One routine serves both scalar modes: numpy arrays of
-dtype object hold Fractions in exact mode, float64 arrays hold floats in
-float mode; the returned history is views of Y.  Public (i,j) indices
-are 1-based to match the formulas.
+recurrence O(m^2 w).  One routine serves both scalar modes, taken from the
+dtype of A's bands: numpy arrays of dtype object hold Fractions in exact
+mode, float64 arrays hold floats in float mode; the returned history is
+views of Y.  Public (i,j) indices are 1-based to match the formulas.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .gram import SymBandedMatrix
 from .scalars import format_scalars
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowingInverse:
     """The inverse B = A_n^{-1}, an n x n array of dtype object (Fractions)
     or float64, plus the opt-in leading-inverse history.
@@ -37,6 +37,7 @@ class GrowingInverse:
     ``diag_history`` holds (b_{1,1}^1, ..., b_{n,n}^n) and ``col_history`` the
     last column of every leading inverse (b_{.,j}^j, of length j), 1-D views
     of one array of B's dtype, when history retention is on; else None.
+    Equality is identity.
     """
 
     n: int
@@ -45,27 +46,26 @@ class GrowingInverse:
     col_history: tuple | None = None
 
 
-def _ldlt(A: SymBandedMatrix, scalar, dtype):
+def _ldlt(A: SymBandedMatrix, zero):
     """Pivots d (1-D array) and the columns of L below the diagonal
-    (``Lb[j, r] = l_{j+r+1, j}``, zero past the last row).  Lb has at least
-    one column, so that at bandwidth 0 products over it are zero scalars
-    rather than the integer 0 of an empty sum.  A zero pivot d_n raises
-    ArithmeticFailure with step n."""
+    (``Lb[j, r] = l_{j+r+1, j}``, zero past the last row), of the bands'
+    dtype.  Lb has at least one column, so that at bandwidth 0 products over
+    it are zero scalars rather than the integer 0 of an empty sum.  A zero
+    pivot d_n raises ArithmeticFailure with step n."""
     import numpy as np
 
     m, w, bands = A.n, A.bandwidth, A.bands  # a_{j+1, i+1} = bands[i-j][j]
-    zero = scalar(0)
-    d = np.empty(m, dtype)
-    Lb = np.full((m, max(w, 1)), zero, dtype)
+    d = np.empty(m, bands[0].dtype)
+    Lb = np.full((m, max(w, 1)), zero, bands[0].dtype)
     for j in range(m):
-        dj = scalar(bands[0][j]) - sum(
+        dj = bands[0][j] - sum(
             (Lb[k, j - k - 1] ** 2 * d[k] for k in range(max(0, j - w), j)), zero)
         if dj == 0:
             raise ArithmeticFailure("zero pivot in the LDL^T factorization",
                                     step=j + 1, context=bands[0][j])
         d[j] = dj
         for i in range(j + 1, min(m, j + w + 1)):
-            s = scalar(bands[i - j][j]) - sum(
+            s = bands[i - j][j] - sum(
                 (Lb[k, i - k - 1] * Lb[k, j - k - 1] * d[k]
                  for k in range(max(0, i - w), j)), zero)
             Lb[j, i - j - 1] = s / dj
@@ -76,22 +76,22 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     """Invert A and, with ``keep_history``, every leading A_n, from one
     banded LDL^T factorization (see the module docstring).
 
-    Exact matrices run over Fractions and float matrices in float64, and B
-    and the history are arrays of that dtype.  A zero pivot raises
-    ArithmeticFailure with the 1-based step n of the singular A_n.  In
-    float mode a non-finite entry of B or of the history (a subnormal pivot
-    whose reciprocal overflows) raises ArithmeticFailure with step its
-    1-based row, the first.
+    Exact matrices (bands of dtype object) run over Fractions and float
+    matrices in float64, and B and the history are arrays of that dtype.
+    A zero pivot raises ArithmeticFailure with the 1-based step n of the
+    singular A_n.  In float mode a non-finite entry of B or of the history
+    (a subnormal pivot whose reciprocal overflows) raises ArithmeticFailure
+    with step its 1-based row, the first.
     """
     import numpy as np
 
-    exact = A.is_exact_matrix()
-    scalar, dtype = (Fraction, object) if exact else (float, float)
+    dtype = A.bands[0].dtype
+    zero = Fraction(0) if dtype == object else 0.0
     with np.errstate(all="ignore"):  # float overflow is caught below
-        d, Lb = _ldlt(A, scalar, dtype)
+        d, Lb = _ldlt(A, zero)
         m, w = Lb.shape
         B = np.empty((m, m), dtype)
-        Y = np.full((m, m), scalar(0), dtype) if keep_history else None
+        Y = np.full((m, m), zero, dtype) if keep_history else None
         for i in range(m - 1, -1, -1):
             hi = min(m, i + w + 1)
             neg_l = -Lb[i, : hi - i - 1]
@@ -101,7 +101,7 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
             if keep_history:
                 Y[i, i] = 1 / d[i]
                 Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
-    if not exact:
+    if dtype == float:
         finite = np.isfinite(B) if Y is None else np.isfinite(B) & np.isfinite(Y)
         if not finite.all():
             raise ArithmeticFailure("non-finite entry in the float inverse "
@@ -140,9 +140,9 @@ def max_residual(A: SymBandedMatrix, B) -> float:
 
     n = A.n
     Ad = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(max(1, i - A.bandwidth), min(n, i + A.bandwidth) + 1):
-            Ad[i - 1, j - 1] = float(A.get(i, j))
+    for d, band in enumerate(A.bands):
+        i = np.arange(n - d)
+        Ad[i, i + d] = Ad[i + d, i] = band.astype(float)
     Bd = np.asarray(B, dtype=float)
     return float(np.max(np.abs(Bd @ Ad - np.eye(n))))
 
@@ -153,17 +153,14 @@ def max_residual(A: SymBandedMatrix, B) -> float:
 
 def inverse_to_json(state: GrowingInverse) -> dict:
     """The upper triangle as (i, j, b_ij) triples, row by row."""
-    exact = state.B.dtype == object
     entries = [[i, j, x] for i in range(1, state.n + 1)
-               for j, x in enumerate(format_scalars(state.B[i - 1, i - 1:], exact),
-                                     start=i)]
+               for j, x in enumerate(format_scalars(state.B[i - 1, i - 1:]), start=i)]
     return {"n": state.n, "bandwidth": state.n - 1, "entries": entries}
 
 
 def history_to_json(state: GrowingInverse) -> list:
     if state.diag_history is None:
         raise InputError("history was not retained; rerun with keep_history")
-    exact = state.B.dtype == object
-    diag = format_scalars(state.diag_history, exact)
-    return [{"n": n, "b_nn": b, "last_col": format_scalars(col, exact)}
+    diag = format_scalars(state.diag_history)
+    return [{"n": n, "b_nn": b, "last_col": format_scalars(col)}
             for n, (b, col) in enumerate(zip(diag, state.col_history), start=1)]

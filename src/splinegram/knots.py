@@ -5,8 +5,9 @@ k: t_1 = ... = t_k = 0 and t_{m+1} = ... = t_{m+k} = 1, where
 m = k + (number of interior breakpoints).  Indices outside the stored range
 clamp: t_i = 0 for i <= 0 and t_i = 1 for i >= m+k+1.
 
-All scalar arithmetic is generic: build the sequence from ``Fraction`` values
-and every evaluation stays exact; build from floats and it runs in double
+The scalar mode is decided once, in the constructor, and kept in the
+derived field ``exact``: build the sequence from ints and ``Fraction`` values
+and every evaluation stays exact; one float among them and it runs in double
 precision.  Indexing follows the mathematical convention (1-based).
 
 ``KnotSequence.brackets`` is the array bracket provider, which evaluates a
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .scalars import format_scalar, is_exact, parse_scalar
+from .scalars import format_scalar, parse_scalar, scalar_type
 
 # Knot indices the array bracket provider reaches beyond 1..m+k on each side.
 BRACKET_PAD = 4
@@ -35,11 +36,13 @@ class KnotSequence:
 
     ``knot(i)`` returns t_i for any integer i under the clamping convention;
     ``m`` is the number of B-splines N_{1,k} .. N_{m,k} supported on it.
+    ``exact`` is True when the knots are Fractions, False when floats.
     """
 
     order: int
     interior: tuple
     knots: tuple = field(init=False, repr=False)
+    exact: bool = field(init=False, compare=False)
     # (ell, en) -> bracket array of ``brackets``; the padded knots at None
     _arrays: dict = field(init=False, repr=False, compare=False,
                           default_factory=dict)
@@ -48,27 +51,21 @@ class KnotSequence:
         k = self.order
         if not isinstance(k, int) or k < 1:
             raise InputError(f"order must be an integer >= 1, got {k!r}")
-        interior = tuple(self.interior)
-        for a in interior:
-            if isinstance(a, bool) or not isinstance(a, (int, Fraction, float)):
-                raise InputError(f"breakpoint {a!r} is not a rational or float scalar")
         # One scalar field for the whole sequence: exact inputs promote to
         # Fraction, any float demotes everything to double precision.
-        if all(is_exact(a) for a in interior):
-            interior = tuple(Fraction(a) for a in interior)
-            zero, one = Fraction(0), Fraction(1)
-        else:
-            interior = tuple(float(a) for a in interior)
-            zero, one = 0.0, 1.0
+        interior = tuple(self.interior)
+        scalar = scalar_type(interior, "breakpoint")
+        interior = tuple(map(scalar, interior))
         for a, b in zip(interior, interior[1:]):
             if not a < b:
                 raise InputError("interior breakpoints must be strictly increasing")
         for a in interior:
             if not (0 < a < 1):
                 raise InputError("interior breakpoints must lie strictly inside (0,1)")
-        full = (zero,) * k + interior + (one,) * k
+        full = (scalar(0),) * k + interior + (scalar(1),) * k
         object.__setattr__(self, "interior", interior)
         object.__setattr__(self, "knots", full)
+        object.__setattr__(self, "exact", scalar is Fraction)
 
     @property
     def m(self) -> int:
@@ -108,7 +105,7 @@ class KnotSequence:
             if None not in arrays:  # t_i at position i + pad
                 arrays[None] = np.array(
                     [self.knot(i) for i in range(-pad, m + self.order + pad + 1)],
-                    dtype=float if isinstance(self.knots[0], float) else object)
+                    dtype=object if self.exact else float)
             t = arrays[None]
             arrays[key] = t[pad + ell:pad + ell + m + 1] - t[pad + en:pad + en + m + 1]
         return arrays[key][n]

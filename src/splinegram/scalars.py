@@ -1,10 +1,12 @@
 """Scalar helpers: the package computes over either exact rationals or floats.
 
-Every numerical routine is written generically (plain ``+ - * /`` and integer
-literals), so passing ``fractions.Fraction`` values keeps a computation exact
-while passing ``float`` values runs it in double precision.  These helpers
-handle parsing/formatting at the JSON boundary, where exact values travel as
-``"p/q"`` strings and floats as plain numbers.
+The scalar mode is decided once per object, by ``scalar_type``, in the
+constructors of ``KnotSequence`` (its ``exact`` field) and of
+``SymBandedMatrix`` (its bands' dtype); every later routine reads it from
+there or from an array's dtype: object arrays hold Fractions, float64
+arrays floats.  The other helpers handle parsing/formatting at the JSON
+boundary, where exact values travel as ``"p/q"`` strings and floats as plain
+numbers.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ from fractions import Fraction
 from .errors import InputError
 
 
-def is_exact(x) -> bool:
-    """True for scalars that carry exact rational semantics."""
-    return isinstance(x, (Fraction, int))
+def scalar_type(values, what: str) -> type:
+    """The one scalar type of the sequence ``values``: Fraction when every
+    value is an int or a Fraction, float when any is a float.  Any other
+    value (a bool, a string, None, ...) is an InputError naming it as
+    ``what``."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
+            raise InputError(f"{what} {x!r} is not a rational or float scalar")
+    return Fraction if all(isinstance(x, (int, Fraction)) for x in values) else float
 
 
 def parse_scalar(value):
@@ -50,10 +58,10 @@ def format_scalar(x):
     return float(x)
 
 
-def format_scalars(values, exact: bool) -> list:
-    """``format_scalar`` over an ndarray of one scalar type, decided once by
-    the caller: exact values become ``"p/q"`` strings, floats pass through
-    as Python floats (via ``tolist``)."""
-    if exact:
+def format_scalars(values) -> list:
+    """``format_scalar`` over a 1-D array, decided once by its dtype: the
+    Fractions of an object array become ``"p/q"`` strings, float64 entries
+    pass through as Python floats (via ``tolist``)."""
+    if values.dtype == object:
         return [format_scalar(x) for x in values]
     return values.tolist()

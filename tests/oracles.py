@@ -18,7 +18,6 @@ from math import gcd
 from splinegram.errors import ArithmeticFailure, InputError, ResourceBudgetError
 from splinegram.gram import SymBandedMatrix, ratio
 from splinegram.knots import KnotSequence, _interval_index, knots_to_json
-from splinegram.scalars import is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def dense_inverse_oracle(A):
     rows = [[Fraction(x) for x in row] for row in A]
     if any(len(r) != n for r in rows):
         raise InputError("dense_inverse_oracle requires a square matrix")
-    if not all(is_exact(x) for row in A for x in row):
+    if not all(isinstance(x, (int, Fraction)) for row in A for x in row):
         raise InputError("dense_inverse_oracle requires exact scalars")
     aug = []
     for i, row in enumerate(rows):
@@ -226,7 +225,7 @@ def check_total_positivity(A: SymBandedMatrix, max_order: int,
     ResourceBudgetError with a partial report when the minor count exceeds
     ``budget``.
     """
-    if not A.is_exact_matrix():
+    if A.bands[0].dtype != object:
         raise InputError("total positivity check requires exact scalars")
     if not (1 <= max_order <= A.n):
         raise InputError(f"max_order must lie in [1,{A.n}]")

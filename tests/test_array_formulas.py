@@ -128,7 +128,7 @@ def test_gram_bands_equal_per_entry_formulas(ks, mode):
     assert len(A.bands) == len(expected)
     for band, ref in zip(A.bands, expected):
         assert len(band) == len(ref)
-        assert all(same(x, y) for x, y in zip(band, ref))
+        assert all(same(x, y) for x, y in zip(band.tolist(), ref))
 
 
 @pytest.mark.filterwarnings("error")

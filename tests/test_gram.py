@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from oracles import (check_total_positivity, quadratic_cross_terms,
@@ -272,6 +273,40 @@ def test_total_positivity_catches_negative():
     assert report.witness == ((1, 2), (1, 2))
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_gram_bands_are_typed_arrays(order, mode, method):
+    # one dtype per matrix, from the knots: Fractions in object arrays or
+    # float64, for the closed forms and quadrature alike
+    interior = [F(1, 5), F(1, 3), F(4, 7)]
+    if mode == "float":
+        interior = [float(x) for x in interior]
+    A = build_gram(KnotSequence(order, interior), method)
+    assert all(isinstance(b, np.ndarray) and b.ndim == 1 for b in A.bands)
+    if mode == "exact":
+        assert all(b.dtype == object for b in A.bands)
+        assert all(type(x) is F for b in A.bands for x in b)
+    else:
+        assert all(b.dtype == np.float64 for b in A.bands)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_matrix_json_lists_entries_row_major(order, mode):
+    # (i, j) in row-major order, i <= j <= i + bandwidth, the last rows
+    # cut at n; each value is that entry of the band
+    interior = [F(1, 5), F(1, 3)]
+    if mode == "float":
+        interior = [float(x) for x in interior]
+    A = build_gram(KnotSequence(order, interior))
+    entries = matrix_to_json(A)["entries"]
+    assert [(i, j) for i, j, _ in entries] == [
+        (i, j) for i in range(1, A.n + 1)
+        for j in range(i, min(A.n, i + A.bandwidth) + 1)]
+    assert [parse_scalar(v) for _, _, v in entries] == [A.get(i, j) for i, j, _ in entries]
+
+
 def test_matrix_json_roundtrip(tmp_path):
     ks = KnotSequence(3, [F(1, 3), F(2, 3)])
     A = gram_quadratic(ks)
@@ -296,8 +331,23 @@ def test_banded_matrix_validation():
         SymBandedMatrix(2, 1, [[F(1), F(1)]])          # missing a band
     with pytest.raises(InputError):
         SymBandedMatrix(2, 1, [[F(1)], [F(1)]])        # band 0 too short
+    # entries are ints, Fractions or floats, as breakpoints are
+    for bad in ("x", None, True, [1], 1j, np.float32(1.0)):
+        with pytest.raises(InputError):
+            SymBandedMatrix(1, 0, [[bad]])
+    with pytest.raises(InputError):
+        SymBandedMatrix(2, 1, [[F(1), F(2)], [None]])
+    with pytest.raises(InputError):
+        SymBandedMatrix(2, 1, [np.array([1.0, 2.0]), np.array([True])])
     A = SymBandedMatrix(2, 1, [[F(1), F(2)], [F(3)]])
     assert A.get(1, 2) == A.get(2, 1) == 3
     assert A.get(1, 1) == 1
+    # ints are promoted to Fractions; one float makes every band float64
+    ints = SymBandedMatrix(2, 1, [[1, 2], np.array([3])])
+    assert [b.dtype for b in ints.bands] == [object, object]
+    assert type(ints.get(1, 2)) is F and type(ints.get(1, 1)) is F
+    mixed = SymBandedMatrix(2, 1, [[F(1, 3), 2], [0.5]])
+    assert [b.dtype for b in mixed.bands] == [np.float64, np.float64]
+    assert mixed.get(1, 1) == 1 / 3 and isinstance(mixed.get(2, 1), float)
     with pytest.raises(InputError):
         A.get(0, 1)

@@ -282,6 +282,15 @@ def test_oracle_accepts_banded_and_dense():
     assert dense_inverse_oracle(A) == dense_inverse_oracle(to_dense(A))
 
 
+def test_matrix_and_inverse_compare_by_identity():
+    # both hold arrays: == and hash are identity's and never raise
+    A = build_gram(KnotSequence(2, [F(1, 2)]))
+    A2 = build_gram(KnotSequence(2, [F(1, 2)]))
+    st, st2 = invert_iteratively(A, keep_history=True), invert_iteratively(A)
+    assert A == A and A != A2 and st == st and st != st2
+    assert len({hash(A), hash(A2), hash(st), hash(st2)}) == 4
+
+
 def test_growing_inverse_accessors():
     st = invert_iteratively(build_gram(KnotSequence(2, [F(1, 2)])),
                             keep_history=True)

@@ -53,6 +53,13 @@ def test_scalar_field_normalization():
     assert all(isinstance(t, F) for t in exact.knots)
     mixed = KnotSequence(2, [0.25, F(1, 2)])
     assert all(isinstance(t, float) for t in mixed.knots)
+    # the mode is decided once, derived, and cannot be passed or set
+    assert exact.exact and KnotSequence(3, []).exact
+    assert not mixed.exact
+    with pytest.raises(TypeError):
+        KnotSequence(2, [], exact=False)
+    with pytest.raises(AttributeError):
+        exact.exact = False
 
 
 def test_build_knots_helper():

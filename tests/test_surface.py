@@ -3,9 +3,11 @@ resolves, and the test-only oracles live in tests/oracles.py, not in the
 package."""
 
 import importlib
+import inspect
 import pkgutil
 
 import splinegram
+from splinegram.scalars import format_scalars
 
 PUBLIC = [
     "ArithmeticFailure", "Certificate", "DecayConstants", "DecayReport",
@@ -30,13 +32,15 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
 # per-entry copies of the array paths and wrappers that were deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "minor_adjusted_factor", "matrix_from_json", "bspline_l1",
-           "build_knots", "save_partition")
+           "build_knots", "save_partition", "is_exact", "_is_float_partition")
 DELETED_METHODS = {
-    splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense"),
+    splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps"),
     splinegram.GrowingInverse: ("column", "rows", "entry"),
     splinegram.MultiPoly: ("coefficient", "content"),
 }
+# mode parameters that the knots' ``exact`` or an array's dtype replaced
+DELETED_PARAMETERS = {splinegram.gram_quadrature: "mode", format_scalars: "exact"}
 
 
 def _submodules():
@@ -64,3 +68,5 @@ def test_oracles_are_not_in_the_package():
     for cls, names in DELETED_METHODS.items():
         for name in names:
             assert not hasattr(cls, name), (cls.__name__, name)
+    for func, name in DELETED_PARAMETERS.items():
+        assert name not in inspect.signature(func).parameters, (func.__name__, name)
