@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
-from .knots import KnotSequence, eval_bspline
+from .knots import KnotSequence, _nonzero_bsplines
 from .scalars import format_scalars, scalar_type
 
 
@@ -271,7 +271,8 @@ def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
             else:
                 x = (a + b) / 2 + h / 2 * node
                 w = h / 2 * weight
-            vals = [(i, eval_bspline(ks, i, k, x)) for i in active]
+            nonzero = _nonzero_bsplines(ks, k, x)
+            vals = [(i, nonzero.get(i, x * 0)) for i in active]
             for (i, vi), (j, vj) in itertools.combinations_with_replacement(vals, 2):
                 key = (i, j) if i <= j else (j, i)
                 acc[key] = acc.get(key, zero) + w * vi * vj

@@ -146,7 +146,7 @@ def _interval_index(ks: KnotSequence, x):
 
 
 def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
-    """N_{i,ord}(x) by the de Boor recursion.
+    """N_{i,ord}(x) by the de Boor recursion (``_nonzero_bsplines``).
 
     Half-open-interval convention: right-continuous on [0,1), and at x = 1
     the last spline evaluates to 1.  Recursion terms with zero-length knot
@@ -158,9 +158,15 @@ def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
         raise InputError(f"spline order {ord} outside [1,{ks.order}]")
     if x < 0 or x > 1:
         raise InputError(f"evaluation point {x!r} outside [0,1]")
+    return _nonzero_bsplines(ks, ord, x).get(i, x * 0)
+
+
+def _nonzero_bsplines(ks: KnotSequence, ord: int, x) -> dict:
+    """{i: N_{i,ord}(x)} for every spline of order ``ord`` that is nonzero
+    at x in [0,1]: one de Boor triangle, built upward from the order-1
+    indicator of the interval that ``_interval_index`` locates."""
     j = _interval_index(ks, x)
     zero = x * 0
-    # order-1 indicator of the located interval; build upward from it
     cur = {j: zero + 1}
     for r in range(2, ord + 1):
         nxt = {}
@@ -179,7 +185,7 @@ def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
             if acc != 0:
                 nxt[p] = acc
         cur = nxt
-    return cur.get(i, zero)
+    return cur
 
 
 # ---------------------------------------------------------------------------

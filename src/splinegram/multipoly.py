@@ -47,6 +47,21 @@ cost per call makes a 42-pair product take 34 us instead of 15 us, and the
 two ways break even near 256 pairs (CPython 3.11, numpy 2.4, 2-core VM).
 numpy is imported on the first large product, not with this module.
 
+Signs at many points come from a float filter (``_float_signs``), which
+the spot checks of the certificates use: all points are evaluated at once
+in float64 (power tables by repeated multiplication, each term as the
+product of its table entries and its rounded coefficient), giving S~, the
+float value, and A~, the float sum of the terms' absolute values.  With T
+terms, total degree D, n variables and K = T + 2D + n + 2, every rounding
+is covered by Higham's gamma_K: |S~ - S| <= gamma_K / (1 - gamma_K) A~, and
+the sign of S~ is taken only where |S~| exceeds twice that, the factor 2
+covering the rounding of the margin itself.  The bound assumes that no
+intermediate leaves the normal range, so a point is filtered only when its
+coordinates lie in [2^-s, 2^s] with s D + log2 max|c| + log2 T < 1000;
+every other point, and every point of a polynomial with a non-int
+coefficient or a packed monomial beyond int64, is left undecided for the
+exact evaluation.
+
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
 and raise ResourceBudgetError with partial statistics when it is exceeded,
 checked after each left row of the dict loop and after each block of the
@@ -68,7 +83,8 @@ DEFAULT_TERM_BUDGET = 5_000_000
 _term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
 _MIN_BITS = 8
 _ARRAY_MIN_PAIRS = 256     # smaller products stay in the dict loop
-_BLOCK_PAIRS = 1 << 16     # term pairs per block of the array product
+_BLOCK_PAIRS = 1 << 16     # term pairs per block of the array product, and
+                           # monomial values per block of the float evaluation
 
 
 def _valid_budget(n) -> int:
@@ -490,6 +506,80 @@ class MultiPoly:
             total += v
         # always a Fraction so downstream division stays exact
         return Fraction(total, den)
+
+    def _float_signs(self, p, q):
+        """The signs of this polynomial at the points x = p/q, proven in
+        float64: p and q are int64 arrays of shape (npoints, nvars) with
+        entries in [1, 2^53).  Returns an int8 array over the points, +1 or
+        -1 where the float filter decides and 0 where it cannot, and at every
+        point when a coefficient is not an int or a packed monomial does not
+        fit an int64.
+
+        With x~ = fl(p/q), the power tables x~^e by repeated multiplication,
+        each term fl(c) times its table entries, and S~, A~ the float sums of
+        the terms and of their absolute values: a term of exponents e_i
+        carries at most 1 + 2 sum(e_i) + n <= 2D + n + 1 roundings (fl(c);
+        x~ e_i times and e_i - 1 table products per variable; n products
+        into the term) and at most T - 1 more in any summation order.  By
+        Higham's Lemma 3.1 (Accuracy and Stability of Numerical Algorithms,
+        2002, section 3.3), with u = 2^-53, K = T + 2D + n + 2 and
+        gamma_K = K u / (1 - K u),
+            |S~ - S| <= gamma_K A   and   A~ >= (1 - gamma_K) A,
+        where S is the exact value and A the exact sum of absolute term
+        values, so |S~ - S| <= g A~ with g = gamma_K / (1 - gamma_K)
+        = K u / (1 - 2 K u) (K u < 1/4 for any T a dict can hold).  The sign
+        of S~ is taken only where |S~| > 2 fl(fl(g) A~): fl(g) and the
+        product carry three roundings, or, if the product is subnormal, an
+        absolute error below 2^-1075, far below g A~ >= 2^-1052, so
+        2 fl(fl(g) A~) >= g A~ >= |S~ - S| and S is nonzero with the sign of
+        S~.
+
+        The model needs every rounded product in the normal range.  A point
+        is filtered only when every coordinate lies in [2^-s, 2^s] with
+        s D + log2 max|c| + log2 T < 1000 (logarithms rounded up).  Then
+        every table entry, monomial, term and sum is below 2^1000 (1 + K u)
+        in magnitude, every table entry, monomial and term is at least
+        2^-1000 (1 - K u), and a sum with a subnormal result is exact.  Other
+        points are left undecided and their tables are never formed."""
+        import numpy as np
+
+        signs = np.zeros(len(p), np.int8)
+        terms, n, bits = self._terms, self.nvars, self._bits
+        if not terms or not _all_int(terms) or max(terms) >> 63:
+            return signs
+        T, D = len(terms), self.total_degree()
+        x = p / q
+        e = np.frexp(x)[1].astype(np.int64)    # 2^(e-1) <= x < 2^e
+        s = np.maximum(e, 1 - e).max(axis=1, initial=0)
+        size = max(map(abs, terms.values())).bit_length() + T.bit_length()
+        rows = np.flatnonzero(s * D + size < 1000)
+        if not len(rows):
+            return signs
+        x = x[rows]
+        keys = np.fromiter(terms, np.int64, T)
+        exps = [(keys >> (bits * (n - 1 - i))) & ((1 << bits) - 1) for i in range(n)]
+        tables = []
+        for i, ei in enumerate(exps):
+            table = np.ones((len(x), int(ei.max()) + 1))
+            for d in range(1, table.shape[1]):
+                table[:, d] = table[:, d - 1] * x[:, i]
+            tables.append(table)
+        coeffs = np.array([float(c) for c in terms.values()])
+        S, A = np.zeros(len(x)), np.zeros(len(x))
+        step = max(1, _BLOCK_PAIRS // T)      # points per block
+        width = _BLOCK_PAIRS // step          # terms per block
+        for r in range(0, len(x), step):
+            block = slice(r, r + step)
+            for j in range(0, T, width):
+                vals = np.tile(coeffs[j:j + width], (len(x[block]), 1))
+                for table, ei in zip(tables, exps):
+                    vals *= table[block, ei[j:j + width]]
+                S[block] += vals.sum(axis=1)
+                A[block] += np.abs(vals).sum(axis=1)
+        K = T + 2 * D + n + 2
+        g = K * 2.0 ** -53 / (1 - K * 2.0 ** -52)
+        signs[rows] = np.where(np.abs(S) > 2 * (g * A), np.sign(S), 0)
+        return signs
 
     # -- identity -----------------------------------------------------------
 

@@ -325,19 +325,38 @@ def certify_inequality(name: str) -> Certificate:
 
 
 def spot_check(fr: FactoredRational, npoints: int, seed: int) -> int:
-    """Evaluate fr at random positive rational points; InputError on a
-    negative value.  Returns the number of points checked (the independent
-    numeric cross-route for a certificate)."""
+    """Check fr >= 0 at ``npoints`` random positive rational points; an
+    InputError names the first point where fr is negative or a denominator
+    factor vanishes.  Returns the number of points checked (the independent
+    numeric cross-route for a certificate).
+
+    Each coordinate is p/q with p, q drawn from randint(1, 60) of
+    random.Random(seed), p first.  The numerator and every denominator
+    factor are evaluated at all points at once in float64
+    (``MultiPoly._float_signs``), and sign(scalar) sign(num) prod sign(f)^e
+    is fr's sign wherever each of them is proven.  Only at a point where a
+    sign is unproven (a zero value, a value within the rounding bound of
+    zero, a point outside the filter's range) or the proven sign is negative
+    is fr evaluated exactly, in point order, so the verdict, the error and
+    its message are those of evaluating fr exactly at every point."""
+    if isinstance(npoints, bool) or not isinstance(npoints, int) or npoints < 0:
+        raise InputError(
+            f"spot check point count must be a nonnegative integer, got {npoints!r}")
+    import numpy as np
+
     rng = random.Random(seed)
-    checked = 0
-    for _ in range(npoints):
-        point = tuple(Fraction(rng.randint(1, 60), rng.randint(1, 60))
-                      for _ in range(fr.nvars))
+    draws = np.array([rng.randint(1, 60) for _ in range(2 * npoints * fr.nvars)],
+                     np.int64).reshape(npoints, fr.nvars, 2)
+    p, q = draws[..., 0], draws[..., 1]
+    sign = ((fr.scalar > 0) - (fr.scalar < 0)) * fr.num._float_signs(p, q)
+    for f, e in fr.den_factors.items():
+        sign *= f._float_signs(p, q) ** e
+    for i in np.flatnonzero(sign <= 0):
+        point = tuple(map(Fraction, p[i].tolist(), q[i].tolist()))
         value = fr(point)
         if value < 0:
             raise InputError(f"spot check failed: value {value} at {point}")
-        checked += 1
-    return checked
+    return npoints
 
 
 def certificate_to_json(cert: Certificate) -> dict:

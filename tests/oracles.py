@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -18,6 +19,7 @@ from math import gcd
 from splinegram.errors import ArithmeticFailure, InputError, ResourceBudgetError
 from splinegram.gram import SymBandedMatrix, ratio
 from splinegram.knots import KnotSequence, _interval_index, knots_to_json
+from splinegram.multipoly import FactoredRational
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +285,23 @@ def gaps_for(ks, anchor: int, nvars: int) -> tuple:
     sequence, for evaluating certificate expressions at real partitions."""
     return tuple(ks.knot(anchor + r) - ks.knot(anchor + r - 1)
                  for r in range(1, nvars + 1))
+
+
+def spot_check_exact(fr: FactoredRational, npoints: int, seed: int) -> int:
+    """polycert.spot_check by exact evaluation at every point: the same
+    points (p/q, p and q from randint(1, 60) of random.Random(seed), p
+    first), fr evaluated over Fractions, InputError at the first negative
+    value or vanishing denominator factor."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(npoints):
+        point = tuple(Fraction(rng.randint(1, 60), rng.randint(1, 60))
+                      for _ in range(fr.nvars))
+        value = fr(point)
+        if value < 0:
+            raise InputError(f"spot check failed: value {value} at {point}")
+        checked += 1
+    return checked
 
 
 def save_partition(ks: KnotSequence, path) -> None:

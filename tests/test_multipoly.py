@@ -15,7 +15,7 @@ from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
 from splinegram import multipoly
 from splinegram.multipoly import _MIN_BITS, get_term_budget, poly_product
-from splinegram.polycert import _nonneg_witness
+from splinegram.polycert import _nonneg_witness, build_inequality
 
 NVARS = 3
 
@@ -429,6 +429,103 @@ def test_budget_restored_after_exception():
             assert get_term_budget() == 3
             raise RuntimeError("boom")
     assert get_term_budget() == default
+
+
+# ---------------------------------------------------------------------------
+# Float sign filter
+
+
+def _float_signs(poly, points):
+    import numpy as np
+
+    pq = np.array([[(x.numerator, x.denominator) for x in pt] for pt in points],
+                  np.int64).reshape(len(points), poly.nvars, 2)
+    return poly._float_signs(pq[..., 0], pq[..., 1]).tolist()
+
+
+def _exact_sign(poly, point):
+    v = poly(point)
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def signed_polys(draw):
+    """(poly, points): integer coefficients up to 10^20 in 0..3 variables,
+    coordinates p/q up to 60/1 or up to 2^53 - 1 in p and q, and in half the
+    cases a factor q0 x1 - p0 that vanishes at the first point."""
+    nvars = draw(st.integers(0, 3))
+    big = st.integers(-10 ** 20, 10 ** 20)
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, 6),) * nvars), big,
+                                 max_size=8))
+    side = st.one_of(st.integers(1, 60), st.integers(1, 2 ** 53 - 1))
+    coord = st.builds(F, side, side)
+    points = draw(st.lists(st.tuples(*(coord,) * nvars), min_size=1, max_size=6))
+    poly = MultiPoly(nvars, terms)
+    if nvars and draw(st.booleans()):
+        x0 = points[0][0]
+        poly = poly * (x0.denominator * MultiPoly.variable(nvars, 1) - x0.numerator)
+    return poly, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_polys())
+def test_float_signs_are_proven(case):
+    poly, points = case
+    for sign, point in zip(_float_signs(poly, points), points):
+        assert sign in (-1, 0, 1)
+        if sign:
+            assert sign == _exact_sign(poly, point), (poly, point)
+
+
+def test_float_signs_abstain_at_rounded_zeros():
+    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    # zero at x2 = 3 x1, where fl(1/7) and fl(3/7) leave a nonzero float sum
+    poly = (3 * x1 - x2) ** 6 * (x1 + x2) - (3 * x1 - x2) ** 7
+    points = [(F(1, 7), F(3, 7)), (F(5, 11), F(15, 11)), (F(1, 3), F(2, 3))]
+    assert [_exact_sign(poly, pt) for pt in points] == [0, 0, 1]
+    assert _float_signs(poly, points) == [0, 0, 1]
+    # q^32 x^32 - p^32 at x = p/q: the rounding of fl(p/q), raised to the
+    # 32nd power, leaves |S~| at 7-8.5 u A~, beyond any margin not scaled by K
+    y = MultiPoly.variable(1, 1)
+    for p, q in ((1, 3), (1, 7), (7, 13)):
+        assert _float_signs(q ** 32 * y ** 32 - p ** 32, [(F(p, q),)]) == [0]
+
+
+def test_float_signs_decide_certificate_numerators():
+    rng = random.Random(11)
+    for name in ("psi_a", "phi_step"):
+        num = build_inequality(name).num
+        points = [tuple(F(rng.randint(1, 60), rng.randint(1, 60))
+                        for _ in range(num.nvars)) for _ in range(20)]
+        assert _float_signs(num, points) == [1] * 20
+
+
+def test_float_signs_range_guard():
+    x1 = MultiPoly.variable(1, 1)
+    points = [(F(1, 60),), (F(60),), (F(1),), (F(3, 2),)]
+    # 2^-6 < 1/60 and 60 < 2^6: s = 6, and 6 * 400 exceeds the range;
+    # 1 and 3/2 lie in [2^-1, 2^1], and 400 + 9 does not
+    assert _float_signs(x1 ** 400 + 1, points) == [0, 0, 1, 1]
+    assert _float_signs(x1 ** 400 - 2 * x1, points) == [0, 0, -1, 1]
+    # coefficients beyond the float range, or not ints, are never filtered
+    assert _float_signs(x1 + 3 ** 700, points) == [0] * 4
+    assert _float_signs(MultiPoly(1, {(1,): F(1, 2)}), points) == [0] * 4
+    assert _float_signs(MultiPoly.zero(1), points) == [0] * 4
+    assert _float_signs(MultiPoly.constant(0, -5), [()] * 2) == [-1, -1]
+
+
+def test_float_signs_in_blocks(monkeypatch):
+    """Blocks of one point and of fewer terms than the polynomial has."""
+    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    poly = (x1 - 2 * x2 + 1) ** 5 * (x1 + x2)
+    rng = random.Random(4)
+    points = [(F(rng.randint(1, 60), rng.randint(1, 60)),
+               F(rng.randint(1, 60), rng.randint(1, 60))) for _ in range(9)]
+    expected = [_exact_sign(poly, pt) for pt in points]
+    assert _float_signs(poly, points) == expected
+    monkeypatch.setattr(multipoly, "_BLOCK_PAIRS", 5)
+    assert len(poly) > 5
+    assert _float_signs(poly, points) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Symbolic nonnegativity certificates: builders, dual routes, failure paths."""
 
 import hashlib
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import array_at, gaps_for, scalar_ratio
+from oracles import array_at, gaps_for, scalar_ratio, spot_check_exact
 from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         GapBasis, InputError, KnotSequence, MultiPoly,
                         ResourceBudgetError, build_gram, build_inequality,
@@ -294,11 +298,98 @@ def test_expect_den_mismatch_is_engine_failure():
         _expect_den(fr, {(x1 + x2): 3}, "demo")
 
 
+def _spot_points(npoints, nvars, seed):
+    rng = random.Random(seed)
+    return [tuple(F(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(nvars))
+            for _ in range(npoints)]
+
+
 def test_spot_check_reports_negative_value():
     x1 = MultiPoly.variable(1, 1)
     assert spot_check(_fr(x1), 25, seed=3) == 25
-    with pytest.raises(InputError):
+    first = _spot_points(1, 1, 3)[0]
+    with pytest.raises(InputError, match=re.escape(
+            f"spot check failed: value {-first[0]} at {first}")):
         spot_check(FactoredRational(-1, x1, {}), 25, seed=3)
+    # x1 - 1 is negative from the first point with x1 < 1 on
+    point = next(pt for pt in _spot_points(25, 1, 3) if pt[0] < 1)
+    with pytest.raises(InputError, match=re.escape(
+            f"spot check failed: value {point[0] - 1} at {point}")):
+        spot_check(_fr(x1 - 1), 25, seed=3)
+    # the point count: 0 is valid, a bool, a non-int or a negative is not
+    assert spot_check(_fr(x1), 0, seed=3) == 0
+    for bad in (-3, True, False, 2.5, "4", None):
+        with pytest.raises(InputError, match="point count"):
+            spot_check(_fr(x1), bad, seed=1)
+
+
+def _outcome(check, fr, npoints, seed):
+    """The returned count, or the exception's type and message."""
+    try:
+        return check(fr, npoints, seed)
+    except Exception as exc:  # any type: the type is part of the outcome
+        return type(exc), str(exc)
+
+
+@st.composite
+def spot_rationals(draw):
+    """FactoredRationals in 1..3 variables with mixed-sign and positive
+    sparse parts, numerators that vanish at x1 = 1 (every point with
+    p = q), denominator factors that vanish there, x1^400 parts beyond the
+    float filter's range, negative and zero scalars."""
+    nvars = draw(st.integers(1, 3))
+    x1 = MultiPoly.variable(nvars, 1)
+    exps = st.tuples(*(st.integers(0, 4),) * nvars)
+
+    def sparse(positive):
+        lo = 1 if positive else -10 ** 20
+        c = st.integers(lo, 10 ** 20).filter(bool)
+        return MultiPoly(nvars, draw(st.dictionaries(exps, c, min_size=1, max_size=6)))
+
+    num = draw(st.sampled_from(["mixed", "positive", "square", "wide", "zero"]))
+    num = {"mixed": lambda: sparse(False), "positive": lambda: sparse(True),
+           "square": lambda: (x1 * x1 - 2 * x1 + 1) * sparse(True),
+           "wide": lambda: x1 ** 400 - sparse(draw(st.booleans())),
+           "zero": lambda: MultiPoly.zero(nvars)}[num]()
+    den = {}
+    for kind in draw(st.lists(st.sampled_from(["mixed", "positive", "x1 - 1"]),
+                              max_size=2)):
+        f = x1 - 1 if kind == "x1 - 1" else sparse(kind == "positive")
+        den[f] = draw(st.integers(1, 3))
+    scalar = draw(st.sampled_from([F(1), F(-1), F(0), F(-3, 7), F(5, 2)]))
+    return FactoredRational(scalar, num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spot_rationals(), st.integers(0, 12), st.integers(0, 2 ** 32))
+def test_spot_check_matches_exact_route(fr, npoints, seed):
+    assert (_outcome(spot_check, fr, npoints, seed)
+            == _outcome(spot_check_exact, fr, npoints, seed))
+
+
+def test_spot_check_exact_fallbacks_match_exact_route():
+    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    y = MultiPoly.variable(1, 1)
+    ones = [i for i, pt in enumerate(_spot_points(200, 2, 5)) if pt[0] == 1]
+    assert ones   # the points with x1 = 1 that the cases below rely on
+    at_one = f"at {_spot_points(200, 2, 5)[ones[0]]}"
+    cases = [
+        (_fr((x1 - 1) ** 2 * (x2 + 1)), 200),                  # zero at x1 = 1
+        (_fr(x2, {x1 - 1: 2}), "denominator factor vanishes " + at_one),
+        (_fr(x2, {x1 - 1: 1}), "spot check failed"),           # x1 < 1 first
+        (FactoredRational(-2, x1 + x2, {}), "spot check failed"),
+        (FactoredRational(0, x1 + x2, {}), 200),
+        (FactoredRational(F(3, 7), y ** 3 + 2 * y, {y + 1: 2}), 200),
+        (_fr(x1 ** 400 + x2), 200),                            # beyond the range
+        (_fr(x1 ** 400 - x2 ** 400), "spot check failed"),
+    ]
+    for fr, expected in cases:
+        outcome = _outcome(spot_check, fr, 200, 5)
+        assert outcome == _outcome(spot_check_exact, fr, 200, 5), fr
+        if isinstance(expected, int):
+            assert outcome == expected, fr
+        else:
+            assert outcome[0] is InputError and expected in outcome[1], fr
 
 
 def test_certificate_json_shape():

@@ -27,7 +27,8 @@ PUBLIC = [
 # independent reference implementations, kept in tests/oracles.py
 ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
            "MinorReport", "DEFAULT_MINOR_BUDGET", "quadratic_cross_terms",
-           "eval_quadratic_closed", "scalar_ratio", "gaps_for")
+           "eval_quadratic_closed", "scalar_ratio", "gaps_for",
+           "spot_check_exact")
 
 # per-entry copies of the array paths and wrappers that were deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
