@@ -1,4 +1,4 @@
-"""Knot sequences, bracket notation, eta distances, and B-spline evaluation.
+"""Knot sequences, bracket notation, eta distances, and B-spline values.
 
 A knot sequence of order ``k`` on [0,1] clamps both endpoints to multiplicity
 k: t_1 = ... = t_k = 0 and t_{m+1} = ... = t_{m+k} = 1, where
@@ -145,26 +145,14 @@ def _interval_index(ks: KnotSequence, x):
     return lo
 
 
-def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
-    """N_{i,ord}(x) by the de Boor recursion (``_nonzero_bsplines``).
-
-    Half-open-interval convention: right-continuous on [0,1), and at x = 1
-    the last spline evaluates to 1.  Recursion terms with zero-length knot
-    intervals contribute zero (no division is attempted).
-    """
-    if not (1 <= i <= ks.m):
-        raise InputError(f"spline index {i} outside [1,{ks.m}]")
-    if not (1 <= ord <= ks.order):
-        raise InputError(f"spline order {ord} outside [1,{ks.order}]")
-    if x < 0 or x > 1:
-        raise InputError(f"evaluation point {x!r} outside [0,1]")
-    return _nonzero_bsplines(ks, ord, x).get(i, x * 0)
-
-
 def _nonzero_bsplines(ks: KnotSequence, ord: int, x) -> dict:
     """{i: N_{i,ord}(x)} for every spline of order ``ord`` that is nonzero
     at x in [0,1]: one de Boor triangle, built upward from the order-1
-    indicator of the interval that ``_interval_index`` locates."""
+    indicator of the interval that ``_interval_index`` locates.
+
+    Half-open-interval convention: right-continuous on [0,1), and at x = 1
+    the last spline evaluates to 1.  Recursion terms with zero-length knot
+    intervals contribute zero (no division is attempted)."""
     j = _interval_index(ks, x)
     zero = x * 0
     cur = {j: zero + 1}

@@ -1,28 +1,30 @@
 """Exact sparse multivariate polynomials and rational functions.
 
-``MultiPoly`` stores a polynomial in ``nvars`` variables as a dict mapping
-packed monomials to nonzero rational coefficients (int where possible).  A
-monomial x1^e1 ... xn^en is one int (Kronecker substitution, as in
-Monagan-Pearce sparse multiplication): n fields of ``bits`` bits hold
-e1, ..., en, variable 1 in the most significant field, and the total degree
-sits in an open-ended field above them.  Multiplying two monomials is then a
+``MultiPoly`` stores a polynomial in ``nvars`` variables as its packed
+monomials and their nonzero rational coefficients (int where possible), in
+one of the two forms described below.  A monomial x1^e1 ... xn^en is one
+int (Kronecker substitution, as in Monagan-Pearce sparse multiplication):
+n fields of ``bits`` bits hold e1, ..., en, variable 1 in the most
+significant field, and the total degree sits in an open-ended field above
+them.  Multiplying two monomials is then a
 single int addition, and ascending packed ints are exactly the canonical
 graded lexicographic order: total degree first, then the exponent tuple
 lexicographically.  The field width is a function of the polynomial, the
 bit length of its total degree but at least ``_MIN_BITS``, so no exponent
 can reach a neighbouring field and equal polynomials have equal packed
-dicts.  A product takes the width of its own degree, deg p + deg q, before
+terms.  A product takes the width of its own degree, deg p + deg q, before
 any exponent is added, which rules out carries.  ``terms`` and
 ``sorted_terms`` unpack to exponent tuples.
 
 The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
 tuple and coefficient.  The arithmetic builds its results through the
-trusted ``MultiPoly._make``, which takes packed terms the engine made itself
-without re-checking them.  Content and primitive part are computed over the
-integers (``math.gcd`` and exact ``//``).  Rational evaluation clears each
-variable's denominator once and sums over the packed terms in integers.
-Instances are immutable and hashable, so polynomials can serve as dictionary
-keys (the factored-denominator representation relies on this).
+trusted ``MultiPoly._make`` and ``MultiPoly._from_arrays``, which take
+packed terms the engine made itself without re-checking them.  Content and
+primitive part are computed over the integers (gcd and exact ``//``).
+Rational evaluation clears each variable's denominator once and sums over
+the packed terms in integers.  Instances are immutable and hashable, so
+polynomials can serve as dictionary keys (the factored-denominator
+representation relies on this).
 
 ``FactoredRational`` is a rational function whose denominator is a dict
 {factor polynomial: exponent}.  No polynomial GCD is ever computed: addition
@@ -31,21 +33,43 @@ lifts both operands to the factor-wise least common denominator by
 which is exactly what the nonnegativity certificates need to inspect.  Its
 scalars pass the same exactness check as polynomial coefficients.
 
-A product of at least ``_ARRAY_MIN_PAIRS`` term pairs runs as numpy arrays
-over the packed monomials (``_array_product``): blocks of whole left rows,
-at most ``_BLOCK_PAIRS`` pairs each, form the outer sums of the keys and
-the outer products of the coefficients, and each block is merged into the
-sorted result so far with one argsort and one ``add.reduceat``; the result
-dict is built once at the end, zeros dropped.  Coefficients are int64 only
-when max|a| max|b| min(len a, len b) < 2^63, which bounds every product and
-every per-monomial sum (a monomial gets at most one pair per term of either
-operand); otherwise they are object arrays of Python ints or Fractions,
-summed exactly in numpy's C loops.  Keys are int64 when the product's
-packed monomials fit, object arrays otherwise.  Smaller products stay in
-the dict loop, and most certificate products are that small: numpy's fixed
-cost per call makes a 42-pair product take 34 us instead of 15 us, and the
-two ways break even near 256 pairs (CPython 3.11, numpy 2.4, 2-core VM).
-numpy is imported on the first large product, not with this module.
+The two forms.  The dict form maps packed monomials to coefficients.  The
+array form holds the packed monomials as an ascending int64 array (so in
+graded-lex order) and the coefficients as an array beside it.  A
+polynomial is array-resident only when the engine made it with at least
+``_ARRAY_CUTOFF`` terms, int coefficients and packed monomials that fit an
+int64; every other polynomial, and everything the public constructor
+builds, is a dict.  Operations with an array-resident operand, or a product
+of at least ``_ARRAY_CUTOFF`` term pairs, run on arrays when both operands
+have int coefficients and the result's monomials fit an int64:
+  - a product (``_array_product``) forms blocks of whole rows, at most
+    ``_BLOCK_PAIRS`` pairs each, as the outer sums of the keys and the outer
+    products of the coefficients, and merges the blocks into the sorted
+    result with a stable argsort and ``add.reduceat``;
+  - a sum or difference merges the two sorted key arrays the same way, and
+    a sum whose degree dropped is repacked to its canonical width;
+  - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
+    on the coefficients and keep the keys.
+Widths are changed with vectorized shifts.  A result below the cutoff comes
+back as a dict, so small polynomials never touch numpy; a Fraction operand
+takes the dict path.  The dict of an array form is built once, when first
+needed: by ``terms``, evaluation, ``__hash__``, ``__eq__`` against a dict
+form or a dict-path operation; ``sorted_terms``, ``repr``, the coefficient
+scan and the float filter read the arrays.
+
+Coefficient arrays are int64 only while a bound proves that no value
+overflows, and object arrays of Python ints otherwise, which numpy's C
+loops add and multiply exactly.  An int64 coefficient has |c| < 2^63, so
+negation and ``abs`` are exact; a sum stays int64 when
+max|a| + max|b| < 2^63, an integer scaling by s when max|c| |s| < 2^63, and
+a product when max|a| max|b| min(len a, len b) < 2^63, which bounds every
+product and every per-monomial sum (a monomial gets at most one pair per
+term of either operand).  An object result whose values all fit is stored
+as int64 again.  The cutoff sits where the two ways break even: numpy's
+fixed cost per call makes a 42-pair product take 34 us instead of 15 us in
+the dict loop, and products break even near 256 pairs (CPython 3.11,
+numpy 2.4, 2-core VM).  numpy is imported on the first array operation, not
+with this module.
 
 Signs at many points come from a float filter (``_float_signs``), which
 the spot checks of the certificates use: all points are evaluated at once
@@ -64,9 +88,10 @@ exact evaluation.
 
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
 and raise ResourceBudgetError with partial statistics when it is exceeded,
-checked after each left row of the dict loop and after each block of the
-array product.  The budget lives in a context variable: ``term_budget``
-acts on the current thread or task only.
+checked after each left row of the dict loop and, in the array product,
+whenever the merged and held terms together could exceed it.  The budget
+lives in a context variable: ``term_budget`` acts on the current thread or
+task only.
 """
 
 from __future__ import annotations
@@ -82,7 +107,9 @@ from .errors import InputError, ResourceBudgetError
 DEFAULT_TERM_BUDGET = 5_000_000
 _term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
 _MIN_BITS = 8
-_ARRAY_MIN_PAIRS = 256     # smaller products stay in the dict loop
+_ARRAY_CUTOFF = 256        # term pairs of an array product, and terms of
+                           # an array-resident polynomial
+_INT64 = 1 << 63
 _BLOCK_PAIRS = 1 << 16     # term pairs per block of the array product, and
                            # monomial values per block of the float evaluation
 
@@ -162,53 +189,120 @@ def _all_int(terms: dict) -> bool:
     return set(map(type, terms.values())) <= {int}
 
 
-def _budget_error(budget: int, accumulated: int, left: dict, right: dict):
+def _budget_error(budget: int, accumulated: int, left_terms: int,
+                  right_terms: int):
     return ResourceBudgetError(
         f"term budget {budget} exceeded during multiplication",
         partial={"accumulated_terms": accumulated, "budget": budget,
-                 "left_terms": len(left), "right_terms": len(right)})
+                 "left_terms": left_terms, "right_terms": right_terms})
 
 
-def _array_product(left: dict, right: dict, degree: int, bits: int, nvars: int,
-                   budget: int) -> dict:
-    """The nonzero terms of left * right (packed at width ``bits``, product
-    degree ``degree``) by the blocked array product of the module
-    docstring, with its int64 exactness rules; every packed monomial of the
-    product lies below (degree + 1) << (bits * nvars).  The right keys are
-    sorted first, so every row of a block is an ascending run, which the
-    stable sort merges rather than sorts.  Zero sums stay in the result
-    until the end: the budget, checked after each block, counts every
-    distinct monomial formed, as the dict loop does."""
+# ---------------------------------------------------------------------------
+# The array form: ascending int64 packed keys and their coefficients
+
+
+def _keys_fit(degree: int, bits: int, nvars: int) -> bool:
+    """Whether every packed monomial of total degree at most ``degree`` at
+    width ``bits`` lies below 2^63, that is, fits an int64."""
+    return (degree + 1) << (bits * nvars) <= _INT64
+
+
+def _max_abs(coeffs) -> int:
+    return int(abs(coeffs).max())
+
+
+def _repack_keys(keys, nvars: int, old: int, new: int):
+    """Ascending packed keys from width ``old`` to ``new``, field by field;
+    graded-lex order does not depend on the width, so they stay ascending."""
+    if old == new:
+        return keys
+    mask = (1 << old) - 1
+    out = (keys >> (old * nvars)) << (new * nvars)
+    for i in range(nvars):
+        out |= ((keys >> (old * i)) & mask) << (new * i)
+    return out
+
+
+def _merge(keys: list, coeffs: list):
+    """One sorted key array with the coefficients of equal keys summed, from
+    lists of key and coefficient arrays; zero sums are kept.  The stable
+    sort merges the ascending runs it is given rather than sorting them."""
     import numpy as np
 
-    lc, rc = list(left.values()), list(right.values())
-    exact64 = (_all_int(left) and _all_int(right)
-               and max(map(abs, lc)) * max(map(abs, rc)) * min(len(lc), len(rc))
-               < 1 << 63)
-    cdtype = np.int64 if exact64 else object
-    kdtype = np.int64 if (degree + 1) << (bits * nvars) <= 1 << 63 else object
-    lk, lc = np.array(list(left), kdtype), np.array(lc, cdtype)
-    rk, rc = np.array(list(right), kdtype), np.array(rc, cdtype)
-    order = rk.argsort()
-    rk, rc = rk[order], rc[order]
-    keys, coeffs = np.empty(0, kdtype), np.empty(0, cdtype)
+    k, c = np.concatenate(keys), np.concatenate(coeffs)
+    order = k.argsort(kind="stable")
+    k = k[order]
+    first = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    return k[first], np.add.reduceat(c[order], first)
+
+
+def _array_sum(ak, ac, bk, bc):
+    """The nonzero terms of a + b from two array forms at one width: int64
+    when max|a| + max|b| < 2^63 bounds every sum, objects otherwise."""
+    if (ac.dtype != object and bc.dtype != object
+            and _max_abs(ac) + _max_abs(bc) >= _INT64):
+        ac, bc = ac.astype(object), bc.astype(object)
+    keys, coeffs = _merge([ak, bk], [ac, bc])
+    nonzero = coeffs != 0
+    return keys[nonzero], coeffs[nonzero]
+
+
+def _array_product(lk, lc, rk, rc, budget: int, sizes: tuple):
+    """The nonzero terms of left * right from two array forms at the
+    product's width (its packed monomials fit an int64), by the blocked
+    product of the module docstring.  The longer operand is the right one,
+    so each row of a block is one long ascending run.  Blocks are held
+    unmerged until they outnumber the merged terms, so a product whose pairs
+    hardly share monomials is merged O(log) times, not once per block.  The
+    budget counts every distinct monomial formed, zero sums included, as the
+    dict loop does: whenever the merged and held terms together could exceed
+    it, they are merged and counted."""
+    import numpy as np
+
+    if len(lk) > len(rk):
+        lk, lc, rk, rc = rk, rc, lk, lc
+    if lc.dtype != object and rc.dtype != object and (
+            _max_abs(lc) * _max_abs(rc) * len(lk) >= _INT64):
+        lc, rc = lc.astype(object), rc.astype(object)
+    keys, coeffs = lk[:0], np.multiply(lc[:0], rc[:0])
+    held_keys, held_coeffs, held = [], [], 0
     rows = max(1, _BLOCK_PAIRS // len(rk))
     for i in range(0, len(lk), rows):
-        k = np.concatenate((keys, np.add.outer(lk[i:i + rows], rk).ravel()))
-        c = np.concatenate((coeffs, np.multiply.outer(lc[i:i + rows], rc).ravel()))
-        order = k.argsort(kind="stable")
-        k = k[order]
-        first = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-        keys, coeffs = k[first], np.add.reduceat(c[order], first)
-        if len(keys) > budget:
-            raise _budget_error(budget, len(keys), left, right)
+        held_keys.append(np.add.outer(lk[i:i + rows], rk).ravel())
+        held_coeffs.append(np.multiply.outer(lc[i:i + rows], rc).ravel())
+        held += len(held_keys[-1])
+        if held >= len(keys) or len(keys) + held > budget or i + rows >= len(lk):
+            keys, coeffs = _merge([keys, *held_keys], [coeffs, *held_coeffs])
+            held_keys, held_coeffs, held = [], [], 0
+            if len(keys) > budget:
+                raise _budget_error(budget, len(keys), *sizes)
     nonzero = coeffs != 0
-    return dict(zip(keys[nonzero].tolist(), coeffs[nonzero].tolist()))
+    return keys[nonzero], coeffs[nonzero]
+
+
+class _TermArrays:
+    """The array form of a polynomial's packed terms: ascending distinct
+    int64 keys, their nonzero int coefficients (int64 or objects), and the
+    dict of the two, built on first need."""
+
+    __slots__ = ("keys", "coeffs", "dict")
+
+    def __init__(self, keys, coeffs):
+        self.keys, self.coeffs, self.dict = keys, coeffs, None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def as_dict(self) -> dict:
+        if self.dict is None:
+            self.dict = dict(zip(self.keys.tolist(), self.coeffs.tolist()))
+        return self.dict
 
 
 class MultiPoly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
+    # _terms: the packed terms, a dict or (the array form) a _TermArrays
     __slots__ = ("nvars", "_bits", "_terms", "_hash", "_plan")
 
     def __init__(self, nvars: int, terms):
@@ -230,7 +324,7 @@ class MultiPoly:
         bits = _bits_for(max(map(sum, clean), default=0))
         self._init(nvars, bits, {_pack(e, bits): c for e, c in clean.items()})
 
-    def _init(self, nvars: int, bits: int, terms: dict) -> None:
+    def _init(self, nvars: int, bits: int, terms) -> None:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_terms", terms)
@@ -238,16 +332,53 @@ class MultiPoly:
         object.__setattr__(self, "_plan", None)
 
     @classmethod
-    def _make(cls, nvars: int, bits: int, terms: dict) -> "MultiPoly":
+    def _make(cls, nvars: int, bits: int, terms) -> "MultiPoly":
         """Trusted constructor for engine-made terms: ``terms`` maps packed
         monomials of width ``bits`` (canonical for their degree) to nonzero
-        int or non-integral Fraction coefficients; nothing is re-checked."""
+        int or non-integral Fraction coefficients, or is their array form;
+        nothing is re-checked."""
         self = object.__new__(cls)
         self._init(nvars, bits, terms)
         return self
 
+    @classmethod
+    def _from_arrays(cls, nvars: int, bits: int, keys, coeffs) -> "MultiPoly":
+        """Trusted constructor from engine-made arrays: ascending distinct
+        int64 keys of width ``bits`` (canonical for their degree) and nonzero
+        int coefficients, int64 or objects.  Fewer than ``_ARRAY_CUTOFF``
+        terms come back as a dict; object coefficients that all fit are
+        stored as int64."""
+        if len(keys) < _ARRAY_CUTOFF:
+            return cls._make(nvars, bits, dict(zip(keys.tolist(), coeffs.tolist())))
+        if coeffs.dtype == object and _max_abs(coeffs) < _INT64:
+            coeffs = coeffs.astype(keys.dtype)
+        return cls._make(nvars, bits, _TermArrays(keys, coeffs))
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    def _dict(self) -> dict:
+        terms = self._terms
+        return terms if type(terms) is dict else terms.as_dict()
+
+    def _int_coeffs(self) -> bool:
+        return type(self._terms) is _TermArrays or _all_int(self._terms)
+
+    def _arrays(self, bits: int):
+        """(keys, coeffs) in the array form at width ``bits`` >= its own; the
+        caller has checked that the coefficients are ints and the keys fit."""
+        terms = self._terms
+        if type(terms) is dict:
+            import numpy as np
+
+            keys = np.fromiter(terms, np.int64, len(terms))
+            coeffs = list(terms.values())
+            coeffs = np.array(coeffs, np.int64 if max(map(abs, coeffs)) < _INT64 else object)
+            order = keys.argsort()
+            keys, coeffs = keys[order], coeffs[order]
+        else:
+            keys, coeffs = terms.keys, terms.coeffs
+        return _repack_keys(keys, self.nvars, self._bits, bits), coeffs
 
     # -- constructors -------------------------------------------------------
 
@@ -276,7 +407,7 @@ class MultiPoly:
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, unpacked afresh on each access."""
         unpack = _unpacker(self.nvars, self._bits)
-        return {unpack(k): c for k, c in self._terms.items()}
+        return {unpack(k): c for k, c in self._dict().items()}
 
     def __len__(self) -> int:
         """Number of nonzero terms."""
@@ -287,20 +418,49 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree (-1 for the zero polynomial)."""
-        if not self._terms:
+        terms = self._terms
+        if type(terms) is _TermArrays:
+            return int(terms.keys[-1]) >> (self._bits * self.nvars)
+        if not terms:
             return -1
-        return max(self._terms) >> (self._bits * self.nvars)
+        return max(terms) >> (self._bits * self.nvars)
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coefficient), graded-lex ascending."""
         unpack = _unpacker(self.nvars, self._bits)
-        return [(unpack(k), c) for k, c in sorted(self._terms.items())]
+        terms = self._terms
+        if type(terms) is _TermArrays:
+            items = zip(terms.keys.tolist(), terms.coeffs.tolist())
+        else:
+            items = sorted(terms.items())
+        return [(unpack(k), c) for k, c in items]
 
     def leading_coefficient(self):
         """Coefficient of the graded-lex greatest term (0 for zero poly)."""
-        if not self._terms:
+        terms = self._terms
+        if type(terms) is _TermArrays:
+            return int(terms.coeffs[-1])
+        if not terms:
             return 0
-        return self._terms[max(self._terms)]
+        return terms[max(terms)]
+
+    def _first_negative(self, sign: int):
+        """The graded-lex-first (exponents, sign * coeff) with
+        sign * coeff < 0, or None: the smallest such packed key, the only
+        one unpacked."""
+        terms = self._terms
+        if type(terms) is _TermArrays:
+            bad = terms.coeffs < 0 if sign > 0 else terms.coeffs > 0
+            i = int(bad.argmax())
+            if not bad[i]:
+                return None
+            key, coeff = int(terms.keys[i]), int(terms.coeffs[i])
+        else:
+            key = min((k for k, c in terms.items() if sign * c < 0), default=None)
+            if key is None:
+                return None
+            coeff = terms[key]
+        return _unpacker(self.nvars, self._bits)(key), sign * coeff
 
     def _integral(self):
         """(d, numerators): the least common denominator d of the
@@ -316,8 +476,19 @@ class MultiPoly:
     def primitive(self):
         """(content, self/content): content signed so the primitive part has
         positive leading coefficient and coprime integer coefficients."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return Fraction(0), self
+        if type(terms) is _TermArrays:
+            import numpy as np
+
+            g = int(np.gcd.reduce(terms.coeffs))
+            if terms.coeffs[-1] < 0:
+                g = -g
+            if g == 1:
+                return Fraction(1), self
+            return Fraction(g), MultiPoly._from_arrays(
+                self.nvars, self._bits, terms.keys, terms.coeffs // g)
         d, nums = self._integral()
         g = gcd(*nums)
         if self.leading_coefficient() < 0:
@@ -325,15 +496,21 @@ class MultiPoly:
         if g == 1 and d == 1:
             return Fraction(1), self
         return Fraction(g, d), MultiPoly._make(
-            self.nvars, self._bits, {k: n // g for k, n in zip(self._terms, nums)})
+            self.nvars, self._bits, {k: n // g for k, n in zip(terms, nums)})
 
     def _scale(self, s) -> "MultiPoly":
         if s == 0:
             return MultiPoly.zero(self.nvars)
         if s == 1:
             return self
-        terms = {k: c * s for k, c in self._terms.items()}
-        if type(s) is not int or not _all_int(self._terms):
+        terms = self._terms
+        if type(terms) is _TermArrays and type(s) is int:
+            c = terms.coeffs
+            if c.dtype != object and _max_abs(c) * abs(s) >= _INT64:
+                c = c.astype(object)
+            return MultiPoly._from_arrays(self.nvars, self._bits, terms.keys, c * s)
+        terms = {k: c * s for k, c in self._dict().items()}
+        if type(s) is not int or not _all_int(terms):
             _tidy(terms)
         return MultiPoly._make(self.nvars, self._bits, terms)
 
@@ -350,9 +527,25 @@ class MultiPoly:
         self._check_compat(other)
         nvars = self.nvars
         bits = max(self._bits, other._bits)
-        acc = dict(_repack(self._terms, nvars, self._bits, bits))
+        a, b = self._terms, other._terms
+        if type(a) is not dict or type(b) is not dict:
+            if not b:
+                return self
+            if not a:
+                return -other if negate else other
+            if (self._int_coeffs() and other._int_coeffs() and _keys_fit(
+                    max(self.total_degree(), other.total_degree()), bits, nvars)):
+                (ak, ac), (bk, bc) = self._arrays(bits), other._arrays(bits)
+                keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
+                if not len(keys):
+                    return MultiPoly.zero(nvars)
+                canon = _bits_for(int(keys[-1]) >> (bits * nvars))
+                keys = _repack_keys(keys, nvars, bits, canon)
+                return MultiPoly._from_arrays(nvars, canon, keys, coeffs)
+            a, b = self._dict(), other._dict()
+        acc = dict(_repack(a, nvars, self._bits, bits))
         get = acc.get
-        items = _repack(other._terms, nvars, other._bits, bits).items()
+        items = _repack(b, nvars, other._bits, bits).items()
         if negate:
             items = [(k, -c) for k, c in items]
         for k, c in items:
@@ -376,8 +569,12 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
+        terms = self._terms
+        if type(terms) is _TermArrays:
+            return MultiPoly._make(self.nvars, self._bits,
+                                   _TermArrays(terms.keys, -terms.coeffs))
         return MultiPoly._make(self.nvars, self._bits,
-                               {k: -c for k, c in self._terms.items()})
+                               {k: -c for k, c in terms.items()})
 
     def __sub__(self, other):
         return self._add(other, True)
@@ -390,28 +587,34 @@ class MultiPoly:
             return self._scale(_norm_coeff(other))
         self._check_compat(other)
         nvars = self.nvars
-        if not self._terms or not other._terms:
+        left, right = self._terms, other._terms
+        if not left or not right:
             return MultiPoly.zero(nvars)
         # every exponent of the product is at most its total degree, so at
         # this width no exponent sum carries into the neighbouring field
         degree = self.total_degree() + other.total_degree()
         bits = _bits_for(degree)
-        left = _repack(self._terms, nvars, self._bits, bits)
-        right = _repack(other._terms, nvars, other._bits, bits)
         budget = get_term_budget()
-        if len(left) * len(right) >= _ARRAY_MIN_PAIRS:
-            terms = _array_product(left, right, degree, bits, nvars, budget)
-        else:
-            acc = {}
-            get = acc.get
-            right_items = list(right.items())
-            for k1, c1 in left.items():
-                for k2, c2 in right_items:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-                if len(acc) > budget:
-                    raise _budget_error(budget, len(acc), left, right)
-            terms = {k: c for k, c in acc.items() if c}
+        sizes = len(left), len(right)
+        if sizes[0] * sizes[1] >= _ARRAY_CUTOFF:    # else both are dicts
+            if (self._int_coeffs() and other._int_coeffs()
+                    and _keys_fit(degree, bits, nvars)):
+                keys, coeffs = _array_product(*self._arrays(bits),
+                                              *other._arrays(bits), budget, sizes)
+                return MultiPoly._from_arrays(nvars, bits, keys, coeffs)
+            left, right = self._dict(), other._dict()
+        left = _repack(left, nvars, self._bits, bits)
+        right = _repack(right, nvars, other._bits, bits)
+        acc = {}
+        get = acc.get
+        right_items = list(right.items())
+        for k1, c1 in left.items():
+            for k2, c2 in right_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+            if len(acc) > budget:
+                raise _budget_error(budget, len(acc), *sizes)
+        terms = {k: c for k, c in acc.items() if c}
         if not (_all_int(left) and _all_int(right)):
             _tidy(terms)
         return MultiPoly._make(nvars, bits, terms)
@@ -458,7 +661,7 @@ class MultiPoly:
         among the distinct ones.  Empty when a coefficient is not an int."""
         if self._plan is None:
             plan = ()
-            if _all_int(self._terms):
+            if self._int_coeffs():
                 n, h = self.nvars, self.nvars // 2
                 terms = self.terms
                 dmax = tuple(map(max, zip(*terms))) if n else ()
@@ -544,19 +747,18 @@ class MultiPoly:
         import numpy as np
 
         signs = np.zeros(len(p), np.int8)
-        terms, n, bits = self._terms, self.nvars, self._bits
-        if not terms or not _all_int(terms) or max(terms) >> 63:
+        n, bits, T, D = self.nvars, self._bits, len(self), self.total_degree()
+        if not T or not self._int_coeffs() or not _keys_fit(D, bits, n):
             return signs
-        T, D = len(terms), self.total_degree()
+        keys, coeffs = self._arrays(bits)
         x = p / q
         e = np.frexp(x)[1].astype(np.int64)    # 2^(e-1) <= x < 2^e
         s = np.maximum(e, 1 - e).max(axis=1, initial=0)
-        size = max(map(abs, terms.values())).bit_length() + T.bit_length()
+        size = _max_abs(coeffs).bit_length() + T.bit_length()
         rows = np.flatnonzero(s * D + size < 1000)
         if not len(rows):
             return signs
         x = x[rows]
-        keys = np.fromiter(terms, np.int64, T)
         exps = [(keys >> (bits * (n - 1 - i))) & ((1 << bits) - 1) for i in range(n)]
         tables = []
         for i, ei in enumerate(exps):
@@ -564,7 +766,7 @@ class MultiPoly:
             for d in range(1, table.shape[1]):
                 table[:, d] = table[:, d - 1] * x[:, i]
             tables.append(table)
-        coeffs = np.array([float(c) for c in terms.values()])
+        coeffs = coeffs.astype(float)     # correctly rounded, as float(int)
         S, A = np.zeros(len(x)), np.zeros(len(x))
         step = max(1, _BLOCK_PAIRS // T)      # points per block
         width = _BLOCK_PAIRS // step          # terms per block
@@ -588,11 +790,16 @@ class MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return self == MultiPoly.constant(self.nvars, other)
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        a, b = self._terms, other._terms
+        if self.nvars != other.nvars or len(a) != len(b):
+            return False
+        if type(a) is _TermArrays and type(b) is _TermArrays:
+            return bool((a.keys == b.keys).all() and (a.coeffs == b.coeffs).all())
+        return self._dict() == other._dict()
 
     def __hash__(self):
         if self._hash is None:
-            key = (self.nvars, frozenset(self._terms.items()))
+            key = (self.nvars, frozenset(self._dict().items()))
             object.__setattr__(self, "_hash", hash(key))
         return self._hash
 

@@ -139,11 +139,10 @@ class Certificate:
 
 def _nonneg_witness(poly: MultiPoly, sign: int):
     """Graded-lex-first (exponents, effective coefficient) with effective
-    coefficient sign*coeff < 0, or None."""
-    for exps, coeff in poly.sorted_terms():
-        if sign * coeff < 0:
-            return (exps, sign * coeff)
-    return None
+    coefficient sign*coeff < 0, or None.  Ascending packed monomials are the
+    graded-lex order, so this is the smallest such packed monomial, and only
+    it is unpacked (``MultiPoly._first_negative``)."""
+    return poly._first_negative(sign)
 
 
 def certify_nonneg(fr: FactoredRational, name: str) -> Certificate:

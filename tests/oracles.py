@@ -63,6 +63,35 @@ def quadratic_cross_terms(ks: KnotSequence, i: int):
     return first, second
 
 
+def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
+    """N_{i,ord}(x) by the Cox-de Boor recursion, one spline at a time
+    (the package's ``_nonzero_bsplines`` builds the whole triangle at once).
+
+    Half-open-interval convention: N_{j,1} is the indicator of the interval
+    that contains x, x = 1 belonging to the last nonempty one, so the last
+    spline is 1 at x = 1.  Terms over zero-length knot intervals contribute
+    zero.
+    """
+    if not (1 <= i <= ks.m):
+        raise InputError(f"spline index {i} outside [1,{ks.m}]")
+    if not (1 <= ord <= ks.order):
+        raise InputError(f"spline order {ord} outside [1,{ks.order}]")
+    j = _interval_index(ks, x)
+    t, zero = ks.knot, x * 0
+
+    def N(p, r):
+        if r == 1:
+            return zero + 1 if p == j else zero
+        value = zero
+        if t(p + r - 1) != t(p):
+            value += (x - t(p)) / (t(p + r - 1) - t(p)) * N(p, r - 1)
+        if t(p + r) != t(p + 1):
+            value += (t(p + r) - x) / (t(p + r) - t(p + 1)) * N(p + 1, r - 1)
+        return value
+
+    return N(i, ord)
+
+
 def eval_quadratic_closed(ks: KnotSequence, i: int, x):
     """The explicit three-branch quadratic N_{i,3}(x) (order k = 3 only).
 
@@ -285,6 +314,15 @@ def gaps_for(ks, anchor: int, nvars: int) -> tuple:
     sequence, for evaluating certificate expressions at real partitions."""
     return tuple(ks.knot(anchor + r) - ks.knot(anchor + r - 1)
                  for r in range(1, nvars + 1))
+
+
+def nonneg_witness_sorted(poly, sign: int):
+    """polycert._nonneg_witness by a scan of every term in graded-lex order:
+    the first (exponents, sign*coeff) with sign*coeff < 0, or None."""
+    for exps, coeff in poly.sorted_terms():
+        if sign * coeff < 0:
+            return (exps, sign * coeff)
+    return None
 
 
 def spot_check_exact(fr: FactoredRational, npoints: int, seed: int) -> int:

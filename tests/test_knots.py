@@ -6,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import eval_quadratic_closed, save_partition
+from oracles import eval_bspline, eval_quadratic_closed, save_partition
 from splinegram import InputError, KnotSequence, gram_quadrature, knots_to_json
-from splinegram.knots import eval_bspline, knots_from_json, load_partition
+from splinegram.knots import _nonzero_bsplines, knots_from_json, load_partition
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,18 @@ def test_eval_at_right_endpoint():
     ks = KnotSequence(2, [F(1, 2)])
     assert eval_bspline(ks, ks.m, 2, F(1)) == 1
     assert eval_bspline(ks, 1, 2, F(1)) == 0
+
+
+def test_nonzero_bsplines_match_recursion():
+    # the package's one-triangle evaluation, which gram_quadrature reads,
+    # against the spline-by-spline oracle, at every order and at the knots
+    for ks in (KnotSequence(4, [F(1, 7), F(2, 5), F(6, 7)]),
+               KnotSequence(3, [0.25, 0.5, 0.875])):
+        for x in [ks.knot(1) * 0 + F(j, 28) for j in range(29)]:
+            for ord in range(1, ks.order + 1):
+                nonzero = _nonzero_bsplines(ks, ord, x)
+                for i in range(1, ks.m + 1):
+                    assert nonzero.get(i, 0) == eval_bspline(ks, i, ord, x), (i, ord, x)
 
 
 # ---------------------------------------------------------------------------

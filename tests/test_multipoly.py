@@ -1,6 +1,7 @@
 """Exact sparse polynomial engine: ring laws, normalization, packing,
 budgets."""
 
+import contextlib
 import contextvars
 import random
 import tracemalloc
@@ -229,24 +230,27 @@ def test_poly_product():
 # ---------------------------------------------------------------------------
 # The blocked array product against the dict loop and evaluation
 #
-# Products of at least _ARRAY_MIN_PAIRS term pairs run as numpy arrays.  Each
-# is compared with the tuple-keyed schoolbook product, with the same product
-# forced through the dict loop, and with p(x) q(x) at a rational point.
+# Products of at least _ARRAY_CUTOFF term pairs with int coefficients run as
+# numpy arrays.  Each is compared with the tuple-keyed schoolbook product,
+# with the same product forced through the dict loop, and with p(x) q(x) at
+# a rational point.
 
 
 @contextmanager
 def _dict_loop_only():
-    saved = multipoly._ARRAY_MIN_PAIRS
-    multipoly._ARRAY_MIN_PAIRS = float("inf")
+    """Every product and sum in the dict loop: with an infinite cutoff no
+    array product runs and no polynomial is array-resident."""
+    saved = multipoly._ARRAY_CUTOFF
+    multipoly._ARRAY_CUTOFF = float("inf")
     try:
         yield
     finally:
-        multipoly._ARRAY_MIN_PAIRS = saved
+        multipoly._ARRAY_CUTOFF = saved
 
 
 def _check_array_product(nvars, a, b, point):
     p, q = MultiPoly(nvars, a), MultiPoly(nvars, b)
-    assert len(p) * len(q) >= multipoly._ARRAY_MIN_PAIRS
+    assert len(p) * len(q) >= multipoly._ARRAY_CUTOFF
     product = p * q
     with _dict_loop_only():
         by_dict = p * q
@@ -340,23 +344,222 @@ def test_array_product_keys_beyond_int64():
 
 @pytest.mark.parametrize("rows, cols, array_path", [(15, 17, False), (16, 16, True)])
 def test_products_either_side_of_the_cutoff(monkeypatch, rows, cols, array_path):
-    assert (rows * cols >= multipoly._ARRAY_MIN_PAIRS) == array_path
+    assert (rows * cols >= multipoly._ARRAY_CUTOFF) == array_path
     calls = []
     array_product = multipoly._array_product
 
-    def spy(*args):
-        calls.append(len(args[0]) * len(args[1]))
-        return array_product(*args)
+    def spy(lk, lc, rk, rc, budget, sizes):
+        calls.append(len(lk) * len(rk))
+        return array_product(lk, lc, rk, rc, budget, sizes)
 
     monkeypatch.setattr(multipoly, "_array_product", spy)
     rng = random.Random(rows)
-    a = {(i, 0): F(rng.randint(-9, 9), rng.randint(1, 3)) or 1 for i in range(rows)}
+    a = {(i, 0): rng.randint(-9, 9) or 1 for i in range(rows)}
     b = {(i % 5, i): rng.randint(-9, 9) or 1 for i in range(cols)}
     p, q = MultiPoly(2, a), MultiPoly(2, b)
     product, point = p * q, (F(-5, 3), F(2, 7))
     assert calls == ([rows * cols] if array_path else [])
     assert product == MultiPoly(2, ref_mul(a, b))
     assert product(point) == p(point) * q(point)
+
+
+# ---------------------------------------------------------------------------
+# The array form against the dict route
+#
+# A polynomial with int coefficients and at least _ARRAY_CUTOFF terms is
+# array-resident.  Each operation on such operands is compared with the same
+# operation on the same polynomials rebuilt as dicts, every product and sum
+# in the dict loop: term for term, by == both ways and by hash.
+
+
+def _array_form(p):
+    """p's packed terms when it is array-resident, else None."""
+    return p._terms if isinstance(p._terms, multipoly._TermArrays) else None
+
+
+def _as_dict(p):
+    """The same polynomial through the public constructor, dict-resident."""
+    q = MultiPoly(p.nvars, p.terms)
+    assert _array_form(q) is None
+    return q
+
+
+def _resident(p):
+    """p, array-resident when its form allows (a product by the constant
+    1 of at least _ARRAY_CUTOFF pairs runs as arrays)."""
+    return p * MultiPoly.constant(p.nvars, 1)
+
+
+def _check_array_form(p):
+    import numpy as np
+
+    keys, coeffs = p._terms.keys, p._terms.coeffs
+    assert keys.dtype == np.int64 and (keys[1:] > keys[:-1]).all()
+    fits = max(map(abs, coeffs.tolist())) < 2 ** 63
+    assert coeffs.dtype == (np.int64 if fits else object)
+    assert (coeffs != 0).all() and len(coeffs) == len(keys) >= multipoly._ARRAY_CUTOFF
+    assert p._bits == max(_MIN_BITS, p.total_degree().bit_length())
+
+
+def _assert_same(got, ref):
+    assert _array_form(ref) is None
+    assert got == ref and ref == got and hash(got) == hash(ref)
+    assert got.terms == ref.terms and got._bits == ref._bits
+    assert got.sorted_terms() == ref.sorted_terms()
+    assert all(type(c) is int or (type(c) is F and c.denominator > 1)
+               for c in got.terms.values())
+    if _array_form(got) is not None:    # never below the cutoff
+        _check_array_form(got)
+
+
+def _both_routes(op, *operands):
+    """op on the operands as given, and on dict copies in the dict loop."""
+    got = op(*operands)
+    with _dict_loop_only():
+        ref = op(*map(_as_dict, operands))
+    if isinstance(got, tuple):        # primitive: (content, part)
+        assert got[0] == ref[0] and type(got[0]) is type(ref[0])
+        _assert_same(got[1], ref[1])
+    else:
+        _assert_same(got, ref)
+    return got
+
+
+_OPS = {
+    "product": lambda a, b: a * b,
+    "sum": lambda a, b: a + b,
+    "difference": lambda a, b: a - b,
+    "reverse difference": lambda a, b: b - a,
+    "negation": lambda a, b: -a,
+    "scale 3": lambda a, b: 3 * a,
+    "scale -1": lambda a, b: a * -1,
+    "scale 2^62": lambda a, b: a * 2 ** 62,
+    "scale -2^63": lambda a, b: -(2 ** 63) * a,
+    "primitive": lambda a, b: a.primitive(),
+    "primitive of a multiple": lambda a, b: (-6 * a).primitive(),
+    "cancellation": lambda a, b: (a + b) - b,
+}
+
+_EDGE = [2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63), 1, -1, 3]
+_COEFFS = {
+    "small": lambda rng: rng.randint(-1000, 1000) or 1,
+    "int64 edge": lambda rng: rng.choice(_EDGE),
+    "beyond int64": lambda rng: rng.choice([-1, 1]) * rng.randint(2 ** 63, 2 ** 70),
+}
+
+
+def _random_poly(rng, nvars, count, top, coeff):
+    terms = {}
+    while len(terms) < count:
+        terms[tuple(rng.randint(0, top) for _ in range(nvars))] = coeff(rng)
+    return MultiPoly(nvars, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4),
+       st.sampled_from(sorted(_COEFFS)), st.sampled_from(sorted(_COEFFS)),
+       st.sampled_from([40, 255, 256, 300]), st.sampled_from([1, 12, 256, 300]))
+def test_array_form_matches_dict_route(seed, nvars, kind_a, kind_b, size_a, size_b):
+    rng = random.Random(seed)
+    top = 30 if nvars == 2 else 9
+    a = _resident(_random_poly(rng, nvars, size_a, top, _COEFFS[kind_a]))
+    b = _resident(_random_poly(rng, nvars, size_b, top, _COEFFS[kind_b]))
+    assert (_array_form(a) is not None) == (size_a >= multipoly._ARRAY_CUTOFF)
+    for op in _OPS.values():
+        _both_routes(op, a, b)
+    assert _both_routes(lambda a, b: a - b, a, a).is_zero()
+
+
+def test_array_form_sums_and_products_leaving_int64():
+    # all coefficients +-2^62, 2^63 - 1 or -2^63: sums and products leave
+    # int64 and run on objects; their results come back as int64 when the
+    # values fit again
+    x = [MultiPoly.variable(3, i) for i in (1, 2, 3)]
+    base = (1 + x[0] + x[1] + x[2]) ** 12           # 455 terms
+    assert _array_form(base) is not None
+    for c in (2 ** 62, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63)):
+        a = _resident(MultiPoly(3, {e: c for e in base.terms}))
+        b = _resident(MultiPoly(3, {e: -c if e[0] == 1 else c for e in base.terms}))
+        assert _array_form(a) is not None
+        assert _array_form(a).coeffs.dtype == (object if c == -(2 ** 63) else "int64")
+        double = _both_routes(lambda a, b: a + b, a, b)    # 2c, 377 terms
+        assert len(double) < len(a) and _array_form(double).coeffs.dtype == object
+        back = _both_routes(lambda a, b: a - b, double, a)  # c and -c again
+        assert _array_form(back).coeffs.dtype == (object if c == -(2 ** 63) else "int64")
+        _both_routes(lambda a, b: a * b, a, b)
+        _both_routes(lambda a, b: -a, a, b)
+        _both_routes(lambda a, b: 2 * a, a, b)
+        content, part = _both_routes(lambda a, b: a.primitive(), a, b)
+        assert content == c and part.terms == dict.fromkeys(base.terms, 1)
+
+
+def test_array_form_cancellation_and_width():
+    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    low = _resident(MultiPoly(2, {(i, j): i - j or 7 for i in range(20) for j in range(20)}))
+    top = 5 * x1 ** 200 * x2 ** 56                 # degree 256: 9-bit fields
+    assert _array_form(low) is not None and low._bits == _MIN_BITS
+    high = _both_routes(lambda a, b: a + b, low, top)
+    assert _array_form(high) is not None and high._bits == 9
+    # operands of different widths, and a degree drop back to 8 bits
+    dropped = _both_routes(lambda a, b: a - b, high, top)
+    assert _array_form(dropped) is not None and dropped._bits == _MIN_BITS and dropped == low
+    _both_routes(lambda a, b: a * b, high, low)
+    assert _both_routes(lambda a, b: a - b, high, high + 0).is_zero()
+    # cancellation below the cutoff comes back as a dict
+    small = _both_routes(lambda a, b: a - b, high, low)
+    assert _array_form(small) is None and small == top
+    assert _both_routes(lambda a, b: a - b, low, low).is_zero()
+
+
+def test_array_form_with_fraction_coefficients_takes_the_dict_path():
+    rng = random.Random(3)
+    a = _resident(_random_poly(rng, 3, 300, 9, lambda r: r.randint(-9, 9) or 1))
+    frac = MultiPoly(3, {(i, 0, 0): F(1, i + 2) for i in range(20)})
+    assert _array_form(a) is not None
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: b * a, lambda a, b: a * F(2, 3)):
+        assert _array_form(_both_routes(op, a, frac)) is None
+    # F(4, 2) is the int 2, so the scaling stays on the arrays
+    assert _array_form(_both_routes(lambda a, b: a * F(4, 2), a, frac)) is not None
+
+
+def test_array_form_keys_beyond_int64():
+    # 8 variables of 8-bit fields: degree 127 fits an int64 key, the
+    # product's degree 128 does not, so it stays a dict
+    rng = random.Random(9)
+    terms = {}
+    while len(terms) < 300:
+        terms[tuple(rng.randint(0, 7) for _ in range(7)) + (0,)] = rng.randint(-9, 9) or 1
+    terms[(7,) * 7 + (0,)] = 1                      # degree 49
+    a = _resident(MultiPoly(8, terms))
+    assert _array_form(a) is None          # 8 fields of 8 bits and the degree field
+    b = _resident(MultiPoly(7, {e[:7]: c for e, c in terms.items()}))
+    assert _array_form(b) is not None
+    _both_routes(lambda a, b: a * b, a, MultiPoly.variable(8, 8) + 1)
+    _both_routes(lambda a, b: a + b, a, a)
+    y = MultiPoly.variable(7, 7)
+    tall = _both_routes(lambda a, b: a * b, b, 5 * y ** 78 + 1)    # degree 127
+    assert _array_form(tall) is not None and tall.total_degree() == 127
+    beyond = _both_routes(lambda a, b: a * b, tall, y + 2)        # degree 128
+    assert _array_form(beyond) is None and beyond.total_degree() == 128
+    _both_routes(lambda a, b: a + b, tall, y ** 128)
+    _both_routes(lambda a, b: a - b, beyond, tall)
+
+
+def test_factored_sum_matches_factors_of_both_forms():
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
+    f = (1 + 2 * x1 + x2 + 3 * x3) ** 10
+    f_dict = _as_dict(f)
+    assert _array_form(f) is not None and f == f_dict and hash(f) == hash(f_dict)
+    total = (FactoredRational(1, x1, {f: 1}) + FactoredRational(F(1, 2), x2, {f_dict: 1})
+             + FactoredRational(3, x3, {f_dict: 2}))
+    assert list(total.den_factors.values()) == [2]
+    ref = (FactoredRational(1, x1, {f_dict: 1}) + FactoredRational(F(1, 2), x2, {f_dict: 1})
+           + FactoredRational(3, x3, {f_dict: 2}))
+    assert total.scalar == ref.scalar and total.num == ref.num
+    assert list(total.den_factors) == list(ref.den_factors) == [f]
+    assert total.denominator_expanded() == f ** 2
+    assert repr(total) == repr(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +623,33 @@ def test_budget_stops_a_large_product_after_one_block():
     assert 1000 < partial["accumulated_terms"] <= multipoly._BLOCK_PAIRS
     assert (partial["left_terms"], partial["right_terms"]) == (1000, 1000)
     assert peak < 8 * 10 ** 6
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_array_product_holds_blocks_and_keeps_the_budget(monkeypatch, sparse):
+    # blocks of 64 pairs: a product whose pairs all form new monomials holds
+    # blocks unmerged, one that accumulates merges after each; both give the
+    # dict loop's terms and, like the dict loop, exceed the budget exactly
+    # when the distinct monomials formed (zero sums included) exceed it
+    monkeypatch.setattr(multipoly, "_BLOCK_PAIRS", 64)
+    rng = random.Random(8)
+    if sparse:
+        p = MultiPoly(2, {(i, 0): rng.randint(1, 9) for i in range(40)})
+        q = MultiPoly(2, {(0, j): rng.randint(-9, 9) or 1 for j in range(30)})
+    else:
+        p = q = MultiPoly(2, {(i, j): rng.randint(-9, 9) or 1
+                              for i in range(6) for j in range(6)})
+    formed = len({(a[0] + b[0], a[1] + b[1]) for a in p.terms for b in q.terms})
+    with _dict_loop_only():
+        expected = p * q
+    assert p * q == expected and (formed == len(p) * len(q)) == sparse
+    for route in (contextlib.nullcontext, _dict_loop_only):
+        with route(), term_budget(formed):
+            assert p * q == expected
+        with route(), term_budget(formed - 1):
+            with pytest.raises(ResourceBudgetError) as err:
+                p * q
+        assert err.value.partial["accumulated_terms"] > formed - 1
 
 
 def test_budget_restored_after_exception():

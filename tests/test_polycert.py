@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import array_at, gaps_for, scalar_ratio, spot_check_exact
+from oracles import (array_at, gaps_for, nonneg_witness_sorted, scalar_ratio,
+                     spot_check_exact)
 from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         GapBasis, InputError, KnotSequence, MultiPoly,
                         ResourceBudgetError, build_gram, build_inequality,
@@ -17,7 +18,7 @@ from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         certify_nonneg, spot_check, term_budget)
 from splinegram.decay import minor_formula, phi_inv_formula, psi_inv_formula
 from splinegram.gram import quad_formula
-from splinegram.polycert import INEQUALITY_NAMES, _expect_den, _sym
+from splinegram.polycert import INEQUALITY_NAMES, _expect_den, _nonneg_witness, _sym
 
 # ---------------------------------------------------------------------------
 # GapBasis
@@ -280,6 +281,54 @@ def test_mixed_sign_denominator_factor_rejected():
     cert = certify_nonneg(_fr(x1, {(x1 - x2): 1}), "demo")
     assert not cert.success and cert.where == "denominator"
     assert cert.witness == ((0, 1), -1)
+
+
+@st.composite
+def witness_polys(draw):
+    """Sparse polynomials in 1..3 variables with int or Fraction
+    coefficients of either sign (the zero polynomial included), and in half
+    the cases a product of two int polynomials of 20..40 terms, mostly above
+    the array cutoff."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*(st.integers(0, 9),) * nvars)
+    coeff = st.one_of(st.integers(-50, 50),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    if draw(st.booleans()):
+        return MultiPoly(nvars, draw(st.dictionaries(exps, coeff, max_size=12)))
+    ints = st.dictionaries(exps, st.integers(-50, 50).filter(bool),
+                           min_size=20, max_size=40)
+    return MultiPoly(nvars, draw(ints)) * MultiPoly(nvars, draw(ints))
+
+
+def _same_witness(poly, sign):
+    found, expected = _nonneg_witness(poly, sign), nonneg_witness_sorted(poly, sign)
+    assert found == expected
+    if found is not None:
+        assert type(found[1]) is type(expected[1])
+        assert all(type(e) is int for e in found[0])
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_polys(), st.sampled_from([1, -1]))
+def test_nonneg_witness_matches_sorted_scan(poly, sign):
+    _same_witness(poly, sign)
+
+
+def test_nonneg_witness_edge_cases():
+    assert _same_witness(MultiPoly.zero(3), 1) is None
+    assert _same_witness(MultiPoly.zero(3), -1) is None
+    frac = MultiPoly(2, {(1, 0): F(1, 2), (0, 1): F(-1, 3), (2, 0): 4})
+    assert _same_witness(frac, 1) == ((0, 1), F(-1, 3))
+    assert _same_witness(frac, -1) == ((1, 0), F(-1, 2))
+    # (1 + x1 + x2 + x3)^10 has 286 terms, array-resident, with positive
+    # coefficients; two are pushed below zero, x1^2 x2 (360) graded-lex first
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
+    p = (1 + x1 + x2 + x3) ** 10 - 1000 * x1 ** 2 * x2 - 10 ** 6 * x3 ** 7
+    assert not isinstance(p._terms, dict) and len(p) == 286
+    assert _same_witness(p, 1) == ((2, 1, 0), -640)
+    assert _same_witness(p, -1) == ((0, 0, 0), -1)
+    assert _same_witness(-p, -1) == ((2, 1, 0), -640)
 
 
 def test_zero_function_certifies():
