@@ -240,20 +240,19 @@ def _build_phi_step() -> FactoredRational:
 
     every inverse bound function having been cancelled against its
     reciprocal beforehand, so the factored denominator is a pure product of
-    bracket linear forms.
+    bracket linear forms.  The code factors F_{n-1} out twice and F_n once
+    (Horner-like).  A product adds denominator exponents, a sum takes their
+    factor-wise max, and + distributes over max: every bracketing (no partial
+    result zero) gives one FactoredRational.
     """
     basis = GapBasis(6)
     a, phi_inv = _sym(quad_formula, basis), _sym(phi_inv_formula, basis)
     F1, F2, F3 = phi_inv(1), phi_inv(2), phi_inv(3)   # at n-1, n, n+1
     a12, a23, a13 = a(1, 1), a(2, 1), a(1, 2)   # a_{n-1,n}, a_{n,n+1}, a_{n-1,n+1}
     a22, a33 = a(2, 0), a(3, 0)                 # a_{n,n}, a_{n+1,n+1}
-    F1sq = F1 * F1
-    p = (F2 * F1sq * a12 * a33
-         - F1sq * a23 * (a12 * a23 - 2 * a22 * a13)
-         - 2 * F2 * F1sq * a23 * a13
-         - F2 * F1 * a12 * a13 * a13
-         - a12 * a12 * a12 * a13 * a13
-         - F2 * F1sq * F3 * a12)
+    inner = (F2 * (a12 * a33 - 2 * a23 * a13 - F3 * a12)
+             - a23 * (a12 * a23 - 2 * a22 * a13))
+    p = F1 * (F1 * inner - F2 * a12 * a13 * a13) - a12 * a12 * a12 * a13 * a13
     bound = {basis.bracket(1, -1, 1): 4, basis.bracket(2, 0, 1): 5,
              basis.bracket(3, 1, 1): 8, basis.bracket(4, 2, 1): 5,
              basis.bracket(5, 3, 1): 2}
@@ -268,14 +267,15 @@ def _build_theta_product() -> FactoredRational:
     phi_s = 1/phi_inv brings the (all-nonnegative) numerator polynomial of
     phi_inv into the denominator, and M_s divides by a_{s-2,s-1}; both are
     legitimate because certify_nonneg checks every denominator factor
-    coefficient-wise rather than assuming a product of brackets.
+    coefficient-wise rather than assuming a product of brackets.  th_n
+    th_{n+1} is formed first: 336 x 336 then 8 x 6912 pairs, not 1050 x 336.
     """
     basis = GapBasis(6)
     M, phi_inv = _sym(minor_formula, basis), _sym(phi_inv_formula, basis)
     th_n, th_n1 = M(2) / phi_inv(2), M(3) / phi_inv(3)
     br = basis.bracket
     lead = sym_ratio((br(3, 0, 2), br(3, 0, 3)), (br(2, 0, 2), br(2, 0, 3)))
-    return FactoredRational.from_scalar(6, Fraction(87, 100)) - lead * th_n * th_n1
+    return FactoredRational.from_scalar(6, Fraction(87, 100)) - lead * (th_n * th_n1)
 
 
 _BUILDERS = {

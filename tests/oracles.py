@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from splinegram.decay import minor_formula, phi_inv_formula
 from splinegram.errors import ArithmeticFailure, InputError, ResourceBudgetError
-from splinegram.gram import SymBandedMatrix, ratio
+from splinegram.gram import SymBandedMatrix, quad_formula, ratio
 from splinegram.knots import KnotSequence, _interval_index, knots_to_json
 from splinegram.multipoly import FactoredRational
+from splinegram.polycert import GapBasis, _sym, sym_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +296,38 @@ def check_total_positivity(A: SymBandedMatrix, max_order: int,
                     if value < 0:
                         return MinorReport(max_order, checked, min_value, witness)
     return MinorReport(max_order, checked, min_value, witness)
+
+
+# ---------------------------------------------------------------------------
+# The two large certificates in the order their docstrings state them
+
+
+def phi_step_six_terms() -> FactoredRational:
+    """polycert's phi_step as the six-term sum of its docstring, each
+    product expanded on its own (the package evaluates it in factored
+    order); gaps anchored at n-2."""
+    basis = GapBasis(6)
+    a, phi_inv = _sym(quad_formula, basis), _sym(phi_inv_formula, basis)
+    F1, F2, F3 = phi_inv(1), phi_inv(2), phi_inv(3)
+    a12, a23, a13, a22, a33 = a(1, 1), a(2, 1), a(1, 2), a(2, 0), a(3, 0)
+    F1sq = F1 * F1
+    return (F2 * F1sq * a12 * a33
+            - F1sq * a23 * (a12 * a23 - 2 * a22 * a13)
+            - 2 * F2 * F1sq * a23 * a13
+            - F2 * F1 * a12 * a13 * a13
+            - a12 * a12 * a12 * a13 * a13
+            - F2 * F1sq * F3 * a12)
+
+
+def theta_product_left_to_right() -> FactoredRational:
+    """polycert's theta_product with the product taken left to right,
+    (lead th_n) th_{n+1} (the package forms th_n th_{n+1} first)."""
+    basis = GapBasis(6)
+    M, phi_inv = _sym(minor_formula, basis), _sym(phi_inv_formula, basis)
+    th_n, th_n1 = M(2) / phi_inv(2), M(3) / phi_inv(3)
+    br = basis.bracket
+    lead = sym_ratio((br(3, 0, 2), br(3, 0, 3)), (br(2, 0, 2), br(2, 0, 3)))
+    return FactoredRational.from_scalar(6, Fraction(87, 100)) - lead * th_n * th_n1
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (array_at, gaps_for, nonneg_witness_sorted, scalar_ratio,
-                     spot_check_exact)
+from oracles import (array_at, gaps_for, nonneg_witness_sorted,
+                     phi_step_six_terms, scalar_ratio, spot_check_exact,
+                     theta_product_left_to_right)
 from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         GapBasis, InputError, KnotSequence, MultiPoly,
                         ResourceBudgetError, build_gram, build_inequality,
@@ -168,6 +169,20 @@ def test_certificate_expressions_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == REPR_DIGESTS[name]
 
 
+# The stated order of each large certificate, against the package's
+# factored order: the same scalar, numerator and factored denominator.
+STATED_ORDER = {"phi_step": phi_step_six_terms,
+                "theta_product": theta_product_left_to_right}
+
+
+@pytest.mark.parametrize("name", sorted(STATED_ORDER))
+def test_factored_order_builds_the_stated_expression(name):
+    fr, stated = build_inequality(name), STATED_ORDER[name]()
+    assert fr.scalar == stated.scalar
+    assert fr.num == stated.num
+    assert fr.den_factors == stated.den_factors
+
+
 def test_theta_product_records_minor_prerequisite():
     cert = certify_inequality("theta_product")
     assert len(cert.prerequisites) == 1
@@ -228,6 +243,23 @@ def test_phi_step_respects_term_budget():
         with pytest.raises(ResourceBudgetError) as err:
             build_inequality("phi_step")
     assert err.value.partial["budget"] == 10
+
+
+# The smallest term budget at which each large certificate certifies: the
+# term count of its largest product (phi_step: F_{n-1}, 33 terms, times a
+# 3678-term partial sum; theta_product: the lead ratio, 8 terms, times
+# th_n th_{n+1}, 6912 terms).
+BUDGET_THRESHOLDS = {"phi_step": 10520, "theta_product": 11152}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_THRESHOLDS))
+def test_term_budget_threshold(name):
+    least = BUDGET_THRESHOLDS[name]
+    with term_budget(least - 1):
+        with pytest.raises(ResourceBudgetError):
+            certify_inequality(name)
+    with term_budget(least):
+        assert certify_inequality(name).success
 
 
 # ---------------------------------------------------------------------------

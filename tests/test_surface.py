@@ -28,7 +28,8 @@ PUBLIC = [
 ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
            "MinorReport", "DEFAULT_MINOR_BUDGET", "quadratic_cross_terms",
            "eval_quadratic_closed", "scalar_ratio", "gaps_for",
-           "spot_check_exact", "eval_bspline", "nonneg_witness_sorted")
+           "spot_check_exact", "eval_bspline", "nonneg_witness_sorted",
+           "phi_step_six_terms", "theta_product_left_to_right")
 
 # per-entry copies of the array paths and wrappers that were deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
