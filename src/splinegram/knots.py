@@ -1,4 +1,4 @@
-"""Knot sequences, bracket notation, eta distances, and B-spline values.
+"""Knot sequences, bracket notation, and B-spline values.
 
 A knot sequence of order ``k`` on [0,1] clamps both endpoints to multiplicity
 k: t_1 = ... = t_k = 0 and t_{m+1} = ... = t_{m+k} = 1, where
@@ -11,10 +11,9 @@ and every evaluation stays exact; one float among them and it runs in double
 precision.  Indexing follows the mathematical convention (1-based).
 
 ``KnotSequence.brackets`` is the array bracket provider, which evaluates a
-bracket at a whole index array n at once (numpy arrays of Fractions in exact
-mode, float64 in float mode); every closed form in the package reads its
-brackets from it.  ``KnotSequence.bracket`` and ``KnotSequence.eta`` are the
-one-line scalar definitions of a bracket and of eta.
+bracket (ell en)_n = t_{n+ell} - t_{n+en} at a whole index array n at once
+(numpy arrays of Fractions in exact mode, float64 in float mode); every
+closed form in the package reads its brackets from it.
 """
 
 from __future__ import annotations
@@ -80,15 +79,11 @@ class KnotSequence:
             return self.knots[-1]
         return self.knots[i - 1]
 
-    def bracket(self, ell: int, en: int, j: int):
-        """(ell en)_j = t_{j+ell} - t_{j+en}."""
-        return self.knot(j + ell) - self.knot(j + en)
-
     def brackets(self, ell: int, en: int, n):
-        """The array bracket provider: (ell en)_n for every entry of an int
-        index array n with 0 <= n <= m, as a numpy array (Fractions in an
-        object array in exact mode, float64 in float mode), each entry the
-        same knot difference as ``bracket(ell, en, n)``.
+        """The array bracket provider: (ell en)_n = t_{n+ell} - t_{n+en} for
+        every entry of an int index array n with 0 <= n <= m, as a numpy
+        array (Fractions in an object array in exact mode, float64 in float
+        mode), each entry the knot difference of ``knot``'s clamped knots.
 
         The brackets come from a clamped knot array padded by BRACKET_PAD
         knots on each side, built once; each (ell, en) bracket is computed
@@ -109,13 +104,6 @@ class KnotSequence:
             t = arrays[None]
             arrays[key] = t[pad + ell:pad + ell + m + 1] - t[pad + en:pad + en + m + 1]
         return arrays[key][n]
-
-    def eta(self, i: int, j: int):
-        """eta_ij = t_{max(i,j)+k} - t_{min(i,j)}, the length of J_ij."""
-        m = self.m
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise InputError(f"eta indices must lie in [1,{m}], got ({i},{j})")
-        return self.knot(max(i, j) + self.order) - self.knot(min(i, j))
 
     def breakpoints(self) -> tuple:
         """Distinct breakpoints 0 = x_0 < x_1 < ... < x_last = 1."""

@@ -1,47 +1,49 @@
 """Exact sparse multivariate polynomials and rational functions.
 
 ``MultiPoly`` stores a polynomial in ``nvars`` variables as its packed
-monomials and their nonzero rational coefficients (int where possible), in
-one of the two forms described below.  A monomial x1^e1 ... xn^en is one
-int (Kronecker substitution, as in Monagan-Pearce sparse multiplication):
-n fields of ``bits`` bits hold e1, ..., en, variable 1 in the most
-significant field, and the total degree sits in an open-ended field above
-them.  Multiplying two monomials is then a
-single int addition, and ascending packed ints are exactly the canonical
-graded lexicographic order: total degree first, then the exponent tuple
-lexicographically.  The field width is a function of the polynomial, the
-bit length of its total degree but at least ``_MIN_BITS``, so no exponent
-can reach a neighbouring field and equal polynomials have equal packed
-terms.  A product takes the width of its own degree, deg p + deg q, before
-any exponent is added, which rules out carries.  ``terms`` and
-``sorted_terms`` unpack to exponent tuples.
+monomials and their nonzero int coefficients, in one of the two forms
+described below; all rational content lives in the scalar of a
+``FactoredRational``.  A monomial x1^e1 ... xn^en is one int (Kronecker
+substitution, as in Monagan-Pearce sparse multiplication): n fields of
+``bits`` bits hold e1, ..., en, variable 1 in the most significant field,
+and the total degree sits in an open-ended field above them.  Multiplying
+two monomials is then a single int addition, and ascending packed ints are
+exactly the canonical graded lexicographic order: total degree first, then
+the exponent tuple lexicographically.  The field width is a function of the
+polynomial, the bit length of its total degree but at least ``_MIN_BITS``,
+so no exponent can reach a neighbouring field and equal polynomials have
+equal packed terms.  A product takes the width of its own degree,
+deg p + deg q, before any exponent is added, which rules out carries.
+``terms`` and ``sorted_terms`` unpack to exponent tuples.
 
 The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
-tuple and coefficient.  The arithmetic builds its results through the
-trusted ``MultiPoly._make`` and ``MultiPoly._from_arrays``, which take
-packed terms the engine made itself without re-checking them.  Content and
-primitive part are computed over the integers (gcd and exact ``//``).
-Rational evaluation clears each variable's denominator once and sums over
-the packed terms in integers.  Instances are immutable and hashable, so
-polynomials can serve as dictionary keys (the factored-denominator
-representation relies on this).
+tuple and coefficient: a coefficient, like a number added to or multiplied
+with a polynomial, must be an int (not a bool, a float or a Fraction, even
+an integral one).  The arithmetic builds its results through the trusted
+``MultiPoly._make`` and ``MultiPoly._from_arrays``, which take packed terms
+the engine made itself without re-checking them.  Content and primitive
+part are ints and int polynomials (gcd and exact ``//``).  Evaluation takes
+int or Fraction coordinates, clears each variable's denominator once and
+sums over the packed terms in integers.  Instances are immutable and
+hashable, so polynomials can serve as dictionary keys (the
+factored-denominator representation relies on this).
 
 ``FactoredRational`` is a rational function whose denominator is a dict
 {factor polynomial: exponent}.  No polynomial GCD is ever computed: addition
 lifts both operands to the factor-wise least common denominator by
 *syntactic* factor matching; this keeps denominators as explicit products,
 which is exactly what the nonnegativity certificates need to inspect.  Its
-scalars pass the same exactness check as polynomial coefficients.
+scalar is a Fraction, built from ints and Fractions only.
 
 The two forms.  The dict form maps packed monomials to coefficients.  The
 array form holds the packed monomials as an ascending int64 array (so in
 graded-lex order) and the coefficients as an array beside it.  A
 polynomial is array-resident only when the engine made it with at least
-``_ARRAY_CUTOFF`` terms, int coefficients and packed monomials that fit an
-int64; every other polynomial, and everything the public constructor
-builds, is a dict.  Operations with an array-resident operand, or a product
-of at least ``_ARRAY_CUTOFF`` term pairs, run on arrays when both operands
-have int coefficients and the result's monomials fit an int64:
+``_ARRAY_CUTOFF`` terms and packed monomials that fit an int64; every other
+polynomial, and everything the public constructor builds, is a dict.
+Operations with an array-resident operand, or a product of at least
+``_ARRAY_CUTOFF`` term pairs, run on arrays when the result's monomials fit
+an int64:
   - a product (``_array_product``) forms blocks of whole rows, at most
     ``_BLOCK_PAIRS`` pairs each, as the outer sums of the keys and the outer
     products of the coefficients, and merges the blocks into the sorted
@@ -51,11 +53,11 @@ have int coefficients and the result's monomials fit an int64:
   - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
     on the coefficients and keep the keys.
 Widths are changed with vectorized shifts.  A result below the cutoff comes
-back as a dict, so small polynomials never touch numpy; a Fraction operand
-takes the dict path.  The dict of an array form is built once, when first
-needed: by ``terms``, evaluation, ``__hash__``, ``__eq__`` against a dict
-form or a dict-path operation; ``sorted_terms``, ``repr``, the coefficient
-scan and the float filter read the arrays.
+back as a dict, so small polynomials never touch numpy.  The dict of an
+array form is built once, when first needed: by ``terms``, evaluation,
+``__hash__``, ``__eq__`` against a dict form or a dict-path operation;
+``sorted_terms``, ``repr``, the coefficient scan and the float filter read
+the arrays.
 
 Coefficient arrays are int64 only while a bound proves that no value
 overflows, and object arrays of Python ints otherwise, which numpy's C
@@ -82,9 +84,8 @@ the sign of S~ is taken only where |S~| exceeds twice that, the factor 2
 covering the rounding of the margin itself.  The bound assumes that no
 intermediate leaves the normal range, so a point is filtered only when its
 coordinates lie in [2^-s, 2^s] with s D + log2 max|c| + log2 T < 1000;
-every other point, and every point of a polynomial with a non-int
-coefficient or a packed monomial beyond int64, is left undecided for the
-exact evaluation.
+every other point, and every point of a polynomial with a packed monomial
+beyond int64, is left undecided for the exact evaluation.
 
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
 and raise ResourceBudgetError with partial statistics when it is exceeded,
@@ -134,11 +135,15 @@ def term_budget(n: int):
         _term_budget.reset(token)
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+def _int_coeff(c) -> int:
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise InputError(f"coefficient {c!r} is not an int")
+    return c
+
+
+def _exact_scalar(c):
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise InputError(f"coefficient {c!r} is not an exact rational")
+        raise InputError(f"scalar {c!r} is not an exact rational")
     return c
 
 
@@ -175,18 +180,6 @@ def _repack(terms: dict, nvars: int, old: int, new: int) -> dict:
         return terms
     unpack = _unpacker(nvars, old)
     return {_pack(unpack(k), new): c for k, c in terms.items()}
-
-
-def _tidy(terms: dict) -> dict:
-    """Turn integral Fraction coefficients back into ints, in place."""
-    for k, c in terms.items():
-        if type(c) is Fraction and c.denominator == 1:
-            terms[k] = c.numerator
-    return terms
-
-
-def _all_int(terms: dict) -> bool:
-    return set(map(type, terms.values())) <= {int}
 
 
 def _budget_error(budget: int, accumulated: int, left_terms: int,
@@ -300,7 +293,7 @@ class _TermArrays:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with int coefficients."""
 
     # _terms: the packed terms, a dict or (the array form) a _TermArrays
     __slots__ = ("nvars", "_bits", "_terms", "_hash", "_plan")
@@ -312,11 +305,11 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise InputError(f"exponent tuple {exps!r} invalid for {nvars} variables")
-            coeff = _norm_coeff(coeff)
+            coeff = _int_coeff(coeff)
             if coeff == 0:
                 continue
             if exps in clean:
-                coeff = _norm_coeff(clean[exps] + coeff)
+                coeff += clean[exps]
                 if coeff == 0:
                     del clean[exps]
                     continue
@@ -335,8 +328,7 @@ class MultiPoly:
     def _make(cls, nvars: int, bits: int, terms) -> "MultiPoly":
         """Trusted constructor for engine-made terms: ``terms`` maps packed
         monomials of width ``bits`` (canonical for their degree) to nonzero
-        int or non-integral Fraction coefficients, or is their array form;
-        nothing is re-checked."""
+        int coefficients, or is their array form; nothing is re-checked."""
         self = object.__new__(cls)
         self._init(nvars, bits, terms)
         return self
@@ -361,12 +353,9 @@ class MultiPoly:
         terms = self._terms
         return terms if type(terms) is dict else terms.as_dict()
 
-    def _int_coeffs(self) -> bool:
-        return type(self._terms) is _TermArrays or _all_int(self._terms)
-
     def _arrays(self, bits: int):
         """(keys, coeffs) in the array form at width ``bits`` >= its own; the
-        caller has checked that the coefficients are ints and the keys fit."""
+        caller has checked that the keys fit an int64."""
         terms = self._terms
         if type(terms) is dict:
             import numpy as np
@@ -390,7 +379,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
         _check_nvars(nvars)
-        c = _norm_coeff(c)
+        c = _int_coeff(c)
         return cls._make(nvars, _MIN_BITS, {0: c} if c else {})
 
     @classmethod
@@ -462,23 +451,12 @@ class MultiPoly:
             coeff = terms[key]
         return _unpacker(self.nvars, self._bits)(key), sign * coeff
 
-    def _integral(self):
-        """(d, numerators): the least common denominator d of the
-        coefficients, and the coefficients times d as ints."""
-        coeffs = self._terms.values()
-        dens = [c.denominator for c in coeffs if type(c) is not int]
-        if not dens:
-            return 1, coeffs
-        d = lcm(*dens)
-        return d, [c * d if type(c) is int else c.numerator * (d // c.denominator)
-                   for c in coeffs]
-
     def primitive(self):
-        """(content, self/content): content signed so the primitive part has
-        positive leading coefficient and coprime integer coefficients."""
+        """(content, self/content): the int content, signed so the primitive
+        part has positive leading coefficient and coprime coefficients."""
         terms = self._terms
         if not terms:
-            return Fraction(0), self
+            return 0, self
         if type(terms) is _TermArrays:
             import numpy as np
 
@@ -486,33 +464,30 @@ class MultiPoly:
             if terms.coeffs[-1] < 0:
                 g = -g
             if g == 1:
-                return Fraction(1), self
-            return Fraction(g), MultiPoly._from_arrays(
+                return 1, self
+            return g, MultiPoly._from_arrays(
                 self.nvars, self._bits, terms.keys, terms.coeffs // g)
-        d, nums = self._integral()
-        g = gcd(*nums)
+        g = gcd(*terms.values())
         if self.leading_coefficient() < 0:
             g = -g
-        if g == 1 and d == 1:
-            return Fraction(1), self
-        return Fraction(g, d), MultiPoly._make(
-            self.nvars, self._bits, {k: n // g for k, n in zip(terms, nums)})
+        if g == 1:
+            return 1, self
+        return g, MultiPoly._make(
+            self.nvars, self._bits, {k: c // g for k, c in terms.items()})
 
-    def _scale(self, s) -> "MultiPoly":
+    def _scale(self, s: int) -> "MultiPoly":
         if s == 0:
             return MultiPoly.zero(self.nvars)
         if s == 1:
             return self
         terms = self._terms
-        if type(terms) is _TermArrays and type(s) is int:
+        if type(terms) is _TermArrays:
             c = terms.coeffs
             if c.dtype != object and _max_abs(c) * abs(s) >= _INT64:
                 c = c.astype(object)
             return MultiPoly._from_arrays(self.nvars, self._bits, terms.keys, c * s)
-        terms = {k: c * s for k, c in self._dict().items()}
-        if type(s) is not int or not _all_int(terms):
-            _tidy(terms)
-        return MultiPoly._make(self.nvars, self._bits, terms)
+        return MultiPoly._make(self.nvars, self._bits,
+                               {k: c * s for k, c in terms.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -533,8 +508,7 @@ class MultiPoly:
                 return self
             if not a:
                 return -other if negate else other
-            if (self._int_coeffs() and other._int_coeffs() and _keys_fit(
-                    max(self.total_degree(), other.total_degree()), bits, nvars)):
+            if _keys_fit(max(self.total_degree(), other.total_degree()), bits, nvars):
                 (ak, ac), (bk, bc) = self._arrays(bits), other._arrays(bits)
                 keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
                 if not len(keys):
@@ -551,8 +525,6 @@ class MultiPoly:
         for k, c in items:
             new = get(k, 0) + c
             if new:
-                if type(new) is Fraction and new.denominator == 1:
-                    new = new.numerator
                 acc[k] = new
             else:
                 del acc[k]
@@ -584,7 +556,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self._scale(_norm_coeff(other))
+            return self._scale(_int_coeff(other))
         self._check_compat(other)
         nvars = self.nvars
         left, right = self._terms, other._terms
@@ -597,8 +569,7 @@ class MultiPoly:
         budget = get_term_budget()
         sizes = len(left), len(right)
         if sizes[0] * sizes[1] >= _ARRAY_CUTOFF:    # else both are dicts
-            if (self._int_coeffs() and other._int_coeffs()
-                    and _keys_fit(degree, bits, nvars)):
+            if _keys_fit(degree, bits, nvars):
                 keys, coeffs = _array_product(*self._arrays(bits),
                                               *other._arrays(bits), budget, sizes)
                 return MultiPoly._from_arrays(nvars, bits, keys, coeffs)
@@ -614,10 +585,7 @@ class MultiPoly:
                 acc[k] = get(k, 0) + c1 * c2
             if len(acc) > budget:
                 raise _budget_error(budget, len(acc), *sizes)
-        terms = {k: c for k, c in acc.items() if c}
-        if not (_all_int(left) and _all_int(right)):
-            _tidy(terms)
-        return MultiPoly._make(nvars, bits, terms)
+        return MultiPoly._make(nvars, bits, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -637,41 +605,33 @@ class MultiPoly:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, point):
-        """Evaluate at a point (any scalar field; exact for rationals)."""
+        """The exact value, a Fraction, at a point of int or Fraction
+        coordinates."""
         point = tuple(point)
         if len(point) != self.nvars:
             raise InputError(f"point has {len(point)} coordinates, need {self.nvars}")
-        if (self._terms and all(isinstance(x, (int, Fraction)) for x in point)
-                and self._eval_plan()):
-            return self._eval_rational(point)
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    term = term * x ** e
-            total = total + term
-        return total
+        if not all(isinstance(x, (int, Fraction)) for x in point):
+            raise InputError(f"point {point!r} is not exact: coordinates must "
+                             f"be ints or Fractions")
+        return self._eval_rational(point)
 
     def _eval_plan(self):
         """The integer evaluation layout, built once per polynomial: the
         maximal exponent of each variable, and the terms grouped by the
         exponents of the leading half of the variables.  Each group lists its
         coefficients and, per term, the index of its trailing-half exponents
-        among the distinct ones.  Empty when a coefficient is not an int."""
+        among the distinct ones."""
         if self._plan is None:
-            plan = ()
-            if self._int_coeffs():
-                n, h = self.nvars, self.nvars // 2
-                terms = self.terms
-                dmax = tuple(map(max, zip(*terms))) if n else ()
-                lo_index, groups = {}, {}
-                for t, c in terms.items():
-                    idx, cs = groups.setdefault(t[:h], ([], []))
-                    idx.append(lo_index.setdefault(t[h:], len(lo_index)))
-                    cs.append(c)
-                plan = (dmax, h, list(lo_index),
-                        [(hi, idx, cs) for hi, (idx, cs) in groups.items()])
+            n, h = self.nvars, self.nvars // 2
+            terms = self.terms
+            dmax = tuple(map(max, zip(*terms))) if n else ()
+            lo_index, groups = {}, {}
+            for t, c in terms.items():
+                idx, cs = groups.setdefault(t[:h], ([], []))
+                idx.append(lo_index.setdefault(t[h:], len(lo_index)))
+                cs.append(c)
+            plan = (dmax, h, list(lo_index),
+                    [(hi, idx, cs) for hi, (idx, cs) in groups.items()])
             object.__setattr__(self, "_plan", plan)
         return self._plan
 
@@ -683,7 +643,7 @@ class MultiPoly:
         are formed once per distinct exponent pattern, and each group of
         terms sharing the leading half is summed before one multiplication
         by its leading-half product."""
-        dmax, h, lo_keys, groups = self._plan
+        dmax, h, lo_keys, groups = self._eval_plan()
         tables, den = [], 1
         for x, d in zip(point, dmax):
             x = Fraction(x)
@@ -715,8 +675,7 @@ class MultiPoly:
         float64: p and q are int64 arrays of shape (npoints, nvars) with
         entries in [1, 2^53).  Returns an int8 array over the points, +1 or
         -1 where the float filter decides and 0 where it cannot, and at every
-        point when a coefficient is not an int or a packed monomial does not
-        fit an int64.
+        point when a packed monomial does not fit an int64.
 
         With x~ = fl(p/q), the power tables x~^e by repeated multiplication,
         each term fl(c) times its table entries, and S~, A~ the float sums of
@@ -748,7 +707,7 @@ class MultiPoly:
 
         signs = np.zeros(len(p), np.int8)
         n, bits, T, D = self.nvars, self._bits, len(self), self.total_degree()
-        if not T or not self._int_coeffs() or not _keys_fit(D, bits, n):
+        if not T or not _keys_fit(D, bits, n):
             return signs
         keys, coeffs = self._arrays(bits)
         x = p / q
@@ -787,7 +746,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 return self == MultiPoly.constant(self.nvars, other)
             return NotImplemented
         a, b = self._terms, other._terms
@@ -845,7 +804,7 @@ class FactoredRational:
 
     def __init__(self, scalar, num: MultiPoly, den_factors=None):
         den_factors = dict(den_factors or {})
-        scalar = Fraction(_norm_coeff(scalar))
+        scalar = Fraction(_exact_scalar(scalar))
         content, num = num.primitive()
         scalar *= content
         clean = {}
@@ -889,7 +848,7 @@ class FactoredRational:
         if isinstance(other, MultiPoly):
             other = FactoredRational.from_poly(other)
         elif not isinstance(other, FactoredRational):
-            return FactoredRational(self.scalar * _norm_coeff(other), self.num,
+            return FactoredRational(self.scalar * _exact_scalar(other), self.num,
                                     self.den_factors)
         if self.is_zero() or other.is_zero():
             return FactoredRational.from_scalar(self.nvars, 0)
@@ -943,16 +902,14 @@ class FactoredRational:
         """1/self; the numerator becomes the single denominator factor."""
         if self.is_zero():
             raise InputError("cannot invert the zero rational function")
-        num = MultiPoly.constant(self.nvars, 1)
-        for f, e in self._sorted_factors():
-            num = num * f ** e
-        return FactoredRational(1 / self.scalar, num, {self.num: 1})
+        return FactoredRational(1 / self.scalar, self.denominator_expanded(),
+                                {self.num: 1})
 
     def __truediv__(self, other):
         if isinstance(other, MultiPoly):
             other = FactoredRational.from_poly(other)
         elif not isinstance(other, FactoredRational):
-            return FactoredRational(self.scalar / _norm_coeff(other), self.num,
+            return FactoredRational(self.scalar / _exact_scalar(other), self.num,
                                     self.den_factors)
         return self * other.inverse()
 

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from splinegram.decay import minor_formula, phi_inv_formula
@@ -26,6 +27,20 @@ from splinegram.polycert import GapBasis, _sym, sym_ratio
 
 # ---------------------------------------------------------------------------
 # Scalar formulas
+
+
+def bracket(ks: KnotSequence, ell: int, en: int, j: int):
+    """(ell en)_j = t_{j+ell} - t_{j+en}, one index at a time (the package's
+    ``KnotSequence.brackets`` gathers whole index arrays)."""
+    return ks.knot(j + ell) - ks.knot(j + en)
+
+
+def eta(ks: KnotSequence, i: int, j: int):
+    """eta_ij = t_{max(i,j)+k} - t_{min(i,j)}, the length of J_ij."""
+    m = ks.m
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise InputError(f"eta indices must lie in [1,{m}], got ({i},{j})")
+    return ks.knot(max(i, j) + ks.order) - ks.knot(min(i, j))
 
 
 def scalar_ratio(num_factors, den_factors):
@@ -53,7 +68,7 @@ def quadratic_cross_terms(ks: KnotSequence, i: int):
         raise InputError("quadratic_cross_terms requires an order-3 knot sequence")
     if not (1 <= i <= ks.m - 1):
         raise InputError(f"cross-term index {i} outside [1,{ks.m - 1}]")
-    br = ks.bracket
+    br = partial(bracket, ks)
     b10, b21, b32, b43 = br(1, 0, i), br(2, 1, i), br(3, 2, i), br(4, 3, i)
     b20, b31, b42 = br(2, 0, i), br(3, 1, i), br(4, 2, i)
     first = (scalar_ratio((b21, b21), (10, b31))
@@ -113,13 +128,13 @@ def eval_quadratic_closed(ks: KnotSequence, i: int, x):
     zero = x * 0
     t = ks.knot
     if j == i:
-        return (x - t(i)) ** 2 / (ks.bracket(2, 0, i) * ks.bracket(1, 0, i))
+        return (x - t(i)) ** 2 / (bracket(ks, 2, 0, i) * bracket(ks, 1, 0, i))
     if j == i + 1:
-        first = (x - t(i)) * (t(i + 2) - x) / (ks.bracket(2, 0, i) * ks.bracket(2, 1, i))
-        second = (x - t(i + 1)) * (t(i + 3) - x) / (ks.bracket(3, 1, i) * ks.bracket(2, 1, i))
+        first = (x - t(i)) * (t(i + 2) - x) / (bracket(ks, 2, 0, i) * bracket(ks, 2, 1, i))
+        second = (x - t(i + 1)) * (t(i + 3) - x) / (bracket(ks, 3, 1, i) * bracket(ks, 2, 1, i))
         return first + second
     if j == i + 2:
-        return (t(i + 3) - x) ** 2 / (ks.bracket(3, 1, i) * ks.bracket(3, 2, i))
+        return (t(i + 3) - x) ** 2 / (bracket(ks, 3, 1, i) * bracket(ks, 3, 2, i))
     return zero
 
 

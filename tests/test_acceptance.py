@@ -11,8 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from oracles import (check_total_positivity, dense_inverse_oracle,
-                     quadratic_cross_terms)
+from oracles import (bracket, check_total_positivity, dense_inverse_oracle,
+                     eta, quadratic_cross_terms)
 from splinegram import (GapBasis, KnotSequence,
                         SweepConfig, attach_lemma_checks, build_gram,
                         build_inequality, certify_inequality,
@@ -140,7 +140,7 @@ def test_criterion_03_row_sums_equal_support_over_order():
                 A = build_gram(ks)
                 for i in range(1, ks.m + 1):
                     row_sum = sum(A.get(i, j) for j in range(1, ks.m + 1))
-                    assert row_sum == ks.bracket(order, 0, i) / order
+                    assert row_sum == bracket(ks, order, 0, i) / order
                     rows += 1
         note["detail"] = f"{rows} rows"
 
@@ -233,7 +233,7 @@ def test_criterion_06_linear_decay_bounds():
         for _ in range(5):
             ks = _random_exact_ks(rng, 2, rng.randint(1, 12))
             state = invert_iteratively(build_gram(ks), keep_history=True)
-            assert state.diag_history[0] == 3 / ks.bracket(2, 0, 1)
+            assert state.diag_history[0] == 3 / bracket(ks, 2, 0, 1)
         note["detail"] = ("worst ratios " +
                           ", ".join(f"{k}={worst[k]:.4f}"
                                     for k in sorted(LINEAR_CHECKS)))
@@ -294,8 +294,8 @@ def test_criterion_09_eta_inequality():
             for _ in range(100):
                 n = rng.randint(1, ks.m - 1)
                 j = rng.randint(1, n)
-                lhs = ks.eta(j, n + 1) * ks.bracket(order, 1, n)
-                rhs = ks.eta(j, n) * ks.bracket(order + 1, 1, n)
+                lhs = eta(ks, j, n + 1) * bracket(ks, order, 1, n)
+                rhs = eta(ks, j, n) * bracket(ks, order + 1, 1, n)
                 assert lhs <= rhs
                 checks += 1
         note["detail"] = f"{checks} queries"

@@ -3,20 +3,21 @@
 gram_linear/gram_quadratic and the lemma batteries evaluate the order-2/3
 formulas once over whole index arrays (KnotSequence.brackets, gram.ratio
 acting elementwise).  The oracle here evaluates the same formulas one index
-at a time over the scalar brackets KnotSequence.bracket, with the scalar
-zero-numerator ratio of tests/oracles.py, and every value must be equal:
-exact values with == and the same type, floats bit for bit (signed zeros
-included).
+at a time over the scalar brackets and the scalar zero-numerator ratio of
+tests/oracles.py (``bracket``, ``scalar_ratio``), and every value must be
+equal: exact values with == and the same type, floats bit for bit (signed
+zeros included).
 """
 
 import math
 import random
 import struct
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from oracles import scalar_ratio
+from oracles import bracket, scalar_ratio
 from splinegram import (ArithmeticFailure, KnotSequence, build_gram,
                         invert_iteratively)
 from splinegram.decay import (_linear_families, _quadratic_families,
@@ -27,7 +28,7 @@ from splinegram.partitions import parse_spec, realize, shrink_one_gap
 
 
 def oracle_bands(ks):
-    br = ks.bracket
+    br = partial(bracket, ks)
     if ks.order == 2:
         return [[linear_formula(br, i, d) for i in range(1, ks.m - d + 1)] for d in (0, 1)]
     return [[quad_formula(br, scalar_ratio, i, d) for i in range(1, ks.m - d + 1)]
@@ -36,7 +37,7 @@ def oracle_bands(ks):
 
 def oracle_families(ks, state):
     """(name, bound, [(n, value)]) of each family, one loop over n."""
-    br, inf = ks.bracket, math.inf
+    br, inf = partial(bracket, ks), math.inf
     hist = state.diag_history.tolist()  # Python scalars, as the loop makes them
     if ks.order == 2:
         lower, middle, outer = [], [], []

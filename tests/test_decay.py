@@ -8,7 +8,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from oracles import array_at
+from oracles import array_at, bracket, eta
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         decay_report, fit_decay_constants, invert_iteratively,
                         report_csv_rows, report_to_json, verify_lemmas)
@@ -58,8 +58,8 @@ def test_constants_unknown_order():
 def test_phi_first_index():
     # at n=1 every term with a left-reaching bracket vanishes: phi_1 = 5/(30)_1
     ks = KnotSequence(3, [F(1, 5), F(1, 2)])
-    assert array_at(phi_inv_formula, ks, 1) == ks.bracket(3, 0, 1) / 5
-    assert 1 / array_at(phi_inv_formula, ks, 1) == 5 / ks.bracket(3, 0, 1)
+    assert array_at(phi_inv_formula, ks, 1) == bracket(ks, 3, 0, 1) / 5
+    assert 1 / array_at(phi_inv_formula, ks, 1) == 5 / bracket(ks, 3, 0, 1)
 
 
 def test_psi_uniform_value():
@@ -81,7 +81,7 @@ def test_bound_chain():
         for n in range(1, ks.m + 1):
             b = st.diag_history[n - 1]
             phi, psi = phis[n - 1], psis[n - 1]
-            assert b <= phi <= psi <= 12 / ks.bracket(3, 0, n)
+            assert b <= phi <= psi <= 12 / bracket(ks, 3, 0, n)
 
 
 def test_minor_adjusted_factor_and_theta():
@@ -120,7 +120,7 @@ def test_linear_battery_equality_at_first_index():
     # b_{1,1} = 3/(20)_1 exactly: the lower sandwich is tight at n=1
     ks = KnotSequence(2, [F(1, 3), F(2, 3)])
     st = _inverted(ks)
-    assert st.diag_history[0] == 3 / ks.bracket(2, 0, 1)
+    assert st.diag_history[0] == 3 / bracket(ks, 2, 0, 1)
     lower = verify_lemmas(ks, build_gram(ks), st)[0]
     assert lower.worst_ratio == 1.0 and lower.witness == (1,)
 
@@ -294,7 +294,7 @@ def _loop_decay(entries, ks, K, gamma, gamma_sq, exact):
     order: (worst ratio, first witness, passed)."""
     worst, witness, passed = float("-inf"), None, True
     for (i, j), x in entries:
-        ev, d = ks.eta(i, j), abs(i - j)
+        ev, d = eta(ks, i, j), abs(i - j)
         r = float(abs(x)) * float(ev) / (float(K) * gamma ** d)
         if r > worst:
             worst, witness = r, (i, j)
@@ -329,8 +329,8 @@ def test_kernel_families_match_per_entry_loop():
             last = checks["lastcol_decay"]
             assert (last.worst_ratio, last.witness, last.passed) == _loop_decay(
                 history, ks, c.lastcol_K, c.gamma, c.gamma_sq, exact)
-            rows = [(i, j, float(abs(st.B[i - 1][j - 1])), float(ks.eta(i, j)),
-                     abs(i - j), float(abs(st.B[i - 1][j - 1])) * float(ks.eta(i, j))
+            rows = [(i, j, float(abs(st.B[i - 1][j - 1])), float(eta(ks, i, j)),
+                     abs(i - j), float(abs(st.B[i - 1][j - 1])) * float(eta(ks, i, j))
                      / (float(c.K) * c.gamma ** abs(i - j)))
                     for i in range(1, m + 1) for j in range(1, m + 1)]
             assert list(report_csv_rows(st.B, ks, c)) == rows
@@ -354,7 +354,7 @@ def _kernel_verdicts(x, lo, hi, ks, K, c):
     ok = _decay_kernel(np.array(x, dtype=object), np.array(lo), np.array(hi),
                        ks, K, c.gamma, c.gamma_sq)[3]
     g = c.gamma_sq
-    ref = [(v * ks.eta(i + 1, j + 1)) ** 2 * g.denominator ** (j - i)
+    ref = [(v * eta(ks, i + 1, j + 1)) ** 2 * g.denominator ** (j - i)
            <= K ** 2 * g.numerator ** (j - i) for v, i, j in zip(x, lo, hi)]
     return ok.tolist(), ref
 
@@ -380,7 +380,7 @@ def test_filtered_verdicts_equal_exact_comparison_entrywise(order):
             for e in range(20, 101):
                 i = rng.randrange(m) if e % 3 else 0
                 j = rng.randrange(i, m) if e % 3 else m - 1
-                at = K * _gamma_power(c.gamma_sq, j - i) / ks.eta(i + 1, j + 1)
+                at = K * _gamma_power(c.gamma_sq, j - i) / eta(ks, i + 1, j + 1)
                 sign = rng.choice((-1, 1))
                 for entry in (at, at * (1 - F(1, 2 ** e)), at * (1 + F(1, 2 ** e))):
                     x.append(sign * entry)
@@ -400,7 +400,7 @@ def test_filtered_verdicts_with_subnormal_bounds():
     c, ks = decay_constants(2), KnotSequence(2, [F(i, 1799) for i in range(1, 1799)])
     x, lo, hi = [], [], []
     for i, j in ((0, 1790), (5, 1799), (0, 1799)):
-        at = c.K * _gamma_power(c.gamma_sq, j - i) / ks.eta(i + 1, j + 1)
+        at = c.K * _gamma_power(c.gamma_sq, j - i) / eta(ks, i + 1, j + 1)
         for e in range(20, 101, 4):
             x += [at, at * (1 - F(1, 2 ** e)), at * (1 + F(1, 2 ** e))]
             lo += [i] * 3
