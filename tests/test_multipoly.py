@@ -3,6 +3,7 @@ budgets."""
 
 import contextlib
 import contextvars
+import math
 import random
 import tracemalloc
 from contextlib import contextmanager
@@ -297,6 +298,26 @@ def test_array_product_coefficients_at_the_int64_bound():
         b = {(i,): c if rng.random() < 0.9 else -c for i in range(32)}
         _check_array_product(1, a, b, (F(-2, 3),))
         _check_array_product(1, a, a, (F(5, 4),))
+
+
+def test_array_product_with_mixed_int_and_fraction_coefficients():
+    # a Fraction coefficient among ints is refused; with its denominators
+    # cleared into ints, the product mixes int64 and object-int coefficients
+    rng = random.Random(6)
+    a = {(i, j): F(rng.randint(-9, 9), rng.randint(1, 4))
+         for i in range(5) for j in range(5)}
+    b = {(i, j): rng.randint(-2 ** 40, 2 ** 40) for i in range(4) for j in range(6)}
+    with pytest.raises(InputError):
+        MultiPoly(2, {**b, **a})
+    q = MultiPoly(2, b)
+    for c in a.values():
+        with pytest.raises(InputError):
+            q * c
+    den = math.lcm(*(c.denominator for c in a.values()))
+    cleared = {e: int(c * den) for e, c in a.items() if c}
+    point = (F(1, 2), F(-3, 5))
+    product = _check_array_product(2, cleared, b, point)
+    assert product(point) == den * ref_eval(a, point) * ref_eval(b, point)
 
 
 def test_array_product_cancellation():
