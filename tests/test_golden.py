@@ -1,11 +1,17 @@
 """Golden CLI outputs: each argv of golden/manifest.json replayed in-process
-through ``cli.main`` gives the recorded exit code and the recorded sha256 of
-stdout and of stderr, so exact outputs stay bit-identical across refactors.
+through ``cli.main``, in a fresh temporary directory holding the partition
+files of ``INPUTS``, gives the recorded exit code, the recorded sha256 of
+stdout and of stderr, and the recorded sha256 of every file it writes, so
+exact outputs stay bit-identical across refactors.
 
 The manifest covers ``certify``: all names, each name and ``tp_minor``, and
 ``--budget`` on both sides of the largest products' distinct-monomial counts
-(phi_step 10520, theta_product 11152).  A change that alters a hash names
-the changed command and the reason in CHANGES.md.
+(phi_step 10520, theta_product 11152).  In exact mode it also covers
+``gram``, ``invert --history``, ``verify`` and ``gen`` at orders 1 to 5 on
+``SPECS`` (seed 0), ``verify --trials`` at each order, quadrature Gram
+matrices at orders 2 and 3, ``verify`` on an explicit partition file and two
+commands that exit 3.  A change that alters a hash names the changed command
+and the reason in CHANGES.md.
 
 Regenerate the manifest with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -14,13 +20,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from splinegram.cli import main
 
-MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
+INPUTS = ("partition.json",)
+SPECS = ("uniform:4", "random:8", "geometric:1/3:6")
+ORDERS = range(1, 6)
 
 ARGVS = [
     ["certify"],
@@ -34,20 +47,46 @@ ARGVS = [
     ["certify", "phi_step", "--budget", "10519"],
     ["certify", "theta_product", "--budget", "11152"],
     ["certify", "theta_product", "--budget", "11151"],
+    *([cmd, "--order", str(k), "--spec", spec, *rest]
+      for k in ORDERS for spec in SPECS
+      for cmd, *rest in (["gram"], ["invert", "--history", "history.json"],
+                         ["verify"], ["gen"])),
+    *(["verify", "--order", str(k), "--trials", "3", "--max-m", "12"]
+      for k in ORDERS),
+    ["gram", "--order", "2", "--spec", "random:8", "--method", "quadrature"],
+    ["gram", "--order", "3", "--spec", "random:8", "--method", "quadrature"],
+    ["verify", "--order", "3", "--spec", "explicit:partition.json"],
+    ["gen", "--order", "3", "--spec", "explicit:missing.json"],
+    ["verify", "--order", "3", "--spec", "uniform:4", "--trials", "3"],
 ]
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def replay(argv) -> dict:
-    """The exit code and the sha256 of stdout and stderr of one CLI run."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return {"argv": list(argv), "exit": code,
-            "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
+    """The exit code, the sha256 of stdout and stderr and, when it writes
+    files, the sha256 of each, of one CLI run in a fresh temporary
+    directory."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in INPUTS:
+            shutil.copy(GOLDEN / name, tmp)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        finally:
+            os.chdir(cwd)
+        files = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(tmp).iterdir())
+                 if p.name not in INPUTS}
+    entry = {"argv": list(argv), "exit": code,
+             "stdout": _sha256(out.getvalue().encode()),
+             "stderr": _sha256(err.getvalue().encode())}
+    if files:
+        entry["files"] = files
+    return entry
 
 
 def _entries():
