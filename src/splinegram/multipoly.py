@@ -5,19 +5,19 @@ monomials and their nonzero int coefficients, in one of the two forms
 described below; all rational content lives in the scalar of a
 ``FactoredRational``.  A monomial x1^e1 ... xn^en is one int (Kronecker
 substitution, as in Monagan-Pearce sparse multiplication): n fields of
-``bits`` bits hold e1, ..., en, variable 1 in the most significant field,
-and the total degree sits in an open-ended field above them.  Multiplying
-two monomials is then a single int addition, and ascending packed ints are
+``_BITS`` = 8 bits hold e1, ..., en, variable 1 in the most significant
+field, and the total degree sits in a field above them.  Multiplying two
+monomials is then a single int addition, and ascending packed ints are
 exactly the canonical graded lexicographic order: total degree first, then
-the exponent tuple lexicographically.  The field width is a function of the
-polynomial, the bit length of its total degree but at least ``_MIN_BITS``,
-so no exponent can reach a neighbouring field and equal polynomials have
-equal packed terms.  A product takes the width of its own degree,
-deg p + deg q, before any exponent is added, which rules out carries.
-``terms`` and ``sorted_terms`` unpack to exponent tuples.
+the exponent tuple lexicographically.  A polynomial's total degree is at
+most ``_MAX_DEGREE`` = 255, so no exponent can reach a neighbouring field
+and equal polynomials have equal packed terms.  The public constructor
+rejects a term of higher degree, and a product checks deg p + deg q
+against the cap before it forms any term pair; a sum never raises the
+degree.  ``terms`` and ``sorted_terms`` unpack to exponent tuples.
 
 The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
-tuple and coefficient: a coefficient, like a number added to or multiplied
+tuple, its total degree and every coefficient: a coefficient, like a number added to or multiplied
 with a polynomial, must be an int (not a bool, a float or a Fraction, even
 an integral one).  The arithmetic builds its results through the trusted
 ``MultiPoly._make`` and ``MultiPoly._from_arrays``, which take packed terms
@@ -48,12 +48,10 @@ an int64:
     ``_BLOCK_PAIRS`` pairs each, as the outer sums of the keys and the outer
     products of the coefficients, and merges the blocks into the sorted
     result with a stable argsort and ``add.reduceat``;
-  - a sum or difference merges the two sorted key arrays the same way, and
-    a sum whose degree dropped is repacked to its canonical width;
+  - a sum or difference merges the two sorted key arrays the same way;
   - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
     on the coefficients and keep the keys.
-Widths are changed with vectorized shifts.  A result below the cutoff comes
-back as a dict, so small polynomials never touch numpy.  The dict of an
+A result below the cutoff comes back as a dict, so small polynomials never touch numpy.  The dict of an
 array form is built once, when first needed: by ``terms``, evaluation,
 ``__hash__``, ``__eq__`` against a dict form or a dict-path operation;
 ``sorted_terms``, ``repr``, the coefficient scan and the float filter read
@@ -107,7 +105,9 @@ from .errors import InputError, ResourceBudgetError
 
 DEFAULT_TERM_BUDGET = 5_000_000
 _term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
-_MIN_BITS = 8
+_BITS = 8                  # bits per exponent field
+_MAX_DEGREE = (1 << _BITS) - 1    # the largest field value: the cap on the
+                                  # total degree, and the field mask
 _ARRAY_CUTOFF = 256        # term pairs of an array product, and terms of
                            # an array-resident polynomial
 _INT64 = 1 << 63
@@ -156,30 +156,17 @@ def _check_nvars(nvars) -> None:
 # Packed monomials
 
 
-def _bits_for(degree: int) -> int:
-    """The canonical field width for a polynomial of total degree ``degree``."""
-    return max(_MIN_BITS, degree.bit_length())
-
-
-def _pack(exps, bits: int) -> int:
+def _pack(exps) -> int:
     key = sum(exps)
     for e in exps:
-        key = (key << bits) | e
+        key = (key << _BITS) | e
     return key
 
 
-def _unpacker(nvars: int, bits: int):
-    """Packed monomial -> exponent tuple, for fields of ``bits`` bits."""
-    mask = (1 << bits) - 1
-    shifts = [bits * (nvars - 1 - i) for i in range(nvars)]
-    return lambda key: tuple([(key >> s) & mask for s in shifts])
-
-
-def _repack(terms: dict, nvars: int, old: int, new: int) -> dict:
-    if old == new:
-        return terms
-    unpack = _unpacker(nvars, old)
-    return {_pack(unpack(k), new): c for k, c in terms.items()}
+def _unpacker(nvars: int):
+    """Packed monomial -> exponent tuple."""
+    shifts = [_BITS * (nvars - 1 - i) for i in range(nvars)]
+    return lambda key: tuple([(key >> s) & _MAX_DEGREE for s in shifts])
 
 
 def _budget_error(budget: int, accumulated: int, left_terms: int,
@@ -194,26 +181,14 @@ def _budget_error(budget: int, accumulated: int, left_terms: int,
 # The array form: ascending int64 packed keys and their coefficients
 
 
-def _keys_fit(degree: int, bits: int, nvars: int) -> bool:
-    """Whether every packed monomial of total degree at most ``degree`` at
-    width ``bits`` lies below 2^63, that is, fits an int64."""
-    return (degree + 1) << (bits * nvars) <= _INT64
+def _keys_fit(degree: int, nvars: int) -> bool:
+    """Whether every packed monomial of total degree at most ``degree`` in
+    ``nvars`` variables lies below 2^63, that is, fits an int64."""
+    return (degree + 1) << (_BITS * nvars) <= _INT64
 
 
 def _max_abs(coeffs) -> int:
     return int(abs(coeffs).max())
-
-
-def _repack_keys(keys, nvars: int, old: int, new: int):
-    """Ascending packed keys from width ``old`` to ``new``, field by field;
-    graded-lex order does not depend on the width, so they stay ascending."""
-    if old == new:
-        return keys
-    mask = (1 << old) - 1
-    out = (keys >> (old * nvars)) << (new * nvars)
-    for i in range(nvars):
-        out |= ((keys >> (old * i)) & mask) << (new * i)
-    return out
 
 
 def _merge(keys: list, coeffs: list):
@@ -230,8 +205,7 @@ def _merge(keys: list, coeffs: list):
 
 
 def _array_sum(ak, ac, bk, bc):
-    """The nonzero terms of a + b from two array forms at one width: int64
-    when max|a| + max|b| < 2^63 bounds every sum, objects otherwise."""
+    """The nonzero terms of a + b from two array forms: int64 when max|a| + max|b| < 2^63 bounds every sum, objects otherwise."""
     if (ac.dtype != object and bc.dtype != object
             and _max_abs(ac) + _max_abs(bc) >= _INT64):
         ac, bc = ac.astype(object), bc.astype(object)
@@ -241,8 +215,8 @@ def _array_sum(ak, ac, bk, bc):
 
 
 def _array_product(lk, lc, rk, rc, budget: int, sizes: tuple):
-    """The nonzero terms of left * right from two array forms at the
-    product's width (its packed monomials fit an int64), by the blocked
+    """The nonzero terms of left * right from two array forms whose
+    product's packed monomials fit an int64, by the blocked
     product of the module docstring.  The longer operand is the right one,
     so each row of a block is one long ascending run.  Blocks are held
     unmerged until they outnumber the merged terms, so a product whose pairs
@@ -296,7 +270,7 @@ class MultiPoly:
     """Immutable sparse polynomial with int coefficients."""
 
     # _terms: the packed terms, a dict or (the array form) a _TermArrays
-    __slots__ = ("nvars", "_bits", "_terms", "_hash", "_plan")
+    __slots__ = ("nvars", "_terms", "_hash", "_plan")
 
     def __init__(self, nvars: int, terms):
         _check_nvars(nvars)
@@ -305,6 +279,9 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != nvars or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise InputError(f"exponent tuple {exps!r} invalid for {nvars} variables")
+            if sum(exps) > _MAX_DEGREE:
+                raise InputError(f"exponent tuple {exps!r} has total degree "
+                                 f"above {_MAX_DEGREE}")
             coeff = _int_coeff(coeff)
             if coeff == 0:
                 continue
@@ -314,37 +291,35 @@ class MultiPoly:
                     del clean[exps]
                     continue
             clean[exps] = coeff
-        bits = _bits_for(max(map(sum, clean), default=0))
-        self._init(nvars, bits, {_pack(e, bits): c for e, c in clean.items()})
+        self._init(nvars, {_pack(e): c for e, c in clean.items()})
 
-    def _init(self, nvars: int, bits: int, terms) -> None:
+    def _init(self, nvars: int, terms) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_plan", None)
 
     @classmethod
-    def _make(cls, nvars: int, bits: int, terms) -> "MultiPoly":
+    def _make(cls, nvars: int, terms) -> "MultiPoly":
         """Trusted constructor for engine-made terms: ``terms`` maps packed
-        monomials of width ``bits`` (canonical for their degree) to nonzero
-        int coefficients, or is their array form; nothing is re-checked."""
+        monomials of total degree at most ``_MAX_DEGREE`` to nonzero int
+        coefficients, or is their array form; nothing is re-checked."""
         self = object.__new__(cls)
-        self._init(nvars, bits, terms)
+        self._init(nvars, terms)
         return self
 
     @classmethod
-    def _from_arrays(cls, nvars: int, bits: int, keys, coeffs) -> "MultiPoly":
+    def _from_arrays(cls, nvars: int, keys, coeffs) -> "MultiPoly":
         """Trusted constructor from engine-made arrays: ascending distinct
-        int64 keys of width ``bits`` (canonical for their degree) and nonzero
-        int coefficients, int64 or objects.  Fewer than ``_ARRAY_CUTOFF``
-        terms come back as a dict; object coefficients that all fit are
-        stored as int64."""
+        int64 packed monomials of total degree at most ``_MAX_DEGREE`` and
+        nonzero int coefficients, int64 or objects.  Fewer than
+        ``_ARRAY_CUTOFF`` terms come back as a dict; object coefficients that
+        all fit are stored as int64."""
         if len(keys) < _ARRAY_CUTOFF:
-            return cls._make(nvars, bits, dict(zip(keys.tolist(), coeffs.tolist())))
+            return cls._make(nvars, dict(zip(keys.tolist(), coeffs.tolist())))
         if coeffs.dtype == object and _max_abs(coeffs) < _INT64:
             coeffs = coeffs.astype(keys.dtype)
-        return cls._make(nvars, bits, _TermArrays(keys, coeffs))
+        return cls._make(nvars, _TermArrays(keys, coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -353,49 +328,46 @@ class MultiPoly:
         terms = self._terms
         return terms if type(terms) is dict else terms.as_dict()
 
-    def _arrays(self, bits: int):
-        """(keys, coeffs) in the array form at width ``bits`` >= its own; the
-        caller has checked that the keys fit an int64."""
+    def _arrays(self):
+        """(keys, coeffs) in the array form; the caller has checked that the
+        keys fit an int64."""
         terms = self._terms
-        if type(terms) is dict:
-            import numpy as np
+        if type(terms) is not dict:
+            return terms.keys, terms.coeffs
+        import numpy as np
 
-            keys = np.fromiter(terms, np.int64, len(terms))
-            coeffs = list(terms.values())
-            coeffs = np.array(coeffs, np.int64 if max(map(abs, coeffs)) < _INT64 else object)
-            order = keys.argsort()
-            keys, coeffs = keys[order], coeffs[order]
-        else:
-            keys, coeffs = terms.keys, terms.coeffs
-        return _repack_keys(keys, self.nvars, self._bits, bits), coeffs
+        keys = np.fromiter(terms, np.int64, len(terms))
+        coeffs = list(terms.values())
+        coeffs = np.array(coeffs, np.int64 if max(map(abs, coeffs)) < _INT64 else object)
+        order = keys.argsort()
+        return keys[order], coeffs[order]
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
         _check_nvars(nvars)
-        return cls._make(nvars, _MIN_BITS, {})
+        return cls._make(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
         _check_nvars(nvars)
         c = _int_coeff(c)
-        return cls._make(nvars, _MIN_BITS, {0: c} if c else {})
+        return cls._make(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         """The variable x_i, 1-based index."""
         if not (1 <= i <= nvars):
             raise InputError(f"variable index {i} outside [1,{nvars}]")
-        b = _MIN_BITS
-        return cls._make(nvars, b, {(1 << b * nvars) | (1 << b * (nvars - i)): 1})
+        return cls._make(nvars, {(1 << _BITS * nvars) | (1 << _BITS * (nvars - i)): 1})
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, unpacked afresh on each access."""
-        unpack = _unpacker(self.nvars, self._bits)
+        unpack = _unpacker(self.nvars)
         return {unpack(k): c for k, c in self._dict().items()}
 
     def __len__(self) -> int:
@@ -409,14 +381,14 @@ class MultiPoly:
         """Maximum total degree (-1 for the zero polynomial)."""
         terms = self._terms
         if type(terms) is _TermArrays:
-            return int(terms.keys[-1]) >> (self._bits * self.nvars)
+            return int(terms.keys[-1]) >> (_BITS * self.nvars)
         if not terms:
             return -1
-        return max(terms) >> (self._bits * self.nvars)
+        return max(terms) >> (_BITS * self.nvars)
 
     def sorted_terms(self) -> list:
         """Terms as (exponents, coefficient), graded-lex ascending."""
-        unpack = _unpacker(self.nvars, self._bits)
+        unpack = _unpacker(self.nvars)
         terms = self._terms
         if type(terms) is _TermArrays:
             items = zip(terms.keys.tolist(), terms.coeffs.tolist())
@@ -449,7 +421,7 @@ class MultiPoly:
             if key is None:
                 return None
             coeff = terms[key]
-        return _unpacker(self.nvars, self._bits)(key), sign * coeff
+        return _unpacker(self.nvars)(key), sign * coeff
 
     def primitive(self):
         """(content, self/content): the int content, signed so the primitive
@@ -465,15 +437,13 @@ class MultiPoly:
                 g = -g
             if g == 1:
                 return 1, self
-            return g, MultiPoly._from_arrays(
-                self.nvars, self._bits, terms.keys, terms.coeffs // g)
+            return g, MultiPoly._from_arrays(self.nvars, terms.keys, terms.coeffs // g)
         g = gcd(*terms.values())
         if self.leading_coefficient() < 0:
             g = -g
         if g == 1:
             return 1, self
-        return g, MultiPoly._make(
-            self.nvars, self._bits, {k: c // g for k, c in terms.items()})
+        return g, MultiPoly._make(self.nvars, {k: c // g for k, c in terms.items()})
 
     def _scale(self, s: int) -> "MultiPoly":
         if s == 0:
@@ -485,9 +455,8 @@ class MultiPoly:
             c = terms.coeffs
             if c.dtype != object and _max_abs(c) * abs(s) >= _INT64:
                 c = c.astype(object)
-            return MultiPoly._from_arrays(self.nvars, self._bits, terms.keys, c * s)
-        return MultiPoly._make(self.nvars, self._bits,
-                               {k: c * s for k, c in terms.items()})
+            return MultiPoly._from_arrays(self.nvars, terms.keys, c * s)
+        return MultiPoly._make(self.nvars, {k: c * s for k, c in terms.items()})
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -501,25 +470,20 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         self._check_compat(other)
         nvars = self.nvars
-        bits = max(self._bits, other._bits)
         a, b = self._terms, other._terms
         if type(a) is not dict or type(b) is not dict:
             if not b:
                 return self
             if not a:
                 return -other if negate else other
-            if _keys_fit(max(self.total_degree(), other.total_degree()), bits, nvars):
-                (ak, ac), (bk, bc) = self._arrays(bits), other._arrays(bits)
+            if _keys_fit(max(self.total_degree(), other.total_degree()), nvars):
+                (ak, ac), (bk, bc) = self._arrays(), other._arrays()
                 keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
-                if not len(keys):
-                    return MultiPoly.zero(nvars)
-                canon = _bits_for(int(keys[-1]) >> (bits * nvars))
-                keys = _repack_keys(keys, nvars, bits, canon)
-                return MultiPoly._from_arrays(nvars, canon, keys, coeffs)
+                return MultiPoly._from_arrays(nvars, keys, coeffs)
             a, b = self._dict(), other._dict()
-        acc = dict(_repack(a, nvars, self._bits, bits))
+        acc = dict(a)
         get = acc.get
-        items = _repack(b, nvars, other._bits, bits).items()
+        items = b.items()
         if negate:
             items = [(k, -c) for k, c in items]
         for k, c in items:
@@ -528,12 +492,7 @@ class MultiPoly:
                 acc[k] = new
             else:
                 del acc[k]
-        if not acc:
-            return MultiPoly.zero(nvars)
-        if bits > _MIN_BITS:    # cancellation may have lowered the degree
-            canon = _bits_for(max(acc) >> (bits * nvars))
-            acc, bits = _repack(acc, nvars, bits, canon), canon
-        return MultiPoly._make(nvars, bits, acc)
+        return MultiPoly._make(nvars, acc)
 
     def __add__(self, other):
         return self._add(other, False)
@@ -543,10 +502,8 @@ class MultiPoly:
     def __neg__(self):
         terms = self._terms
         if type(terms) is _TermArrays:
-            return MultiPoly._make(self.nvars, self._bits,
-                                   _TermArrays(terms.keys, -terms.coeffs))
-        return MultiPoly._make(self.nvars, self._bits,
-                               {k: -c for k, c in terms.items()})
+            return MultiPoly._make(self.nvars, _TermArrays(terms.keys, -terms.coeffs))
+        return MultiPoly._make(self.nvars, {k: -c for k, c in terms.items()})
 
     def __sub__(self, other):
         return self._add(other, True)
@@ -562,20 +519,20 @@ class MultiPoly:
         left, right = self._terms, other._terms
         if not left or not right:
             return MultiPoly.zero(nvars)
-        # every exponent of the product is at most its total degree, so at
-        # this width no exponent sum carries into the neighbouring field
+        # every exponent of the product is at most its total degree, so under
+        # the cap no exponent sum carries into the neighbouring field
         degree = self.total_degree() + other.total_degree()
-        bits = _bits_for(degree)
+        if degree > _MAX_DEGREE:
+            raise InputError(f"product of total degree {degree} exceeds "
+                             f"{_MAX_DEGREE}")
         budget = get_term_budget()
         sizes = len(left), len(right)
         if sizes[0] * sizes[1] >= _ARRAY_CUTOFF:    # else both are dicts
-            if _keys_fit(degree, bits, nvars):
-                keys, coeffs = _array_product(*self._arrays(bits),
-                                              *other._arrays(bits), budget, sizes)
-                return MultiPoly._from_arrays(nvars, bits, keys, coeffs)
+            if _keys_fit(degree, nvars):
+                keys, coeffs = _array_product(*self._arrays(), *other._arrays(),
+                                              budget, sizes)
+                return MultiPoly._from_arrays(nvars, keys, coeffs)
             left, right = self._dict(), other._dict()
-        left = _repack(left, nvars, self._bits, bits)
-        right = _repack(right, nvars, other._bits, bits)
         acc = {}
         get = acc.get
         right_items = list(right.items())
@@ -585,7 +542,7 @@ class MultiPoly:
                 acc[k] = get(k, 0) + c1 * c2
             if len(acc) > budget:
                 raise _budget_error(budget, len(acc), *sizes)
-        return MultiPoly._make(nvars, bits, {k: c for k, c in acc.items() if c})
+        return MultiPoly._make(nvars, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -706,10 +663,10 @@ class MultiPoly:
         import numpy as np
 
         signs = np.zeros(len(p), np.int8)
-        n, bits, T, D = self.nvars, self._bits, len(self), self.total_degree()
-        if not T or not _keys_fit(D, bits, n):
+        n, T, D = self.nvars, len(self), self.total_degree()
+        if not T or not _keys_fit(D, n):
             return signs
-        keys, coeffs = self._arrays(bits)
+        keys, coeffs = self._arrays()
         x = p / q
         e = np.frexp(x)[1].astype(np.int64)    # 2^(e-1) <= x < 2^e
         s = np.maximum(e, 1 - e).max(axis=1, initial=0)
@@ -718,7 +675,7 @@ class MultiPoly:
         if not len(rows):
             return signs
         x = x[rows]
-        exps = [(keys >> (bits * (n - 1 - i))) & ((1 << bits) - 1) for i in range(n)]
+        exps = [(keys >> (_BITS * (n - 1 - i))) & _MAX_DEGREE for i in range(n)]
         tables = []
         for i, ei in enumerate(exps):
             table = np.ones((len(x), int(ei.max()) + 1))

@@ -92,7 +92,9 @@ class GapBasis:
 def sym_ratio(num_factors, den_factors) -> FactoredRational:
     """The certificate-side ratio combinator: integer factors go to the
     scalar, bracket polynomials to the numerator and to the factored
-    denominator."""
+    denominator.  An all-integer numerator is the constant 1 in the
+    variables of the denominator's polynomials; with no polynomial factor
+    at all the variable count is unknown, an InputError."""
     scalar, num, den = Fraction(1), None, {}
     for f in num_factors:
         if isinstance(f, int):
@@ -104,6 +106,10 @@ def sym_ratio(num_factors, den_factors) -> FactoredRational:
             scalar /= f
         else:
             den[f] = den.get(f, 0) + 1
+    if num is None:    # an all-integer numerator: the constant 1
+        if not den:
+            raise InputError("sym_ratio needs a polynomial factor")
+        num = MultiPoly.constant(next(iter(den)).nvars, 1)
     return FactoredRational(scalar, num, den)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
 from splinegram import multipoly
-from splinegram.multipoly import _MIN_BITS, get_term_budget, poly_product
+from splinegram.multipoly import _MAX_DEGREE, get_term_budget, poly_product
 from splinegram.polycert import _nonneg_witness, build_inequality
 
 NVARS = 3
@@ -70,10 +70,11 @@ def test_primitive_reconstruction(p):
 # ---------------------------------------------------------------------------
 # Packed monomials against a tuple-keyed reference
 #
-# Exponents are drawn around the packing field width 2^_MIN_BITS as well as
-# small, so products and sums cross it and widen the field.
+# Exponents are drawn near half and all of the field's top _MAX_DEGREE = 255
+# as well as small, and each tuple is cut to total degree 255, so products
+# reach the top of the field or raise.
 
-WIDE = 1 << _MIN_BITS
+TOP = _MAX_DEGREE
 
 
 def ref_mul(a: dict, b: dict) -> dict:
@@ -97,16 +98,31 @@ def ref_eval(terms: dict, point) -> F:
 
 
 wide_exponent = st.one_of(st.integers(0, 3),
-                          st.sampled_from([WIDE - 2, WIDE - 1, WIDE, WIDE + 1]))
+                          st.sampled_from([TOP // 2 - 1, TOP // 2, TOP // 2 + 1,
+                                           TOP - 2, TOP - 1, TOP]))
+
+
+def _capped(exps) -> tuple:
+    """exps with each exponent cut to the degree the cap leaves it."""
+    out, room = [], TOP
+    for e in exps:
+        out.append(min(e, room))
+        room -= out[-1]
+    return tuple(out)
 
 
 @st.composite
 def poly_pairs(draw):
     """Two tuple-keyed term dicts in a common nvars in 1..6."""
     nvars = draw(st.integers(1, 6))
-    terms = st.dictionaries(st.tuples(*(wide_exponent,) * nvars), coeffs,
-                            max_size=5)
+    terms = st.dictionaries(st.tuples(*(wide_exponent,) * nvars).map(_capped),
+                            coeffs, max_size=5)
     return nvars, draw(terms), draw(terms)
+
+
+def _fits(pa, pb) -> bool:
+    """Whether pa * pb stays within the degree cap."""
+    return pa.total_degree() + pb.total_degree() <= TOP
 
 
 @settings(max_examples=80, deadline=None)
@@ -114,6 +130,10 @@ def poly_pairs(draw):
 def test_packed_product_matches_reference(pair):
     nvars, a, b = pair
     pa, pb = MultiPoly(nvars, a), MultiPoly(nvars, b)
+    if not _fits(pa, pb):
+        with pytest.raises(InputError):
+            pa * pb
+        return
     expected = ref_mul(a, b)
     assert (pa * pb).terms == expected
     assert (pa * pb) == MultiPoly(nvars, expected)
@@ -131,7 +151,7 @@ def test_packed_sum_and_order_match_reference(pair):
     total = {e: c for e, c in total.items() if c}
     assert (pa + pb).terms == total
     assert (pa - pa).is_zero() and (pa - pb) + pb == pa
-    for p in (pa, pb, pa * pb, pa - pb):
+    for p in (pa, pb, pa - pb, *([pa * pb] if _fits(pa, pb) else [])):
         terms = p.sorted_terms()
         assert terms == sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
         assert p.total_degree() == max((sum(e) for e, _ in terms), default=-1)
@@ -154,18 +174,41 @@ def test_packed_evaluation_matches_reference(pair, coords):
 
 
 def test_square_at_field_width_does_not_carry():
-    top = WIDE - 1
-    x = MultiPoly(3, {(top, 0, 0): 1})
-    y = MultiPoly(3, {(0, top, 0): 1, (0, 0, top): -1})
-    assert (x * x).terms == {(2 * top, 0, 0): 1}
-    assert (y * y).terms == {(0, 2 * top, 0): 1, (0, top, top): -2,
-                             (0, 0, 2 * top): 1}
-    assert (x * y).sorted_terms() == [((top, 0, top), -1), ((top, top, 0), 1)]
-    # cancelling the wide terms narrows the field back; equality and
-    # hashing still agree with a freshly built polynomial
+    half = TOP // 2                                 # 127
+    x = MultiPoly(3, {(half, 0, 0): 1})
+    y = MultiPoly(3, {(0, half, 0): 1, (0, 0, half): -1})
+    assert (x * x).terms == {(2 * half, 0, 0): 1}
+    assert (y * y).terms == {(0, 2 * half, 0): 1, (0, half, half): -2,
+                             (0, 0, 2 * half): 1}
+    assert (x * y).sorted_terms() == [((half, 0, half), -1), ((half, half, 0), 1)]
+    # up to the top of the field: 255 in one exponent, and in the degree
+    x1, x3 = MultiPoly.variable(3, 1), MultiPoly.variable(3, 3)
+    assert (x * x * x1).terms == {(TOP, 0, 0): 1}
+    assert (y * y * x3).sorted_terms() == [((0, 0, TOP), 1), ((0, half, half + 1), -2),
+                                           ((0, 2 * half, 1), 1)]
+    # cancelling the top-degree terms leaves a polynomial that equality and
+    # hashing match with a freshly built one
     small = MultiPoly(3, {(1, 0, 0): 1})
-    back = (x * x + small) - x * x
+    back = (x * x * x1 + small) - x * x * x1
     assert back == small and hash(back) == hash(small)
+
+
+def test_total_degree_cap():
+    x = MultiPoly.variable(2, 1)
+    assert MultiPoly(2, {(200, 55): 3}).total_degree() == TOP
+    assert (x ** 127 * x ** 128).terms == {(TOP, 0): 1}
+    assert (x ** TOP + x).total_degree() == TOP       # sums never raise it
+    with pytest.raises(InputError):
+        MultiPoly(2, {(200, 56): 3})
+    with pytest.raises(InputError):
+        x ** (TOP + 1)
+    # the cap is checked before any term pair is formed: two 300-term
+    # operands of degree 163 raise InputError, not ResourceBudgetError
+    p = MultiPoly(2, {(130 + i, j): i - j or 1 for i in range(20) for j in range(15)})
+    assert len(p) == 300 and p.total_degree() == 163
+    with term_budget(10):
+        with pytest.raises(InputError):
+            p * p
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +449,13 @@ def _check_array_form(p):
     fits = max(map(abs, coeffs.tolist())) < 2 ** 63
     assert coeffs.dtype == (np.int64 if fits else object)
     assert (coeffs != 0).all() and len(coeffs) == len(keys) >= multipoly._ARRAY_CUTOFF
-    assert p._bits == max(_MIN_BITS, p.total_degree().bit_length())
+    assert p.total_degree() <= TOP
 
 
 def _assert_same(got, ref):
     assert _array_form(ref) is None
     assert got == ref and ref == got and hash(got) == hash(ref)
-    assert got.terms == ref.terms and got._bits == ref._bits
+    assert got.terms == ref.terms
     assert got.sorted_terms() == ref.sorted_terms()
     assert all(type(c) is int for c in got.terms.values())
     if _array_form(got) is not None:    # never below the cutoff
@@ -503,14 +546,17 @@ def test_array_form_sums_and_products_leaving_int64():
 def test_array_form_cancellation_and_width():
     x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
     low = _resident(MultiPoly(2, {(i, j): i - j or 7 for i in range(20) for j in range(20)}))
-    top = 5 * x1 ** 200 * x2 ** 56                 # degree 256: 9-bit fields
-    assert _array_form(low) is not None and low._bits == _MIN_BITS
+    top = 5 * x1 ** 200 * x2 ** 17                 # degree 217 = 255 - 38
+    assert _array_form(low) is not None and low.total_degree() == 38
     high = _both_routes(lambda a, b: a + b, low, top)
-    assert _array_form(high) is not None and high._bits == 9
-    # operands of different widths, and a degree drop back to 8 bits
+    assert _array_form(high) is not None and high.total_degree() == 217
+    # a degree drop back to low's, and a product at the cap
     dropped = _both_routes(lambda a, b: a - b, high, top)
-    assert _array_form(dropped) is not None and dropped._bits == _MIN_BITS and dropped == low
-    _both_routes(lambda a, b: a * b, high, low)
+    assert _array_form(dropped) is not None and dropped == low
+    assert dropped.total_degree() == 38
+    assert _both_routes(lambda a, b: a * b, high, low).total_degree() == TOP
+    with pytest.raises(InputError):
+        high * high
     assert _both_routes(lambda a, b: a - b, high, high + 0).is_zero()
     # cancellation below the cutoff comes back as a dict
     small = _both_routes(lambda a, b: a - b, high, low)
@@ -545,8 +591,9 @@ def test_non_int_coefficients_and_inexact_points_are_rejected():
 
 
 def test_array_form_keys_beyond_int64():
-    # 8 variables of 8-bit fields: degree 127 fits an int64 key, the
-    # product's degree 128 does not, so it stays a dict
+    # 8-bit fields: in 7 variables degree 127 fits an int64 key and the
+    # product's degree 128 does not, so it stays a dict; in 8 variables no
+    # key fits
     rng = random.Random(9)
     terms = {}
     while len(terms) < 300:
@@ -626,12 +673,14 @@ def test_budget_is_context_local():
 
 
 def test_budget_stops_a_large_product_after_one_block():
-    # 1000 x 1000 distinct monomials: 10^6 term pairs, which the array
-    # product would hold in 8 MB per int64 array; the budget of 1000 trips
-    # after the first block, before any array of 10^6 elements exists
+    # 1000 x 1000 distinct monomials of degree at most 62 in 4 variables:
+    # 10^6 term pairs, which the array product would hold in 8 MB per int64
+    # array; the budget of 1000 trips after the first block, before any
+    # array of 10^6 elements exists
     import numpy  # noqa: F401  (imported before tracing starts)
-    p = MultiPoly(2, {(i, 0): i % 7 + 1 for i in range(1000)})
-    q = MultiPoly(2, {(0, j): j % 5 + 1 for j in range(1000)})
+    low = [divmod(i, 32) for i in range(1000)]
+    p = MultiPoly(4, {(a, b, 0, 0): (32 * a + b) % 7 + 1 for a, b in low})
+    q = MultiPoly(4, {(0, 0, a, b): (32 * a + b) % 5 + 1 for a, b in low})
     tracemalloc.start()
     try:
         with term_budget(1000):
@@ -754,10 +803,10 @@ def test_float_signs_decide_certificate_numerators():
 def test_float_signs_range_guard():
     x1 = MultiPoly.variable(1, 1)
     points = [(F(1, 60),), (F(60),), (F(1),), (F(3, 2),)]
-    # 2^-6 < 1/60 and 60 < 2^6: s = 6, and 6 * 400 exceeds the range;
-    # 1 and 3/2 lie in [2^-1, 2^1], and 400 + 9 does not
-    assert _float_signs(x1 ** 400 + 1, points) == [0, 0, 1, 1]
-    assert _float_signs(x1 ** 400 - 2 * x1, points) == [0, 0, -1, 1]
+    # 2^-6 < 1/60 and 60 < 2^6: s = 6, and 6 * 255 exceeds the range;
+    # 1 and 3/2 lie in [2^-1, 2^1], and 255 + 9 does not
+    assert _float_signs(x1 ** 255 + 1, points) == [0, 0, 1, 1]
+    assert _float_signs(x1 ** 255 - 2 * x1, points) == [0, 0, -1, 1]
     # coefficients beyond the float range are never filtered; x1 - 1/2,
     # cleared to ints, is filtered at every point in range
     assert _float_signs(x1 + 3 ** 700, points) == [0] * 4

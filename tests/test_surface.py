@@ -31,17 +31,20 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
            "spot_check_exact", "eval_bspline", "nonneg_witness_sorted",
            "phi_step_six_terms", "theta_product_left_to_right")
 
-# per-entry copies of the array paths, wrappers and the Fraction-coefficient
-# helpers of the polynomial engine that were deleted
+# per-entry copies of the array paths, wrappers, and the Fraction-coefficient
+# and per-polynomial field-width helpers of the polynomial engine that were
+# deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "minor_adjusted_factor", "matrix_from_json", "bspline_l1",
            "build_knots", "save_partition", "is_exact", "_is_float_partition",
-           "_tidy", "_all_int", "_norm_coeff")
+           "_tidy", "_all_int", "_norm_coeff", "_MIN_BITS", "_bits_for",
+           "_repack", "_repack_keys")
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps", "bracket", "eta"),
     splinegram.GrowingInverse: ("column", "rows", "entry"),
-    splinegram.MultiPoly: ("coefficient", "content", "_int_coeffs", "_integral"),
+    splinegram.MultiPoly: ("coefficient", "content", "_int_coeffs", "_integral",
+                           "_bits"),
 }
 # mode parameters that the knots' ``exact`` or an array's dtype replaced
 DELETED_PARAMETERS = {splinegram.gram_quadrature: "mode", format_scalars: "exact"}
