@@ -17,16 +17,17 @@ against the cap before it forms any term pair; a sum never raises the
 degree.  ``terms`` and ``sorted_terms`` unpack to exponent tuples.
 
 The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
-tuple, its total degree and every coefficient: a coefficient, like a number added to or multiplied
-with a polynomial, must be an int (not a bool, a float or a Fraction, even
-an integral one).  The arithmetic builds its results through the trusted
-``MultiPoly._make`` and ``MultiPoly._from_arrays``, which take packed terms
-the engine made itself without re-checking them.  Content and primitive
-part are ints and int polynomials (gcd and exact ``//``).  Evaluation takes
-int or Fraction coordinates, clears each variable's denominator once and
-sums over the packed terms in integers.  Instances are immutable and
-hashable, so polynomials can serve as dictionary keys (the
-factored-denominator representation relies on this).
+tuple, its total degree and every coefficient: a coefficient, like a number
+added to or multiplied with a polynomial, must be an int (not a bool, a
+float or a Fraction, even an integral one).  The arithmetic builds its
+results through the trusted ``MultiPoly._make`` and
+``MultiPoly._from_arrays``, which take packed terms the engine made itself
+without re-checking them.  Content and primitive part are ints and int
+polynomials (gcd and exact ``//``).  Evaluation takes int or Fraction
+coordinates, clears each variable's denominator once and sums over the
+packed terms in integers.  Instances are immutable and hashable, so
+polynomials can serve as dictionary keys (the factored-denominator
+representation relies on this).
 
 ``FactoredRational`` is a rational function whose denominator is a dict
 {factor polynomial: exponent}.  No polynomial GCD is ever computed: addition
@@ -51,11 +52,11 @@ an int64:
   - a sum or difference merges the two sorted key arrays the same way;
   - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
     on the coefficients and keep the keys.
-A result below the cutoff comes back as a dict, so small polynomials never touch numpy.  The dict of an
-array form is built once, when first needed: by ``terms``, evaluation,
-``__hash__``, ``__eq__`` against a dict form or a dict-path operation;
-``sorted_terms``, ``repr``, the coefficient scan and the float filter read
-the arrays.
+A result below the cutoff comes back as a dict, so small polynomials never
+touch numpy.  The dict of an array form is built once, when first needed:
+by ``terms``, evaluation, ``__hash__``, ``__eq__`` against a dict form or a
+dict-path operation; ``sorted_terms``, ``repr``, the coefficient scan and
+the float filter read the arrays.
 
 Coefficient arrays are int64 only while a bound proves that no value
 overflows, and object arrays of Python ints otherwise, which numpy's C
