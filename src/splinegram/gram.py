@@ -12,12 +12,12 @@ for float knots.
 
 The order-2 and order-3 entries are written once (``linear_formula``,
 ``quad_formula``) over a bracket provider and a ratio combinator.
-``gram_linear`` and ``gram_quadratic`` evaluate them as array passes over
-all indices i at once, with the array brackets ``KnotSequence.brackets``
-(object arrays of Fractions in exact mode, float64 in float mode) and
-``ratio``, the one evaluation of a Gram entry; polycert instantiates the
-same formulas with gap-variable brackets and factored rational functions
-for the certificates.
+``build_gram`` evaluates them in one array pass per band over all indices
+i at once, with the array brackets ``KnotSequence.brackets`` (object arrays
+of Fractions in exact mode, float64 in float mode) and ``ratio``, the one
+evaluation of a Gram entry; polycert instantiates the same formulas with
+gap-variable brackets and factored rational functions for the
+certificates.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence, _nonzero_bsplines
@@ -133,9 +134,11 @@ def ratio(num_factors, den_factors):
     return out
 
 
-def linear_formula(br, i, d: int):
+def linear_formula(br, ratio, i, d: int):
     """Order-2 Gram entry a_{i,i+d}, d in {0, 1}, over a bracket provider
-    ``br(l, e, i)`` = (le)_i: a_{i,i} = (20)_i/3, a_{i,i+1} = (21)_i/6."""
+    ``br(l, e, i)`` = (le)_i: a_{i,i} = (20)_i/3, a_{i,i+1} = (21)_i/6.
+    It takes quad_formula's arguments; its denominators are constants, so
+    it needs no ``ratio``."""
     return br(2, 0, i) / 3 if d == 0 else br(2, 1, i) / 6
 
 
@@ -162,37 +165,6 @@ def quad_formula(br, ratio, i: int, d: int):
     return ratio((b32, b32, b32), (30, b31, br(4, 2, i)))
 
 
-def _indices(ks: KnotSequence, d: int):
-    """The index array i = 1..m-d of the d-th diagonal."""
-    import numpy as np
-
-    return np.arange(1, ks.m - d + 1)
-
-
-def _quad_bands(ks: KnotSequence) -> tuple:
-    """The diagonals a_{i,i+d}, d = 0, 1, 2, of the order-3 Gram matrix as
-    arrays, each one pass of quad_formula over the array brackets."""
-    return tuple(quad_formula(ks.brackets, ratio, _indices(ks, d), d) for d in range(3))
-
-
-def _banded(ks: KnotSequence, bands) -> SymBandedMatrix:
-    return SymBandedMatrix(ks.m, len(bands) - 1, tuple(bands))
-
-
-def gram_linear(ks: KnotSequence) -> SymBandedMatrix:
-    """Order-2 Gram matrix: a_{i,i} = (20)_i/3, a_{i,i+1} = (21)_i/6."""
-    if ks.order != 2:
-        raise InputError("gram_linear requires an order-2 knot sequence")
-    return _banded(ks, [linear_formula(ks.brackets, _indices(ks, d), d) for d in (0, 1)])
-
-
-def gram_quadratic(ks: KnotSequence) -> SymBandedMatrix:
-    """Order-3 Gram matrix with the closed-form bracket entries of quad_formula."""
-    if ks.order != 3:
-        raise InputError("gram_quadratic requires an order-3 knot sequence")
-    return _banded(ks, _quad_bands(ks))
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -204,21 +176,16 @@ def _gauss_nodes(k: int):
     return list(x), list(w)
 
 
-_NC_CACHE = {}
-
-
+@cache
 def _newton_cotes_weights(npoints: int):
     """Exact closed Newton-Cotes weights on [0,1] for equally spaced nodes.
 
     Integrates polynomials of degree <= npoints-1 exactly; npoints = 1 is the
-    midpoint rule (degree 1).  Returns (nodes, weights) as Fractions.
+    midpoint rule (degree 1).  Returns (nodes, weights), tuples of Fractions,
+    cached per npoints.
     """
-    if npoints in _NC_CACHE:
-        return _NC_CACHE[npoints]
     if npoints == 1:
-        out = ([Fraction(1, 2)], [Fraction(1)])
-        _NC_CACHE[npoints] = out
-        return out
+        return (Fraction(1, 2),), (Fraction(1),)
     nodes = [Fraction(i, npoints - 1) for i in range(npoints)]
     weights = []
     for i in range(npoints):
@@ -235,9 +202,7 @@ def _newton_cotes_weights(npoints: int):
             denom *= nodes[i] - xj
         integral = sum(c / (p + 1) for p, c in enumerate(coeffs))
         weights.append(integral / denom)
-    out = (nodes, weights)
-    _NC_CACHE[npoints] = out
-    return out
+    return tuple(nodes), tuple(weights)
 
 
 def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
@@ -286,17 +251,21 @@ def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
 def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
     """Assemble the Gram matrix for a knot sequence.
 
-    method "closed" uses the order-2/3 closed forms, "quadrature" the
-    quadrature, "auto" the closed form when one exists.
+    method "closed" uses the order-2/3 closed forms, each band a_{i,i+d}
+    one pass of the formula over the index array i = 1..m-d, "quadrature"
+    the quadrature, "auto" the closed form when one exists.
     """
+    import numpy as np
+
+    k = ks.order
     if method == "auto":
-        method = "closed" if ks.order in (2, 3) else "quadrature"
+        method = "closed" if k in (2, 3) else "quadrature"
     if method == "closed":
-        if ks.order == 2:
-            return gram_linear(ks)
-        if ks.order == 3:
-            return gram_quadratic(ks)
-        raise InputError(f"no closed form for order {ks.order}")
+        formula = {2: linear_formula, 3: quad_formula}.get(k)
+        if formula is None:
+            raise InputError(f"no closed form for order {k}")
+        return SymBandedMatrix(ks.m, k - 1, tuple(
+            formula(ks.brackets, ratio, np.arange(1, ks.m - d + 1), d) for d in range(k)))
     if method == "quadrature":
         return gram_quadrature(ks)
     raise InputError(f"unknown gram method {method!r}")

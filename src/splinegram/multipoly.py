@@ -14,18 +14,23 @@ most ``_MAX_DEGREE`` = 255, so no exponent can reach a neighbouring field
 and equal polynomials have equal packed terms.  The public constructor
 rejects a term of higher degree, and a product checks deg p + deg q
 against the cap before it forms any term pair; a sum never raises the
-degree.  ``terms`` and ``sorted_terms`` unpack to exponent tuples.
+degree.  A polynomial has at most ``_MAX_VARS`` = 6 variables, so the
+exponent fields and the degree field fill at most 56 bits and every packed
+monomial is an int64.  ``terms`` and ``sorted_terms`` unpack to exponent
+tuples.
 
 The public constructor ``MultiPoly(nvars, terms)`` validates every exponent
 tuple, its total degree and every coefficient: a coefficient, like a number
 added to or multiplied with a polynomial, must be an int (not a bool, a
-float or a Fraction, even an integral one).  The arithmetic builds its
+float or a Fraction, even an integral one).  ``nvars`` is an int in
+[0, ``_MAX_VARS``] for every constructor.  The arithmetic builds its
 results through the trusted ``MultiPoly._make`` and
 ``MultiPoly._from_arrays``, which take packed terms the engine made itself
 without re-checking them.  Content and primitive part are ints and int
 polynomials (gcd and exact ``//``).  Evaluation takes int or Fraction
-coordinates, clears each variable's denominator once and sums over the
-packed terms in integers.  Instances are immutable and hashable, so
+coordinates, clears each variable's denominator once and sums the terms in
+integers, in one pass over the array form that the float filter reads too.
+Instances are immutable and hashable, so
 polynomials can serve as dictionary keys (the factored-denominator
 representation relies on this).
 
@@ -40,11 +45,9 @@ The two forms.  The dict form maps packed monomials to coefficients.  The
 array form holds the packed monomials as an ascending int64 array (so in
 graded-lex order) and the coefficients as an array beside it.  A
 polynomial is array-resident only when the engine made it with at least
-``_ARRAY_CUTOFF`` terms and packed monomials that fit an int64; every other
-polynomial, and everything the public constructor builds, is a dict.
-Operations with an array-resident operand, or a product of at least
-``_ARRAY_CUTOFF`` term pairs, run on arrays when the result's monomials fit
-an int64:
+``_ARRAY_CUTOFF`` terms; every other polynomial, and everything the public
+constructor builds, is a dict.  Operations with an array-resident operand,
+or a product of at least ``_ARRAY_CUTOFF`` term pairs, run on arrays:
   - a product (``_array_product``) forms blocks of whole rows, at most
     ``_BLOCK_PAIRS`` pairs each, as the outer sums of the keys and the outer
     products of the coefficients, and merges the blocks into the sorted
@@ -53,10 +56,11 @@ an int64:
   - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
     on the coefficients and keep the keys.
 A result below the cutoff comes back as a dict, so small polynomials never
-touch numpy.  The dict of an array form is built once, when first needed:
-by ``terms``, evaluation, ``__hash__``, ``__eq__`` against a dict form or a
-dict-path operation; ``sorted_terms``, ``repr``, the coefficient scan and
-the float filter read the arrays.
+touch numpy in their arithmetic.  The dict of an array form is built afresh
+where one is needed: by ``terms``, ``__hash__`` (whose value is kept) and
+``__eq__`` against a dict form; ``sorted_terms``, ``repr``, evaluation, the
+coefficient scan and the float filter read the arrays, and evaluation and
+the float filter build them for a dict form.
 
 Coefficient arrays are int64 only while a bound proves that no value
 overflows, and object arrays of Python ints otherwise, which numpy's C
@@ -83,8 +87,7 @@ the sign of S~ is taken only where |S~| exceeds twice that, the factor 2
 covering the rounding of the margin itself.  The bound assumes that no
 intermediate leaves the normal range, so a point is filtered only when its
 coordinates lie in [2^-s, 2^s] with s D + log2 max|c| + log2 T < 1000;
-every other point, and every point of a polynomial with a packed monomial
-beyond int64, is left undecided for the exact evaluation.
+every other point is left undecided for the exact evaluation.
 
 Multiplications enforce a term budget (default 5,000,000 accumulated terms)
 and raise ResourceBudgetError with partial statistics when it is exceeded,
@@ -100,13 +103,14 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import InputError, ResourceBudgetError
 
 DEFAULT_TERM_BUDGET = 5_000_000
 _term_budget = ContextVar("splinegram_term_budget", default=DEFAULT_TERM_BUDGET)
 _BITS = 8                  # bits per exponent field
+_MAX_VARS = 6              # variables: 6 exponent fields and the degree field
+                           # make every packed monomial an int64
 _MAX_DEGREE = (1 << _BITS) - 1    # the largest field value: the cap on the
                                   # total degree, and the field mask
 _ARRAY_CUTOFF = 256        # term pairs of an array product, and terms of
@@ -149,8 +153,8 @@ def _exact_scalar(c):
 
 
 def _check_nvars(nvars) -> None:
-    if not isinstance(nvars, int) or nvars < 0:
-        raise InputError(f"nvars must be a nonnegative integer, got {nvars!r}")
+    if isinstance(nvars, bool) or not isinstance(nvars, int) or not 0 <= nvars <= _MAX_VARS:
+        raise InputError(f"nvars must be an integer in [0, {_MAX_VARS}], got {nvars!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +186,6 @@ def _budget_error(budget: int, accumulated: int, left_terms: int,
 # The array form: ascending int64 packed keys and their coefficients
 
 
-def _keys_fit(degree: int, nvars: int) -> bool:
-    """Whether every packed monomial of total degree at most ``degree`` in
-    ``nvars`` variables lies below 2^63, that is, fits an int64."""
-    return (degree + 1) << (_BITS * nvars) <= _INT64
-
-
 def _max_abs(coeffs) -> int:
     return int(abs(coeffs).max())
 
@@ -216,10 +214,9 @@ def _array_sum(ak, ac, bk, bc):
 
 
 def _array_product(lk, lc, rk, rc, budget: int, sizes: tuple):
-    """The nonzero terms of left * right from two array forms whose
-    product's packed monomials fit an int64, by the blocked
-    product of the module docstring.  The longer operand is the right one,
-    so each row of a block is one long ascending run.  Blocks are held
+    """The nonzero terms of left * right from two array forms, by the
+    blocked product of the module docstring.  The longer operand is the right
+    one, so each row of a block is one long ascending run.  Blocks are held
     unmerged until they outnumber the merged terms, so a product whose pairs
     hardly share monomials is merged O(log) times, not once per block.  The
     budget counts every distinct monomial formed, zero sums included, as the
@@ -248,30 +245,33 @@ def _array_product(lk, lc, rk, rc, budget: int, sizes: tuple):
     return keys[nonzero], coeffs[nonzero]
 
 
+def _exponents(keys, nvars: int) -> list:
+    """The exponent arrays e_1, ..., e_n of an int64 array of packed
+    monomials."""
+    return [(keys >> (_BITS * (nvars - 1 - i))) & _MAX_DEGREE for i in range(nvars)]
+
+
 class _TermArrays:
     """The array form of a polynomial's packed terms: ascending distinct
-    int64 keys, their nonzero int coefficients (int64 or objects), and the
-    dict of the two, built on first need."""
+    int64 keys and their nonzero int coefficients (int64 or objects)."""
 
-    __slots__ = ("keys", "coeffs", "dict")
+    __slots__ = ("keys", "coeffs")
 
     def __init__(self, keys, coeffs):
-        self.keys, self.coeffs, self.dict = keys, coeffs, None
+        self.keys, self.coeffs = keys, coeffs
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def as_dict(self) -> dict:
-        if self.dict is None:
-            self.dict = dict(zip(self.keys.tolist(), self.coeffs.tolist()))
-        return self.dict
+        return dict(zip(self.keys.tolist(), self.coeffs.tolist()))
 
 
 class MultiPoly:
     """Immutable sparse polynomial with int coefficients."""
 
     # _terms: the packed terms, a dict or (the array form) a _TermArrays
-    __slots__ = ("nvars", "_terms", "_hash", "_plan")
+    __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms):
         _check_nvars(nvars)
@@ -298,7 +298,6 @@ class MultiPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_plan", None)
 
     @classmethod
     def _make(cls, nvars: int, terms) -> "MultiPoly":
@@ -330,8 +329,7 @@ class MultiPoly:
         return terms if type(terms) is dict else terms.as_dict()
 
     def _arrays(self):
-        """(keys, coeffs) in the array form; the caller has checked that the
-        keys fit an int64."""
+        """(keys, coeffs) in the array form."""
         terms = self._terms
         if type(terms) is not dict:
             return terms.keys, terms.coeffs
@@ -359,6 +357,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         """The variable x_i, 1-based index."""
+        _check_nvars(nvars)
         if not (1 <= i <= nvars):
             raise InputError(f"variable index {i} outside [1,{nvars}]")
         return cls._make(nvars, {(1 << _BITS * nvars) | (1 << _BITS * (nvars - i)): 1})
@@ -477,11 +476,9 @@ class MultiPoly:
                 return self
             if not a:
                 return -other if negate else other
-            if _keys_fit(max(self.total_degree(), other.total_degree()), nvars):
-                (ak, ac), (bk, bc) = self._arrays(), other._arrays()
-                keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
-                return MultiPoly._from_arrays(nvars, keys, coeffs)
-            a, b = self._dict(), other._dict()
+            (ak, ac), (bk, bc) = self._arrays(), other._arrays()
+            keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
+            return MultiPoly._from_arrays(nvars, keys, coeffs)
         acc = dict(a)
         get = acc.get
         items = b.items()
@@ -529,11 +526,9 @@ class MultiPoly:
         budget = get_term_budget()
         sizes = len(left), len(right)
         if sizes[0] * sizes[1] >= _ARRAY_CUTOFF:    # else both are dicts
-            if _keys_fit(degree, nvars):
-                keys, coeffs = _array_product(*self._arrays(), *other._arrays(),
-                                              budget, sizes)
-                return MultiPoly._from_arrays(nvars, keys, coeffs)
-            left, right = self._dict(), other._dict()
+            keys, coeffs = _array_product(*self._arrays(), *other._arrays(),
+                                          budget, sizes)
+            return MultiPoly._from_arrays(nvars, keys, coeffs)
         acc = {}
         get = acc.get
         right_items = list(right.items())
@@ -564,76 +559,36 @@ class MultiPoly:
 
     def __call__(self, point):
         """The exact value, a Fraction, at a point of int or Fraction
-        coordinates."""
+        coordinates, in one pass over the array form: with x_i = p_i/q_i and
+        d_i the largest exponent of x_i, the value times prod q_i^d_i is
+        sum c prod p_i^e_i q_i^(d_i-e_i), each factor looked up in a
+        per-variable table of p_i^j q_i^(d_i-j) and multiplied into the
+        coefficients as Python ints."""
         point = tuple(point)
         if len(point) != self.nvars:
             raise InputError(f"point has {len(point)} coordinates, need {self.nvars}")
         if not all(isinstance(x, (int, Fraction)) for x in point):
             raise InputError(f"point {point!r} is not exact: coordinates must "
                              f"be ints or Fractions")
-        return self._eval_rational(point)
+        if not self._terms:
+            return Fraction(0)
+        import numpy as np
 
-    def _eval_plan(self):
-        """The integer evaluation layout, built once per polynomial: the
-        maximal exponent of each variable, and the terms grouped by the
-        exponents of the leading half of the variables.  Each group lists its
-        coefficients and, per term, the index of its trailing-half exponents
-        among the distinct ones."""
-        if self._plan is None:
-            n, h = self.nvars, self.nvars // 2
-            terms = self.terms
-            dmax = tuple(map(max, zip(*terms))) if n else ()
-            lo_index, groups = {}, {}
-            for t, c in terms.items():
-                idx, cs = groups.setdefault(t[:h], ([], []))
-                idx.append(lo_index.setdefault(t[h:], len(lo_index)))
-                cs.append(c)
-            plan = (dmax, h, list(lo_index),
-                    [(hi, idx, cs) for hi, (idx, cs) in groups.items()])
-            object.__setattr__(self, "_plan", plan)
-        return self._plan
-
-    def _eval_rational(self, point):
-        """Exact evaluation over the integers: with x_i = p_i/q_i and d_i the
-        largest exponent of x_i, the value times prod q_i^d_i is
-        sum c prod p_i^e_i q_i^(d_i-e_i).  Each variable's factors come from
-        a per-point table, products over the trailing half of the variables
-        are formed once per distinct exponent pattern, and each group of
-        terms sharing the leading half is summed before one multiplication
-        by its leading-half product."""
-        dmax, h, lo_keys, groups = self._eval_plan()
-        tables, den = [], 1
-        for x, d in zip(point, dmax):
+        keys, coeffs = self._arrays()
+        total, den = coeffs.astype(object), 1
+        for x, e in zip(point, _exponents(keys, self.nvars)):
             x = Fraction(x)
-            p, q = x.numerator, x.denominator
-            ppow, qpow = [1], [1]
-            for _ in range(d):
-                ppow.append(ppow[-1] * p)
-                qpow.append(qpow[-1] * q)
-            tables.append([a * b for a, b in zip(ppow, reversed(qpow))])
-            den *= qpow[d]
-        lo_tables, hi_tables = tables[h:], tables[:h]
-        lo_vals = []
-        for lo in lo_keys:
-            v = 1
-            for t, e in zip(lo_tables, lo):
-                v *= t[e]
-            lo_vals.append(v)
-        total = 0
-        for hi, idx, cs in groups:
-            v = sum(map(mul, cs, map(lo_vals.__getitem__, idx)))
-            for t, e in zip(hi_tables, hi):
-                v *= t[e]
-            total += v
-        # always a Fraction so downstream division stays exact
-        return Fraction(total, den)
+            p, q, d = x.numerator, x.denominator, int(e.max())
+            table = np.array([p ** j * q ** (d - j) for j in range(d + 1)], object)
+            total = total * table[e]
+            den *= q ** d
+        return Fraction(int(total.sum()), den)
 
     def _float_signs(self, p, q):
         """The signs of this polynomial at the points x = p/q, proven in
         float64: p and q are int64 arrays of shape (npoints, nvars) with
         entries in [1, 2^53).  Returns an int8 array over the points, +1 or
-        -1 where the float filter decides and 0 where it cannot, and at every
-        point when a packed monomial does not fit an int64.
+        -1 where the float filter decides and 0 where it cannot.
 
         With x~ = fl(p/q), the power tables x~^e by repeated multiplication,
         each term fl(c) times its table entries, and S~, A~ the float sums of
@@ -665,7 +620,7 @@ class MultiPoly:
 
         signs = np.zeros(len(p), np.int8)
         n, T, D = self.nvars, len(self), self.total_degree()
-        if not T or not _keys_fit(D, n):
+        if not T:
             return signs
         keys, coeffs = self._arrays()
         x = p / q
@@ -676,7 +631,7 @@ class MultiPoly:
         if not len(rows):
             return signs
         x = x[rows]
-        exps = [(keys >> (_BITS * (n - 1 - i))) & _MAX_DEGREE for i in range(n)]
+        exps = _exponents(keys, n)
         tables = []
         for i, ei in enumerate(exps):
             table = np.ones((len(x), int(ei.max()) + 1))
@@ -704,7 +659,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
-            if isinstance(other, int):
+            if isinstance(other, int) and not isinstance(other, bool):
                 return self == MultiPoly.constant(self.nvars, other)
             return NotImplemented
         a, b = self._terms, other._terms

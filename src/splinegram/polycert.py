@@ -49,7 +49,7 @@ from functools import partial
 from .decay import minor_formula, phi_inv_formula, psi_inv_formula
 from .errors import ArithmeticFailure, InputError
 from .gram import quad_formula
-from .multipoly import FactoredRational, MultiPoly
+from .multipoly import _MAX_VARS, FactoredRational, MultiPoly
 from .scalars import format_scalar
 
 
@@ -57,8 +57,8 @@ class GapBasis:
     """Linear forms of knot brackets over ``nvars`` consecutive gap variables."""
 
     def __init__(self, nvars: int):
-        if not isinstance(nvars, int) or nvars < 1:
-            raise InputError(f"nvars must be a positive integer, got {nvars!r}")
+        if isinstance(nvars, bool) or not isinstance(nvars, int) or not 1 <= nvars <= _MAX_VARS:
+            raise InputError(f"nvars must be an integer in [1, {_MAX_VARS}], got {nvars!r}")
         self.nvars = nvars
 
     def gap(self, r: int) -> MultiPoly:

@@ -1,6 +1,6 @@
 """The array passes over n against per-n evaluation of the same formulas.
 
-gram_linear/gram_quadratic and the lemma batteries evaluate the order-2/3
+build_gram's closed forms and the lemma batteries evaluate the order-2/3
 formulas once over whole index arrays (KnotSequence.brackets, gram.ratio
 acting elementwise).  The oracle here evaluates the same formulas one index
 at a time over the scalar brackets and the scalar zero-numerator ratio of
@@ -29,10 +29,9 @@ from splinegram.partitions import parse_spec, realize, shrink_one_gap
 
 def oracle_bands(ks):
     br = partial(bracket, ks)
-    if ks.order == 2:
-        return [[linear_formula(br, i, d) for i in range(1, ks.m - d + 1)] for d in (0, 1)]
-    return [[quad_formula(br, scalar_ratio, i, d) for i in range(1, ks.m - d + 1)]
-            for d in (0, 1, 2)]
+    formula = linear_formula if ks.order == 2 else quad_formula
+    return [[formula(br, scalar_ratio, i, d) for i in range(1, ks.m - d + 1)]
+            for d in range(ks.order)]
 
 
 def oracle_families(ks, state):

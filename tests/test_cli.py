@@ -132,19 +132,19 @@ def test_verify_evaluates_the_gram_bands_once(capsys, monkeypatch, mode):
     # matrix it verifies instead of evaluating the order-3 bands again
     from splinegram import gram
     calls = []
-    quad_bands = gram._quad_bands
+    quad_formula = gram.quad_formula
 
-    def counted(ks):
-        calls.append(ks.m)
-        return quad_bands(ks)
+    def counted(br, ratio, i, d):
+        calls.append((len(i), d))
+        return quad_formula(br, ratio, i, d)
 
-    monkeypatch.setattr(gram, "_quad_bands", counted)
-    # a module importing it by name would escape the patch of gram alone
-    monkeypatch.setattr(decay, "_quad_bands", counted, raising=False)
+    monkeypatch.setattr(gram, "quad_formula", counted)
+    # decay imports it by name, which the patch of gram alone would miss
+    monkeypatch.setattr(decay, "quad_formula", counted)
     code, obj = _run_json(capsys, ["verify", "--order", "3", "--spec", "random:12",
                                    "--mode", mode])
     assert code == 0 and len(obj["lemma_checks"]) == 9
-    assert calls == [15]
+    assert calls == [(15, 0), (14, 1), (13, 2)]
 
 
 def test_verify_lemmas_rejects_a_gram_matrix_of_another_partition():

@@ -15,8 +15,7 @@ from splinegram import (ArithmeticFailure, InputError, KnotSequence,
                         ResourceBudgetError, SymBandedMatrix, build_gram,
                         gram_quadrature, matrix_to_json)
 from splinegram.cli import main
-from splinegram.gram import (gram_linear, gram_quadratic, linear_formula,
-                             quad_formula, ratio)
+from splinegram.gram import linear_formula, quad_formula, ratio
 from splinegram.scalars import parse_scalar
 
 
@@ -32,12 +31,12 @@ def _random_exact(rng, order, count):
 
 def test_linear_bernstein():
     # hand integration: int (1-x)^2 = 1/3, int x(1-x) = 1/6
-    A = gram_linear(KnotSequence(2, []))
+    A = build_gram(KnotSequence(2, []))
     assert to_dense(A) == [[F(1, 3), F(1, 6)], [F(1, 6), F(1, 3)]]
 
 
 def test_linear_single_knot():
-    A = gram_linear(KnotSequence(2, [F(1, 2)]))
+    A = build_gram(KnotSequence(2, [F(1, 2)]))
     assert [A.get(i, i) for i in (1, 2, 3)] == [F(1, 6), F(1, 3), F(1, 6)]
     assert [A.get(i, i + 1) for i in (1, 2)] == [F(1, 12), F(1, 12)]
 
@@ -47,7 +46,7 @@ def test_linear_row_sums():
     rng = random.Random(5)
     for _ in range(6):
         ks = _random_exact(rng, 2, rng.randint(0, 8))
-        A = gram_linear(ks)
+        A = build_gram(ks)
         for i in range(1, ks.m + 1):
             total = sum(A.get(i, j) for j in range(1, ks.m + 1))
             assert total == bracket(ks, 2, 0, i) / 2
@@ -59,7 +58,7 @@ def test_linear_row_sums():
 
 def test_quadratic_bernstein_corner():
     # a_{1,1} reduces to (30)_1/5 because (20)_1 = 0
-    A = gram_quadratic(KnotSequence(3, []))
+    A = build_gram(KnotSequence(3, []))
     assert A.get(1, 1) == F(1, 5)
 
 
@@ -69,7 +68,7 @@ def test_quadratic_uniform_interior_values():
     #  66/120, 26/120, 1/120 scaled by h)
     ks = KnotSequence(3, [F(i, 6) for i in range(1, 6)])
     h = F(1, 6)
-    A = gram_quadratic(ks)
+    A = build_gram(ks)
     assert A.get(4, 4) == 11 * h / 20 == F(11, 120)
     assert A.get(4, 5) == 13 * h / 60 == F(13, 360)
     assert A.get(4, 6) == h / 120 == F(1, 720)
@@ -79,7 +78,7 @@ def test_quadratic_row_sums():
     rng = random.Random(6)
     for _ in range(6):
         ks = _random_exact(rng, 3, rng.randint(0, 8))
-        A = gram_quadratic(ks)
+        A = build_gram(ks)
         for i in range(1, ks.m + 1):
             total = sum(A.get(i, j) for j in range(1, ks.m + 1))
             assert total == bracket(ks, 3, 0, i) / 3
@@ -101,7 +100,7 @@ def test_single_entry_accessors():
     for i in range(1, ks2.m + 1):
         for j in range(1, ks2.m + 1):
             d = abs(i - j)
-            entry = linear_formula(partial(bracket, ks2), min(i, j), d) if d <= 1 else 0
+            entry = linear_formula(partial(bracket, ks2), scalar_ratio, min(i, j), d) if d <= 1 else 0
             assert A2.get(i, j) == entry
     with pytest.raises(InputError):
         A.get(0, 1)
@@ -172,7 +171,7 @@ def test_cross_terms_sum_is_entry():
     rng = random.Random(7)
     for _ in range(8):
         ks = _random_exact(rng, 3, rng.randint(1, 8))
-        A = gram_quadratic(ks)
+        A = build_gram(ks)
         for i in range(1, ks.m):
             first, second = quadratic_cross_terms(ks, i)
             assert first + second == A.get(i, i + 1), (ks.interior, i)
@@ -192,7 +191,7 @@ def test_cross_terms_validation():
 
 def test_quadrature_matches_linear_float():
     ks = KnotSequence(2, [0.3, 0.55, 0.7])
-    A = gram_linear(ks)
+    A = build_gram(ks)
     Q = gram_quadrature(ks)
     for i in range(1, ks.m + 1):
         for j in range(1, ks.m + 1):
@@ -202,7 +201,7 @@ def test_quadrature_matches_linear_float():
 
 def test_quadrature_matches_quadratic_float():
     ks = KnotSequence(3, [i / 7 for i in range(1, 7)])
-    A = gram_quadratic(KnotSequence(3, [F(i, 7) for i in range(1, 7)]))
+    A = build_gram(KnotSequence(3, [F(i, 7) for i in range(1, 7)]))
     Q = gram_quadrature(ks)
     for i in range(1, ks.m + 1):
         for j in range(1, ks.m + 1):
@@ -212,10 +211,10 @@ def test_quadrature_matches_quadratic_float():
 
 def test_quadrature_exact_mode_equals_closed():
     rng = random.Random(8)
-    for order, builder in ((2, gram_linear), (3, gram_quadratic)):
+    for order in (2, 3):
         for _ in range(3):
             ks = _random_exact(rng, order, rng.randint(1, 5))
-            assert to_dense(gram_quadrature(ks)) == to_dense(builder(ks))
+            assert to_dense(gram_quadrature(ks)) == to_dense(build_gram(ks, "closed"))
 
 
 def test_quadrature_order4_row_sums():
@@ -235,15 +234,18 @@ def test_quadrature_order1_midpoint():
 
 
 def test_build_gram_dispatch():
+    for order in (2, 3):
+        ks = KnotSequence(order, [F(1, 2)])
+        closed = build_gram(ks, "closed")
+        assert (closed.n, closed.bandwidth) == (ks.m, order - 1)
+        assert to_dense(build_gram(ks)) == to_dense(closed)
+        assert to_dense(build_gram(ks, "quadrature")) == to_dense(closed)
+    for order in (1, 4):
+        ks = KnotSequence(order, [F(1, 2)])
+        assert to_dense(build_gram(ks)) == to_dense(gram_quadrature(ks))
+        with pytest.raises(InputError):
+            build_gram(ks, "closed")
     ks2 = KnotSequence(2, [F(1, 2)])
-    assert to_dense(build_gram(ks2)) == to_dense(gram_linear(ks2))
-    ks3 = KnotSequence(3, [F(1, 2)])
-    assert to_dense(build_gram(ks3)) == to_dense(gram_quadratic(ks3))
-    ks4 = KnotSequence(4, [F(1, 2)])
-    assert to_dense(build_gram(ks4)) == to_dense(gram_quadrature(ks4))
-    assert to_dense(build_gram(ks3, "quadrature")) == to_dense(gram_quadratic(ks3))
-    with pytest.raises(InputError):
-        build_gram(ks4, "closed")
     with pytest.raises(InputError):
         build_gram(ks2, "simpson")
 
@@ -254,7 +256,7 @@ def test_build_gram_dispatch():
 
 def test_total_positivity_small():
     ks = KnotSequence(3, [F(1, 4), F(1, 2), F(3, 4)])
-    report = check_total_positivity(gram_quadratic(ks), max_order=3)
+    report = check_total_positivity(build_gram(ks), max_order=3)
     assert report.min_value >= 0 and report.passed
     assert report.minors_checked > 0
 
@@ -262,7 +264,7 @@ def test_total_positivity_small():
 def test_total_positivity_budget():
     ks = KnotSequence(2, [F(i, 9) for i in range(1, 9)])
     with pytest.raises(ResourceBudgetError) as err:
-        check_total_positivity(gram_linear(ks), max_order=4, budget=50)
+        check_total_positivity(build_gram(ks), max_order=4, budget=50)
     assert err.value.partial.minors_checked == 50
 
 
@@ -310,7 +312,7 @@ def test_matrix_json_lists_entries_row_major(order, mode):
 
 def test_matrix_json_roundtrip(tmp_path):
     ks = KnotSequence(3, [F(1, 3), F(2, 3)])
-    A = gram_quadratic(ks)
+    A = build_gram(ks)
 
     def read_back(obj):
         """The dump's entries as {(i, j): scalar}: the band, i <= j."""

@@ -11,7 +11,6 @@ from oracles import dense_inverse_oracle, to_dense
 from splinegram import (ArithmeticFailure, KnotSequence, SymBandedMatrix,
                         build_gram, check_checkerboard, history_to_json,
                         invert_iteratively, max_residual)
-from splinegram.gram import gram_linear
 from splinegram.partitions import shrink_one_gap
 
 
@@ -27,7 +26,7 @@ def _random_exact(rng, order, count):
 
 def test_bernstein_linear_inverse():
     # A = [[1/3,1/6],[1/6,1/3]] -> inverse [[4,-2],[-2,4]] (det = 1/12)
-    state = invert_iteratively(gram_linear(KnotSequence(2, [])))
+    state = invert_iteratively(build_gram(KnotSequence(2, [])))
     assert state.B.tolist() == [[F(4), F(-2)], [F(-2), F(4)]]
 
 
@@ -35,7 +34,7 @@ def test_single_knot_linear_inverse_and_history():
     # A = [[1/6,1/12,0],[1/12,1/3,1/12],[0,1/12,1/6]]
     # dense elimination gives B_3 = [[7,-2,1],[-2,4,-2],[1,-2,7]];
     # leading inverses give b_{1,1}^1 = 6 and b_{2,2}^2 = 24/7
-    state = invert_iteratively(gram_linear(KnotSequence(2, [F(1, 2)])),
+    state = invert_iteratively(build_gram(KnotSequence(2, [F(1, 2)])),
                                keep_history=True)
     assert state.B.tolist() == [[F(7), F(-2), F(1)],
                                 [F(-2), F(4), F(-2)],

@@ -17,7 +17,7 @@ from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
 from splinegram import multipoly
 from splinegram.multipoly import _MAX_DEGREE, get_term_budget, poly_product
-from splinegram.polycert import _nonneg_witness, build_inequality
+from splinegram.polycert import GapBasis, _nonneg_witness, build_inequality
 
 NVARS = 3
 
@@ -376,20 +376,25 @@ def test_array_product_cancellation():
 
 
 def test_array_product_keys_beyond_int64():
-    # 7 fields of 8 bits leave the degree field room for degree 127 in an
-    # int64 key; degree 128 and 8 variables need object keys
+    # six 8-bit exponent fields under the degree field keep every packed key
+    # below 2^56: products in six variables up to the degree cap run on
+    # int64 keys, the degree in the top field, and agree with the dict loop
+    import numpy as np
+
     rng = random.Random(7)
-    for nvars, top in ((7, 127), (7, 128), (8, 24)):
+    for top in (127, 128, TOP):
         def terms():
-            out = {(top // 2,) + (0,) * (nvars - 1): 1}
-            while len(out) < 20:
-                e = [rng.randint(0, 1) for _ in range(nvars)]
+            out = {(top // 2,) + (0,) * 5: 1}
+            while len(out) < 40:
+                e = [rng.randint(0, 2) for _ in range(6)]
                 out[tuple(e)] = rng.randint(-50, 50) or 1
             return out
         a, b = terms(), terms()
-        a[(0,) * (nvars - 1) + (top - top // 2,)] = 3
-        point = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars))
-        product = _check_array_product(nvars, a, b, point)
+        a[(0,) * 5 + (top - top // 2,)] = 3
+        point = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6))
+        product = _check_array_product(6, a, b, point)
+        keys = _array_form(product).keys
+        assert keys.dtype == np.int64 and int(keys[-1]) >> 48 == top
         assert product.total_degree() == top
 
 
@@ -417,8 +422,7 @@ def test_products_either_side_of_the_cutoff(monkeypatch, rows, cols, array_path)
 # ---------------------------------------------------------------------------
 # The array form against the dict route
 #
-# A polynomial with at least _ARRAY_CUTOFF terms whose packed monomials fit
-# an int64 is array-resident.  Each operation on such operands is compared with the same
+# A polynomial with at least _ARRAY_CUTOFF terms is array-resident.  Each operation on such operands is compared with the same
 # operation on the same polynomials rebuilt as dicts, every product and sum
 # in the dict loop: term for term, by == both ways and by hash.
 
@@ -591,27 +595,39 @@ def test_non_int_coefficients_and_inexact_points_are_rejected():
 
 
 def test_array_form_keys_beyond_int64():
-    # 8-bit fields: in 7 variables degree 127 fits an int64 key and the
-    # product's degree 128 does not, so it stays a dict; in 8 variables no
-    # key fits
-    rng = random.Random(9)
-    terms = {}
-    while len(terms) < 300:
-        terms[tuple(rng.randint(0, 7) for _ in range(7)) + (0,)] = rng.randint(-9, 9) or 1
-    terms[(7,) * 7 + (0,)] = 1                      # degree 49
-    a = _resident(MultiPoly(8, terms))
-    assert _array_form(a) is None          # 8 fields of 8 bits and the degree field
-    b = _resident(MultiPoly(7, {e[:7]: c for e, c in terms.items()}))
-    assert _array_form(b) is not None
-    _both_routes(lambda a, b: a * b, a, MultiPoly.variable(8, 8) + 1)
-    _both_routes(lambda a, b: a + b, a, a)
-    y = MultiPoly.variable(7, 7)
-    tall = _both_routes(lambda a, b: a * b, b, 5 * y ** 78 + 1)    # degree 127
-    assert _array_form(tall) is not None and tall.total_degree() == 127
-    beyond = _both_routes(lambda a, b: a * b, tall, y + 2)        # degree 128
-    assert _array_form(beyond) is None and beyond.total_degree() == 128
-    _both_routes(lambda a, b: a + b, tall, y ** 128)
-    _both_routes(lambda a, b: a - b, beyond, tall)
+    # the variable cap keeps packed keys within int64: 7 and 8 variables,
+    # whose keys at the degree cap would not fit, are refused by every
+    # constructor, and so by GapBasis
+    for nvars in (7, 8):
+        calls = [lambda: MultiPoly(nvars, {}),
+                 lambda: MultiPoly(nvars, {(1,) * nvars: 1}),
+                 lambda: MultiPoly.zero(nvars),
+                 lambda: MultiPoly.constant(nvars, 1),
+                 lambda: MultiPoly.variable(nvars, 1),
+                 lambda: GapBasis(nvars)]
+        for call in calls:
+            with pytest.raises(InputError, match=f"got {nvars}"):
+                call()
+    assert multipoly._MAX_VARS == 6
+    assert MultiPoly.variable(6, 6) ** TOP == MultiPoly(6, {(0,) * 5 + (TOP,): 1})
+    assert GapBasis(6).nvars == 6
+
+
+def test_bool_nvars_rejected():
+    for call in (lambda: MultiPoly(True, {}), lambda: MultiPoly(False, {}),
+                 lambda: MultiPoly.zero(True), lambda: MultiPoly.constant(True, 1),
+                 lambda: MultiPoly.variable(True, 1), lambda: GapBasis(True)):
+        with pytest.raises(InputError, match="got (True|False)"):
+            call()
+
+
+def test_equality_with_bool_is_false():
+    # == never raises: a bool, like a float, is not a polynomial's coefficient
+    for p in (MultiPoly.constant(2, 1), MultiPoly.zero(2), MultiPoly.variable(2, 1)):
+        for other in (True, False, 1.0, 0.0):
+            assert (p == other) is False and (other == p) is False
+            assert (p != other) is True
+    assert MultiPoly.constant(2, 1) == 1 and MultiPoly.zero(2) == 0
 
 
 def test_factored_sum_matches_factors_of_both_forms():
