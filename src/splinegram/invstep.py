@@ -13,10 +13,25 @@ Fagan and Chen, 1973):
 Y = L^{-T} D^{-1} satisfies the same recurrence (L^T Y = D^{-1}), but is
 upper triangular where B is symmetric; its column n, cut to length n, is
 the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
-recurrence O(m^2 w).  One routine serves both scalar modes, taken from the
-dtype of A's bands: numpy arrays of dtype object hold Fractions in exact
-mode, float64 arrays hold floats in float mode; the returned history is
-views of Y.  Public (i,j) indices are 1-based to match the formulas.
+recurrence O(m^2 w).
+
+Two paths evaluate the recurrence.  At bandwidth 1 (order 2; bandwidth 0
+goes the same way with l = 0) the inverse of a tridiagonal matrix has the
+product form b_{i,j} = u_i v_j (Gantmacher and Krein), and the recurrence
+is a product chain up each column: b_{i,j} = (-l_{i+1,i}) b_{i+1,j} above
+the diagonal, after the diagonal's scalar recurrence b_{i,i} = 1/d_i +
+(-l_{i+1,i}) ((-l_{i+1,i}) b_{i+1,i+1}); one ``multiply.accumulate`` per
+matrix builds every column of B and of Y with no Python loop.  At bandwidth
+w >= 2 one row step computes row i of B and of Y together, by one matmul
+over the two stacked, and mirrors B's row into its column.  Each entry is
+the same operations in the same order as the plain row-by-row recurrence,
+so both paths give its B and history bit for bit (a zero may differ in
+sign).
+
+One routine serves both scalar modes, taken from the dtype of A's bands:
+numpy arrays of dtype object hold Fractions in exact mode, float64 arrays
+hold floats in float mode; the returned history is views of Y.  Public
+(i,j) indices are 1-based to match the formulas.
 """
 
 from __future__ import annotations
@@ -47,29 +62,87 @@ class GrowingInverse:
 
 
 def _ldlt(A: SymBandedMatrix, zero):
-    """Pivots d (1-D array) and the columns of L below the diagonal
-    (``Lb[j, r] = l_{j+r+1, j}``, zero past the last row), of the bands'
-    dtype.  Lb has at least one column, so that at bandwidth 0 products over
-    it are zero scalars rather than the integer 0 of an empty sum.  A zero
-    pivot d_n raises ArithmeticFailure with step n."""
-    import numpy as np
+    """Pivots d and the columns of L below the diagonal (``L[j][r] =
+    l_{j+r+1, j}``, zero past the last row), as lists of Python scalars.  L's
+    rows have at least one entry, so that bandwidth 0 takes the bandwidth-1
+    path.  A zero pivot d_n raises ArithmeticFailure with step n.
 
-    m, w, bands = A.n, A.bandwidth, A.bands  # a_{j+1, i+1} = bands[i-j][j]
-    d = np.empty(m, bands[0].dtype)
-    Lb = np.full((m, max(w, 1)), zero, bands[0].dtype)
+    Each sum accumulates left to right from ``zero`` (``sum()`` of floats is
+    compensated from CPython 3.12 on).  A finite float whose square leaves
+    float64 raises OverflowError from ``**``; that factorization reruns on
+    numpy scalars, whose square is inf as before."""
+    m, w = A.n, A.bandwidth
+    bands = [b.tolist() for b in A.bands]  # a_{j+1, i+1} = bands[i-j][j]
+    try:
+        return _ldlt_rows(m, w, bands, zero)
+    except OverflowError:
+        return _ldlt_rows(m, w, [list(b) for b in A.bands], zero)
+
+
+def _ldlt_rows(m, w, bands, zero):
+    d, L = [], [[zero] * max(w, 1) for _ in range(m)]
     for j in range(m):
-        dj = bands[0][j] - sum(
-            (Lb[k, j - k - 1] ** 2 * d[k] for k in range(max(0, j - w), j)), zero)
+        acc = zero
+        for k in range(max(0, j - w), j):
+            acc = acc + L[k][j - k - 1] ** 2 * d[k]
+        dj = bands[0][j] - acc
         if dj == 0:
             raise ArithmeticFailure("zero pivot in the LDL^T factorization",
                                     step=j + 1, context=bands[0][j])
-        d[j] = dj
+        d.append(dj)
         for i in range(j + 1, min(m, j + w + 1)):
-            s = bands[i - j][j] - sum(
-                (Lb[k, i - k - 1] * Lb[k, j - k - 1] * d[k]
-                 for k in range(max(0, i - w), j)), zero)
-            Lb[j, i - j - 1] = s / dj
-    return d, Lb
+            acc = zero
+            for k in range(max(0, i - w), j):
+                acc = acc + L[k][i - k - 1] * L[k][j - k - 1] * d[k]
+            L[j][i - j - 1] = (bands[i - j][j] - acc) / dj
+    return d, L
+
+
+def _product_chains(L, inv_d, zero, dtype, depth):
+    """B and, at depth 2, Y of bandwidth at most 1, stacked as S[0] and S[1]:
+    the diagonal of B by its scalar recurrence, then each column of both as
+    one product chain up from the diagonal, b_{i,j} = (-l_{i+1,i}) b_{i+1,j}.
+    A zero l (bandwidth 0) enters as +0.0, so that B's zeros off the
+    diagonal are +0.0, as the matmul sums of the row step are."""
+    import numpy as np
+
+    m = len(L)
+    nl = [-row[0] if row[0] else zero for row in L]
+    b = [inv_d[-1] + zero]  # the last row's empty sum, as the row step adds it
+    for i in range(m - 2, -1, -1):
+        b.append(inv_d[i] + nl[i] * (nl[i] * b[-1]))
+    # -l above the diagonal, the chain's start on it and 1 below it
+    lower = np.tri(m, m, -1, bool)
+    S = np.ones((depth, m, m), dtype)
+    np.copyto(S, np.array(nl, dtype)[:, None], where=lower.T)
+    S.reshape(depth, m * m)[:, ::m + 1] = (b[::-1], inv_d)[:depth]
+    bottom_up = S[:, ::-1]
+    np.multiply.accumulate(bottom_up, axis=1, out=bottom_up)
+    S[0][lower] = S[0].T[lower]
+    if depth > 1:
+        S[1][lower] = zero
+    return S
+
+
+def _row_steps(L, inv_d, zero, dtype, depth):
+    """B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and S[1],
+    row by row from the bottom: each step computes row i of both with one
+    matmul and mirrors B's row into its column."""
+    import numpy as np
+
+    m, w = len(L), len(L[0])
+    NL = -np.array(L, dtype)
+    S = np.full((depth, m, m), zero, dtype)
+    if depth > 1:
+        S[1].reshape(m * m)[::m + 1] = inv_d
+    B = S[0]
+    for i in range(m - 1, -1, -1):
+        neg_l = NL[i, : min(w, m - i - 1)]
+        rows = neg_l @ S[:, i + 1:i + 1 + len(neg_l), i + 1:]
+        S[:, i, i + 1:] = rows
+        B[i + 1:, i] = rows[0]
+        B[i, i] = inv_d[i] + neg_l @ rows[0, : len(neg_l)]
+    return S
 
 
 def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> GrowingInverse:
@@ -88,27 +161,18 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     dtype = A.bands[0].dtype
     zero = Fraction(0) if dtype == object else 0.0
     with np.errstate(all="ignore"):  # float overflow is caught below
-        d, Lb = _ldlt(A, zero)
-        m, w = Lb.shape
-        B = np.empty((m, m), dtype)
-        Y = np.full((m, m), zero, dtype) if keep_history else None
-        for i in range(m - 1, -1, -1):
-            hi = min(m, i + w + 1)
-            neg_l = -Lb[i, : hi - i - 1]
-            row = neg_l @ B[i + 1:hi, i + 1:]
-            B[i, i + 1:] = B[i + 1:, i] = row
-            B[i, i] = 1 / d[i] + neg_l @ row[: hi - i - 1]
-            if keep_history:
-                Y[i, i] = 1 / d[i]
-                Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
-    if dtype == float:
-        finite = np.isfinite(B) if Y is None else np.isfinite(B) & np.isfinite(Y)
-        if not finite.all():
-            raise ArithmeticFailure("non-finite entry in the float inverse "
-                                    "(a pivot too small for float64)",
-                                    step=int(np.argmin(finite.all(axis=1))) + 1)
+        d, L = _ldlt(A, zero)
+        inv_d = [1 / x for x in d]
+        steps = _product_chains if len(L[0]) == 1 else _row_steps
+        S = steps(L, inv_d, zero, dtype, 1 + keep_history)
+    if dtype == float and not np.isfinite(S).all():
+        raise ArithmeticFailure("non-finite entry in the float inverse "
+                                "(a pivot too small for float64)",
+                                step=int(np.argmin(np.isfinite(S).all(axis=(0, 2)))) + 1)
+    m, B = A.n, S[0]
     diag_hist = col_hist = None
     if keep_history:
+        Y = S[1]
         # the last leading inverse is B itself: take its column bit for bit
         Y[:, m - 1] = B[:, m - 1]
         diag_hist = Y.diagonal()

@@ -28,7 +28,7 @@ results through the trusted ``MultiPoly._make`` and
 ``MultiPoly._from_arrays``, which take packed terms the engine made itself
 without re-checking them.  Content and primitive part are ints and int
 polynomials (gcd and exact ``//``).  Evaluation takes int or Fraction
-coordinates, clears each variable's denominator once and sums the terms in
+coordinates (not bools), clears each variable's denominator once and sums the terms in
 integers, in one pass over the array form that the float filter reads too.
 Instances are immutable and hashable, so
 polynomials can serve as dictionary keys (the factored-denominator
@@ -559,7 +559,7 @@ class MultiPoly:
 
     def __call__(self, point):
         """The exact value, a Fraction, at a point of int or Fraction
-        coordinates, in one pass over the array form: with x_i = p_i/q_i and
+        coordinates (not bools), in one pass over the array form: with x_i = p_i/q_i and
         d_i the largest exponent of x_i, the value times prod q_i^d_i is
         sum c prod p_i^e_i q_i^(d_i-e_i), each factor looked up in a
         per-variable table of p_i^j q_i^(d_i-j) and multiplied into the
@@ -567,7 +567,8 @@ class MultiPoly:
         point = tuple(point)
         if len(point) != self.nvars:
             raise InputError(f"point has {len(point)} coordinates, need {self.nvars}")
-        if not all(isinstance(x, (int, Fraction)) for x in point):
+        if not all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+                   for x in point):
             raise InputError(f"point {point!r} is not exact: coordinates must "
                              f"be ints or Fractions")
         if not self._terms:

@@ -3,8 +3,9 @@ package against, and small helpers the tests share.
 
 None of this is reached by the CLI: each oracle computes a quantity by a
 route of its own (scalar brackets one index at a time, fraction-free dense
-elimination, exhaustive minors, the explicit quadratic branches), so that a
-test equating it with the package's array paths checks both.
+elimination, exhaustive minors, the explicit quadratic branches, the
+Takahashi recurrence one row at a time), so that a test equating it with
+the package's array paths checks both.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import gcd
 from splinegram.decay import minor_formula, phi_inv_formula
 from splinegram.errors import ArithmeticFailure, InputError, ResourceBudgetError
 from splinegram.gram import SymBandedMatrix, quad_formula, ratio
+from splinegram.invstep import GrowingInverse
 from splinegram.knots import KnotSequence, _interval_index, knots_to_json
 from splinegram.multipoly import FactoredRational
 from splinegram.polycert import GapBasis, _sym, sym_ratio
@@ -210,6 +212,70 @@ def dense_inverse_oracle(A):
                 raise ArithmeticFailure("oracle verification A*Ainv != I failed",
                                         context=(i + 1, j + 1))
     return inv
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row banded inverse
+
+
+def ldlt_rowwise(A: SymBandedMatrix, zero):
+    """invstep._ldlt over numpy scalars, each sum by ``sum()`` from
+    ``zero``: the pivots d and ``Lb[j, r] = l_{j+r+1, j}`` as arrays of the
+    bands' dtype (Lb has at least one column, zero past the last row)."""
+    import numpy as np
+
+    m, w, bands = A.n, A.bandwidth, A.bands  # a_{j+1, i+1} = bands[i-j][j]
+    d = np.empty(m, bands[0].dtype)
+    Lb = np.full((m, max(w, 1)), zero, bands[0].dtype)
+    for j in range(m):
+        dj = bands[0][j] - sum(
+            (Lb[k, j - k - 1] ** 2 * d[k] for k in range(max(0, j - w), j)), zero)
+        if dj == 0:
+            raise ArithmeticFailure("zero pivot in the LDL^T factorization",
+                                    step=j + 1, context=bands[0][j])
+        d[j] = dj
+        for i in range(j + 1, min(m, j + w + 1)):
+            s = bands[i - j][j] - sum(
+                (Lb[k, i - k - 1] * Lb[k, j - k - 1] * d[k]
+                 for k in range(max(0, i - w), j)), zero)
+            Lb[j, i - j - 1] = s / dj
+    return d, Lb
+
+
+def invert_rowwise(A: SymBandedMatrix, keep_history: bool = False) -> GrowingInverse:
+    """invstep.invert_iteratively by the Takahashi recurrence one row at a
+    time from the bottom, B's row and Y's row each by its own matmul, the
+    row mirrored into B's column at once; the same errors."""
+    import numpy as np
+
+    dtype = A.bands[0].dtype
+    zero = Fraction(0) if dtype == object else 0.0
+    with np.errstate(all="ignore"):  # float overflow is caught below
+        d, Lb = ldlt_rowwise(A, zero)
+        m, w = Lb.shape
+        B = np.empty((m, m), dtype)
+        Y = np.full((m, m), zero, dtype) if keep_history else None
+        for i in range(m - 1, -1, -1):
+            hi = min(m, i + w + 1)
+            neg_l = -Lb[i, : hi - i - 1]
+            row = neg_l @ B[i + 1:hi, i + 1:]
+            B[i, i + 1:] = B[i + 1:, i] = row
+            B[i, i] = 1 / d[i] + neg_l @ row[: hi - i - 1]
+            if keep_history:
+                Y[i, i] = 1 / d[i]
+                Y[i, i + 1:] = neg_l @ Y[i + 1:hi, i + 1:]
+    if dtype == float:
+        finite = np.isfinite(B) if Y is None else np.isfinite(B) & np.isfinite(Y)
+        if not finite.all():
+            raise ArithmeticFailure("non-finite entry in the float inverse "
+                                    "(a pivot too small for float64)",
+                                    step=int(np.argmin(finite.all(axis=1))) + 1)
+    diag_hist = col_hist = None
+    if keep_history:
+        Y[:, m - 1] = B[:, m - 1]
+        diag_hist = Y.diagonal()
+        col_hist = tuple(Y[:n, n - 1] for n in range(1, m + 1))
+    return GrowingInverse(m, B, diag_hist, col_hist)
 
 
 # ---------------------------------------------------------------------------

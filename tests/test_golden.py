@@ -13,7 +13,12 @@ matrices at orders 2 and 3, ``verify`` on an explicit partition file and two
 commands that exit 3.  A change that alters a hash names the changed command
 and the reason in CHANGES.md.
 
-Regenerate the manifest with ``PYTHONPATH=src python tests/test_golden.py``.
+Float output depends on libm and on the numpy version, so float ``verify``
+at orders 2 and 3 on ``SPECS`` plus ``random:100`` is pinned by its verdicts
+(golden/float_verdicts.json): the exit code, ``passed``, ``certified``,
+``worst_entry`` and each lemma family's ``pass`` and ``witness``.
+
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ from splinegram.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
+VERDICTS = GOLDEN / "float_verdicts.json"
 INPUTS = ("partition.json",)
 SPECS = ("uniform:4", "random:8", "geometric:1/3:6")
 ORDERS = range(1, 6)
@@ -59,16 +65,17 @@ ARGVS = [
     ["gen", "--order", "3", "--spec", "explicit:missing.json"],
     ["verify", "--order", "3", "--spec", "uniform:4", "--trials", "3"],
 ]
+FLOAT_ARGVS = [["verify", "--order", str(k), "--spec", spec, "--mode", "float"]
+               for k in (2, 3) for spec in (*SPECS, "random:100")]
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def replay(argv) -> dict:
-    """The exit code, the sha256 of stdout and stderr and, when it writes
-    files, the sha256 of each, of one CLI run in a fresh temporary
-    directory."""
+def _run(argv):
+    """The exit code, stdout, stderr and the files written (name -> bytes)
+    of one CLI run in a fresh temporary directory."""
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name in INPUTS:
@@ -79,18 +86,38 @@ def replay(argv) -> dict:
                 code = main(list(argv))
         finally:
             os.chdir(cwd)
-        files = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(tmp).iterdir())
+        files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())
                  if p.name not in INPUTS}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def replay(argv) -> dict:
+    """The exit code, the sha256 of stdout and stderr and, when it writes
+    files, the sha256 of each, of one CLI run."""
+    code, out, err, files = _run(argv)
+    files = {name: _sha256(data) for name, data in files.items()}
     entry = {"argv": list(argv), "exit": code,
-             "stdout": _sha256(out.getvalue().encode()),
-             "stderr": _sha256(err.getvalue().encode())}
+             "stdout": _sha256(out.encode()),
+             "stderr": _sha256(err.encode())}
     if files:
         entry["files"] = files
     return entry
 
 
-def _entries():
-    return json.loads(MANIFEST.read_text())["commands"]
+def verdict(argv) -> dict:
+    """The exit code and, from the JSON report, ``passed``, ``certified``,
+    ``worst_entry`` and each lemma family's [name, pass, witness], of one
+    float ``verify`` run."""
+    code, out, _, _ = _run(argv)
+    report = json.loads(out)
+    return {"argv": list(argv), "exit": code, "passed": report["passed"],
+            "certified": report["certified"], "worst_entry": report["worst_entry"],
+            "lemmas": [[c["name"], c["pass"], c["witness"]]
+                       for c in report["lemma_checks"]]}
+
+
+def _entries(path=MANIFEST):
+    return json.loads(path.read_text())["commands"]
 
 
 def test_manifest_lists_every_command():
@@ -104,7 +131,20 @@ def test_golden_output(index):
     assert replay(entry["argv"]) == entry
 
 
+def test_verdicts_list_every_command():
+    assert [e["argv"] for e in _entries(VERDICTS)] == FLOAT_ARGVS
+
+
+@pytest.mark.parametrize("index", range(len(FLOAT_ARGVS)),
+                         ids=[" ".join(argv) for argv in FLOAT_ARGVS])
+def test_float_verdict(index):
+    entry = _entries(VERDICTS)[index]
+    assert verdict(entry["argv"]) == entry
+
+
 if __name__ == "__main__":
     MANIFEST.parent.mkdir(exist_ok=True)
-    MANIFEST.write_text(json.dumps({"commands": [replay(a) for a in ARGVS]},
-                                   indent=1) + "\n")
+    for path, record, argvs in ((MANIFEST, replay, ARGVS),
+                                (VERDICTS, verdict, FLOAT_ARGVS)):
+        commands = [record(argv) for argv in argvs]
+        path.write_text(json.dumps({"commands": commands}, indent=1) + "\n")

@@ -1,5 +1,5 @@
 """LDL^T + Takahashi inversion and leading-inverse history against the dense
-exact oracle of tests/oracles.py."""
+exact oracle and the row-by-row recurrence of tests/oracles.py."""
 
 import random
 from fractions import Fraction as F
@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import dense_inverse_oracle, to_dense
+from oracles import dense_inverse_oracle, invert_rowwise, to_dense
 from splinegram import (ArithmeticFailure, KnotSequence, SymBandedMatrix,
                         build_gram, check_checkerboard, history_to_json,
                         invert_iteratively, max_residual)
@@ -104,12 +104,14 @@ def test_zero_pivot_reports_its_step(scalar):
 @pytest.mark.filterwarnings("error")
 def test_float_overflow_reports_its_row():
     # the first pivot is subnormal and its reciprocal overflows float64:
-    # row 1 of B (and of the history) is the first non-finite one
-    A = build_gram(KnotSequence(3, [1e-310, 0.5]))
-    for keep_history in (False, True):
-        with pytest.raises(ArithmeticFailure) as err:
-            invert_iteratively(A, keep_history=keep_history)
-        assert err.value.step == 1
+    # row 1 of B (and of the history) is the first non-finite one, on the
+    # row steps of bandwidth 2 and on the product chains of bandwidth 1
+    for order in (3, 2):
+        A = build_gram(KnotSequence(order, [1e-310, 0.5]))
+        for keep_history in (False, True):
+            with pytest.raises(ArithmeticFailure) as err:
+                invert_iteratively(A, keep_history=keep_history)
+            assert err.value.step == 1
 
 
 def test_zero_corner_start_raises():
@@ -137,6 +139,65 @@ def test_history_columns_match_oracle_of_leading_submatrices():
                 oracle = dense_inverse_oracle([row[:n] for row in rows[:n]])
                 assert st.col_history[n - 1].tolist() == [row[n - 1] for row in oracle]
                 assert st.diag_history[n - 1] == oracle[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# Identity with the row-by-row recurrence
+
+
+def _same(x, y) -> bool:
+    """Equal Fractions in exact mode; in float mode equal bits, zeros
+    compared by value (a product chain and a matmul sum may give a zero
+    different signs)."""
+    if x.dtype == object:
+        return x.tolist() == y.tolist() and all(type(v) is F for v in x.ravel())
+    bits = x.view(np.int64) == y.view(np.int64)
+    return bool((bits | ((x == 0) & (y == 0))).all())
+
+
+def _assert_matches_rowwise(A):
+    for keep_history in (False, True):
+        st, ref = invert_iteratively(A, keep_history), invert_rowwise(A, keep_history)
+        assert st.B.dtype == ref.B.dtype and _same(st.B, ref.B)
+        if keep_history:
+            assert _same(st.diag_history, ref.diag_history)
+            assert len(st.col_history) == len(ref.col_history) == A.n
+            assert all(_same(c, r) for c, r in zip(st.col_history, ref.col_history))
+        else:
+            assert st.diag_history is st.col_history is None
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_matches_rowwise_oracle(order, mode):
+    # bandwidths 0..4 from the smallest m (no interior knot; its float
+    # bands are the exact ones rounded) up to m = 60 exact and 300 float,
+    # each size once more with one gap shrunk by 1e-4
+    rng = random.Random(40 + order)
+    exact = mode == "exact"
+    smallest = build_gram(KnotSequence(order, []))
+    if not exact:
+        smallest = SymBandedMatrix(order, order - 1,
+                                   [b.astype(float) for b in smallest.bands])
+    _assert_matches_rowwise(smallest)
+    sizes = (1, 2, 5, 20, 60 - order) if exact else (1, 2, 5, 40, 150, 300 - order)
+    if exact and order > 3:
+        sizes = sizes[:-1]  # rational bit growth: 3 s for m = 60 at order 5
+    for count in sizes:
+        ks = _random_exact(rng, order, count)
+        if not exact:
+            ks = KnotSequence(order, sorted(rng.random() for _ in range(count)))
+        for mesh in (ks, shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4)
+                                        if exact else 1e-4)):
+            _assert_matches_rowwise(build_gram(mesh))
+
+
+def test_square_overflow_in_the_factorization_matches_rowwise():
+    # l_{2,1} = 1e197 squares past float64: that factorization reruns on
+    # numpy scalars, and B = [[1e200, 0], [0, 0]] as before
+    A = SymBandedMatrix(2, 1, [[1e-200, 1.0], [1e-3]])
+    _assert_matches_rowwise(A)
+    assert invert_iteratively(A).B.tolist() == [[1e200, 0.0], [0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -586,12 +586,15 @@ def test_non_int_coefficients_and_inexact_points_are_rejected():
         for call in calls:
             with pytest.raises(InputError):
                 call()
-    # evaluation takes int or Fraction coordinates only
+    # evaluation takes int or Fraction coordinates only, not bools
     assert small((F(1, 2), 3, F(2))) == F(1, 2) - 12
-    for point in ((0.5, 0, 0), (F(1, 2), 1.0, 0), (1, 2, float("nan"))):
+    for point in ((0.5, 0, 0), (F(1, 2), 1.0, 0), (1, 2, float("nan")),
+                  (True, 0, 0), (1, 2, False)):
         for p in (a, small, MultiPoly.zero(3)):
             with pytest.raises(InputError):
                 p(point)
+    with pytest.raises(InputError):
+        MultiPoly.variable(1, 1)((True,))
 
 
 def test_array_form_keys_beyond_int64():

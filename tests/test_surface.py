@@ -29,7 +29,8 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
            "MinorReport", "DEFAULT_MINOR_BUDGET", "quadratic_cross_terms",
            "eval_quadratic_closed", "scalar_ratio", "gaps_for",
            "spot_check_exact", "eval_bspline", "nonneg_witness_sorted",
-           "phi_step_six_terms", "theta_product_left_to_right")
+           "phi_step_six_terms", "theta_product_left_to_right",
+           "invert_rowwise", "ldlt_rowwise")
 
 # per-entry copies of the array paths, wrappers, the per-order Gram builders,
 # and the Fraction-coefficient, per-polynomial field-width and wide-key
