@@ -14,8 +14,9 @@ option names; ``python -m json.tool FILE`` pretty-prints it.
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot, a float
 bracket product that underflows, a float inverse entry that overflows),
-3 bad input (including an unreadable partition file).  All output is deterministic for fixed arguments (seeded RNG,
-no timestamps).  ``main`` builds its argument parser on the first call and
+3 bad input (an unreadable partition file, an output file that cannot be
+written).  All output is deterministic for fixed arguments (seeded RNG, no
+timestamps).  ``main`` builds its argument parser on the first call and
 reuses it for every later call in the process.
 """
 
@@ -105,7 +106,7 @@ def _verify_one(ks: KnotSequence, slack: float):
     state = invert_iteratively(A, keep_history=battery)
     if battery:
         consts = decay_constants(ks.order)
-        report = decay_report(state.B, ks, slack=slack)
+        report = decay_report(state.B, ks, consts, slack=slack)
         report = attach_lemma_checks(report, verify_lemmas(ks, A, state, slack))
     else:
         consts = fit_decay_constants(state.B, ks)
@@ -261,6 +262,10 @@ def main(argv=None) -> int:
     except (ResourceBudgetError, ArithmeticFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:  # an output file that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

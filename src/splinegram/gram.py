@@ -18,17 +18,22 @@ of Fractions in exact mode, float64 in float mode) and ``ratio``, the one
 evaluation of a Gram entry; polycert instantiates the same formulas with
 gap-variable brackets and factored rational functions for the
 certificates.
+
+``gram_quadrature`` runs the same array passes in both modes: every point
+of every knot interval at once, through one Cox-de Boor triangle
+(``_bspline_pieces``) and one sum over the nodes per pair of splines;
+the mode chooses only its node table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import mul
 
 from .errors import ArithmeticFailure, InputError
-from .knots import KnotSequence, _nonzero_bsplines
+from .knots import KnotSequence
 from .scalars import format_scalars, scalar_type
 
 
@@ -76,14 +81,6 @@ class SymBandedMatrix:
         return self.bands[d][min(i, j) - 1]
 
 
-def _product(factors):
-    """The factors multiplied left to right."""
-    out = None
-    for f in factors:
-        out = f if out is None else out * f
-    return out
-
-
 def _divide(num, den):
     """num / den elementwise, for den an array or a nonzero int.  A zero
     denominator raises ArithmeticFailure with step its 1-based position
@@ -117,7 +114,7 @@ def ratio(num_factors, den_factors):
     live = True
     for f in num_factors:
         live = live & (f != 0)
-    num, den = _product(num_factors), _product(den_factors)
+    num, den = reduce(mul, num_factors), reduce(mul, den_factors)
     if live.all():
         return _divide(num, den)
     dead = np.flatnonzero(~live)
@@ -169,13 +166,6 @@ def quad_formula(br, ratio, i: int, d: int):
 # Quadrature
 
 
-def _gauss_nodes(k: int):
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(k)
-    return list(x), list(w)
-
-
 @cache
 def _newton_cotes_weights(npoints: int):
     """Exact closed Newton-Cotes weights on [0,1] for equally spaced nodes.
@@ -205,47 +195,66 @@ def _newton_cotes_weights(npoints: int):
     return tuple(nodes), tuple(weights)
 
 
-def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
-    """Gram matrix of any order by per-interval quadrature, in the scalar
-    mode of the knots.
+def _bspline_pieces(ks: KnotSequence, nodes):
+    """The order-k B-splines on every knot interval at once, each as its
+    polynomial piece there, at the points x = t_l + h_l * node.
 
-    Float knots: k-node Gauss-Legendre per knot interval (exact for degree
-    2k-1 >= 2k-2 up to rounding).  Exact knots: closed Newton-Cotes on 2k-1
-    rational nodes per interval, exact for the degree-(2k-2) integrand; valid
-    because order >= 2 splines are continuous (endpoint values are two-sided)
-    and the order-1 case uses the midpoint rule on each interval.
+    The intervals [t_l, t_{l+1}], k <= l <= m, are the nonempty ones, and
+    h_l = t_{l+1} - t_l.  ``nodes`` is a 1-D array on [0, 1] (endpoints
+    included) in the scalar type of the knots.  Returns (h, N), with
+    N[c, s, q] = N_{l-k+1+s,k}(t_l + h_l * nodes[q]) for l = k + c: one
+    Cox-de Boor triangle per point, built upward from N_{l,1} = 1.  Each
+    order-(r-1) spline N_p enters the order-r step divided by the length
+    t_{p+r-1} - t_p of its support, which contains [t_l, t_{l+1}] and so is
+    never zero.
     """
     import numpy as np
 
     k, m = ks.order, ks.m
-    ref_nodes, ref_weights = _newton_cotes_weights(2 * k - 1) if ks.exact else _gauss_nodes(k)
+    t = np.array(ks.knots)  # t[i - 1] = t_i
+    ls = np.arange(k, m + 1)[:, None]
+    h = t[ls] - t[ls - 1]
+    x = (t[ls - 1] + h * nodes)[:, None, :]
+    N = np.ones_like(x)
+    for r in range(2, k + 1):
+        p = ls + np.arange(2 - r, 1)  # N holds N_{p,r-1}, p = l-r+2 .. l
+        tp, tpr = t[p - 1][..., None], t[p + r - 2][..., None]
+        N = N / (tpr - tp)
+        zero = np.zeros_like(x)
+        N = (np.concatenate([(tpr - x) * N, zero], axis=1)
+             + np.concatenate([zero, (x - tp) * N], axis=1))
+    return h[:, 0], N
 
-    zero = ks.knot(1) * 0
-    acc = {}  # (i,j) i<=j -> accumulated integral
 
-    for l in range(k, m + 1):
-        a, b = ks.knot(l), ks.knot(l + 1)
-        h = b - a
-        if h == 0:
-            continue
-        active = [i for i in range(l - k + 1, l + 1) if 1 <= i <= m]
-        for node, weight in zip(ref_nodes, ref_weights):
-            if ks.exact:
-                x = a + h * node
-                w = h * weight
-            else:
-                x = (a + b) / 2 + h / 2 * node
-                w = h / 2 * weight
-            nonzero = _nonzero_bsplines(ks, k, x)
-            vals = [(i, nonzero.get(i, x * 0)) for i in active]
-            for (i, vi), (j, vj) in itertools.combinations_with_replacement(vals, 2):
-                key = (i, j) if i <= j else (j, i)
-                acc[key] = acc.get(key, zero) + w * vi * vj
+def gram_quadrature(ks: KnotSequence) -> SymBandedMatrix:
+    """Gram matrix of any order by per-interval quadrature, in the scalar
+    mode of the knots.
 
-    dtype = object if ks.exact else float
-    return SymBandedMatrix(m, k - 1, tuple(
-        np.array([acc.get((i, i + d), zero) for i in range(1, m - d + 1)], dtype)
-        for d in range(k)))
+    Every knot interval takes the same rule, mapped to [0, 1]: the point
+    t_l + h * node has weight h * w.  Float knots: k-node Gauss-Legendre
+    (exact for degree 2k-1 >= 2k-2 up to rounding).  Exact knots: closed
+    Newton-Cotes on 2k-1 rational nodes, exact for the degree-(2k-2)
+    integrand; the midpoint rule at order 1.  Gauss nodes are irrational,
+    and Newton-Cotes weights in float lose accuracy at high order (the sum
+    of their magnitudes is 3.06 at k = 6 and 175 at k = 10).  Each band
+    entry a_{i,i+d} sums, over the intervals where both splines live, the
+    weighted products of the pieces of ``_bspline_pieces``.
+    """
+    import numpy as np
+
+    k, m = ks.order, ks.m
+    if ks.exact:
+        nodes, weights = map(np.array, _newton_cotes_weights(2 * k - 1))
+    else:
+        x, w = np.polynomial.legendre.leggauss(k)
+        nodes, weights = (1 + x) / 2, w / 2
+    h, N = _bspline_pieces(ks, nodes)
+    WN = (h[:, None] * weights)[:, None, :] * N
+    bands = [np.zeros(m - d, N.dtype) for d in range(k)]
+    for s1 in range(k):  # interval l adds to a_{l-k+1+s1, l-k+1+s2}
+        for s2 in range(s1, k):
+            bands[s2 - s1][s1:s1 + m - k + 1] += (WN[:, s1] * N[:, s2]).sum(axis=1)
+    return SymBandedMatrix(m, k - 1, tuple(bands))
 
 
 def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:

@@ -1,4 +1,4 @@
-"""Knot sequences, bracket notation, and B-spline values.
+"""Knot sequences and bracket notation.
 
 A knot sequence of order ``k`` on [0,1] clamps both endpoints to multiplicity
 k: t_1 = ... = t_k = 0 and t_{m+1} = ... = t_{m+k} = 1, where
@@ -110,58 +110,6 @@ class KnotSequence:
         zero = self.knots[0] * 0
         one = self.knots[-1]
         return (zero,) + self.interior + (one,)
-
-
-def _interval_index(ks: KnotSequence, x):
-    """Largest j with t_j <= x < t_{j+1}; x = 1 belongs to [t_m, t_{m+1}).
-
-    Returns an index in [k, m] for x in [0,1] (the nonempty intervals).
-    """
-    k, m = ks.order, ks.m
-    if x < 0 or x > 1:
-        raise InputError(f"evaluation point {x!r} outside [0,1]")
-    if x == 1:
-        return m
-    # knots are sorted; scan the nonempty intervals [t_j, t_{j+1}), k <= j <= m
-    lo, hi = k, m
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ks.knot(mid) <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _nonzero_bsplines(ks: KnotSequence, ord: int, x) -> dict:
-    """{i: N_{i,ord}(x)} for every spline of order ``ord`` that is nonzero
-    at x in [0,1]: one de Boor triangle, built upward from the order-1
-    indicator of the interval that ``_interval_index`` locates.
-
-    Half-open-interval convention: right-continuous on [0,1), and at x = 1
-    the last spline evaluates to 1.  Recursion terms with zero-length knot
-    intervals contribute zero (no division is attempted)."""
-    j = _interval_index(ks, x)
-    zero = x * 0
-    cur = {j: zero + 1}
-    for r in range(2, ord + 1):
-        nxt = {}
-        for p in range(j - r + 1, j + 1):
-            left = cur.get(p, zero)
-            right = cur.get(p + 1, zero)
-            acc = zero
-            if left != 0:
-                den = ks.knot(p + r - 1) - ks.knot(p)
-                if den != 0:
-                    acc = acc + (x - ks.knot(p)) / den * left
-            if right != 0:
-                den = ks.knot(p + r) - ks.knot(p + 1)
-                if den != 0:
-                    acc = acc + (ks.knot(p + r) - x) / den * right
-            if acc != 0:
-                nxt[p] = acc
-        cur = nxt
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, ResourceBudgetError
 
@@ -691,16 +693,6 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def poly_product(factors) -> MultiPoly:
-    """Product of a nonempty iterable of MultiPolys."""
-    result = None
-    for f in factors:
-        result = f if result is None else result * f
-    if result is None:
-        raise InputError("poly_product of an empty sequence has unknown nvars")
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Rational functions with factored denominators
 
@@ -796,8 +788,8 @@ class FactoredRational:
         b = lcm(self.scalar.denominator, other.scalar.denominator)
         c1 = self.scalar.numerator * (b // self.scalar.denominator)
         c2 = other.scalar.numerator * (b // other.scalar.denominator)
-        n1 = self.num if not lift_self else self.num * poly_product(lift_self)
-        n2 = other.num if not lift_other else other.num * poly_product(lift_other)
+        n1 = self.num if not lift_self else self.num * reduce(mul, lift_self)
+        n2 = other.num if not lift_other else other.num * reduce(mul, lift_other)
         return FactoredRational(Fraction(1, b), c1 * n1 + c2 * n2, lcd)
 
     __radd__ = __add__

@@ -22,7 +22,7 @@ from splinegram.decay import minor_formula, phi_inv_formula
 from splinegram.errors import ArithmeticFailure, InputError, ResourceBudgetError
 from splinegram.gram import SymBandedMatrix, quad_formula, ratio
 from splinegram.invstep import GrowingInverse
-from splinegram.knots import KnotSequence, _interval_index, knots_to_json
+from splinegram.knots import KnotSequence, knots_to_json
 from splinegram.multipoly import FactoredRational
 from splinegram.polycert import GapBasis, _sym, sym_ratio
 
@@ -82,9 +82,32 @@ def quadratic_cross_terms(ks: KnotSequence, i: int):
     return first, second
 
 
+def interval_index(ks: KnotSequence, x):
+    """Largest j with t_j <= x < t_{j+1}; x = 1 belongs to [t_m, t_{m+1}).
+
+    Returns an index in [k, m] for x in [0,1] (the nonempty intervals), by
+    binary search: the oracles' own point locator (the package never
+    locates a point, since its quadrature works interval by interval).
+    """
+    k, m = ks.order, ks.m
+    if x < 0 or x > 1:
+        raise InputError(f"evaluation point {x!r} outside [0,1]")
+    if x == 1:
+        return m
+    lo, hi = k, m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if ks.knot(mid) <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
     """N_{i,ord}(x) by the Cox-de Boor recursion, one spline at a time
-    (the package's ``_nonzero_bsplines`` builds the whole triangle at once).
+    (the package's ``gram._bspline_pieces`` builds the triangles of every
+    knot interval at once).
 
     Half-open-interval convention: N_{j,1} is the indicator of the interval
     that contains x, x = 1 belonging to the last nonempty one, so the last
@@ -95,7 +118,7 @@ def eval_bspline(ks: KnotSequence, i: int, ord: int, x):
         raise InputError(f"spline index {i} outside [1,{ks.m}]")
     if not (1 <= ord <= ks.order):
         raise InputError(f"spline order {ord} outside [1,{ks.order}]")
-    j = _interval_index(ks, x)
+    j = interval_index(ks, x)
     t, zero = ks.knot, x * 0
 
     def N(p, r):
@@ -126,7 +149,7 @@ def eval_quadratic_closed(ks: KnotSequence, i: int, x):
         raise InputError("eval_quadratic_closed requires an order-3 sequence")
     if not (1 <= i <= ks.m):
         raise InputError(f"spline index {i} outside [1,{ks.m}]")
-    j = _interval_index(ks, x)
+    j = interval_index(ks, x)
     zero = x * 0
     t = ks.knot
     if j == i:

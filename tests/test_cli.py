@@ -9,7 +9,7 @@ import pytest
 from oracles import save_partition
 from splinegram import (InputError, KnotSequence, build_gram, invert_iteratively,
                         inverse_to_json, matrix_to_json)
-from splinegram import decay
+from splinegram import cli, decay
 from splinegram.cli import main
 
 UNIFORM = ["--order", "2", "--spec", "uniform:3"]
@@ -177,10 +177,12 @@ def test_verify_rejects_bad_slack(capsys):
 
 
 def test_verify_violation_exits_1(capsys, monkeypatch):
-    # constants 100 times too small make the full-decay family fail
+    # constants 100 times too small make the full-decay family fail; the
+    # CLI looks them up once and hands them to decay_report
     certified = decay.decay_constants
-    monkeypatch.setattr(decay, "decay_constants",
-                        lambda k: replace(certified(k), K=certified(k).K / 100))
+    for module in (decay, cli):
+        monkeypatch.setattr(module, "decay_constants",
+                            lambda k: replace(certified(k), K=certified(k).K / 100))
     code, obj = _run_json(capsys, ["verify", *UNIFORM, "--mode", "float"])
     assert code == 1
     assert obj["certified"] is True and obj["passed"] is False
@@ -363,6 +365,20 @@ def test_unreadable_partition_file_exits_3(capsys, tmp_path):
                                         "--spec", f"explicit:{path}"])
         assert (code, out) == (3, ""), path
         assert err.startswith("error: partition ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--order", "3", "--spec", "uniform:3", "--out"],
+    ["invert", "--order", "3", "--spec", "uniform:3", "--history"],
+    ["verify", "--order", "3", "--spec", "uniform:3", "--csv"],
+], ids=["gen-out", "invert-history", "verify-csv"])
+def test_unwritable_output_exits_3(capsys, tmp_path, argv):
+    # an output file in a missing directory is bad input, not a violation:
+    # exit 3 with one error line naming the path, and no traceback
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = _call(capsys, argv + [str(path)])
+    assert code == 3
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("error")

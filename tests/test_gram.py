@@ -226,6 +226,19 @@ def test_quadrature_order4_row_sums():
         assert abs(total - expected) <= 1e-14
 
 
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_quadrature_float_matches_exact_of_same_doubles(order):
+    # Gauss-Legendre on float knots against Newton-Cotes on the same
+    # doubles as Fractions (Fraction(float) is exact), with one gap of 2^-30
+    rng = random.Random(order)
+    interior = sorted({rng.random() for _ in range(12)} | {0.5, 0.5 + 2.0 ** -30})
+    Q = gram_quadrature(KnotSequence(order, interior))
+    X = gram_quadrature(KnotSequence(order, [F(x) for x in interior]))
+    scale = max(np.abs(b).max() for b in Q.bands)
+    for q, x in zip(Q.bands, X.bands):
+        assert np.abs(q - x.astype(float)).max() <= 1e-13 * scale
+
+
 def test_quadrature_order1_midpoint():
     # order 1: piecewise constants; Gram is diagonal with the gap lengths
     ks = KnotSequence(1, [F(1, 3)])

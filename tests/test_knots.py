@@ -4,12 +4,14 @@ import json
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from oracles import (bracket, eta, eval_bspline, eval_quadratic_closed,
                      save_partition)
 from splinegram import InputError, KnotSequence, gram_quadrature, knots_to_json
-from splinegram.knots import _nonzero_bsplines, knots_from_json, load_partition
+from splinegram.gram import _bspline_pieces
+from splinegram.knots import knots_from_json, load_partition
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +206,32 @@ def test_eval_at_right_endpoint():
     assert eval_bspline(ks, 1, 2, F(1)) == 0
 
 
-def test_nonzero_bsplines_match_recursion():
-    # the package's one-triangle evaluation, which gram_quadrature reads,
-    # against the spline-by-spline oracle, at every order and at the knots
-    for ks in (KnotSequence(4, [F(1, 7), F(2, 5), F(6, 7)]),
-               KnotSequence(3, [0.25, 0.5, 0.875])):
-        for x in [ks.knot(1) * 0 + F(j, 28) for j in range(29)]:
-            for ord in range(1, ks.order + 1):
-                nonzero = _nonzero_bsplines(ks, ord, x)
-                for i in range(1, ks.m + 1):
-                    assert nonzero.get(i, 0) == eval_bspline(ks, i, ord, x), (i, ord, x)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_bspline_pieces_match_recursion(order, exact):
+    # the package's triangles over every knot interval at once, which
+    # gram_quadrature reads, against the spline-by-spline oracle at both
+    # interval endpoints and inside
+    scalar = F if exact else float
+    ks = KnotSequence(order, [scalar(x) for x in (F(1, 7), F(2, 5), F(3, 7), F(6, 7))])
+    nodes = np.array([scalar(x) for x in (0, F(1, 5), F(1, 2), F(2, 3), 1)])
+    h, N = _bspline_pieces(ks, nodes)
+    assert N.shape == (ks.m - order + 1, order, len(nodes))
+    for c, ell in enumerate(range(order, ks.m + 1)):
+        for q, node in enumerate(nodes):
+            x = ks.knot(ell) + h[c] * node
+            for s in range(order):
+                i = ell - order + 1 + s
+                if order == 1 and node == 1:
+                    # the order-1 piece is 1 on the closed interval; the
+                    # half-open oracle moves t_{l+1} to the next interval
+                    expected = 1
+                else:
+                    expected = eval_bspline(ks, i, order, x)
+                if exact:
+                    assert N[c, s, q] == expected, (ell, i, node)
+                else:
+                    assert abs(N[c, s, q] - expected) <= 1e-14, (ell, i, node)
 
 
 # ---------------------------------------------------------------------------

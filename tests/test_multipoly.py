@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
 from splinegram import multipoly
-from splinegram.multipoly import _MAX_DEGREE, get_term_budget, poly_product
+from splinegram.multipoly import _MAX_DEGREE, get_term_budget
 from splinegram.polycert import GapBasis, _nonneg_witness, build_inequality
 
 NVARS = 3
@@ -260,13 +260,6 @@ def test_immutability_and_hashing():
 def test_mixed_nvars_rejected():
     with pytest.raises(InputError):
         _poly({(1, 0, 0): 1}) + MultiPoly(2, {(1, 0): 1})
-
-
-def test_poly_product():
-    x1, x2 = (MultiPoly.variable(2, i) for i in (1, 2))
-    assert poly_product([x1 + x2, x1 + x2]) == (x1 + x2) ** 2
-    with pytest.raises(InputError):
-        poly_product([])
 
 
 # ---------------------------------------------------------------------------
