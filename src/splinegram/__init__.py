@@ -10,10 +10,9 @@ constants, and machine-checks the symbolic nonnegativity certificates behind
 those constants with an exact sparse polynomial engine.
 """
 
-from .decay import (DecayConstants, DecayReport, LemmaCheck,
-                    attach_lemma_checks, decay_constants, decay_report,
-                    fit_decay_constants, report_csv_rows, report_to_json,
-                    verify_lemmas)
+from .decay import (DecayConstants, DecayReport, LemmaCheck, decay_constants,
+                    decay_report, fit_decay_constants, report_csv_rows,
+                    report_to_json, verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import SymBandedMatrix, build_gram, gram_quadrature, matrix_to_json
 from .invstep import (GrowingInverse, check_checkerboard, history_to_json,
@@ -33,8 +32,8 @@ __all__ = [
     "EXACT_SWEEP_MAX_M", "FactoredRational", "GapBasis", "GrowingInverse",
     "INEQUALITY_NAMES", "InputError", "KnotSequence", "LemmaCheck",
     "MultiPoly", "PartitionSpec", "ResourceBudgetError", "SweepConfig",
-    "SymBandedMatrix", "attach_lemma_checks", "build_gram",
-    "build_inequality", "certificate_to_json", "certify_inequality",
+    "SymBandedMatrix", "build_gram", "build_inequality",
+    "certificate_to_json", "certify_inequality",
     "certify_nonneg", "check_checkerboard", "decay_constants",
     "decay_report", "fit_decay_constants", "gram_quadrature",
     "history_to_json", "inverse_to_json", "invert_iteratively",

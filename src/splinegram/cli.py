@@ -9,7 +9,9 @@ Subcommands:
 
 Every subcommand writes one line of compact JSON (the json module's C
 encoder, default separators) to stdout or to the file its --out/--history
-option names; ``python -m json.tool FILE`` pretty-prints it.
+option names; ``python -m json.tool FILE`` pretty-prints it.  Every file a
+subcommand names (--out, --history, --csv) is opened before any work is
+done, so one that cannot be written exits 3 with nothing on stdout.
 
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot, a float
@@ -30,9 +32,8 @@ import math
 import random
 import sys
 
-from .decay import (attach_lemma_checks, decay_constants, decay_report,
-                    fit_decay_constants, report_csv_rows, report_to_json,
-                    verify_lemmas)
+from .decay import (decay_constants, decay_report, fit_decay_constants,
+                    report_csv_rows, report_to_json, verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import build_gram, matrix_to_json
 from .invstep import (check_checkerboard, history_to_json, inverse_to_json,
@@ -59,6 +60,16 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_outputs(args) -> None:
+    """Open every file that ``args`` names as --out, --history or --csv for
+    appending, which creates a missing one and changes no existing one, so
+    an output file that cannot be written raises OSError (exit 3) before
+    anything is written."""
+    for name in ("out", "history", "csv"):
+        if path := getattr(args, name, None):
+            open(path, "a").close()
+
+
 def _apply_mode(ks: KnotSequence, mode: str) -> KnotSequence:
     if mode == "float" and ks.exact:
         return KnotSequence(ks.order, tuple(float(x) for x in ks.interior))
@@ -75,11 +86,12 @@ def _partition_from_args(args) -> KnotSequence:
 
 
 def _resolve_slack(args) -> float:
-    if args.slack is not None:
-        if not (math.isfinite(args.slack) and args.slack >= 0):
-            raise InputError(f"--slack must be finite and >= 0, got {args.slack}")
-        return args.slack
-    return 0.0 if args.mode == "exact" else 1e-12
+    """--slack, default 1e-12; only float verdicts read it (exact values are
+    compared exactly in either case)."""
+    slack = 1e-12 if args.slack is None else args.slack
+    if not (math.isfinite(slack) and slack >= 0):
+        raise InputError(f"--slack must be finite and >= 0, got {slack}")
+    return slack
 
 
 def cmd_gram(args) -> int:
@@ -106,11 +118,10 @@ def _verify_one(ks: KnotSequence, slack: float):
     state = invert_iteratively(A, keep_history=battery)
     if battery:
         consts = decay_constants(ks.order)
-        report = decay_report(state.B, ks, consts, slack=slack)
-        report = attach_lemma_checks(report, verify_lemmas(ks, A, state, slack))
-    else:
-        consts = fit_decay_constants(state.B, ks)
-        report = decay_report(state.B, ks, consts=consts)
+        checks = verify_lemmas(ks, A, state, consts, slack)
+    else:  # fitted constants: no battery, and verdicts without slack
+        consts, checks, slack = fit_decay_constants(state.B, ks), (), 0.0
+    report = decay_report(state.B, ks, consts, slack, checks)
     board = check_checkerboard(state.B)[0] if state.B.dtype == object else None
     return report, board, state.B, consts
 
@@ -224,8 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"at {EXACT_SWEEP_MAX_M} (the JSON's max_m is the "
                         "size used)")
     p.add_argument("--slack", type=float, default=None,
-                   help="relative tolerance of float comparisons (default "
-                        "1e-12); exact mode compares exactly and ignores it")
+                   help="tolerance of the float verdicts at orders 2 and 3 "
+                        "(default 1e-12); exact mode compares exactly, and "
+                        "orders without certified constants ignore it")
     p.add_argument("--csv", default=None,
                    help="also write CSV: per-entry ratios for a single "
                         "--spec, per-trial summaries for a sweep")
@@ -255,6 +267,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check_outputs(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

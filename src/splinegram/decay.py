@@ -4,12 +4,18 @@ For orders k = 2 and k = 3 the inverse entries satisfy
 
     |b_{i,j}| <= K * gamma^{|i-j|} / eta_ij,
 
-with explicit rational constants: K = 36/5, gamma = 2/3 for k = 2, and
-K = C(1 + (16/13)C), C = 576/29, gamma = sqrt(87/100) for k = 3.  This module
-evaluates the closed-form bound functions (1/phi, 1/psi, M), verifies every
-intermediate inequality of the two proofs on concrete instances, and produces
-decay reports.  gamma is irrational for k = 3, so exact-mode comparisons use
-the squared form
+with explicit rational constants.  Each proof step's constant is written
+once, as a module constant: gamma^2 and the last-column constant at k = 2
+(GAMMA_SQ_2, LASTCOL_2); gamma^2, psi_a's 6/5, the chain bound 12 and the
+factor 16/13 at k = 3 (GAMMA_SQ_3, PSI_A_3, CHAIN_3, FULL_3).
+``decay_constants`` derives the rest from them: K = 4(1 + gamma^2/(1 -
+gamma^2)) at k = 2, and C = 12 (6/5)^2 / gamma^2, K = C(1 + (16/13)C) at
+k = 3; gamma is the float square root of gamma^2.  The lemma families and the
+certificates of polycert read the same constants.  This module evaluates the
+closed-form bound functions (1/phi, 1/psi, M), verifies every intermediate
+inequality of the two proofs on concrete instances, and produces decay
+reports.  gamma is irrational for k = 3, so exact-mode comparisons use the
+squared form
 
     x <= K gamma^d / eta   <=>   (x*eta)^2 * den(gamma^2)^d <= K^2 * num(gamma^2)^d,
 
@@ -27,10 +33,13 @@ full_decay lemma family), the last-column family, the empirical fit and the
 CSV rows only build its index vectors.
 
 The batteries only compute each lemma family's values and witnesses; one
-rule decides: exact values pass at value <= bound, floats at value <= bound
-+ slack.  The bound is 1 for a value lhs/rhs and 0 for the signed values of
-minor_nonneg and theta_hat_bound, whose worst_slack (1 - worst_ratio, as
-for every family) is thus no distance to their bound.
+rule, ``_lemma_check``, decides: exact values (dtype object) pass at value
+<= bound, floats at value <= bound + slack.  The bound is 1 for a value
+lhs/rhs and 0 for the signed values of minor_nonneg and theta_hat_bound,
+whose worst_slack (1 - worst_ratio, as for every family) is thus no
+distance to their bound.  ``verify_lemmas`` takes the caller's constants,
+and ``decay_report(..., lemma_checks=)`` puts its families in front of
+full_decay, so one set of constants builds a report.
 
 The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
 (``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over a bracket
@@ -46,7 +55,7 @@ gap-variable brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
@@ -75,23 +84,31 @@ class DecayConstants:
     provenance: str
 
 
+# The constants of the proofs' steps, each written once.  decay_constants
+# derives K, C and gamma from them; the lemma families and polycert's
+# certificates read them.
+GAMMA_SQ_2 = Fraction(4, 9)      # k = 2: gamma^2
+LASTCOL_2 = Fraction(4)          # k = 2: the last-column constant
+GAMMA_SQ_3 = Fraction(87, 100)   # k = 3: gamma^2, theta_consec's and theta_product's bound
+PSI_A_3 = Fraction(6, 5)         # k = 3: psi_n a_{n-1,n} <= (6/5)(20)_n/(30)_n
+CHAIN_3 = 12                     # k = 3: psi_n <= 12/(30)_n
+FULL_3 = Fraction(16, 13)        # k = 3: K = C(1 + (16/13)C), C the last-column constant
+
+
 def decay_constants(order: int) -> DecayConstants:
-    """Certified decay constants (orders 2 and 3 only)."""
+    """Certified decay constants (orders 2 and 3 only), derived from the
+    proof steps' constants; the provenance shows the derivation."""
     if order == 2:
-        return DecayConstants(
-            order=2, K=Fraction(36, 5), lastcol_K=Fraction(4),
-            gamma=2.0 / 3.0, gamma_sq=Fraction(4, 9), certified=True,
-            provenance="K = 36/5 = 4*(1 + (4/9)/(1 - 4/9)), gamma = 2/3, "
-                       "last-column constant 4")
-    if order == 3:
-        C = Fraction(576, 29)
-        C1 = C * (1 + Fraction(16, 13) * C)
-        return DecayConstants(
-            order=3, K=C1, lastcol_K=C,
-            gamma=math.sqrt(0.87), gamma_sq=Fraction(87, 100), certified=True,
-            provenance="gamma^2 = 87/100, C = 12*(6/5)^2/gamma^2 = 576/29, "
-                       "K = C*(1 + (16/13)*C) = 5525568/10933")
-    raise InputError(f"no certified decay constants for order {order}")
+        g, C = GAMMA_SQ_2, LASTCOL_2
+        K = C * (1 + g / (1 - g))
+        how = f"last-column constant {C}, K = {C}*(1 + gamma^2/(1 - gamma^2)) = {K}"
+    elif order == 3:
+        g, C = GAMMA_SQ_3, CHAIN_3 * PSI_A_3 ** 2 / GAMMA_SQ_3
+        K = C * (1 + FULL_3 * C)
+        how = f"C = {CHAIN_3}*({PSI_A_3})^2/gamma^2 = {C}, K = C*(1 + ({FULL_3})*C) = {K}"
+    else:
+        raise InputError(f"no certified decay constants for order {order}")
+    return DecayConstants(order, K, C, math.sqrt(float(g)), g, True, f"gamma^2 = {g}, {how}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +165,22 @@ class LemmaCheck:
     comparisons: int
 
 
-def _lemma_check(name, ratio, ok, witness, slack, bound=1) -> LemmaCheck:
-    """The verdict rule of every lemma family: the exact verdicts ok decide
-    when given, else each float value in ratio passes at ratio <= bound +
-    slack.  The witness, from a tuple of index columns, is the first maximal
-    ratio's; an empty family reads ratio 0.0 and witness None."""
+def _lemma_check(name, values, ok, witness, slack, bound=1) -> LemmaCheck:
+    """The verdict rule of every lemma family: the verdicts ok decide when
+    given; else exact values (dtype object) pass at value <= bound, compared
+    exactly, and float values at value <= bound + slack.  The witness, from
+    a tuple of index columns, is the first maximal value's; an empty family
+    reads ratio 0.0 and witness None."""
     import numpy as np
 
-    ratio = np.asarray(ratio, dtype=float)
-    if not len(ratio):
+    if not len(values):
         return LemmaCheck(name, True, 0.0, 1.0, None, 0)
+    if ok is None:
+        ok = values <= (bound if values.dtype == object else bound + slack)
+    ratio = np.asarray(values, dtype=float)
     at = int(np.argmax(ratio))
     worst = float(ratio[at])
-    passed = bool(np.all(ok if ok is not None else ratio <= bound + slack))
+    passed = bool(np.all(ok))
     return LemmaCheck(name, passed, worst, 1.0 - worst,
                       tuple(int(c[at]) for c in witness), len(ratio))
 
@@ -211,7 +231,7 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
       |e| <= 2u  gamma ** d from libm pow (accurate to one ulp);
       |e| <= 2u  float gamma against sqrt(gamma_sq), d times, checked as
                  |gamma^2 - gamma_sq| <= 4u gamma_sq (else nothing is
-                 filtered; 2/3 and sqrt(0.87) are within 1u in gamma^2).
+                 filtered; both certified gammas are within 1u in gamma^2).
     These bounds hold as all operands are normal, so
     L = |ln(ratio / r)| <= (8 + 2d) u / (1 - 2u) < (2m + 8) u, as d < m.
     ratio <= 1 - delta = 1 - (4m + 32) u then gives
@@ -308,11 +328,11 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
     -(phi_n M_n - theta_n)/(phi_n M_n) have bound 0:
       chain_b_le_phi    b_{n,n}^n <= phi_n
       chain_phi_le_psi  phi_n <= psi_n
-      chain_psi_le_12   psi_n <= 12/(30)_n
-      offdiag_pair      b_{n,n}^n a_{n-1,n} <= (6/5)(20)_n/(30)_n   (n >= 2)
+      chain_psi_le_12   psi_n <= CHAIN_3/(30)_n
+      offdiag_pair      b_{n,n}^n a_{n-1,n} <= PSI_A_3 (20)_n/(30)_n   (n >= 2)
       minor_nonneg      M_n >= 0                                    (n >= 3)
       theta_hat_bound   theta_n <= phi_n M_n                        (n >= 3)
-      theta_consec      theta_n theta_{n+1} <= (87/100) *
+      theta_consec      theta_n theta_{n+1} <= GAMMA_SQ_3 *
                         ((20)_n/(30)_n)((20)_{n+1}/(30)_{n+1})      (3 <= n < m)
     A 1/phi_n <= 0 at n >= 3 raises ArithmeticFailure at the first such n.
     """
@@ -327,11 +347,12 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
                                 context=phin_inv.tolist()[at])
     chain_phi = _select(b > 0, lambda at: b[at] * phin_inv[at])  # b/phi
     chain_psi = psin_inv / phin_inv  # phi/psi
-    chain_12 = br(3, 0, n) / (12 * psin_inv)  # psi*(30)/12
+    chain_12 = br(3, 0, n) / (CHAIN_3 * psin_inv)  # psi*(30)/12
 
     a = A.bands[1]  # a_{n-1,n} for n = 2..m
     n2, n3 = n[1:], n[2:]
-    pair = 5 * (b[1:] * a) * br(3, 0, n2) / (6 * br(2, 0, n2))
+    c = PSI_A_3
+    pair = c.denominator * (b[1:] * a) * br(3, 0, n2) / (c.numerator * br(2, 0, n2))
     Mn = minor_formula(br, ratio, n3, lambda i, d: A.bands[d][i - 1])
     theta = b[2:] * Mn
     minor = -Mn / a[1:]
@@ -339,8 +360,8 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
     diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
     hat = -diff / np.where(hat_val > 0, hat_val, 1)
     q = br(2, 0, n3) / br(3, 0, n3)
-    # the float of 87/100 in float mode, as Fraction * float computes
-    g = Fraction(87, 100) if q.dtype == object else float(Fraction(87, 100))
+    # the float of gamma^2 in float mode, as Fraction * float computes
+    g = GAMMA_SQ_3 if q.dtype == object else float(GAMMA_SQ_3)
     consec = theta[:-1] * theta[1:] / (g * q[:-1] * q[1:])
 
     return (("chain_b_le_phi", 1, n, chain_phi), ("chain_phi_le_psi", 1, n, chain_psi),
@@ -350,15 +371,15 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
 
 
 def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
-                  slack: float = 0.0) -> tuple:
+                  consts: DecayConstants, slack: float = 0.0) -> tuple:
     """Check the inequalities of the order-2 or order-3 decay proof on this
     instance: the Gram matrix A of ks and its inverse ``state`` (exact or
-    float per B's dtype).  First the order's own families, then
-    lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} / eta_jn
-    for all j <= n <= m, one kernel pass over the history columns (n outer,
-    j inner).  The proofs' last family, full_decay, comes from decay_report.
-    Exact values are compared with their family's bound here, float values
-    in _lemma_check."""
+    float per B's dtype), against the constants ``consts``.  First the
+    order's own families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K
+    gamma^{n-j} / eta_jn for all j <= n <= m, one kernel pass over the
+    history columns (n outer, j inner).  The proofs' last family,
+    full_decay, comes from decay_report, which takes these checks as its
+    ``lemma_checks``."""
     import numpy as np
 
     families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)
@@ -371,16 +392,14 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
                          f"does not match m = {ks.m} and order {ks.order}")
     if state.n != ks.m:
         raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
-    consts = decay_constants(ks.order)
-    exact = state.B.dtype == object
-    checks = []
-    for name, bound, n, values in families(ks, A, state.diag_history):
-        ok = values <= bound if exact else None
-        checks.append(_lemma_check(name, values, ok, (n,), slack, bound))
+    if consts.order != ks.order:
+        raise InputError(f"constants for order {consts.order} used with order {ks.order}")
+    checks = [_lemma_check(name, values, None, (n,), slack, bound)
+              for name, bound, n, values in families(ks, A, state.diag_history)]
     hi, lo = np.tril_indices(ks.m)
     x = np.concatenate(state.col_history)
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
-                                    consts.gamma_sq if exact else None)
+                                    consts.gamma_sq if x.dtype == object else None)
     checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))
     return tuple(checks)
 
@@ -405,7 +424,7 @@ class DecayReport:
 
 
 def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
-                 slack: float = 0.0) -> DecayReport:
+                 slack: float = 0.0, lemma_checks: tuple = ()) -> DecayReport:
     """Evaluate |b_ij| * eta_ij / (K gamma^|i-j|) over the full inverse.
 
     B is the dense m x m inverse (rows of exact scalars, or a numpy array).
@@ -415,7 +434,10 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     its float ratio only below 1 - (2m + 16) 2^-52, a margin that covers the
     ratio's rounding errors, and every other entry gets the exact squared
     comparison.  The reported ratios are floats either way.  Certified
-    constants also carry this pass as the ``full_decay`` lemma family.
+    constants also carry this pass as the ``full_decay`` lemma family, after
+    ``lemma_checks`` (a battery's families, from verify_lemmas with the same
+    constants); the report passes when full_decay and every one of them
+    pass.
     """
     import numpy as np
 
@@ -436,8 +458,9 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
                                     consts.gamma_sq if exact_verdicts else None)
     full = _lemma_check("full_decay", ratio, ok, (lo + 1, hi + 1), slack)
     return DecayReport(ks.order, m, consts.K, consts.gamma_sq, full.worst_ratio,
-                       full.witness, full.passed, consts.certified,
-                       (full,) if consts.certified else ())
+                       full.witness, full.passed and all(c.passed for c in lemma_checks),
+                       consts.certified,
+                       lemma_checks + ((full,) if consts.certified else ()))
 
 
 def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:
@@ -464,13 +487,6 @@ def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:
     return DecayConstants(order=ks.order, K=K, lastcol_K=K, gamma=gamma,
                           gamma_sq=gamma * gamma, certified=False,
                           provenance=f"least-squares fit over {len(ds)} diagonals")
-
-
-def attach_lemma_checks(report: DecayReport, checks) -> DecayReport:
-    """Put a battery's families in front of the report's own (full_decay)."""
-    checks = tuple(checks)
-    return replace(report, lemma_checks=checks + report.lemma_checks,
-                   passed=report.passed and all(c.passed for c in checks))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,14 @@ t_{a+r-1}, and every knot bracket becomes the linear form
 
     (l e)_{a+p} = x_{p+e+1} + ... + x_{p+l}.
 
-The Gram entries and bound functions are not restated here.  The builders
-evaluate the formulas written once in gram (``quad_formula``) and decay
-(``phi_inv_formula``, ``psi_inv_formula``, ``minor_formula``) over
-``GapBasis.bracket``, with a ratio combinator that keeps integer constants in
-the scalar and bracket factors in the factored denominator.  A certificate
-is thus about the same functions that the numeric lemma checks evaluate.
+The Gram entries, the bound functions and the proofs' constants are not
+restated here.  The builders evaluate the formulas written once in gram
+(``quad_formula``) and decay (``phi_inv_formula``, ``psi_inv_formula``,
+``minor_formula``) over ``GapBasis.bracket``, with a ratio combinator that
+keeps integer constants in the scalar and bracket factors in the factored
+denominator, and read decay's ``PSI_A_3`` and ``GAMMA_SQ_3``.  A certificate
+is thus about the same functions and constants that the numeric lemma
+checks evaluate.
 
 Certified inequalities (public names):
 
@@ -42,10 +44,11 @@ substitution enlarges theta_s = b_{s,s}^s M_s only when M_s >= 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
+from . import decay
 from .decay import minor_formula, phi_inv_formula, psi_inv_formula
 from .errors import ArithmeticFailure, InputError
 from .gram import quad_formula
@@ -209,11 +212,12 @@ def _build_tp_minor() -> FactoredRational:
 
 
 def _build_psi_a() -> FactoredRational:
-    """(6/5)(20)_n/(30)_n - psi_n a_{n-1,n}; gaps anchored at n-1."""
+    """(6/5)(20)_n/(30)_n - psi_n a_{n-1,n} (6/5 is decay.PSI_A_3); gaps
+    anchored at n-1."""
     basis = GapBasis(4)
     t20 = basis.bracket(2, 0, 1)
     t30 = basis.bracket(3, 0, 1)
-    lead = sym_ratio((6, t20), (5, t30))
+    lead = sym_ratio((decay.PSI_A_3.numerator, t20), (decay.PSI_A_3.denominator, t30))
     p = lead - _sym(quad_formula, basis)(0, 1) / _sym(psi_inv_formula, basis)(1)
     expected = {basis.bracket(2, 0, 0): 1, t20: 1, basis.bracket(4, 2, 0): 1,
                 t30: 1, basis.linear_form({2: 4, 3: 3, 4: 6}): 1}
@@ -267,8 +271,9 @@ def _build_phi_step() -> FactoredRational:
 
 
 def _build_theta_product() -> FactoredRational:
-    """87/100 - ((30)_n/(20)_n)((30)_{n+1}/(20)_{n+1}) th_n th_{n+1},
-    th_s = phi_s M_s; gaps anchored at n-2.
+    """gamma^2 - ((30)_n/(20)_n)((30)_{n+1}/(20)_{n+1}) th_n th_{n+1},
+    th_s = phi_s M_s, gamma^2 = decay.GAMMA_SQ_3 = 87/100; gaps anchored at
+    n-2.
 
     phi_s = 1/phi_inv brings the (all-nonnegative) numerator polynomial of
     phi_inv into the denominator, and M_s divides by a_{s-2,s-1}; both are
@@ -281,7 +286,7 @@ def _build_theta_product() -> FactoredRational:
     th_n, th_n1 = M(2) / phi_inv(2), M(3) / phi_inv(3)
     br = basis.bracket
     lead = sym_ratio((br(3, 0, 2), br(3, 0, 3)), (br(2, 0, 2), br(2, 0, 3)))
-    return FactoredRational.from_scalar(6, Fraction(87, 100)) - lead * (th_n * th_n1)
+    return FactoredRational.from_scalar(6, decay.GAMMA_SQ_3) - lead * (th_n * th_n1)
 
 
 _BUILDERS = {
@@ -314,19 +319,13 @@ def certify_inequality(name: str) -> Certificate:
     in ``prerequisites``): the minor's nonnegativity is what makes the
     phi-for-b substitution inside theta sound.
     """
-    prereqs = ()
-    if name == "theta_product":
-        minor_cert = certify_inequality("tp_minor")
-        prereqs = (minor_cert,)
-        if not minor_cert.success:
-            return Certificate(name, False, 0, 0, -1, minor_cert.witness,
-                               where="prerequisite", prerequisites=prereqs)
-    cert = certify_nonneg(build_inequality(name), name)
-    if prereqs:
-        cert = Certificate(cert.name, cert.success, cert.den_terms,
-                           cert.num_terms, cert.max_total_degree,
-                           cert.witness, cert.where, prereqs)
-    return cert
+    if name != "theta_product":
+        return certify_nonneg(build_inequality(name), name)
+    minor = certify_inequality("tp_minor")
+    if not minor.success:
+        return Certificate(name, False, 0, 0, -1, minor.witness,
+                           where="prerequisite", prerequisites=(minor,))
+    return replace(certify_nonneg(build_inequality(name), name), prerequisites=(minor,))
 
 
 def spot_check(fr: FactoredRational, npoints: int, seed: int) -> int:

@@ -13,12 +13,11 @@ from fractions import Fraction as F
 
 from oracles import (bracket, check_total_positivity, dense_inverse_oracle,
                      eta, quadratic_cross_terms)
-from splinegram import (GapBasis, KnotSequence,
-                        SweepConfig, attach_lemma_checks, build_gram,
+from splinegram import (GapBasis, KnotSequence, SweepConfig, build_gram,
                         build_inequality, certify_inequality,
-                        check_checkerboard, decay_report, gram_quadrature,
-                        invert_iteratively, spot_check, sweep_partitions,
-                        verify_lemmas)
+                        check_checkerboard, decay_constants, decay_report,
+                        gram_quadrature, invert_iteratively, spot_check,
+                        sweep_partitions, verify_lemmas)
 from splinegram.multipoly import get_term_budget
 from splinegram.partitions import random_interior
 from splinegram.polycert import INEQUALITY_NAMES
@@ -193,9 +192,9 @@ def _run_battery(order, check_names, float_trials, exact_trials):
         for ks in sweep_partitions(cfg):
             A = build_gram(ks)
             state = invert_iteratively(A, keep_history=True)
-            report = decay_report(state.B, ks, slack=slack)
-            report = attach_lemma_checks(report,
-                                         verify_lemmas(ks, A, state, slack))
+            consts = decay_constants(ks.order)
+            report = decay_report(state.B, ks, consts, slack,
+                                  verify_lemmas(ks, A, state, consts, slack))
             assert report.certified and report.passed
             names = set()
             for check in report.lemma_checks:

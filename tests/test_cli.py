@@ -150,10 +150,11 @@ def test_verify_evaluates_the_gram_bands_once(capsys, monkeypatch, mode):
 def test_verify_lemmas_rejects_a_gram_matrix_of_another_partition():
     ks, other = KnotSequence(3, [F(1, 2)]), KnotSequence(3, [F(1, 3), F(1, 2)])
     state = invert_iteratively(build_gram(ks), keep_history=True)
+    consts = decay.decay_constants(3)
     for A in (build_gram(other), build_gram(KnotSequence(2, [F(1, 2), F(3, 4)]))):
         with pytest.raises(InputError):
-            decay.verify_lemmas(ks, A, state)
-    assert decay.verify_lemmas(ks, build_gram(ks), state)
+            decay.verify_lemmas(ks, A, state, consts)
+    assert decay.verify_lemmas(ks, build_gram(ks), state, consts)
 
 
 def test_verify_csv(capsys, tmp_path):
@@ -178,11 +179,10 @@ def test_verify_rejects_bad_slack(capsys):
 
 def test_verify_violation_exits_1(capsys, monkeypatch):
     # constants 100 times too small make the full-decay family fail; the
-    # CLI looks them up once and hands them to decay_report
+    # CLI looks them up once and hands them to the battery and the report
     certified = decay.decay_constants
-    for module in (decay, cli):
-        monkeypatch.setattr(module, "decay_constants",
-                            lambda k: replace(certified(k), K=certified(k).K / 100))
+    monkeypatch.setattr(cli, "decay_constants",
+                        lambda k: replace(certified(k), K=certified(k).K / 100))
     code, obj = _run_json(capsys, ["verify", *UNIFORM, "--mode", "float"])
     assert code == 1
     assert obj["certified"] is True and obj["passed"] is False
@@ -371,14 +371,27 @@ def test_unreadable_partition_file_exits_3(capsys, tmp_path):
     ["gen", "--order", "3", "--spec", "uniform:3", "--out"],
     ["invert", "--order", "3", "--spec", "uniform:3", "--history"],
     ["verify", "--order", "3", "--spec", "uniform:3", "--csv"],
-], ids=["gen-out", "invert-history", "verify-csv"])
+    ["verify", "--order", "2", "--trials", "2", "--csv"],
+    ["certify", "psi_from_phi", "--out"],
+], ids=["gen-out", "invert-history", "verify-csv", "sweep-csv", "certify-out"])
 def test_unwritable_output_exits_3(capsys, tmp_path, argv):
     # an output file in a missing directory is bad input, not a violation:
-    # exit 3 with one error line naming the path, and no traceback
+    # exit 3 with one error line naming the path, and no traceback; every
+    # file is opened before anything is written, so stdout stays empty
     path = tmp_path / "missing" / "x.json"
-    code, _, err = _call(capsys, argv + [str(path)])
-    assert code == 3
+    code, out, err = _call(capsys, argv + [str(path)])
+    assert (code, out) == (3, "")
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_failed_run_keeps_an_existing_output(capsys, tmp_path):
+    # the named files are opened for appending before the run, so a run that
+    # then fails (here on a missing partition file) changes no existing one
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    code, stdout, _ = _call(capsys, ["gen", "--order", "3", "--out", str(out),
+                                     "--spec", f"explicit:{tmp_path / 'missing.json'}"])
+    assert (code, stdout, out.read_text()) == (3, "", "kept\n")
 
 
 @pytest.mark.filterwarnings("error")

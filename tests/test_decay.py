@@ -12,8 +12,8 @@ from oracles import array_at, bracket, eta
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         decay_report, fit_decay_constants, invert_iteratively,
                         report_csv_rows, report_to_json, verify_lemmas)
-from splinegram.decay import (_decay_kernel, attach_lemma_checks,
-                              minor_formula, phi_inv_formula, psi_inv_formula)
+from splinegram.decay import (_decay_kernel, minor_formula, phi_inv_formula,
+                              psi_inv_formula)
 from splinegram.gram import ratio
 from splinegram.partitions import shrink_one_gap
 
@@ -26,6 +26,15 @@ def _random_exact(rng, order, count):
 
 def _inverted(ks, history=True):
     return invert_iteratively(build_gram(ks), keep_history=history)
+
+
+def _lemmas(ks, st, slack=0.0):
+    return verify_lemmas(ks, build_gram(ks), st, decay_constants(ks.order), slack)
+
+
+def _full_report(ks, st):
+    """The report with the battery in front of full_decay, as verify builds it."""
+    return decay_report(st.B, ks, lemma_checks=_lemmas(ks, st))
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +53,30 @@ def test_constants_order3():
     # K = C (1 + (16/13) C) with C = 576/29
     assert c.K == F(576, 29) * (1 + F(16, 13) * F(576, 29)) == F(5525568, 10933)
     assert c.gamma_sq == F(87, 100) and c.certified
+
+
+def test_gamma_sq_has_one_source(monkeypatch):
+    # gamma^2 of order 3 is written once: the derived K and C, the
+    # theta_consec family and the theta_product certificate all follow it
+    from splinegram import build_inequality, decay
+    ks = KnotSequence(3, [F(1, 7), F(1, 3), F(2, 5), F(1, 2), F(4, 5)])
+    st = _inverted(ks)
+    point = tuple(F(r, 7) for r in range(1, 7))
+
+    def read():
+        families = decay._quadratic_families(ks, build_gram(ks), st.diag_history)
+        consec = {name: values for name, _, _, values in families}["theta_consec"]
+        fr = build_inequality("theta_product")
+        return decay_constants(3), consec, fr.scalar, fr(point)
+
+    c, consec, scalar, value = read()
+    monkeypatch.setattr(decay, "GAMMA_SQ_3", F(9, 10))
+    c9, consec9, scalar9, value9 = read()
+    C9 = 12 * F(6, 5) ** 2 / F(9, 10)
+    assert (c9.lastcol_K, c9.K, c9.gamma_sq) == (C9, C9 * (1 + F(16, 13) * C9), F(9, 10))
+    assert c9.gamma == 0.9 ** 0.5 and (c9.K, c9.lastcol_K) != (c.K, c.lastcol_K)
+    assert len(consec) == ks.m - 3 and list(consec9 * F(9, 10)) == list(consec * F(87, 100))
+    assert scalar9 != scalar and value9 - value == F(9, 10) - F(87, 100)
 
 
 def test_constants_unknown_order():
@@ -108,8 +141,7 @@ def test_linear_battery_exact():
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         st = _inverted(ks)
-        checks = attach_lemma_checks(decay_report(st.B, ks),
-                                     verify_lemmas(ks, build_gram(ks), st)).lemma_checks
+        checks = _full_report(ks, st).lemma_checks
         assert [c.name for c in checks] == [
             "sandwich_lower", "sandwich_middle", "sandwich_outer",
             "lastcol_decay", "full_decay"]
@@ -121,7 +153,7 @@ def test_linear_battery_equality_at_first_index():
     ks = KnotSequence(2, [F(1, 3), F(2, 3)])
     st = _inverted(ks)
     assert st.diag_history[0] == 3 / bracket(ks, 2, 0, 1)
-    lower = verify_lemmas(ks, build_gram(ks), st)[0]
+    lower = _lemmas(ks, st)[0]
     assert lower.worst_ratio == 1.0 and lower.witness == (1,)
 
 
@@ -132,8 +164,7 @@ def test_quadratic_battery_exact():
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         st = _inverted(ks)
-        checks = attach_lemma_checks(decay_report(st.B, ks),
-                                     verify_lemmas(ks, build_gram(ks), st)).lemma_checks
+        checks = _full_report(ks, st).lemma_checks
         assert [c.name for c in checks] == [
             "chain_b_le_phi", "chain_phi_le_psi", "chain_psi_le_12",
             "offdiag_pair", "minor_nonneg", "theta_hat_bound",
@@ -148,7 +179,7 @@ def test_battery_float_with_slack():
             count = rng.randint(2, 30)
             pts = sorted(rng.random() for _ in range(count))
             ks = KnotSequence(order, pts)
-            checks = verify_lemmas(ks, build_gram(ks), _inverted(ks), slack=1e-12)
+            checks = _lemmas(ks, _inverted(ks), 1e-12)
             assert all(c.passed for c in checks), (order, count)
 
 
@@ -164,8 +195,8 @@ def test_negative_minor_fails_in_both_modes(monkeypatch):
         if rng.random() < 0.5:
             ks = shrink_one_gap(ks, rng.randrange(len(ks.interior) + 1), F(1, 10 ** 4))
         fks = KnotSequence(3, [float(t) for t in ks.interior])
-        exact = verify_lemmas(ks, build_gram(ks), _inverted(ks))
-        floats = verify_lemmas(fks, build_gram(fks), _inverted(fks), slack=1e-12)
+        exact = _lemmas(ks, _inverted(ks))
+        floats = _lemmas(fks, _inverted(fks), 1e-12)
         assert [c.name for c in exact] == [c.name for c in floats]
         for e, f in zip(exact, floats):
             if e.name in ("minor_nonneg", "theta_hat_bound"):
@@ -174,13 +205,29 @@ def test_negative_minor_fails_in_both_modes(monkeypatch):
                 assert e.passed == f.passed, e.name
 
 
+def test_lemma_check_compares_exact_values_exactly():
+    # values just past their bound round onto it as floats: the exact
+    # values (dtype object) fail, and only their float copies pass
+    from splinegram.decay import _lemma_check
+    n = np.arange(1, 3)
+    over = np.array([F(1, 2), 1 + F(1, 10 ** 30)], dtype=object)
+    check = _lemma_check("ratio", over, None, (n,), 0.0)
+    assert (check.passed, check.worst_ratio, check.witness) == (False, 1.0, (2,))
+    assert _lemma_check("ratio", over.astype(float), None, (n,), 0.0).passed
+    signed = np.array([F(-1), F(1, 10 ** 400)], dtype=object)  # bound 0
+    assert not _lemma_check("sign", signed, None, (n,), 0.0, 0).passed
+    assert _lemma_check("sign", signed.astype(float), None, (n,), 0.0, 0).passed
+
+
 def test_battery_requires_history():
     ks = KnotSequence(2, [F(1, 2)])
     with pytest.raises(InputError):
-        verify_lemmas(ks, build_gram(ks), _inverted(ks, history=False))
+        _lemmas(ks, _inverted(ks, history=False))
     with pytest.raises(InputError):
         k4 = KnotSequence(4, [F(1, 2)])
-        verify_lemmas(k4, build_gram(k4), _inverted(k4))
+        verify_lemmas(k4, build_gram(k4), _inverted(k4), decay_constants(3))
+    with pytest.raises(InputError):  # constants of another order
+        verify_lemmas(ks, build_gram(ks), _inverted(ks), decay_constants(3))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +247,7 @@ def test_report_bernstein_linear():
 def test_report_json_shape():
     ks = KnotSequence(3, [F(1, 4), F(1, 2), F(3, 4)])
     st = _inverted(ks)
-    report = attach_lemma_checks(decay_report(st.B, ks),
-                                 verify_lemmas(ks, build_gram(ks), st))
+    report = _full_report(ks, st)
     obj = report_to_json(report)
     assert set(obj) == {"k", "m", "K", "gamma_sq", "certified", "passed",
                         "worst_ratio", "worst_entry", "lemma_checks"}
@@ -213,15 +259,21 @@ def test_report_json_shape():
     assert all(c["pass"] for c in obj["lemma_checks"])
 
 
-def test_attach_lemma_checks_combines_pass():
+def test_report_combines_lemma_checks():
+    # the battery goes in front of full_decay, and every family must pass
     ks = KnotSequence(2, [F(1, 2)])
     st = _inverted(ks)
     report = decay_report(st.B, ks)
     own = report.lemma_checks  # the report's own full_decay family
-    assert attach_lemma_checks(report, own).passed == report.passed
+    combined = decay_report(st.B, ks, lemma_checks=own)
+    assert combined.passed == report.passed
+    assert combined.lemma_checks == own + own
     from splinegram import LemmaCheck
     bad = LemmaCheck("synthetic", False, 2.0, -1.0, (1,), 1)
-    assert not attach_lemma_checks(report, (bad,)).passed
+    failed = decay_report(st.B, ks, lemma_checks=(bad,))
+    assert not failed.passed and failed.lemma_checks == (bad, *own)
+    assert (failed.worst_ratio, failed.worst_entry) == (report.worst_ratio,
+                                                        report.worst_entry)
 
 
 def test_csv_rows():
@@ -314,8 +366,7 @@ def test_kernel_families_match_per_entry_loop():
             if not exact:
                 ks = KnotSequence(order, [float(t) for t in ks.interior])
             st, c, m = _inverted(ks), decay_constants(order), ks.m
-            report = attach_lemma_checks(decay_report(st.B, ks),
-                                         verify_lemmas(ks, build_gram(ks), st))
+            report = _full_report(ks, st)
             checks = {check.name: check for check in report.lemma_checks}
             upper = [((i, j), st.B[i - 1][j - 1])
                      for i in range(1, m + 1) for j in range(i, m + 1)]

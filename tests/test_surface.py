@@ -14,8 +14,8 @@ PUBLIC = [
     "EXACT_SWEEP_MAX_M", "FactoredRational", "GapBasis", "GrowingInverse",
     "INEQUALITY_NAMES", "InputError", "KnotSequence", "LemmaCheck",
     "MultiPoly", "PartitionSpec", "ResourceBudgetError", "SweepConfig",
-    "SymBandedMatrix", "attach_lemma_checks", "build_gram",
-    "build_inequality", "certificate_to_json", "certify_inequality",
+    "SymBandedMatrix", "build_gram", "build_inequality",
+    "certificate_to_json", "certify_inequality",
     "certify_nonneg", "check_checkerboard", "decay_constants",
     "decay_report", "fit_decay_constants", "gram_quadrature",
     "history_to_json", "inverse_to_json", "invert_iteratively",
@@ -34,13 +34,15 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
 
 # per-entry copies of the array paths, wrappers, the per-order Gram builders,
 # and the Fraction-coefficient, per-polynomial field-width and wide-key
-# helpers of the polynomial engine that were deleted
+# helpers of the polynomial engine, and the report's lemma merger, that were
+# deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "minor_adjusted_factor", "matrix_from_json", "bspline_l1",
            "build_knots", "save_partition", "is_exact", "_is_float_partition",
            "_tidy", "_all_int", "_norm_coeff", "_MIN_BITS", "_bits_for",
            "_repack", "_repack_keys", "_keys_fit", "gram_linear",
-           "gram_quadratic", "_quad_bands", "_banded", "_indices", "_NC_CACHE")
+           "gram_quadratic", "_quad_bands", "_banded", "_indices", "_NC_CACHE",
+           "attach_lemma_checks")
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps", "bracket", "eta"),
