@@ -11,7 +11,8 @@ Every subcommand writes one line of compact JSON (the json module's C
 encoder, default separators) to stdout or to the file its --out/--history
 option names; ``python -m json.tool FILE`` pretty-prints it.  Every file a
 subcommand names (--out, --history, --csv) is opened before any work is
-done, so one that cannot be written exits 3 with nothing on stdout.
+done, so one that cannot be written, or two options that name one file,
+exit 3 with nothing on stdout.
 
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot, a float
@@ -29,6 +30,7 @@ import csv
 import functools
 import json
 import math
+import os
 import random
 import sys
 
@@ -64,10 +66,16 @@ def _check_outputs(args) -> None:
     """Open every file that ``args`` names as --out, --history or --csv for
     appending, which creates a missing one and changes no existing one, so
     an output file that cannot be written raises OSError (exit 3) before
-    anything is written."""
+    anything is written.  Two options that name one file (after resolving
+    links), of which the later write would replace the earlier, raise
+    InputError before any file is opened."""
+    named = {}
     for name in ("out", "history", "csv"):
         if path := getattr(args, name, None):
-            open(path, "a").close()
+            if (first := named.setdefault(os.path.realpath(path), name)) != name:
+                raise InputError(f"--{first} and --{name} name one file: {path}")
+    for name in named.values():
+        open(getattr(args, name), "a").close()
 
 
 def _apply_mode(ks: KnotSequence, mode: str) -> KnotSequence:

@@ -15,18 +15,25 @@ upper triangular where B is symmetric; its column n, cut to length n, is
 the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
 recurrence O(m^2 w).
 
-Two paths evaluate the recurrence.  At bandwidth 1 (order 2; bandwidth 0
-goes the same way with l = 0) the inverse of a tridiagonal matrix has the
-product form b_{i,j} = u_i v_j (Gantmacher and Krein), and the recurrence
-is a product chain up each column: b_{i,j} = (-l_{i+1,i}) b_{i+1,j} above
-the diagonal, after the diagonal's scalar recurrence b_{i,i} = 1/d_i +
-(-l_{i+1,i}) ((-l_{i+1,i}) b_{i+1,i+1}); one ``multiply.accumulate`` per
-matrix builds every column of B and of Y with no Python loop.  At bandwidth
-w >= 2 one row step computes row i of B and of Y together, by one matmul
-over the two stacked, and mirrors B's row into its column.  Each entry is
-the same operations in the same order as the plain row-by-row recurrence,
-so both paths give its B and history bit for bit (a zero may differ in
-sign).
+Three paths evaluate the recurrence, chosen by bandwidth and scalar mode.
+At bandwidth 1 (order 2; bandwidth 0 goes the same way with l = 0), in
+both modes, the inverse of a tridiagonal matrix has the product form
+b_{i,j} = u_i v_j (Gantmacher and Krein), and the recurrence is a product
+chain up each column: b_{i,j} = (-l_{i+1,i}) b_{i+1,j} above the diagonal,
+after the diagonal's scalar recurrence b_{i,i} = 1/d_i + (-l_{i+1,i})
+((-l_{i+1,i}) b_{i+1,i+1}); one ``multiply.accumulate`` per matrix builds
+every column of B and of Y with no Python loop.  At bandwidth w >= 2 one
+row step computes row i of B and of Y together, by one matmul over the two
+stacked, and mirrors B's row into its column.  In float mode each entry of
+both paths is the same operations in the same order as the plain
+row-by-row recurrence, so they give its B and history bit for bit (a zero
+may differ in sign).  In exact mode at w >= 2 the row steps run over
+integer numerators instead of Fractions: by Cramer's rule B's entries
+share a denominator, and so do those of each column of Y (the last column
+of some A_n^{-1}).  Each row step is then an integer matmul and one exact
+division per entry, a denominator grows only where a division demands it,
+and each stored entry becomes one canonical Fraction at the end, equal to
+the row-by-row recurrence's.
 
 One routine serves both scalar modes, taken from the dtype of A's bands:
 numpy arrays of dtype object hold Fractions in exact mode, float64 arrays
@@ -36,6 +43,7 @@ hold floats in float mode; the returned history is views of Y.  Public
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,9 +133,9 @@ def _product_chains(L, inv_d, zero, dtype, depth):
 
 
 def _row_steps(L, inv_d, zero, dtype, depth):
-    """B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and S[1],
-    row by row from the bottom: each step computes row i of both with one
-    matmul and mirrors B's row into its column."""
+    """Float B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and
+    S[1], row by row from the bottom: each step computes row i of both with
+    one matmul and mirrors B's row into its column."""
     import numpy as np
 
     m, w = len(L), len(L[0])
@@ -145,12 +153,72 @@ def _row_steps(L, inv_d, zero, dtype, depth):
     return S
 
 
+def _integer_rows(L, inv_d, zero, dtype, depth):
+    """Exact B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and
+    S[1]: the row steps of ``_row_steps`` over integer numerators, B's over
+    one shared denominator lam and each column of Y's over its own, mu[j].
+
+    Row i writes -l_{i+r+1,i} = c_r/Q over the row's common Q, and its
+    numerators are s // Q with s = c @ (the numerator rows below).  Where a
+    division leaves a remainder, the denominators it spans grow by the
+    least factor that makes it exact, Q / gcd(Q, s...), and their
+    numerators with them; B's diagonal lam/d_i + (c . row)/Q grows lam by
+    its own denominator.  So lam and mu stay the least common denominators
+    of what they hold.  At the end each stored entry becomes one
+    Fraction(numerator, denominator), its one gcd, in place in the
+    numerators' array, which is returned (``dtype`` is object)."""
+    import numpy as np
+
+    m, w = len(L), len(L[0])
+    split = np.frompyfunc(divmod, 2, 2)
+    N = np.zeros((depth, m, m), object)  # Python ints
+    NB, lam = N[0], 1
+    mu = np.array([x.denominator for x in inv_d], object)
+    if depth > 1:
+        N[1].reshape(m * m)[::m + 1] = [x.numerator for x in inv_d]
+    for i in range(m - 1, -1, -1):
+        neg_l = L[i][: min(w, m - i - 1)]
+        Q = math.lcm(*(x.denominator for x in neg_l))
+        c = np.array([-x.numerator * (Q // x.denominator) for x in neg_l], object)
+        s = c @ N[:, i + 1:i + 1 + len(c), i + 1:]
+        rows, rem = split(s, Q)
+        if rem[0].any():
+            g = math.gcd(Q, *rem[0])
+            lam *= Q // g
+            NB[i + 1:, i + 1:] *= Q // g
+            rows[0] = s[0] // g
+        if depth > 1 and rem[1].any():
+            cols = np.flatnonzero(rem[1])
+            g = np.gcd(rem[1, cols], Q)
+            grown = i + 1 + cols
+            N[1][:, grown] *= Q // g
+            mu[grown] *= Q // g
+            rows[1, cols] = s[1, cols] // g
+        N[:, i, i + 1:] = rows
+        NB[i + 1:, i] = rows[0]
+        diag = lam * inv_d[i] + Fraction(c @ rows[0, : len(c)], Q)
+        if diag.denominator > 1:
+            lam *= diag.denominator
+            NB[i:, i:] *= diag.denominator
+        NB[i, i] = diag.numerator
+    frac = np.frompyfunc(Fraction, 2, 1)
+    dens = np.array([[lam] * m, mu][:depth], object)
+    for i in range(m):  # row by row, so that few numerators outlive their Fraction
+        N[:, i, i:] = frac(N[:, i, i:], dens[:, i:])
+        NB[i + 1:, i] = NB[i, i + 1:]
+    if depth > 1:
+        N[1][np.tri(m, m, -1, bool)] = zero
+    return N
+
+
 def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> GrowingInverse:
     """Invert A and, with ``keep_history``, every leading A_n, from one
     banded LDL^T factorization (see the module docstring).
 
-    Exact matrices (bands of dtype object) run over Fractions and float
-    matrices in float64, and B and the history are arrays of that dtype.
+    Exact matrices (bands of dtype object) give Fractions in lowest terms
+    (bandwidth >= 2 runs over integer numerators, see ``_integer_rows``) and
+    float matrices run in float64, and B and the history are arrays of that
+    dtype.
     A zero pivot raises ArithmeticFailure with the 1-based step n of the
     singular A_n.  In float mode a non-finite entry of B or of the history
     (a subnormal pivot whose reciprocal overflows) raises ArithmeticFailure
@@ -163,7 +231,10 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     with np.errstate(all="ignore"):  # float overflow is caught below
         d, L = _ldlt(A, zero)
         inv_d = [1 / x for x in d]
-        steps = _product_chains if len(L[0]) == 1 else _row_steps
+        if len(L[0]) == 1:
+            steps = _product_chains
+        else:
+            steps = _integer_rows if dtype == object else _row_steps
         S = steps(L, inv_d, zero, dtype, 1 + keep_history)
     if dtype == float and not np.isfinite(S).all():
         raise ArithmeticFailure("non-finite entry in the float inverse "

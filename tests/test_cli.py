@@ -394,6 +394,25 @@ def test_failed_run_keeps_an_existing_output(capsys, tmp_path):
     assert (code, stdout, out.read_text()) == (3, "", "kept\n")
 
 
+@pytest.mark.parametrize("argv, second", [
+    (["invert", *UNIFORM], "--history"),
+    (["verify", *UNIFORM], "--csv"),
+    (["verify", "--order", "2", "--trials", "2"], "--csv"),
+], ids=["invert-history", "verify-csv", "sweep-csv"])
+def test_two_outputs_naming_one_file_exit_3(capsys, tmp_path, argv, second):
+    # the later write would replace the earlier: bad input, found before
+    # any file is opened, so stdout stays empty, an existing file keeps its
+    # bytes and a missing one is not created; a link to the file is the file
+    kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+    kept.write_text("kept\n")
+    (tmp_path / "link.json").symlink_to(kept)
+    for first, other in ((kept, kept), (missing, missing), (kept, tmp_path / "link.json")):
+        code, out, err = _call(capsys, argv + ["--out", str(first), second, str(other)])
+        assert (code, out) == (3, "")
+        assert err == f"error: --out and {second} name one file: {other}\n"
+    assert kept.read_text() == "kept\n" and not missing.exists()
+
+
 @pytest.mark.filterwarnings("error")
 def test_float_bracket_underflow_exits_2(capsys, tmp_path):
     # breakpoints near 0: at k = 3 a bracket product in a monomial ratio

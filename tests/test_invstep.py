@@ -3,6 +3,7 @@ exact oracle and the row-by-row recurrence of tests/oracles.py."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -146,11 +147,13 @@ def test_history_columns_match_oracle_of_leading_submatrices():
 
 
 def _same(x, y) -> bool:
-    """Equal Fractions in exact mode; in float mode equal bits, zeros
-    compared by value (a product chain and a matmul sum may give a zero
-    different signs)."""
+    """Equal Fractions in canonical form (positive denominator, lowest
+    terms) in exact mode; in float mode equal bits, zeros compared by value
+    (a product chain and a matmul sum may give a zero different signs)."""
     if x.dtype == object:
-        return x.tolist() == y.tolist() and all(type(v) is F for v in x.ravel())
+        return x.tolist() == y.tolist() and all(
+            type(v) is F and v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+            for v in x.ravel())
     bits = x.view(np.int64) == y.view(np.int64)
     return bool((bits | ((x == 0) & (y == 0))).all())
 
@@ -190,6 +193,27 @@ def test_matches_rowwise_oracle(order, mode):
         for mesh in (ks, shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4)
                                         if exact else 1e-4)):
             _assert_matches_rowwise(build_gram(mesh))
+
+
+def test_integer_rows_grow_each_denominator():
+    # exact bandwidth 2 runs over integer numerators: B's over one shared
+    # denominator, each column of Y's over its own.  Pivots 3, 8/3, 1, 1/2
+    # and -l = (-1/3, 1/3), (-1/2, -3/4), (1,): B's denominator is 1 after
+    # b_44 = 2 and row 3; row 2 (Q = 4) has numerators -12/4 and -10/4, so
+    # it grows to 2, and b_22 = 3/4 + 27/4 over it grows it to 4; in the
+    # same row Y's column 3 (not the last, which B's replaces) grows from 1
+    # to 2 for y_23 = -1/2, and column 4 for y_24 = -5/2
+    A = SymBandedMatrix(4, 2, [[3, 3, 2, 3], [1, 1, 0], [-1, 2]])
+    st = invert_iteratively(A, keep_history=True)
+    assert st.B.tolist() == [[F(7, 4), F(-9, 4), F(2), F(3, 2)],
+                             [F(-9, 4), F(15, 4), F(-3), F(-5, 2)],
+                             [F(2), F(-3), F(3), F(2)],
+                             [F(3, 2), F(-5, 2), F(2), F(2)]]
+    assert st.B.tolist() == dense_inverse_oracle(A)
+    assert st.diag_history.tolist() == [F(1, 3), F(3, 8), F(1), F(2)]
+    assert [c.tolist() for c in st.col_history[:3]] == [
+        [F(1, 3)], [F(-1, 8), F(3, 8)], [F(1, 2), F(-1, 2), F(1)]]
+    _assert_matches_rowwise(A)
 
 
 def test_square_overflow_in_the_factorization_matches_rowwise():
