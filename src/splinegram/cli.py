@@ -26,6 +26,7 @@ reuses it for every later call in the process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -93,15 +94,6 @@ def _partition_from_args(args) -> KnotSequence:
     return _apply_mode(ks, args.mode)
 
 
-def _resolve_slack(args) -> float:
-    """--slack, default 1e-12; only float verdicts read it (exact values are
-    compared exactly in either case)."""
-    slack = 1e-12 if args.slack is None else args.slack
-    if not (math.isfinite(slack) and slack >= 0):
-        raise InputError(f"--slack must be finite and >= 0, got {slack}")
-    return slack
-
-
 def cmd_gram(args) -> int:
     ks = _partition_from_args(args)
     _emit(matrix_to_json(build_gram(ks, method=args.method)), args.out)
@@ -120,22 +112,24 @@ def cmd_invert(args) -> int:
 
 def _verify_one(ks: KnotSequence, slack: float):
     """(report, checkerboard, inverse, constants) for one partition; fitted
-    constants for orders without a certified battery."""
+    constants, and no verdict, for orders without a certified battery."""
     A = build_gram(ks)
     battery = ks.order in (2, 3)
     state = invert_iteratively(A, keep_history=battery)
     if battery:
         consts = decay_constants(ks.order)
         checks = verify_lemmas(ks, A, state, consts, slack)
-    else:  # fitted constants: no battery, and verdicts without slack
-        consts, checks, slack = fit_decay_constants(state.B, ks), (), 0.0
+    else:
+        consts, checks = fit_decay_constants(state.B, ks), ()
     report = decay_report(state.B, ks, consts, slack, checks)
     board = check_checkerboard(state.B)[0] if state.B.dtype == object else None
     return report, board, state.B, consts
 
 
 def cmd_verify(args) -> int:
-    slack = _resolve_slack(args)
+    slack = args.slack
+    if not (math.isfinite(slack) and slack >= 0):
+        raise InputError(f"--slack must be finite and >= 0, got {slack}")
     if (args.spec is None) == (args.trials is None):
         raise InputError("verify needs exactly one of --spec or --trials")
     if args.spec is not None:
@@ -149,9 +143,7 @@ def cmd_verify(args) -> int:
                 writer.writerow(["i", "j", "abs_b", "eta", "distance", "ratio"])
                 writer.writerows(report_csv_rows(B, ks, consts))
         _emit(obj, args.out)
-        if report.certified and not report.passed:
-            return EXIT_VIOLATION
-        return EXIT_OK
+        return EXIT_VIOLATION if report.passed is False else EXIT_OK
     cfg = SweepConfig(order=args.order, trials=args.trials, max_m=args.max_m,
                       scalar_mode=args.mode, seed=args.seed)
     trials = []
@@ -159,8 +151,7 @@ def cmd_verify(args) -> int:
     worst = (float("-inf"), None)
     for idx, ks in enumerate(sweep_partitions(cfg)):
         report, board, _, _ = _verify_one(ks, slack)
-        bad = report.certified and not report.passed
-        violations += bad
+        violations += report.passed is False
         if report.worst_ratio > worst[0]:
             worst = (report.worst_ratio, idx)
         trials.append({"trial": idx, "m": report.m, "passed": report.passed,
@@ -184,10 +175,8 @@ def cmd_certify(args) -> int:
     records = []
     ok = True
     for name in names:
-        if args.budget is not None:
-            with term_budget(args.budget):
-                cert = certify_inequality(name)
-        else:
+        with (term_budget(args.budget) if args.budget is not None
+              else contextlib.nullcontext()):
             cert = certify_inequality(name)
         for pre in cert.prerequisites:
             records.append(certificate_to_json(pre))
@@ -242,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest matrix size in a sweep; exact sweeps cap it "
                         f"at {EXACT_SWEEP_MAX_M} (the JSON's max_m is the "
                         "size used)")
-    p.add_argument("--slack", type=float, default=None,
+    p.add_argument("--slack", type=float, default=1e-12,
                    help="tolerance of the float verdicts at orders 2 and 3 "
                         "(default 1e-12); exact mode compares exactly, and "
-                        "orders without certified constants ignore it")
+                        "orders without certified constants give no verdict")
     p.add_argument("--csv", default=None,
                    help="also write CSV: per-entry ratios for a single "
                         "--spec, per-trial summaries for a sweep")

@@ -24,8 +24,9 @@ are settled by a filter: an entry whose float ratio x eta / (K gamma^d) is
 at most 1 - (2m + 16) 2^-52 passes, since that margin exceeds every rounding
 error the ratio can carry (derived in ``_decay_kernel``), and only the
 remaining entries, near the bound or beyond it, are compared in the squared
-form over Fractions.  For k >= 4 no certified constants are available and
-only an empirical least-squares fit is reported.
+form over Fractions.  For other orders no certified constants are
+available: a report against an empirical least-squares fit gives its ratios
+and no verdict.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
@@ -418,12 +419,12 @@ class DecayReport:
     gamma_sq: object
     worst_ratio: float
     worst_entry: tuple
-    passed: bool
+    passed: bool | None
     certified: bool
     lemma_checks: tuple = field(default_factory=tuple)
 
 
-def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
+def decay_report(B, ks: KnotSequence, consts: DecayConstants,
                  slack: float = 0.0, lemma_checks: tuple = ()) -> DecayReport:
     """Evaluate |b_ij| * eta_ij / (K gamma^|i-j|) over the full inverse.
 
@@ -437,12 +438,11 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     constants also carry this pass as the ``full_decay`` lemma family, after
     ``lemma_checks`` (a battery's families, from verify_lemmas with the same
     constants); the report passes when full_decay and every one of them
-    pass.
+    pass.  Uncertified (fitted) constants bound nothing: the report gives
+    their ratios, and ``passed`` is None.
     """
     import numpy as np
 
-    if consts is None:
-        consts = decay_constants(ks.order)
     if consts.order != ks.order:
         raise InputError(f"constants for order {consts.order} used with order {ks.order}")
     m = ks.m
@@ -457,10 +457,11 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants | None = None,
     _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,
                                     consts.gamma_sq if exact_verdicts else None)
     full = _lemma_check("full_decay", ratio, ok, (lo + 1, hi + 1), slack)
+    certified = consts.certified
+    passed = full.passed and all(c.passed for c in lemma_checks)
     return DecayReport(ks.order, m, consts.K, consts.gamma_sq, full.worst_ratio,
-                       full.witness, full.passed and all(c.passed for c in lemma_checks),
-                       consts.certified,
-                       lemma_checks + ((full,) if consts.certified else ()))
+                       full.witness, passed if certified else None, certified,
+                       lemma_checks + ((full,) if certified else ()))
 
 
 def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:

@@ -52,15 +52,18 @@ or a product of at least ``_ARRAY_CUTOFF`` term pairs, run on arrays:
     ``_BLOCK_PAIRS`` pairs each, as the outer sums of the keys and the outer
     products of the coefficients, and merges the blocks into the sorted
     result with a stable argsort and ``add.reduceat``;
-  - a sum or difference merges the two sorted key arrays the same way;
-  - negation, integer scaling and ``primitive`` (``numpy.gcd.reduce``) act
-    on the coefficients and keep the keys.
+  - a sum merges the two sorted key arrays the same way, and a difference
+    is the sum with the negation;
+  - integer scaling (negation is scaling by -1) and ``primitive``
+    (``numpy.gcd.reduce``) act on the coefficients and keep the keys;
+  - ``total_degree`` and the coefficient scan (``_first_negative``) read the
+    last key and the coefficients.
 A result below the cutoff comes back as a dict, so small polynomials never
-touch numpy in their arithmetic.  The dict of an array form is built afresh
-where one is needed: by ``terms``, ``__hash__`` (whose value is kept) and
-``__eq__`` against a dict form; ``sorted_terms``, ``repr``, evaluation, the
-coefficient scan and the float filter read the arrays, and evaluation and
-the float filter build them for a dict form.
+touch numpy in their arithmetic.  Evaluation and the float filter read the
+arrays, and build them for a dict form.  Every other reader takes the dict,
+which ``_dict`` builds afresh for an array form: ``terms``,
+``sorted_terms`` (and through it ``repr`` and ``canonical_key``),
+``leading_coefficient``, ``__eq__`` and ``__hash__`` (whose value is kept).
 
 Coefficient arrays are int64 only while a bound proves that no value
 overflows, and object arrays of Python ints otherwise, which numpy's C
@@ -391,21 +394,12 @@ class MultiPoly:
     def sorted_terms(self) -> list:
         """Terms as (exponents, coefficient), graded-lex ascending."""
         unpack = _unpacker(self.nvars)
-        terms = self._terms
-        if type(terms) is _TermArrays:
-            items = zip(terms.keys.tolist(), terms.coeffs.tolist())
-        else:
-            items = sorted(terms.items())
-        return [(unpack(k), c) for k, c in items]
+        return [(unpack(k), c) for k, c in sorted(self._dict().items())]
 
     def leading_coefficient(self):
         """Coefficient of the graded-lex greatest term (0 for zero poly)."""
-        terms = self._terms
-        if type(terms) is _TermArrays:
-            return int(terms.coeffs[-1])
-        if not terms:
-            return 0
-        return terms[max(terms)]
+        terms = self._dict()
+        return terms[max(terms)] if terms else 0
 
     def _first_negative(self, sign: int):
         """The graded-lex-first (exponents, sign * coeff) with
@@ -441,7 +435,7 @@ class MultiPoly:
                 return 1, self
             return g, MultiPoly._from_arrays(self.nvars, terms.keys, terms.coeffs // g)
         g = gcd(*terms.values())
-        if self.leading_coefficient() < 0:
+        if terms[max(terms)] < 0:
             g = -g
         if g == 1:
             return 1, self
@@ -467,7 +461,7 @@ class MultiPoly:
             raise InputError(
                 f"mixing polynomials in {self.nvars} and {other.nvars} variables")
 
-    def _add(self, other, negate: bool) -> "MultiPoly":
+    def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.nvars, other)
         self._check_compat(other)
@@ -477,16 +471,12 @@ class MultiPoly:
             if not b:
                 return self
             if not a:
-                return -other if negate else other
-            (ak, ac), (bk, bc) = self._arrays(), other._arrays()
-            keys, coeffs = _array_sum(ak, ac, bk, -bc if negate else bc)
+                return other
+            keys, coeffs = _array_sum(*self._arrays(), *other._arrays())
             return MultiPoly._from_arrays(nvars, keys, coeffs)
         acc = dict(a)
         get = acc.get
-        items = b.items()
-        if negate:
-            items = [(k, -c) for k, c in items]
-        for k, c in items:
+        for k, c in b.items():
             new = get(k, 0) + c
             if new:
                 acc[k] = new
@@ -494,19 +484,16 @@ class MultiPoly:
                 del acc[k]
         return MultiPoly._make(nvars, acc)
 
-    def __add__(self, other):
-        return self._add(other, False)
-
     __radd__ = __add__
 
     def __neg__(self):
-        terms = self._terms
-        if type(terms) is _TermArrays:
-            return MultiPoly._make(self.nvars, _TermArrays(terms.keys, -terms.coeffs))
-        return MultiPoly._make(self.nvars, {k: -c for k, c in terms.items()})
+        return self._scale(-1)
 
     def __sub__(self, other):
-        return self._add(other, True)
+        # coerce first: -True is the int -1, which would pass the check
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.nvars, other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -665,11 +652,8 @@ class MultiPoly:
             if isinstance(other, int) and not isinstance(other, bool):
                 return self == MultiPoly.constant(self.nvars, other)
             return NotImplemented
-        a, b = self._terms, other._terms
-        if self.nvars != other.nvars or len(a) != len(b):
+        if self.nvars != other.nvars or len(self._terms) != len(other._terms):
             return False
-        if type(a) is _TermArrays and type(b) is _TermArrays:
-            return bool((a.keys == b.keys).all() and (a.coeffs == b.coeffs).all())
         return self._dict() == other._dict()
 
     def __hash__(self):
@@ -769,11 +753,18 @@ class FactoredRational:
     def __neg__(self):
         return FactoredRational(-self.scalar, self.num, self.den_factors)
 
-    def __add__(self, other):
+    def _coerce(self, other) -> "FactoredRational":
+        """A summand as a FactoredRational: a polynomial through
+        ``from_poly``, any other non-FactoredRational through the validating
+        ``from_scalar``."""
+        if isinstance(other, FactoredRational):
+            return other
         if isinstance(other, MultiPoly):
-            other = FactoredRational.from_poly(other)
-        elif not isinstance(other, FactoredRational):
-            other = FactoredRational.from_scalar(self.nvars, other)
+            return FactoredRational.from_poly(other)
+        return FactoredRational.from_scalar(self.nvars, other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -795,11 +786,7 @@ class FactoredRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            other = FactoredRational.from_poly(other)
-        elif not isinstance(other, FactoredRational):
-            other = FactoredRational.from_scalar(self.nvars, other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other

@@ -146,14 +146,6 @@ class Certificate:
     prerequisites: tuple = ()
 
 
-def _nonneg_witness(poly: MultiPoly, sign: int):
-    """Graded-lex-first (exponents, effective coefficient) with effective
-    coefficient sign*coeff < 0, or None.  Ascending packed monomials are the
-    graded-lex order, so this is the smallest such packed monomial, and only
-    it is unpacked (``MultiPoly._first_negative``)."""
-    return poly._first_negative(sign)
-
-
 def certify_nonneg(fr: FactoredRational, name: str) -> Certificate:
     """Certify fr >= 0 on the positive orthant by coefficient inspection."""
     den = fr.denominator_expanded()
@@ -161,14 +153,14 @@ def certify_nonneg(fr: FactoredRational, name: str) -> Certificate:
     den_terms = len(den)
     degree = max(fr.num.total_degree(), den.total_degree())
     for factor, _ in fr._sorted_factors():
-        bad = _nonneg_witness(factor, 1)
+        bad = factor._first_negative(1)
         if bad is not None:
             return Certificate(name, False, den_terms, num_terms, degree,
                                bad, where="denominator")
     if fr.is_zero():
         return Certificate(name, True, den_terms, 0, degree, None)
     sign = 1 if fr.scalar > 0 else -1
-    bad = _nonneg_witness(fr.num, sign)
+    bad = fr.num._first_negative(sign)
     if bad is not None:
         return Certificate(name, False, den_terms, num_terms, degree, bad)
     return Certificate(name, True, den_terms, num_terms, degree, None)

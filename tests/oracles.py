@@ -455,7 +455,7 @@ def gaps_for(ks, anchor: int, nvars: int) -> tuple:
 
 
 def nonneg_witness_sorted(poly, sign: int):
-    """polycert._nonneg_witness by a scan of every term in graded-lex order:
+    """MultiPoly._first_negative by a scan of every term in graded-lex order:
     the first (exponents, sign*coeff) with sign*coeff < 0, or None."""
     for exps, coeff in poly.sorted_terms():
         if sign * coeff < 0:

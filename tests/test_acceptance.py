@@ -246,7 +246,8 @@ def test_criterion_07_quadratic_decay_bounds():
                       "partitions") as note:
         worst = _run_battery(3, QUADRATIC_CHECKS, 1000, 40)
         ks = KnotSequence(3, [F(1, 4), F(1, 2), F(3, 4)])
-        report = decay_report(invert_iteratively(build_gram(ks)).B, ks)
+        report = decay_report(invert_iteratively(build_gram(ks)).B, ks,
+                              decay_constants(3))
         assert report.K == F(5525568, 10933)
         assert report.gamma_sq == F(87, 100)
         note["detail"] = ("worst ratios " +

@@ -217,7 +217,12 @@ def test_verify_fitted_order_never_fails(capsys):
     code, obj = _run_json(capsys, ["verify", "--order", "4",
                                    "--spec", "uniform:6"])
     assert code == 0
-    assert obj["certified"] is False
+    assert obj["certified"] is False and obj["passed"] is None
+    # fitted constants bound nothing: a sweep records no verdict either
+    code, obj = _run_json(capsys, ["verify", "--order", "4", "--trials", "2",
+                                   "--max-m", "10"])
+    assert code == 0 and obj["violations"] == 0
+    assert [(t["certified"], t["passed"]) for t in obj["results"]] == [(False, None)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def _lemmas(ks, st, slack=0.0):
 
 def _full_report(ks, st):
     """The report with the battery in front of full_decay, as verify builds it."""
-    return decay_report(st.B, ks, lemma_checks=_lemmas(ks, st))
+    return decay_report(st.B, ks, decay_constants(ks.order), lemma_checks=_lemmas(ks, st))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_report_bernstein_linear():
     # B = [[4,-2],[-2,4]], eta_11 = 1: worst ratio 4/(36/5) = 5/9 at (1,1)
     ks = KnotSequence(2, [])
     st = _inverted(ks)
-    report = decay_report(st.B, ks)
+    report = decay_report(st.B, ks, decay_constants(2))
     assert report.passed and report.certified
     assert report.worst_entry == (1, 1)
     assert abs(report.worst_ratio - 5 / 9) < 1e-15
@@ -263,14 +263,14 @@ def test_report_combines_lemma_checks():
     # the battery goes in front of full_decay, and every family must pass
     ks = KnotSequence(2, [F(1, 2)])
     st = _inverted(ks)
-    report = decay_report(st.B, ks)
+    report = decay_report(st.B, ks, decay_constants(2))
     own = report.lemma_checks  # the report's own full_decay family
-    combined = decay_report(st.B, ks, lemma_checks=own)
+    combined = decay_report(st.B, ks, decay_constants(2), lemma_checks=own)
     assert combined.passed == report.passed
     assert combined.lemma_checks == own + own
     from splinegram import LemmaCheck
     bad = LemmaCheck("synthetic", False, 2.0, -1.0, (1,), 1)
-    failed = decay_report(st.B, ks, lemma_checks=(bad,))
+    failed = decay_report(st.B, ks, decay_constants(2), lemma_checks=(bad,))
     assert not failed.passed and failed.lemma_checks == (bad, *own)
     assert (failed.worst_ratio, failed.worst_entry) == (report.worst_ratio,
                                                         report.worst_entry)
@@ -295,18 +295,19 @@ def test_fit_constants_order4():
     assert 0 < consts.gamma <= 1.0
     assert consts.K > 0
     report = decay_report(st.B, ks, consts=consts)
-    assert not report.certified
+    assert not report.certified and report.passed is None
 
 
 def test_report_validation():
     ks = KnotSequence(2, [F(1, 2)])
     st = _inverted(ks)
     with pytest.raises(InputError):
-        decay_report(st.B, KnotSequence(2, [F(1, 3), F(2, 3)]))  # m mismatch
+        decay_report(st.B, KnotSequence(2, [F(1, 3), F(2, 3)]), decay_constants(2))  # m mismatch
     with pytest.raises(InputError):
-        decay_report(st.B[:, :2], ks)  # not square
+        decay_report(st.B[:, :2], ks, decay_constants(2))  # not square
     with pytest.raises(InputError):
-        decay_report((tuple(st.B[0]), tuple(st.B[1]), tuple(st.B[2, :2])), ks)  # ragged
+        decay_report((tuple(st.B[0]), tuple(st.B[1]), tuple(st.B[2, :2])), ks,
+                     decay_constants(2))  # ragged
     with pytest.raises(InputError):
         decay_report(st.B, ks, consts=decay_constants(3))
 
@@ -316,11 +317,11 @@ def test_exact_verdicts_at_the_bound_and_tie_witness():
     # K gamma^|i-j| itself
     K2 = decay_constants(2).K
     at_bound = ((K2, -K2 * F(2, 3)), (-K2 * F(2, 3), K2))
-    report = decay_report(at_bound, KnotSequence(2, []))
+    report = decay_report(at_bound, KnotSequence(2, []), decay_constants(2))
     assert report.passed and report.worst_ratio == 1.0
     # one part in 10^31 above the bound: the float ratio still reads 1.0
     above = ((K2 + F(1, 10 ** 30), F(0)), (F(0), K2))
-    report = decay_report(above, KnotSequence(2, []))
+    report = decay_report(above, KnotSequence(2, []), decay_constants(2))
     assert not report.passed and report.worst_ratio == 1.0
     assert report.worst_entry == (1, 1)
     # k = 3 at distance 2: gamma^2 = 87/100 is exact although gamma is not
@@ -328,7 +329,7 @@ def test_exact_verdicts_at_the_bound_and_tie_witness():
     for extra, passed in ((F(0), True), (F(1, 10 ** 30), False)):
         corner = K3 * F(87, 100) + extra
         B = ((F(1), F(0), corner), (F(0), F(1), F(0)), (corner, F(0), F(1)))
-        report = decay_report(B, KnotSequence(3, []))
+        report = decay_report(B, KnotSequence(3, []), decay_constants(3))
         assert report.passed is passed and report.worst_entry == (1, 3)
     # uniform:7, k = 2: (2,2) and (8,8) tie for the worst ratio; the first in
     # row-major order is the witness
@@ -336,7 +337,7 @@ def test_exact_verdicts_at_the_bound_and_tie_witness():
     B = _inverted(ks, history=False).B
     ratios = {(i, j): r for i, j, _, _, _, r in
               report_csv_rows(B, ks, decay_constants(2))}
-    report = decay_report(B, ks)
+    report = decay_report(B, ks, decay_constants(2))
     assert ratios[2, 2] == ratios[8, 8] == report.worst_ratio
     assert report.worst_entry == (2, 2)
 

@@ -17,7 +17,7 @@ from splinegram import (FactoredRational, InputError, MultiPoly,
                         ResourceBudgetError, term_budget)
 from splinegram import multipoly
 from splinegram.multipoly import _MAX_DEGREE, get_term_budget
-from splinegram.polycert import GapBasis, _nonneg_witness, build_inequality
+from splinegram.polycert import GapBasis, build_inequality
 
 NVARS = 3
 
@@ -222,7 +222,7 @@ def test_graded_lex_order():
     assert p.total_degree() == 1
     assert p.leading_coefficient() == 1
     # first negative coefficient in canonical order
-    assert _nonneg_witness(p, 1) == ((0, 0, 1), -2)
+    assert p._first_negative(1) == ((0, 0, 1), -2)
 
 
 def test_zero_polynomial_properties():
@@ -230,7 +230,7 @@ def test_zero_polynomial_properties():
     assert z.is_zero() and z.total_degree() == -1
     assert z.leading_coefficient() == 0
     assert z.primitive()[0] == 0
-    assert z.sorted_terms() == [] and _nonneg_witness(z, 1) is None
+    assert z.sorted_terms() == [] and z._first_negative(1) is None
 
 
 def test_variables_and_constants():
@@ -454,6 +454,7 @@ def _assert_same(got, ref):
     assert got == ref and ref == got and hash(got) == hash(ref)
     assert got.terms == ref.terms
     assert got.sorted_terms() == ref.sorted_terms()
+    assert got.leading_coefficient() == ref.leading_coefficient()
     assert all(type(c) is int for c in got.terms.values())
     if _array_form(got) is not None:    # never below the cutoff
         _check_array_form(got)
@@ -515,6 +516,15 @@ def test_array_form_matches_dict_route(seed, nvars, kind_a, kind_b, size_a, size
     for op in _OPS.values():
         _both_routes(op, a, b)
     assert _both_routes(lambda a, b: a - b, a, a).is_zero()
+    if _array_form(a) is not None:
+        # == between two array-resident polynomials compares their dicts:
+        # once equal, once one coefficient apart
+        twin = _resident(_as_dict(a))
+        (e, c), *_ = a.terms.items()
+        apart = _resident(MultiPoly(nvars, {**a.terms, e: c + 1 or c + 2}))
+        assert _array_form(twin) is not None and _array_form(apart) is not None
+        assert twin == a and a == twin
+        assert len(apart) == len(a) and apart != a and a != apart
 
 
 def test_array_form_sums_and_products_leaving_int64():

@@ -20,7 +20,7 @@ from splinegram import (ArithmeticFailure, Certificate, FactoredRational,
                         certify_nonneg, spot_check, term_budget)
 from splinegram.decay import minor_formula, phi_inv_formula, psi_inv_formula
 from splinegram.gram import quad_formula
-from splinegram.polycert import (INEQUALITY_NAMES, _expect_den, _nonneg_witness, _sym,
+from splinegram.polycert import (INEQUALITY_NAMES, _expect_den, _sym,
                                  sym_ratio)
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def witness_polys(draw):
 
 
 def _same_witness(poly, sign):
-    found, expected = _nonneg_witness(poly, sign), nonneg_witness_sorted(poly, sign)
+    found, expected = poly._first_negative(sign), nonneg_witness_sorted(poly, sign)
     assert found == expected
     if found is not None:
         assert type(found[1]) is type(expected[1])
