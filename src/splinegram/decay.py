@@ -24,9 +24,11 @@ are settled by a filter: an entry whose float ratio x eta / (K gamma^d) is
 at most 1 - (2m + 16) 2^-52 passes, since that margin exceeds every rounding
 error the ratio can carry (derived in ``_decay_kernel``), and only the
 remaining entries, near the bound or beyond it, are compared in the squared
-form over Fractions.  For other orders no certified constants are
-available: a report against an empirical least-squares fit gives its ratios
-and no verdict.
+form over Fractions.  The float image of an exact entry x = n/d is the
+int true division n / d of its integer parts, correctly rounded like
+float(x) and so equal to it bit for bit, with no Fraction operation.  For
+other orders no certified constants are available: a report against an
+empirical least-squares fit gives its ratios and no verdict.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
@@ -63,7 +65,7 @@ from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix, quad_formula, ratio
 from .invstep import GrowingInverse
 from .knots import KnotSequence
-from .scalars import format_scalar
+from .scalars import _integer_parts, format_scalar
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,17 @@ def _abs_float(v) -> float:
 
 
 def _abs_floats(x):
-    """|x| as float64 for a 1-D array of Fractions or floats."""
+    """|x| as float64 for a 1-D array of floats, or of Fractions and ints
+    (dtype object).  An exact entry n/d becomes n / d by int true division
+    of its integer parts, correctly rounded like float(x), so the two agree
+    bit for bit; an entry beyond the float range reads inf."""
     import numpy as np
 
-    try:
+    if x.dtype != object:
         return np.abs(x.astype(float))
+    n, d = _integer_parts(x, "inverse entry")
+    try:
+        return np.abs((n / d).astype(float))
     except OverflowError:
         return np.array([_abs_float(v) for v in x])
 
@@ -217,9 +225,11 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained), and,
     given gamma_sq, the exact verdicts
     (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  For exact
-    entries whose float |x| or eta is not a normal float (an entry beyond the
-    float range, an eta that underflows) raw is the float of the exact
-    product |x| eta.
+    entries the float |x| is read from their integer parts (``_abs_floats``)
+    and eta from the knots' integer numerators over their common
+    denominator, each by one int true division; where |x| or eta is not a
+    normal float (an entry beyond the float range, an eta that underflows)
+    raw is the float of the exact product |x| eta.
 
     The exact verdicts are filtered: an entry whose float ratio is at most
     1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs

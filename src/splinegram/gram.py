@@ -15,9 +15,11 @@ The order-2 and order-3 entries are written once (``linear_formula``,
 ``build_gram`` evaluates them in one array pass per band over all indices
 i at once, with the array brackets ``KnotSequence.brackets`` (object arrays
 of Fractions in exact mode, float64 in float mode) and ``ratio``, the one
-evaluation of a Gram entry; polycert instantiates the same formulas with
-gap-variable brackets and factored rational functions for the
-certificates.
+evaluation of a Gram entry.  In exact mode ``ratio`` computes on the
+integers inside the Fractions: one Python-int product per side of each
+monomial ratio, and one Fraction per entry.  polycert instantiates the
+same formulas with gap-variable brackets and factored rational functions
+for the certificates.
 
 ``gram_quadrature`` runs the same array passes in both modes: every point
 of every knot interval at once, through one Cox-de Boor triangle
@@ -34,7 +36,7 @@ from operator import mul
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence
-from .scalars import format_scalars, scalar_type
+from .scalars import _integer_parts, format_scalars, scalar_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,22 +83,25 @@ class SymBandedMatrix:
         return self.bands[d][min(i, j) - 1]
 
 
-def _divide(num, den):
-    """num / den elementwise, for den an array or a nonzero int.  A zero
-    denominator raises ArithmeticFailure with step its 1-based position
-    (the first), in both scalar modes: float64 would divide to inf, and a
-    product of tiny float brackets can underflow to 0.0."""
+def _zero_denominator(zero) -> ArithmeticFailure:
+    """The failure of a monomial ratio over zero, at the first position
+    where the bool array ``zero`` holds: its step is that 1-based
+    position."""
     import numpy as np
 
-    try:
-        if getattr(den, "dtype", None) != float or den.all():
-            return num / den
-    except ZeroDivisionError:  # a Fraction denominator
-        pass
-    at = int(np.flatnonzero(den == 0)[0])
-    raise ArithmeticFailure("a monomial ratio has a zero denominator (in float "
-                            "mode, a bracket product that underflows)",
-                            step=at + 1)
+    return ArithmeticFailure("a monomial ratio has a zero denominator (in float "
+                             "mode, a bracket product that underflows)",
+                             step=int(np.flatnonzero(zero)[0]) + 1)
+
+
+def _divide(num, den):
+    """num / den elementwise over floats, for den a float64 array or a
+    nonzero int.  A zero denominator raises ArithmeticFailure (see
+    ``_zero_denominator``): float64 would divide to inf, and a product of
+    tiny float brackets can underflow to 0.0."""
+    if getattr(den, "dtype", None) != float or den.all():
+        return num / den
+    raise _zero_denominator(den == 0)
 
 
 def ratio(num_factors, den_factors):
@@ -104,13 +109,20 @@ def ratio(num_factors, den_factors):
     of one length; scalar factors broadcast, and at least one numerator
     factor is an array.
 
-    Where any numerator factor is zero the ratio is that factor's zero, and
-    nothing is divided there; elsewhere all denominator factors must be
-    nonzero (see ``_divide``).  Factors multiply left to right, the
-    numerator's first.
+    Where any numerator factor is zero the ratio is zero, and nothing is
+    divided there; elsewhere all denominator factors must be nonzero, and a
+    zero one raises ArithmeticFailure with step its 1-based position, the
+    first.  Exact factors (object arrays of Fractions, int scalars) are
+    multiplied on their integer parts: one Python-int product per side,
+    the numerators of the numerator factors with the denominators of the
+    denominator factors and the reverse, then one Fraction per entry.
+    Float factors multiply left to right, the numerator's first (see
+    ``_divide``), and a dead entry is the zero of its factor.
     """
     import numpy as np
 
+    if next(f for f in num_factors if isinstance(f, np.ndarray)).dtype == object:
+        return _exact_ratio(num_factors, den_factors)
     live = True
     for f in num_factors:
         live = live & (f != 0)
@@ -129,6 +141,31 @@ def ratio(num_factors, den_factors):
                 out[e] = z * 0
                 break
     return out
+
+
+def _exact_ratio(num_factors, den_factors):
+    """``ratio`` over exact factors: N / Q with N the product of the
+    numerator factors' numerators and the denominator factors'
+    denominators, and Q the reverse, as Python ints (Q is an array, as a
+    numerator factor is).  N is zero exactly where a numerator factor is,
+    and there the ratio is Fraction(0)."""
+    import numpy as np
+
+    def parts(f):
+        if isinstance(f, np.ndarray):
+            return _integer_parts(f, "ratio factor")
+        return f.numerator, f.denominator
+
+    top, bottom = map(parts, num_factors), map(parts, den_factors)
+    (num_n, num_d), (den_n, den_d) = zip(*top), zip(*bottom)
+    N, Q = reduce(mul, num_n + den_d), reduce(mul, num_d + den_n)
+    dead = N == 0
+    zero = (Q == 0) & ~dead
+    if zero.any():
+        raise _zero_denominator(zero)
+    if dead.any():  # nothing is divided there
+        Q = np.where(dead, 1, Q)
+    return np.frompyfunc(Fraction, 2, 1)(N, Q)
 
 
 def linear_formula(br, ratio, i, d: int):

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
-from .scalars import format_scalars
+from .scalars import _integer_parts, format_scalars
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +254,17 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
 def check_checkerboard(B):
     """Check (-1)^{i+j} b_{i,j} >= 0 for all entries.
 
-    Returns (passed, witness) with witness the first violating 1-based (i,j)
-    in row-major order, or None.
+    B is a 2-D array, or nested sequences, of floats, ints or Fractions.
+    Entries of dtype object (exact B, Fractions and ints) are read by the
+    signs of their numerators; an object entry with no integer parts (a
+    float) is an InputError.  Returns (passed, witness) with witness the
+    first violating 1-based (i,j) in row-major order, or None.
     """
     import numpy as np
 
     B = np.asarray(B)
+    if B.dtype == object:
+        B, = _integer_parts(B, "checkerboard entry", ("numerator",))
     odd = np.indices(B.shape).sum(axis=0) & 1 == 1
     bad = np.empty(B.shape, bool)  # one comparison per entry, x not negated
     bad[odd], bad[~odd] = B[odd] > 0, B[~odd] < 0

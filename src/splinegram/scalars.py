@@ -6,7 +6,9 @@ constructors of ``KnotSequence`` (its ``exact`` field) and of
 there or from an array's dtype: object arrays hold Fractions, float64
 arrays floats.  The other helpers handle parsing/formatting at the JSON
 boundary, where exact values travel as ``"p/q"`` strings and floats as plain
-numbers.
+numbers.  ``_integer_parts`` splits an exact array into the Python ints
+inside its Fractions, so that exact arithmetic, signs and float images can
+run on those ints and build at most one Fraction per value kept.
 """
 
 from __future__ import annotations
@@ -25,6 +27,24 @@ def scalar_type(values, what: str) -> type:
         if isinstance(x, bool) or not isinstance(x, (int, Fraction, float)):
             raise InputError(f"{what} {x!r} is not a rational or float scalar")
     return Fraction if all(isinstance(x, (int, Fraction)) for x in values) else float
+
+
+def _integer_parts(values, what: str, names=("numerator", "denominator")) -> tuple:
+    """The integer parts of an object array of Fractions or ints, one
+    object array of Python ints of its shape per attribute in ``names``
+    (by default the numerators and the denominators; a Fraction's are in
+    lowest terms, with the sign on the numerator).  An entry with no
+    integer parts (a float, a string, ...) is an InputError naming it as
+    ``what``."""
+    from operator import attrgetter
+
+    import numpy as np
+
+    try:
+        return tuple(np.frompyfunc(attrgetter(name), 1, 1)(values) for name in names)
+    except AttributeError:
+        bad = next(x for x in values.flat if not isinstance(x, (int, Fraction)))
+        raise InputError(f"{what} {bad!r} is not an int or a Fraction") from None
 
 
 def parse_scalar(value):

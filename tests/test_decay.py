@@ -1,5 +1,6 @@
 """Decay constants, bound functions, and the per-instance lemma batteries."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,8 +13,8 @@ from oracles import array_at, bracket, eta
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
                         decay_report, fit_decay_constants, invert_iteratively,
                         report_csv_rows, report_to_json, verify_lemmas)
-from splinegram.decay import (_decay_kernel, minor_formula, phi_inv_formula,
-                              psi_inv_formula)
+from splinegram.decay import (_abs_floats, _decay_kernel, minor_formula,
+                              phi_inv_formula, psi_inv_formula)
 from splinegram.gram import ratio
 from splinegram.partitions import shrink_one_gap
 
@@ -469,3 +470,28 @@ def test_filter_off_for_a_gamma_that_is_not_sqrt_gamma_sq():
     B = ((F(1), F(0), corner), (F(0), F(1), F(0)), (corner, F(0), F(1)))
     report = decay_report(B, KnotSequence(3, []), consts=c)
     assert report.worst_ratio < 1 and not report.passed
+
+
+def test_abs_floats_of_exact_entries_match_float():
+    # |n| / d by int true division is float(x), correctly rounded, bit for
+    # bit: random Fractions, ints, values that underflow to 0.0 (from
+    # either sign, so never -0.0) and the largest that rounds to a finite
+    # float; beyond the float range the fallback gives inf
+    def ref(v):
+        try:
+            return abs(float(v))
+        except OverflowError:
+            return math.inf
+
+    rng = random.Random(25)
+    tiny = F(1, 10 ** 400)
+    x = [F(rng.randint(-10 ** 40, 10 ** 40), rng.randint(1, 10 ** 30)) for _ in range(200)]
+    x += [tiny, -tiny, 3, -7, 0, F(-5, 3), F(0), F(1 - 2 ** 1024 + 2 ** 970)]
+    for values in (x, x + [F(10 ** 400), -(10 ** 400), F(2 ** 1024 - 2 ** 970)]):
+        out = _abs_floats(np.array(values, dtype=object))
+        assert out.dtype == float
+        assert out.tolist() == [ref(v) for v in values]
+        assert not np.signbit(out).any()
+    assert math.isinf(_abs_floats(np.array(x + [F(10 ** 400)], dtype=object))[-1])
+    floats = np.array([-1.5, 0.0, -0.0, 2.0])
+    assert _abs_floats(floats).tolist() == [1.5, 0.0, 0.0, 2.0]

@@ -8,6 +8,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from oracles import (bracket, check_total_positivity, quadratic_cross_terms,
                      scalar_ratio, to_dense)
@@ -153,6 +155,52 @@ def test_ratio_acts_elementwise(zero):
     with pytest.raises(ArithmeticFailure) as err:  # a live ratio over zero
         ratio(num, (np.array([one, one, one, zero], dtype),))
     assert err.value.step == 4
+
+
+@st.composite
+def exact_ratio_factors(draw):
+    """Numerator and denominator factors as the order-3 formulas pass them:
+    object arrays of Fractions of one length (negative values included, and
+    zeros at up to two positions each) and positive int scalars, at least
+    one numerator array."""
+    n = draw(st.integers(1, 20))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 9).filter(bool)
+
+    def array():
+        f = np.array(draw(st.lists(value, min_size=n, max_size=n)), object)
+        f[list(draw(st.sets(st.integers(0, n - 1), max_size=2)))] = F(0)
+        return f
+
+    def factors(min_arrays):
+        arrays = draw(st.integers(min_arrays, 3))
+        scalars = draw(st.lists(st.integers(1, 200), min_size=arrays == 0, max_size=2))
+        return tuple(draw(st.permutations([array() for _ in range(arrays)] + scalars)))
+
+    return n, factors(1), factors(0)
+
+
+# without the explain phase, which takes minutes to annotate a failure of
+# these array examples (shrinking alone takes seconds)
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(exact_ratio_factors())
+def test_exact_ratio_matches_scalar_oracle(case):
+    n, num, den = case
+
+    def at(factors, e):
+        return tuple(f[e] if isinstance(f, np.ndarray) else f for f in factors)
+
+    zero_den = [e for e in range(n)
+                if all(x != 0 for x in at(num, e)) and 0 in at(den, e)]
+    if zero_den:  # a live ratio over zero: the first one is the step
+        with pytest.raises(ArithmeticFailure) as err:
+            ratio(num, den)
+        assert err.value.step == zero_den[0] + 1
+        return
+    r = ratio(num, den)
+    assert r.dtype == object and r.shape == (n,)
+    for e, x in enumerate(r.tolist()):
+        assert type(x) is F and x == scalar_ratio(at(num, e), at(den, e))
 
 
 # ---------------------------------------------------------------------------

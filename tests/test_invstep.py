@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from oracles import dense_inverse_oracle, invert_rowwise, to_dense
-from splinegram import (ArithmeticFailure, KnotSequence, SymBandedMatrix,
-                        build_gram, check_checkerboard, history_to_json,
-                        invert_iteratively, max_residual)
+from splinegram import (ArithmeticFailure, InputError, KnotSequence,
+                        SymBandedMatrix, build_gram, check_checkerboard,
+                        history_to_json, invert_iteratively, max_residual)
 from splinegram.partitions import shrink_one_gap
 
 
@@ -359,6 +359,28 @@ def test_checkerboard_detects_violation():
     assert check_checkerboard(B) == (False, (2, 1))
     B[1][0] = F(-1)
     assert check_checkerboard(B) == (True, None)
+
+
+def test_checkerboard_reads_exact_signs():
+    # the only violation is an entry whose float image is -0.0: the signs
+    # of an exact B come from its numerators, never from floats
+    tiny = F(1, 10 ** 400)
+    assert float(-tiny) == 0.0
+    B = np.array([[F(2), F(-1), tiny], [F(-1), -tiny, F(-1)], [tiny, F(-1), F(2)]],
+                 dtype=object)
+    assert check_checkerboard(B) == (False, (2, 2))
+    B[1, 1] = tiny
+    assert check_checkerboard(B) == (True, None)
+    # ints and Fractions mixed in one object matrix
+    mixed = np.array([[1, F(-1, 2), 0], [-3, F(7, 2), F(-1)], [F(1, 9), -1, 5]],
+                     dtype=object)
+    assert check_checkerboard(mixed) == (True, None)
+    mixed[2, 1] = 1
+    assert check_checkerboard(mixed) == (False, (3, 2))
+    # an object entry with no integer parts is bad input, named
+    B[0, 1] = -0.5
+    with pytest.raises(InputError, match="-0.5"):
+        check_checkerboard(B)
 
 
 def test_oracle_accepts_banded_and_dense():
