@@ -11,8 +11,8 @@ those constants with an exact sparse polynomial engine.
 """
 
 from .decay import (DecayConstants, DecayReport, LemmaCheck, decay_constants,
-                    decay_report, fit_decay_constants, report_csv_rows,
-                    report_to_json, verify_lemmas)
+                    decay_report, report_csv_rows, report_to_json,
+                    verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import SymBandedMatrix, build_gram, gram_quadrature, matrix_to_json
 from .invstep import (GrowingInverse, check_checkerboard, history_to_json,
@@ -35,7 +35,7 @@ __all__ = [
     "SymBandedMatrix", "build_gram", "build_inequality",
     "certificate_to_json", "certify_inequality",
     "certify_nonneg", "check_checkerboard", "decay_constants",
-    "decay_report", "fit_decay_constants", "gram_quadrature",
+    "decay_report", "gram_quadrature",
     "history_to_json", "inverse_to_json", "invert_iteratively",
     "knots_to_json", "matrix_to_json", "max_residual", "parse_spec",
     "realize", "report_csv_rows", "report_to_json", "spot_check",

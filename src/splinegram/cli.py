@@ -16,11 +16,12 @@ exit 3 with nothing on stdout.
 
 Exit codes: 0 success, 1 a certified bound was violated, 2 a certificate
 failed or arithmetic/resource failure (term budget, singular pivot, a float
-bracket product that underflows, a float inverse entry that overflows),
-3 bad input (an unreadable partition file, an output file that cannot be
-written).  All output is deterministic for fixed arguments (seeded RNG, no
-timestamps).  ``main`` builds its argument parser on the first call and
-reuses it for every later call in the process.
+bracket product that underflows, a float inverse entry that overflows, a
+NaN or infinity in the output, which JSON cannot hold), 3 bad input (an
+unreadable partition file, an output file that cannot be written).  All
+output is deterministic for fixed arguments (seeded RNG, no timestamps).
+``main`` builds its argument parser on the first call and reuses it for
+every later call in the process.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 import random
 import sys
 
-from .decay import (decay_constants, decay_report, fit_decay_constants,
+from .decay import (_observed_constants, decay_constants, decay_report,
                     report_csv_rows, report_to_json, verify_lemmas)
 from .errors import ArithmeticFailure, InputError, ResourceBudgetError
 from .gram import build_gram, matrix_to_json
@@ -52,10 +53,14 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_RESOURCE = 2
 EXIT_INPUT = 3
+_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps's, but refusing NaN
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj) + "\n"
+    try:
+        text = _ENCODER.encode(obj) + "\n"
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise ArithmeticFailure(f"output holds a non-finite number: {exc}") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -111,8 +116,9 @@ def cmd_invert(args) -> int:
 
 
 def _verify_one(ks: KnotSequence, slack: float):
-    """(report, checkerboard, inverse, constants) for one partition; fitted
-    constants, and no verdict, for orders without a certified battery."""
+    """(report, checkerboard, inverse, constants) for one partition; for
+    orders without a certified battery, the constants observed on the
+    inverse (its per-diagonal envelope) and no verdict."""
     A = build_gram(ks)
     battery = ks.order in (2, 3)
     state = invert_iteratively(A, keep_history=battery)
@@ -120,7 +126,7 @@ def _verify_one(ks: KnotSequence, slack: float):
         consts = decay_constants(ks.order)
         checks = verify_lemmas(ks, A, state, consts, slack)
     else:
-        consts, checks = fit_decay_constants(state.B, ks), ()
+        consts, checks = _observed_constants(state.B, ks), ()
     report = decay_report(state.B, ks, consts, slack, checks)
     board = check_checkerboard(state.B)[0] if state.B.dtype == object else None
     return report, board, state.B, consts

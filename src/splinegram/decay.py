@@ -27,13 +27,13 @@ remaining entries, near the bound or beyond it, are compared in the squared
 form over Fractions.  The float image of an exact entry x = n/d is the
 int true division n / d of its integer parts, correctly rounded like
 float(x) and so equal to it bit for bit, with no Fraction operation.  For
-other orders no certified constants are available: a report against an
-empirical least-squares fit gives its ratios and no verdict.
+other orders no certified constants are available: a report against the
+envelope observed on the inverse itself gives its ratios and no verdict.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
-full_decay lemma family), the last-column family, the empirical fit and the
-CSV rows only build its index vectors.
+full_decay lemma family), the last-column family, the observed envelope and
+the CSV rows only build its index vectors.
 
 The batteries only compute each lemma family's values and witnesses; one
 rule, ``_lemma_check``, decides: exact values (dtype object) pass at value
@@ -73,9 +73,9 @@ class DecayConstants:
     """Constants of the decay bound |b_ij| <= K gamma^|i-j| / eta_ij.
 
     ``lastcol_K`` is the (smaller) constant valid for the last column of each
-    leading inverse; ``gamma_sq`` is exact, ``gamma`` its float square root.
-    ``certified`` marks constants backed by the symbolic certificates rather
-    than an empirical fit.
+    leading inverse; ``gamma_sq`` is exact, ``gamma`` its float square root,
+    for the ``certified`` constants of the symbolic certificates.  Those
+    observed on one inverse are floats: lastcol_K = K, gamma_sq = gamma^2.
     """
 
     order: int
@@ -84,7 +84,6 @@ class DecayConstants:
     gamma: float
     gamma_sq: object
     certified: bool
-    provenance: str
 
 
 # The constants of the proofs' steps, each written once.  decay_constants
@@ -100,18 +99,16 @@ FULL_3 = Fraction(16, 13)        # k = 3: K = C(1 + (16/13)C), C the last-column
 
 def decay_constants(order: int) -> DecayConstants:
     """Certified decay constants (orders 2 and 3 only), derived from the
-    proof steps' constants; the provenance shows the derivation."""
+    proof steps' constants."""
     if order == 2:
         g, C = GAMMA_SQ_2, LASTCOL_2
         K = C * (1 + g / (1 - g))
-        how = f"last-column constant {C}, K = {C}*(1 + gamma^2/(1 - gamma^2)) = {K}"
     elif order == 3:
         g, C = GAMMA_SQ_3, CHAIN_3 * PSI_A_3 ** 2 / GAMMA_SQ_3
         K = C * (1 + FULL_3 * C)
-        how = f"C = {CHAIN_3}*({PSI_A_3})^2/gamma^2 = {C}, K = C*(1 + ({FULL_3})*C) = {K}"
     else:
         raise InputError(f"no certified decay constants for order {order}")
-    return DecayConstants(order, K, C, math.sqrt(float(g)), g, True, f"gamma^2 = {g}, {how}")
+    return DecayConstants(order, K, C, math.sqrt(float(g)), g, True)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +445,8 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
     constants also carry this pass as the ``full_decay`` lemma family, after
     ``lemma_checks`` (a battery's families, from verify_lemmas with the same
     constants); the report passes when full_decay and every one of them
-    pass.  Uncertified (fitted) constants bound nothing: the report gives
-    their ratios, and ``passed`` is None.
+    pass.  Uncertified (observed) constants certify nothing: the report
+    gives their ratios, and ``passed`` is None.
     """
     import numpy as np
 
@@ -474,30 +471,23 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
                        lemma_checks + ((full,) if certified else ()))
 
 
-def fit_decay_constants(B, ks: KnotSequence) -> DecayConstants:
-    """Empirical (uncertified) constants from a least-squares geometric fit.
-
-    Fits log(max_{|i-j|=d} |b_ij| eta_ij) ~ log K + d log gamma over the
-    diagonals with nonzero maxima.  Intended for orders >= 4 where no
-    certified constants exist.
-    """
+def _observed_constants(B, ks: KnotSequence) -> DecayConstants:
+    """Uncertified constants read off the inverse B: with M_d the largest
+    |b_ij| eta_ij at |i - j| = d, K = M_0 and gamma = max_{1 <= d < m}
+    (M_d / M_0)^(1/d), the least rate with M_0 gamma^d >= M_d for every d
+    (roots by Python float **, as the kernel's gamma ** e); gamma = 1 where
+    no such M_d is positive (order 1, m = 1), as a rate of 0 would make the
+    off-diagonal ratios 0/0."""
     import numpy as np
 
     lo, hi = np.triu_indices(ks.m)
     _, raw, _, _ = _decay_kernel(np.asarray(B)[lo, hi], lo, hi, ks, 1, 1.0)
     diag_max = np.zeros(ks.m)
     np.maximum.at(diag_max, hi - lo, raw)
-    ds = np.flatnonzero(diag_max > 0)
-    if len(ds) >= 2:
-        slope, intercept = np.polyfit(ds.astype(float), np.log(diag_max[ds]), 1)
-        gamma = float(np.exp(slope))
-        K = float(np.exp(intercept))
-    else:
-        gamma, K = 1.0, (float(diag_max[ds[0]]) if len(ds) else 1.0)
-    gamma = min(max(gamma, 1e-12), 1.0)
-    return DecayConstants(order=ks.order, K=K, lastcol_K=K, gamma=gamma,
-                          gamma_sq=gamma * gamma, certified=False,
-                          provenance=f"least-squares fit over {len(ds)} diagonals")
+    K = float(diag_max[0])
+    q = (diag_max[1:] / K).tolist()
+    gamma = max((x ** (1 / d) for d, x in enumerate(q, 1)), default=0) or 1.0
+    return DecayConstants(ks.order, K, K, gamma, gamma * gamma, False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ run on those ints and build at most one Fraction per value kept.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError
@@ -70,11 +71,13 @@ def parse_scalar(value):
 
 
 def format_scalar(x):
-    """Format for JSON: Fractions as ``"p/q"`` strings, floats as numbers."""
+    """Format for JSON: Fractions as ``"p/q"`` strings, floats as numbers.
+    Decimal prints every digit, where str() of an int stops at
+    sys.get_int_max_str_digits() (a guard for parsing, 4300 by default)."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
     if isinstance(x, int):
-        return f"{x}/1"
+        return f"{Decimal(x)}/1"
     return float(x)
 
 

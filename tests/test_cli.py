@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -218,11 +219,54 @@ def test_verify_fitted_order_never_fails(capsys):
                                    "--spec", "uniform:6"])
     assert code == 0
     assert obj["certified"] is False and obj["passed"] is None
-    # fitted constants bound nothing: a sweep records no verdict either
+    # the observed envelope bounds every entry of its own inverse
+    assert obj["worst_ratio"] <= 1 + 1e-12
+    # observed constants certify nothing: a sweep records no verdict either
     code, obj = _run_json(capsys, ["verify", "--order", "4", "--trials", "2",
                                    "--max-m", "10"])
     assert code == 0 and obj["violations"] == 0
     assert [(t["certified"], t["passed"]) for t in obj["results"]] == [(False, None)] * 2
+    assert all(t["worst_ratio"] <= 1 + 1e-12 for t in obj["results"])
+    assert obj["worst_ratio"] <= 1 + 1e-12
+
+
+def test_non_finite_output_exits_2(capsys):
+    # at m = 1840 the float gamma^d underflows to 0 where b_ij eta_ij has,
+    # and the report's ratio 0/0 is NaN, which JSON cannot hold: an
+    # arithmetic failure with nothing on stdout, not a report holding NaN
+    code, out, err = _call(capsys, ["verify", "--order", "2", "--spec", "uniform:1840",
+                                    "--mode", "float"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: output holds a non-finite number")
+    # a passing float report holds only finite numbers
+    code, out = _run(capsys, ["verify", *UNIFORM, "--mode", "float"])
+    assert code == 0 and json.loads(out, parse_constant=_no_constant)["passed"]
+
+
+def test_exact_output_beyond_the_int_digit_limit(capsys, tmp_path):
+    # gaps of 10^-400 at k = 3 give inverse entries of more than 4300
+    # digits, past CPython's int-to-str limit: invert prints every digit,
+    # and the limit, which guards parsing, reads the same afterwards
+    tiny = F(1, 10 ** 400)
+    ks = KnotSequence(3, [tiny, 2 * tiny, 3 * tiny, F(1, 3), F(1, 2), 1 - tiny])
+    path, hist_path = tmp_path / "mesh.json", tmp_path / "history.json"
+    save_partition(ks, path)
+    limit = sys.get_int_max_str_digits()
+    code, out = _run(capsys, ["invert", "--order", "3", "--spec", f"explicit:{path}",
+                              "--history", str(hist_path)])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    inverse, history = json.loads(out), json.loads(hist_path.read_text())
+    assert max(len(x) for _, _, x in inverse["entries"]) > 2 * 4300
+    st = invert_iteratively(build_gram(ks), keep_history=True)
+    sys.set_int_max_str_digits(0)  # Fraction("p/q") parses through int()
+    try:
+        assert [F(x) for _, _, x in inverse["entries"]] \
+            == [st.B[i - 1, j - 1] for i, j, _ in inverse["entries"]]
+        assert [F(rec["b_nn"]) for rec in history] == st.diag_history.tolist()
+        assert [list(map(F, rec["last_col"])) for rec in history] \
+            == [col.tolist() for col in st.col_history]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 
 from oracles import array_at, bracket, eta
 from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
-                        decay_report, fit_decay_constants, invert_iteratively,
+                        decay_report, invert_iteratively, parse_spec, realize,
                         report_csv_rows, report_to_json, verify_lemmas)
-from splinegram.decay import (_abs_floats, _decay_kernel, minor_formula,
-                              phi_inv_formula, psi_inv_formula)
+from splinegram.decay import (_abs_floats, _decay_kernel, _observed_constants,
+                              minor_formula, phi_inv_formula, psi_inv_formula)
 from splinegram.gram import ratio
 from splinegram.partitions import shrink_one_gap
 
@@ -288,15 +288,47 @@ def test_csv_rows():
     assert all(r[5] <= 1.0 for r in rows)
 
 
-def test_fit_constants_order4():
-    ks = KnotSequence(4, [F(i, 8) for i in range(1, 8)])
-    st = invert_iteratively(build_gram(ks))
-    consts = fit_decay_constants(st.B, ks)
-    assert not consts.certified
-    assert 0 < consts.gamma <= 1.0
-    assert consts.K > 0
-    report = decay_report(st.B, ks, consts=consts)
-    assert not report.certified and report.passed is None
+def _envelope_meshes(k):
+    """The golden specs (seed 0) and random:8 with one gap shrunk to 10^-4,
+    exact and as floats."""
+    meshes = [realize(parse_spec(spec), k, rng=random.Random(0))
+              for spec in ("uniform:4", "random:8", "geometric:1/3:6")]
+    meshes.append(shrink_one_gap(meshes[1], 3, F(1, 10 ** 4)))
+    return [(ks, mode) for ks in meshes for mode in ("exact", "float")]
+
+
+def _observed(ks, mode):
+    if mode == "float":
+        ks = KnotSequence(ks.order, [float(x) for x in ks.interior])
+    B = invert_iteratively(build_gram(ks)).B
+    return ks, B, _observed_constants(B, ks)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_observed_constants_are_the_least_envelope(k):
+    # K = M_0 and gamma the least rate with M_0 gamma^d >= M_d, M_d the
+    # largest |b_ij| eta_ij at |i - j| = d: no ratio against them exceeds 1,
+    # and one off the diagonal reaches it
+    for ks, mode in _envelope_meshes(k):
+        ks, B, consts = _observed(ks, mode)
+        assert not consts.certified and consts.lastcol_K == consts.K > 0
+        assert consts.gamma_sq == consts.gamma * consts.gamma and consts.gamma > 0
+        report = decay_report(B, ks, consts)
+        assert report.passed is None and not report.certified
+        assert 1 <= report.worst_ratio <= 1 + 1e-12, (ks, mode)
+        rows = list(report_csv_rows(B, ks, consts))
+        assert max(r[5] for r in rows) <= 1 + 1e-12
+        assert max(r[5] for r in rows if r[4] >= 1) >= 1 - 1e-12, (ks, mode)
+
+
+def test_observed_constants_at_order_1():
+    # a diagonal inverse, b_ii = 1/eta_ii: K = 1, and gamma = 1 as no
+    # off-diagonal entry is nonzero
+    for ks, mode in _envelope_meshes(1) + [(KnotSequence(1, []), "exact")]:
+        _, _, consts = _observed(ks, mode)
+        assert consts.K == pytest.approx(1, rel=1e-15) and consts.gamma_sq == 1
+        if mode == "exact":
+            assert consts.K == 1
 
 
 def test_report_validation():

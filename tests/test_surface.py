@@ -17,7 +17,7 @@ PUBLIC = [
     "SymBandedMatrix", "build_gram", "build_inequality",
     "certificate_to_json", "certify_inequality",
     "certify_nonneg", "check_checkerboard", "decay_constants",
-    "decay_report", "fit_decay_constants", "gram_quadrature",
+    "decay_report", "gram_quadrature",
     "history_to_json", "inverse_to_json", "invert_iteratively",
     "knots_to_json", "matrix_to_json", "max_residual", "parse_spec",
     "realize", "report_csv_rows", "report_to_json", "spot_check",
@@ -34,15 +34,15 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
 
 # per-entry copies of the array paths, wrappers, the per-order Gram builders,
 # and the Fraction-coefficient, per-polynomial field-width and wide-key
-# helpers of the polynomial engine, and the report's lemma merger, that were
-# deleted
+# helpers of the polynomial engine, the report's lemma merger and the
+# least-squares decay fit, that were deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "minor_adjusted_factor", "matrix_from_json", "bspline_l1",
            "build_knots", "save_partition", "is_exact", "_is_float_partition",
            "_tidy", "_all_int", "_norm_coeff", "_MIN_BITS", "_bits_for",
            "_repack", "_repack_keys", "_keys_fit", "gram_linear",
            "gram_quadratic", "_quad_bands", "_banded", "_indices", "_NC_CACHE",
-           "attach_lemma_checks")
+           "attach_lemma_checks", "fit_decay_constants")
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps", "bracket", "eta"),
@@ -50,8 +50,10 @@ DELETED_METHODS = {
     splinegram.MultiPoly: ("coefficient", "content", "_int_coeffs", "_integral",
                            "_bits", "_plan", "_eval_plan", "_eval_rational"),
 }
-# mode parameters that the knots' ``exact`` or an array's dtype replaced
-DELETED_PARAMETERS = {splinegram.gram_quadrature: "mode", format_scalars: "exact"}
+# mode parameters that the knots' ``exact`` or an array's dtype replaced,
+# and a field that nothing read
+DELETED_PARAMETERS = {splinegram.gram_quadrature: "mode", format_scalars: "exact",
+                      splinegram.DecayConstants: "provenance"}
 
 
 def _submodules():
