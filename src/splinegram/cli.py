@@ -118,7 +118,9 @@ def cmd_invert(args) -> int:
 def _verify_one(ks: KnotSequence, slack: float):
     """(report, checkerboard, inverse, constants) for one partition; for
     orders without a certified battery, the constants observed on the
-    inverse (its per-diagonal envelope) and no verdict."""
+    inverse (its per-diagonal envelope) and no verdict.  The inverse is the
+    GrowingInverse, which every reader here takes as it is: an exact one's
+    Fractions are never built."""
     A = build_gram(ks)
     battery = ks.order in (2, 3)
     state = invert_iteratively(A, keep_history=battery)
@@ -126,10 +128,10 @@ def _verify_one(ks: KnotSequence, slack: float):
         consts = decay_constants(ks.order)
         checks = verify_lemmas(ks, A, state, consts, slack)
     else:
-        consts, checks = _observed_constants(state.B, ks), ()
-    report = decay_report(state.B, ks, consts, slack, checks)
-    board = check_checkerboard(state.B)[0] if state.B.dtype == object else None
-    return report, board, state.B, consts
+        consts, checks = _observed_constants(state, ks), ()
+    report = decay_report(state, ks, consts, slack, checks)
+    board = check_checkerboard(state)[0] if ks.exact else None
+    return report, board, state, consts
 
 
 def cmd_verify(args) -> int:
@@ -140,14 +142,14 @@ def cmd_verify(args) -> int:
         raise InputError("verify needs exactly one of --spec or --trials")
     if args.spec is not None:
         ks = _partition_from_args(args)
-        report, board, B, consts = _verify_one(ks, slack)
+        report, board, state, consts = _verify_one(ks, slack)
         obj = report_to_json(report)
         obj["checkerboard"] = board
         if args.csv:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["i", "j", "abs_b", "eta", "distance", "ratio"])
-                writer.writerows(report_csv_rows(B, ks, consts))
+                writer.writerows(report_csv_rows(state, ks, consts))
         _emit(obj, args.out)
         return EXIT_VIOLATION if report.passed is False else EXIT_OK
     cfg = SweepConfig(order=args.order, trials=args.trials, max_m=args.max_m,

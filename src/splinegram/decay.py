@@ -24,11 +24,15 @@ are settled by a filter: an entry whose float ratio x eta / (K gamma^d) is
 at most 1 - (2m + 16) 2^-52 passes, since that margin exceeds every rounding
 error the ratio can carry (derived in ``_decay_kernel``), and only the
 remaining entries, near the bound or beyond it, are compared in the squared
-form over Fractions.  The float image of an exact entry x = n/d is the
-int true division n / d of its integer parts, correctly rounded like
-float(x) and so equal to it bit for bit, with no Fraction operation.  For
-other orders no certified constants are available: a report against the
-envelope observed on the inverse itself gives its ratios and no verdict.
+form over integers, every denominator cleared.  An exact inverse is read as
+integer numerators over positive denominators: an exact GrowingInverse's
+scaled form (B's numerators over one shared denominator, each history
+column's over its own), or the integer parts of a Fraction array.  The float
+image of an entry n/d is the int true division n / d, correctly rounded
+like float(n/d) and so equal to it bit for bit, and its sign is n's; no
+Fraction is built.  For other orders no certified constants are available:
+a report against the envelope observed on the inverse itself gives its
+ratios and no verdict.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
@@ -63,9 +67,9 @@ from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix, quad_formula, ratio
-from .invstep import GrowingInverse
+from .invstep import GrowingInverse, _history_parts, _parts
 from .knots import KnotSequence
-from .scalars import _integer_parts, format_scalar
+from .scalars import format_scalar
 
 
 @dataclass(frozen=True)
@@ -189,44 +193,52 @@ def _lemma_check(name, values, ok, witness, slack, bound=1) -> LemmaCheck:
 # The decay kernel
 
 
-def _abs_float(v) -> float:
-    """|v| as a float, inf beyond the float range (where float() raises)."""
+def _abs_quotient(n, d) -> float:
+    """|n / d| for Python ints n and d > 0, by int true division (correctly
+    rounded), inf beyond the float range (where the division raises)."""
     try:
-        return abs(float(v))
+        return abs(n / d)
     except OverflowError:
         return math.inf
 
 
 def _abs_floats(x):
-    """|x| as float64 for a 1-D array of floats, or of Fractions and ints
-    (dtype object).  An exact entry n/d becomes n / d by int true division
-    of its integer parts, correctly rounded like float(x), so the two agree
-    bit for bit; an entry beyond the float range reads inf."""
+    """|x| as float64 for a 1-D array of floats, or for exact entries, a
+    pair (num, den) or an object array of Fractions and ints (split into
+    that pair by ``invstep._parts``).  An exact entry num/den becomes
+    num / den by int true division, correctly rounded like float(num/den)
+    and so equal to it bit for bit, reduced to lowest terms or not; an
+    entry beyond the float range reads inf."""
     import numpy as np
 
-    if x.dtype != object:
-        return np.abs(x.astype(float))
-    n, d = _integer_parts(x, "inverse entry")
+    if not isinstance(x, tuple):
+        if x.dtype != object:
+            return np.abs(x.astype(float))
+        x = _parts(x)
+    n, d = x
     try:
         return np.abs((n / d).astype(float))
     except OverflowError:
-        return np.array([_abs_float(v) for v in x])
+        return np.array([_abs_quotient(a, b) for a, b in zip(n, d)])
 
 
 def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     """x <= K gamma^d / eta at every entry of x, d = hi - lo.
 
-    x is a 1-D array of inverse entries (dtype object holding Fractions, or
-    float64) and lo <= hi the 0-based positions whose eta_{lo+1,hi+1} weighs
-    them.  Returns (eta, raw, ratio, ok): the floats eta (correctly rounded),
-    raw = |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained), and,
-    given gamma_sq, the exact verdicts
-    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  For exact
-    entries the float |x| is read from their integer parts (``_abs_floats``)
-    and eta from the knots' integer numerators over their common
-    denominator, each by one int true division; where |x| or eta is not a
-    normal float (an entry beyond the float range, an eta that underflows)
-    raw is the float of the exact product |x| eta.
+    x is a 1-D vector of inverse entries: float64, or exact as a pair (num,
+    den) of object arrays of Python ints (or an object array of Fractions,
+    split into one by ``invstep._parts``), and lo <= hi the 0-based
+    positions whose eta_{lo+1,hi+1} weighs them.  Returns (eta, raw,
+    ratio, ok): the floats eta (correctly rounded), raw = |x| eta and
+    ratio = raw / (K gamma^d) (1.0 = bound attained), and, given gamma_sq
+    (for exact entries only), the exact verdicts
+    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  For
+    exact entries the float |x| is num / den (``_abs_floats``) and eta comes
+    from the knots' integer numerators over their common denominator, each
+    by one int true division; where |x| or eta is not a normal float (an
+    entry beyond the float range, an eta that underflows) raw is
+    |num| eta_num / (den eta_den), the float of the exact product |x| eta by
+    one more.
 
     The exact verdicts are filtered: an entry whose float ratio is at most
     1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs
@@ -245,28 +257,37 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     ratio <= 1 - delta = 1 - (4m + 32) u then gives
     r <= (1 - delta) e^L <= e^(L - delta) < 1: the entry passes exactly.
     A quotient that underflows lies far below 1 and needs no margin.
+    The exact comparison clears every denominator: with x = num/den, eta =
+    eta_num/eta_den and K = K_num/K_den it is
+    (|num| eta_num K_den)^2 den(gamma_sq)^d
+        <= K_num^2 num(gamma_sq)^d (den eta_den)^2,
+    over Python ints.
     """
     import numpy as np
 
     k, ts = ks.order, ks.knots
-    knots = np.array(ts)
+    if not isinstance(x, tuple):
+        x = _parts(x)
     if ks.exact:
         # integer differences over the common denominator, each rounded once
         # by int true division: the floats of float(t_a - t_b), far cheaper
         common = math.lcm(*(t.denominator for t in ts))
         num = np.array([t.numerator * (common // t.denominator) for t in ts],
                        dtype=object)
-        eta = ((num[hi + k] - num[lo]) / common).astype(float)
+        eta_num = num[hi + k] - num[lo]
+        eta = (eta_num / common).astype(float)
     else:
+        knots = np.array(ts)
         eta = knots[hi + k] - knots[lo]
     d = hi - lo
     ax = _abs_floats(x)
     with np.errstate(invalid="ignore"):  # inf * 0, replaced just below
         raw = ax * eta
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    if ks.exact and x.dtype == object:
+    if ks.exact and isinstance(x, tuple):
+        xn, xd = x
         for e in np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny))):
-            raw[e] = _abs_float(x[e] * (knots[hi[e] + k] - knots[lo[e]]))
+            raw[e] = _abs_quotient(xn[e] * eta_num[e], xd[e] * common)
     pw = np.array([gamma ** e for e in range(ks.m)])[d]
     scale = float(K) * pw
     ratio = raw / scale
@@ -283,11 +304,19 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
         if len(todo):
             dt = d[todo]
             top = int(dt.max()) + 1
-            den = np.array([g.denominator ** e for e in range(top)], dtype=object)
-            rhs = np.array([K * K * g.numerator ** e for e in range(top)],
-                           dtype=object)
-            v = np.abs(x[todo]) * (knots[hi[todo] + k] - knots[lo[todo]])
-            ok[todo] = v * v * den[dt] <= rhs[dt]
+            Kq = Fraction(K)
+            den_pow = np.array([Kq.denominator ** 2 * g.denominator ** e
+                                for e in range(top)], dtype=object)
+            num_pow = np.array([Kq.numerator ** 2 * g.numerator ** e
+                                for e in range(top)], dtype=object)
+            if ks.exact:
+                en, ed = eta_num[todo], common
+            else:  # a float eta is exact as its integer ratio
+                en, ed = (np.array(v, dtype=object) for v in
+                          zip(*map(float.as_integer_ratio, eta[todo].tolist())))
+            xn, xd = (v[todo] for v in x)
+            lhs, rhs = np.abs(xn) * en, xd * ed
+            ok[todo] = lhs * lhs * den_pow[dt] <= num_pow[dt] * (rhs * rhs)
     return eta, raw, ratio, ok
 
 
@@ -385,7 +414,8 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
     float per B's dtype), against the constants ``consts``.  First the
     order's own families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K
     gamma^{n-j} / eta_jn for all j <= n <= m, one kernel pass over the
-    history columns (n outer, j inner).  The proofs' last family,
+    history columns (n outer, j inner), read from an exact inverse's scaled
+    form without building their Fractions.  The proofs' last family,
     full_decay, comes from decay_report, which takes these checks as its
     ``lemma_checks``."""
     import numpy as np
@@ -393,7 +423,8 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
     families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)
     if families is None:
         raise InputError(f"no certified lemma battery for order {ks.order}")
-    if state.diag_history is None or state.col_history is None:
+    x = _history_parts(state)
+    if state.diag_history is None or x is None:
         raise InputError("verification requires keep_history=True inversion state")
     if A.n != ks.m or A.bandwidth != ks.order - 1:
         raise InputError(f"Gram matrix of size {A.n} and bandwidth {A.bandwidth} "
@@ -405,9 +436,8 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
     checks = [_lemma_check(name, values, None, (n,), slack, bound)
               for name, bound, n, values in families(ks, A, state.diag_history)]
     hi, lo = np.tril_indices(ks.m)
-    x = np.concatenate(state.col_history)
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
-                                    consts.gamma_sq if x.dtype == object else None)
+                                    consts.gamma_sq if isinstance(x, tuple) else None)
     checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))
     return tuple(checks)
 
@@ -435,9 +465,11 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
                  slack: float = 0.0, lemma_checks: tuple = ()) -> DecayReport:
     """Evaluate |b_ij| * eta_ij / (K gamma^|i-j|) over the full inverse.
 
-    B is the dense m x m inverse (rows of exact scalars, or a numpy array).
-    One kernel pass covers the upper triangle in row-major order; the worst
-    entry is the first maximal ratio in that order.  With exact input and
+    B is the m x m inverse: a GrowingInverse, whose exact entries are read
+    from its scaled form without building B's Fractions, or a numpy array or
+    rows of exact scalars or floats (``invstep._parts``).  One kernel pass
+    covers the upper triangle in row-major order; the worst entry is the
+    first maximal ratio in that order.  With exact input and
     certified constants the pass/fail decision is exact: an entry passes on
     its float ratio only below 1 - (2m + 16) 2^-52, a margin that covers the
     ratio's rounding errors, and every other entry gets the exact squared
@@ -454,15 +486,16 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
         raise InputError(f"constants for order {consts.order} used with order {ks.order}")
     m = ks.m
     try:
-        B = np.asarray(B)
+        B = _parts(B)
     except ValueError:  # ragged rows
         B = np.empty(0)
-    if B.shape != (m, m):
+    exact = isinstance(B, tuple)
+    if (B[0] if exact else B).shape != (m, m):
         raise InputError(f"inverse must be {m}x{m} to match the knot sequence")
-    exact_verdicts = B.dtype == object and consts.certified
     lo, hi = np.triu_indices(m)
-    _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,
-                                    consts.gamma_sq if exact_verdicts else None)
+    _, _, ratio, ok = _decay_kernel(_at(B, lo, hi), lo, hi, ks, consts.K, consts.gamma,
+                                    consts.gamma_sq if exact and consts.certified
+                                    else None)
     full = _lemma_check("full_decay", ratio, ok, (lo + 1, hi + 1), slack)
     certified = consts.certified
     passed = full.passed and all(c.passed for c in lemma_checks)
@@ -471,17 +504,23 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
                        lemma_checks + ((full,) if certified else ()))
 
 
+def _at(B, i, j):
+    """The entries at the index arrays (i, j) of an inverse as ``_parts``
+    gives it: float, or the pair (num, den) for exact entries."""
+    return tuple(v[i, j] for v in B) if isinstance(B, tuple) else B[i, j]
+
+
 def _observed_constants(B, ks: KnotSequence) -> DecayConstants:
-    """Uncertified constants read off the inverse B: with M_d the largest
-    |b_ij| eta_ij at |i - j| = d, K = M_0 and gamma = max_{1 <= d < m}
-    (M_d / M_0)^(1/d), the least rate with M_0 gamma^d >= M_d for every d
-    (roots by Python float **, as the kernel's gamma ** e); gamma = 1 where
-    no such M_d is positive (order 1, m = 1), as a rate of 0 would make the
-    off-diagonal ratios 0/0."""
+    """Uncertified constants read off the inverse B (as decay_report takes
+    it): with M_d the largest |b_ij| eta_ij at |i - j| = d, K = M_0 and
+    gamma = max_{1 <= d < m} (M_d / M_0)^(1/d), the least rate with
+    M_0 gamma^d >= M_d for every d (roots by Python float **, as the
+    kernel's gamma ** e); gamma = 1 where no such M_d is positive (order 1,
+    m = 1), as a rate of 0 would make the off-diagonal ratios 0/0."""
     import numpy as np
 
     lo, hi = np.triu_indices(ks.m)
-    _, raw, _, _ = _decay_kernel(np.asarray(B)[lo, hi], lo, hi, ks, 1, 1.0)
+    _, raw, _, _ = _decay_kernel(_at(_parts(B), lo, hi), lo, hi, ks, 1, 1.0)
     diag_max = np.zeros(ks.m)
     np.maximum.at(diag_max, hi - lo, raw)
     K = float(diag_max[0])
@@ -515,12 +554,12 @@ def report_to_json(report: DecayReport) -> dict:
 
 def report_csv_rows(B, ks: KnotSequence, consts: DecayConstants):
     """(i, j, abs_b, eta, distance, ratio) rows of Python scalars for every
-    entry, row-major."""
+    entry, row-major; B as decay_report takes it."""
     import numpy as np
 
     i, j = np.indices((ks.m, ks.m)).reshape(2, -1)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    x = np.asarray(B)[i, j]
+    x = _at(_parts(B), i, j)
     eta, _, ratio, _ = _decay_kernel(x, lo, hi, ks, consts.K, consts.gamma)
     return zip((i + 1).tolist(), (j + 1).tolist(), _abs_floats(x).tolist(),
                eta.tolist(), (hi - lo).tolist(), ratio.tolist())

@@ -16,24 +16,27 @@ the last column of A_n^{-1}.  The factorization costs O(m w^2) and each
 recurrence O(m^2 w).
 
 Three paths evaluate the recurrence, chosen by bandwidth and scalar mode.
-At bandwidth 1 (order 2; bandwidth 0 goes the same way with l = 0), in
-both modes, the inverse of a tridiagonal matrix has the product form
+In float mode at bandwidth 1 (order 2; bandwidth 0 goes the same way with
+l = 0), the inverse of a tridiagonal matrix has the product form
 b_{i,j} = u_i v_j (Gantmacher and Krein), and the recurrence is a product
 chain up each column: b_{i,j} = (-l_{i+1,i}) b_{i+1,j} above the diagonal,
 after the diagonal's scalar recurrence b_{i,i} = 1/d_i + (-l_{i+1,i})
 ((-l_{i+1,i}) b_{i+1,i+1}); one ``multiply.accumulate`` per matrix builds
-every column of B and of Y with no Python loop.  At bandwidth w >= 2 one
-row step computes row i of B and of Y together, by one matmul over the two
-stacked, and mirrors B's row into its column.  In float mode each entry of
-both paths is the same operations in the same order as the plain
+every column of B and of Y with no Python loop.  In float mode at bandwidth
+w >= 2 one row step computes row i of B and of Y together, by one matmul
+over the two stacked, and mirrors B's row into its column.  Each entry of
+both float paths is the same operations in the same order as the plain
 row-by-row recurrence, so they give its B and history bit for bit (a zero
-may differ in sign).  In exact mode at w >= 2 the row steps run over
-integer numerators instead of Fractions: by Cramer's rule B's entries
+may differ in sign).  In exact mode, at every bandwidth, the row steps run
+over integer numerators instead of Fractions: by Cramer's rule B's entries
 share a denominator, and so do those of each column of Y (the last column
 of some A_n^{-1}).  Each row step is then an integer matmul and one exact
-division per entry, a denominator grows only where a division demands it,
-and each stored entry becomes one canonical Fraction at the end, equal to
-the row-by-row recurrence's.
+division per entry, and a denominator grows only where a division demands
+it (the integer-preserving elimination of Bareiss, 1968, which defers every
+reduction to the end).  The exact inverse is kept in that scaled form, and
+the canonical Fractions of B and of the history columns are built only when
+they are first read; the decay report, its CSV rows and the checkerboard
+read the scaled form itself (``_parts``, ``_history_parts``).
 
 One routine serves both scalar modes, taken from the dtype of A's bands:
 numpy arrays of dtype object hold Fractions in exact mode, float64 arrays
@@ -43,6 +46,7 @@ hold floats in float mode; the returned history is views of Y.  Public
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +54,17 @@ from fractions import Fraction
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
 from .scalars import _integer_parts, format_scalars
+
+
+class _built(functools.cached_property):
+    """A dataclass field built on first read: a value given to the
+    constructor is stored as it is, and the field's default (this
+    descriptor) leaves the attribute unset until the decorated method builds
+    it into the instance ``__dict__``."""
+
+    def __set__(self, obj, value):
+        if value is not self:
+            obj.__dict__[self.attrname] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +75,85 @@ class GrowingInverse:
     ``diag_history`` holds (b_{1,1}^1, ..., b_{n,n}^n) and ``col_history`` the
     last column of every leading inverse (b_{.,j}^j, of length j), 1-D views
     of one array of B's dtype, when history retention is on; else None.
-    Equality is identity.
+
+    An exact inverse from ``invert_iteratively`` keeps the scaled form
+    ``_scaled = (N_B, lam, N_Y, mu)``: B = N_B / lam and column j of Y =
+    N_Y[:, j] / mu[j], object arrays of Python ints over positive
+    denominators, the last column of Y being B's (N_Y and mu are None
+    without history).  Its B and col_history are canonical Fractions built
+    from that form on first read; its diag_history, 1/d_n, is built at once.
+    A B given to the constructor drops the scaled form.  Equality is
+    identity.
     """
 
     n: int
-    B: object
+    B: object  # B and col_history default to their builders below
     diag_history: object = None
-    col_history: tuple | None = None
+    col_history: tuple | None
+    _scaled: tuple | None = None
+
+    def __post_init__(self):
+        if self._scaled is not None and "B" in vars(self):
+            # a B given beside the scaled form (dataclasses.replace) is the
+            # one every reader must see
+            object.__setattr__(self, "_scaled", None)
+
+    @_built
+    def B(self):
+        import numpy as np
+
+        NB, lam = self._scaled[:2]
+        upper = np.triu_indices(self.n)
+        B = np.empty(NB.shape, object)
+        B[upper] = np.frompyfunc(Fraction, 2, 1)(
+            NB[upper], np.full(len(upper[0]), lam, object))
+        B.T[upper] = B[upper]
+        return B
+
+    @_built
+    def col_history(self):
+        import numpy as np
+
+        _, _, NY, mu = self._scaled
+        upper = np.triu_indices(self.n, 1)
+        Y = self.diag_history.base  # the array the diagonal is a view of
+        Y[upper] = np.frompyfunc(Fraction, 2, 1)(NY[upper], mu[upper[1]])
+        return tuple(Y[:n, n - 1] for n in range(1, self.n + 1))
+
+
+def _parts(B, what="inverse entry"):
+    """The entries of an inverse as the kernels read them: a numeric array
+    for float entries, and for exact ones the pair (num, den) of object
+    arrays of Python ints of B's shape, num/den = B entrywise with den > 0.
+    B is a GrowingInverse, whose exact entries come from its scaled form
+    without building a Fraction, or an array or nested rows; an object array
+    of Fractions and ints is split by ``_integer_parts``, which names a bad
+    entry as ``what``.  Ragged rows raise ValueError, as numpy does."""
+    import numpy as np
+
+    if isinstance(B, GrowingInverse):
+        if B._scaled is not None:
+            NB, lam = B._scaled[:2]
+            return NB, np.full(NB.shape, lam, object)
+        B = B.B
+    B = np.asarray(B)
+    return _integer_parts(B, what) if B.dtype == object else B
+
+
+def _history_parts(state: GrowingInverse):
+    """The history columns end to end (n outer, j inner), as ``_parts``
+    gives entries; None without history."""
+    import numpy as np
+
+    if state._scaled is None:
+        if state.col_history is None:
+            return None
+        return _parts(np.concatenate(state.col_history), "history entry")
+    _, _, NY, mu = state._scaled
+    if NY is None:
+        return None
+    hi, lo = np.tril_indices(state.n)
+    return NY[lo, hi], mu[hi]
 
 
 def _ldlt(A: SymBandedMatrix, zero):
@@ -106,41 +193,42 @@ def _ldlt_rows(m, w, bands, zero):
     return d, L
 
 
-def _product_chains(L, inv_d, zero, dtype, depth):
-    """B and, at depth 2, Y of bandwidth at most 1, stacked as S[0] and S[1]:
-    the diagonal of B by its scalar recurrence, then each column of both as
-    one product chain up from the diagonal, b_{i,j} = (-l_{i+1,i}) b_{i+1,j}.
+def _product_chains(L, inv_d, depth):
+    """Float B and, at depth 2, Y of bandwidth at most 1, stacked as S[0]
+    and S[1]: the diagonal of B by its scalar recurrence, then each column of
+    both as one product chain up from the diagonal, b_{i,j} = (-l_{i+1,i})
+    b_{i+1,j}.
     A zero l (bandwidth 0) enters as +0.0, so that B's zeros off the
     diagonal are +0.0, as the matmul sums of the row step are."""
     import numpy as np
 
     m = len(L)
-    nl = [-row[0] if row[0] else zero for row in L]
-    b = [inv_d[-1] + zero]  # the last row's empty sum, as the row step adds it
+    nl = [-row[0] if row[0] else 0.0 for row in L]
+    b = [inv_d[-1] + 0.0]  # the last row's empty sum, as the row step adds it
     for i in range(m - 2, -1, -1):
         b.append(inv_d[i] + nl[i] * (nl[i] * b[-1]))
     # -l above the diagonal, the chain's start on it and 1 below it
     lower = np.tri(m, m, -1, bool)
-    S = np.ones((depth, m, m), dtype)
-    np.copyto(S, np.array(nl, dtype)[:, None], where=lower.T)
+    S = np.ones((depth, m, m))
+    np.copyto(S, np.array(nl, float)[:, None], where=lower.T)
     S.reshape(depth, m * m)[:, ::m + 1] = (b[::-1], inv_d)[:depth]
     bottom_up = S[:, ::-1]
     np.multiply.accumulate(bottom_up, axis=1, out=bottom_up)
     S[0][lower] = S[0].T[lower]
     if depth > 1:
-        S[1][lower] = zero
+        S[1][lower] = 0.0
     return S
 
 
-def _row_steps(L, inv_d, zero, dtype, depth):
+def _row_steps(L, inv_d, depth):
     """Float B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and
     S[1], row by row from the bottom: each step computes row i of both with
     one matmul and mirrors B's row into its column."""
     import numpy as np
 
     m, w = len(L), len(L[0])
-    NL = -np.array(L, dtype)
-    S = np.full((depth, m, m), zero, dtype)
+    NL = -np.array(L, float)
+    S = np.zeros((depth, m, m))
     if depth > 1:
         S[1].reshape(m * m)[::m + 1] = inv_d
     B = S[0]
@@ -153,10 +241,11 @@ def _row_steps(L, inv_d, zero, dtype, depth):
     return S
 
 
-def _integer_rows(L, inv_d, zero, dtype, depth):
-    """Exact B and, at depth 2, Y of bandwidth w >= 2, stacked as S[0] and
-    S[1]: the row steps of ``_row_steps`` over integer numerators, B's over
-    one shared denominator lam and each column of Y's over its own, mu[j].
+def _integer_rows(L, inv_d, depth):
+    """Exact B and, at depth 2, Y of any bandwidth in the scaled form
+    (N_B, lam, N_Y, mu), N_Y and mu None at depth 1: the row steps of
+    ``_row_steps`` over integer numerators, B's over one shared denominator
+    lam and each column of Y's over its own, mu[j].
 
     Row i writes -l_{i+r+1,i} = c_r/Q over the row's common Q, and its
     numerators are s // Q with s = c @ (the numerator rows below).  Where a
@@ -164,9 +253,8 @@ def _integer_rows(L, inv_d, zero, dtype, depth):
     least factor that makes it exact, Q / gcd(Q, s...), and their
     numerators with them; B's diagonal lam/d_i + (c . row)/Q grows lam by
     its own denominator.  So lam and mu stay the least common denominators
-    of what they hold.  At the end each stored entry becomes one
-    Fraction(numerator, denominator), its one gcd, in place in the
-    numerators' array, which is returned (``dtype`` is object)."""
+    of what they hold, and no numerator is reduced: N_B is symmetric, N_Y
+    upper triangular, and both hold Python ints."""
     import numpy as np
 
     m, w = len(L), len(L[0])
@@ -201,24 +289,18 @@ def _integer_rows(L, inv_d, zero, dtype, depth):
             lam *= diag.denominator
             NB[i:, i:] *= diag.denominator
         NB[i, i] = diag.numerator
-    frac = np.frompyfunc(Fraction, 2, 1)
-    dens = np.array([[lam] * m, mu][:depth], object)
-    for i in range(m):  # row by row, so that few numerators outlive their Fraction
-        N[:, i, i:] = frac(N[:, i, i:], dens[:, i:])
-        NB[i + 1:, i] = NB[i, i + 1:]
-    if depth > 1:
-        N[1][np.tri(m, m, -1, bool)] = zero
-    return N
+    return (NB, lam, N[1], mu) if depth > 1 else (NB, lam, None, None)
 
 
 def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> GrowingInverse:
     """Invert A and, with ``keep_history``, every leading A_n, from one
     banded LDL^T factorization (see the module docstring).
 
-    Exact matrices (bands of dtype object) give Fractions in lowest terms
-    (bandwidth >= 2 runs over integer numerators, see ``_integer_rows``) and
-    float matrices run in float64, and B and the history are arrays of that
-    dtype.
+    Exact matrices (bands of dtype object) run over integer numerators
+    (``_integer_rows``) and give B and the history as arrays of Fractions in
+    lowest terms, built from the scaled form on first read (the diagonal
+    history at once); float matrices run in float64, and B and the history
+    are float64 arrays.
     A zero pivot raises ArithmeticFailure with the 1-based step n of the
     singular A_n.  In float mode a non-finite entry of B or of the history
     (a subnormal pivot whose reciprocal overflows) raises ArithmeticFailure
@@ -226,21 +308,29 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     """
     import numpy as np
 
-    dtype = A.bands[0].dtype
-    zero = Fraction(0) if dtype == object else 0.0
+    m, exact = A.n, A.bands[0].dtype == object
+    zero = Fraction(0) if exact else 0.0
     with np.errstate(all="ignore"):  # float overflow is caught below
         d, L = _ldlt(A, zero)
         inv_d = [1 / x for x in d]
-        if len(L[0]) == 1:
-            steps = _product_chains
+        if exact:
+            NB, lam, NY, mu = _integer_rows(L, inv_d, 1 + keep_history)
         else:
-            steps = _integer_rows if dtype == object else _row_steps
-        S = steps(L, inv_d, zero, dtype, 1 + keep_history)
-    if dtype == float and not np.isfinite(S).all():
+            S = (_product_chains if len(L[0]) == 1 else _row_steps)(
+                L, inv_d, 1 + keep_history)
+    if exact:
+        if not keep_history:
+            return GrowingInverse(m, col_history=None, _scaled=(NB, lam, None, None))
+        # the last leading inverse is B itself: take its column
+        NY[:, m - 1], mu[m - 1] = NB[:, m - 1], lam
+        Y = np.full((m, m), zero, object)
+        Y.reshape(m * m)[::m + 1] = inv_d
+        return GrowingInverse(m, diag_history=Y.diagonal(), _scaled=(NB, lam, NY, mu))
+    if not np.isfinite(S).all():
         raise ArithmeticFailure("non-finite entry in the float inverse "
                                 "(a pivot too small for float64)",
                                 step=int(np.argmin(np.isfinite(S).all(axis=(0, 2)))) + 1)
-    m, B = A.n, S[0]
+    B = S[0]
     diag_hist = col_hist = None
     if keep_history:
         Y = S[1]
@@ -254,17 +344,19 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
 def check_checkerboard(B):
     """Check (-1)^{i+j} b_{i,j} >= 0 for all entries.
 
-    B is a 2-D array, or nested sequences, of floats, ints or Fractions.
-    Entries of dtype object (exact B, Fractions and ints) are read by the
-    signs of their numerators; an object entry with no integer parts (a
-    float) is an InputError.  Returns (passed, witness) with witness the
+    B is a GrowingInverse, or a 2-D array or nested sequences of floats,
+    ints or Fractions.  Exact entries are read by the signs of their
+    numerators over positive denominators (``_parts``): an exact
+    GrowingInverse's scaled form, without building its Fractions, or the
+    integer parts of an object array; an object entry with no integer parts
+    (a float) is an InputError.  Returns (passed, witness) with witness the
     first violating 1-based (i,j) in row-major order, or None.
     """
     import numpy as np
 
-    B = np.asarray(B)
-    if B.dtype == object:
-        B, = _integer_parts(B, "checkerboard entry", ("numerator",))
+    B = _parts(B, "checkerboard entry")
+    if isinstance(B, tuple):
+        B = B[0]
     odd = np.indices(B.shape).sum(axis=0) & 1 == 1
     bad = np.empty(B.shape, bool)  # one comparison per entry, x not negated
     bad[odd], bad[~odd] = B[odd] > 0, B[~odd] < 0
@@ -275,7 +367,9 @@ def check_checkerboard(B):
 
 
 def max_residual(A: SymBandedMatrix, B) -> float:
-    """max |B A - I| entry, float mode (test utility for the residual bound)."""
+    """max |B A - I| entry, computed in float64 whatever B's dtype: the
+    residual that perfbench's float gates (``check_float_residual``) and the
+    tests bound."""
     import numpy as np
 
     n = A.n

@@ -30,19 +30,19 @@ def scalar_type(values, what: str) -> type:
     return Fraction if all(isinstance(x, (int, Fraction)) for x in values) else float
 
 
-def _integer_parts(values, what: str, names=("numerator", "denominator")) -> tuple:
-    """The integer parts of an object array of Fractions or ints, one
-    object array of Python ints of its shape per attribute in ``names``
-    (by default the numerators and the denominators; a Fraction's are in
-    lowest terms, with the sign on the numerator).  An entry with no
-    integer parts (a float, a string, ...) is an InputError naming it as
-    ``what``."""
+def _integer_parts(values, what: str) -> tuple:
+    """The integer parts of an object array of Fractions or ints: its
+    numerators and its denominators, object arrays of Python ints of its
+    shape (a Fraction's are in lowest terms, with the sign on the
+    numerator).  An entry with no integer parts (a float, a string, ...) is
+    an InputError naming it as ``what``."""
     from operator import attrgetter
 
     import numpy as np
 
     try:
-        return tuple(np.frompyfunc(attrgetter(name), 1, 1)(values) for name in names)
+        return tuple(np.frompyfunc(attrgetter(name), 1, 1)(values)
+                     for name in ("numerator", "denominator"))
     except AttributeError:
         bad = next(x for x in values.flat if not isinstance(x, (int, Fraction)))
         raise InputError(f"{what} {bad!r} is not an int or a Fraction") from None

@@ -168,6 +168,38 @@ def test_verify_csv(capsys, tmp_path):
     assert len(lines) == 1 + ks.m * ks.m
 
 
+def test_exact_verify_builds_no_fractions_of_the_inverse(capsys, tmp_path, monkeypatch):
+    # exact verify reads the inverse and the history as integer numerators
+    # over shared denominators: B's and col_history's Fractions, whose gcds
+    # dominated the inverse's time, are never built (the cached attributes
+    # stay absent from the instance __dict__), for the report, the battery,
+    # the checkerboard, the observed envelope and the CSV rows alike
+    from splinegram.partitions import shrink_one_gap
+    states = []
+
+    def recorded(A, **kwargs):
+        states.append(invert_iteratively(A, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "invert_iteratively", recorded)
+    for k in (2, 3, 4):
+        ks = KnotSequence(k, [F(i, 13) for i in (1, 2, 5, 7, 8, 11)])
+        for mesh in (ks, shrink_one_gap(ks, 2, F(1, 10 ** 4))):
+            report, board, state, _ = cli._verify_one(mesh, 0.0)
+            assert state is states[-1] and board is True
+            assert report.passed is (True if k < 4 else None)
+            assert "B" not in vars(state)
+            # orders without a battery keep no history
+            assert "col_history" not in vars(state) if k < 4 else state.col_history is None
+    path = tmp_path / "ratios.csv"
+    for k in ("2", "3"):
+        code, _ = _run(capsys, ["verify", "--order", k, "--spec", "random:12",
+                                "--csv", str(path)])
+        state = states[-1]
+        assert code == 0 and len(path.read_text().splitlines()) == 1 + state.n ** 2
+        assert "B" not in vars(state) and "col_history" not in vars(state)
+
+
 def test_verify_rejects_bad_slack(capsys):
     # a negative or non-finite tolerance is bad input, not a violation
     for mode in ("float", "exact"):

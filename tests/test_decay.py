@@ -9,10 +9,11 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from oracles import array_at, bracket, eta
-from splinegram import (InputError, KnotSequence, build_gram, decay_constants,
-                        decay_report, invert_iteratively, parse_spec, realize,
-                        report_csv_rows, report_to_json, verify_lemmas)
+from oracles import array_at, bracket, eta, invert_rowwise
+from splinegram import (DecayConstants, InputError, KnotSequence, build_gram,
+                        decay_constants, decay_report, invert_iteratively,
+                        parse_spec, realize, report_csv_rows, report_to_json,
+                        verify_lemmas)
 from splinegram.decay import (_abs_floats, _decay_kernel, _observed_constants,
                               minor_formula, phi_inv_formula, psi_inv_formula)
 from splinegram.gram import ratio
@@ -373,6 +374,42 @@ def test_exact_verdicts_at_the_bound_and_tie_witness():
     report = decay_report(B, ks, decay_constants(2))
     assert ratios[2, 2] == ratios[8, 8] == report.worst_ratio
     assert report.worst_entry == (2, 2)
+
+
+def test_integer_verdicts_on_exact_ties():
+    # certified-shape constants whose K makes one entry's |b_ij| eta_ij equal
+    # K gamma^d exactly, at d = 0 (gamma = 4) and at some d >= 1 (gamma =
+    # 1/64): full_decay and lastcol_decay, read from the scaled form (the
+    # numerators over lam and over each mu[j]), pass there and fail with K
+    # smaller by 10^-30, where the float ratios cannot tell them apart
+    rng = random.Random(28)
+    ks = shrink_one_gap(_random_exact(rng, 2, 10), 3, F(1, 10 ** 4))
+    A, m = build_gram(ks), ks.m
+    st, ref = invert_iteratively(A, keep_history=True), invert_rowwise(A, True)
+    assert st._scaled[1] > 1 and max(st._scaled[3]) > 1
+    upper = [((i, j), ref.B[i - 1, j - 1])
+             for i in range(1, m + 1) for j in range(i, m + 1)]
+    history = [((j, n), ref.col_history[n - 1][j - 1])
+               for n in range(1, m + 1) for j in range(1, n + 1)]
+
+    def least_constant(entries, gamma):
+        """The least K over the entries and the distance that attains it."""
+        need = {abs(x) * eta(ks, i, j) / gamma ** abs(i - j): abs(i - j)
+                for (i, j), x in entries}
+        return max(need), need[max(need)]
+
+    for gamma in (F(4), F(1, 64)):
+        (K, d), (C, dc) = least_constant(upper, gamma), least_constant(history, gamma)
+        assert (d == 0) == (dc == 0) == (gamma > 1)
+        for cut, passed in ((0, True), (F(1, 10 ** 30), False)):
+            c = DecayConstants(2, K - cut, C - cut, float(gamma), gamma ** 2, True)
+            report = decay_report(st, ks, c)
+            lastcol = verify_lemmas(ks, A, st, c)[-1]
+            assert lastcol.name == "lastcol_decay"
+            assert report.passed is lastcol.passed is passed
+            assert report.worst_ratio == pytest.approx(1, abs=1e-15)
+            assert lastcol.worst_ratio == pytest.approx(1, abs=1e-15)
+    assert "B" not in vars(st) and "col_history" not in vars(st)
 
 
 def _loop_decay(entries, ks, K, gamma, gamma_sq, exact):

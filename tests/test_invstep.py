@@ -1,6 +1,7 @@
 """LDL^T + Takahashi inversion and leading-inverse history against the dense
 exact oracle and the row-by-row recurrence of tests/oracles.py."""
 
+import math
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -193,6 +194,38 @@ def test_matches_rowwise_oracle(order, mode):
         for mesh in (ks, shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4)
                                         if exact else 1e-4)):
             _assert_matches_rowwise(build_gram(mesh))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_lazy_fractions_match_rowwise_oracle(order):
+    # an exact inverse is kept as integer numerators over shared
+    # denominators; B and the history columns are canonical Fractions built
+    # on first read, equal to the row-by-row recurrence's at every
+    # bandwidth, 0 and 1 included; lam and each mu[j] but the last (B's
+    # lam) are the least common denominators of what they hold
+    rng = random.Random(70 + order)
+    for count in (0, 1, 6, 30 - 4 * order):
+        ks = _random_exact(rng, order, count)
+        for mesh in (ks, shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4))):
+            A = build_gram(mesh)
+            for keep_history in (False, True):
+                st = invert_iteratively(A, keep_history)
+                ref = invert_rowwise(A, keep_history)
+                assert "B" not in vars(st)
+                assert ("col_history" not in vars(st)) == keep_history
+                NB, lam, NY, mu = st._scaled
+                assert _same(st.B, ref.B) and "B" in vars(st)
+                assert lam == math.lcm(*(x.denominator for x in st.B.ravel()))
+                assert (NB == lam * st.B).all()
+                if not keep_history:
+                    assert st.diag_history is st.col_history is NY is mu is None
+                    continue
+                assert _same(st.diag_history, ref.diag_history)
+                assert all(_same(c, r) for c, r in zip(st.col_history, ref.col_history))
+                assert len(st.col_history) == A.n and mu[-1] == lam
+                for n, col in enumerate(st.col_history, start=1):
+                    assert (NY[:n, n - 1] == mu[n - 1] * col).all()
+                    assert n == A.n or mu[n - 1] == math.lcm(*(x.denominator for x in col))
 
 
 def test_integer_rows_grow_each_denominator():
@@ -404,3 +437,20 @@ def test_growing_inverse_accessors():
     # the last column of the full inverse is the history's last column
     assert [st.B[i - 1, 2] for i in (1, 2, 3)] == st.col_history[2].tolist() \
         == [F(1), F(-2), F(7)]
+
+
+def test_replaced_inverse_is_the_one_read():
+    # dataclasses.replace(state, B=...) gives an inverse whose every reader,
+    # the scaled-form ones included, sees the new B and the history it kept
+    import dataclasses
+
+    from splinegram import decay_constants, decay_report
+    ks = KnotSequence(2, [F(1, 3), F(1, 2)])
+    st = invert_iteratively(build_gram(ks), keep_history=True)
+    flipped = dataclasses.replace(st, B=-st.B)
+    assert flipped._scaled is None and st._scaled is not None
+    assert check_checkerboard(st) == (True, None)
+    assert check_checkerboard(flipped) == (False, (1, 1))
+    report = decay_report(dataclasses.replace(st, B=100 * st.B), ks, decay_constants(2))
+    assert not report.passed and report.worst_ratio > 1
+    assert all(_same(c, r) for c, r in zip(flipped.col_history, st.col_history))
