@@ -30,9 +30,11 @@ scaled form (B's numerators over one shared denominator, each history
 column's over its own), or the integer parts of a Fraction array.  The float
 image of an entry n/d is the int true division n / d, correctly rounded
 like float(n/d) and so equal to it bit for bit, and its sign is n's; no
-Fraction is built.  For other orders no certified constants are available:
-a report against the envelope observed on the inverse itself gives its
-ratios and no verdict.
+Fraction is built.  Where a float ratio's factors are zero or subnormal
+(gamma^d underflows from d = 1838 at k = 2) the ratio is taken from
+mantissa/exponent pairs, so that it is finite, never 0/0.  For other orders
+no certified constants are available: a report against the envelope
+observed on the inverse itself gives its ratios and no verdict.
 
 One private kernel, ``_decay_kernel``, evaluates the bound on a vector of
 entries in either scalar mode; the decay report (which also yields the
@@ -41,7 +43,7 @@ the CSV rows only build its index vectors.
 
 The batteries only compute each lemma family's values and witnesses; one
 rule, ``_lemma_check``, decides: exact values (dtype object) pass at value
-<= bound, floats at value <= bound + slack.  The bound is 1 for a value
+<= bound, compared over integers, floats at value <= bound + slack.  The bound is 1 for a value
 lhs/rhs and 0 for the signed values of minor_nonneg and theta_hat_bound,
 whose worst_slack (1 - worst_ratio, as for every family) is thus no
 distance to their bound.  ``verify_lemmas`` takes the caller's constants,
@@ -53,10 +55,14 @@ The order-3 bound functions 1/phi_n, 1/psi_n and M_n are written once
 provider and a ratio combinator, like gram.quad_formula.  The batteries
 evaluate them, and every family, as array passes over all leading sizes n at
 once: the array brackets ``KnotSequence.brackets`` with gram.ratio acting
-elementwise, float64 arrays in float mode and object arrays of Fractions in
-exact mode, with the per-element operation order of a loop over n.  That
-is their one numeric evaluation; polycert evaluates the same formulas over
-gap-variable brackets.
+elementwise, float64 arrays in float mode with the per-element operation
+order of a loop over n.  In exact mode every family is a ``scalars._Pairs``
+array of unreduced integer pairs (N, D): the brackets, the closed forms,
+the diagonal history and the Gram bands (split into their integer parts)
+combine with no gcd, and ``_lemma_check`` compares N <= bound * D, so the
+battery builds no Fraction for a value it only checks.  That is their one
+numeric evaluation; polycert evaluates the same formulas over gap-variable
+brackets.
 """
 
 from __future__ import annotations
@@ -69,7 +75,8 @@ from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix, quad_formula, ratio
 from .invstep import GrowingInverse, _history_parts, _parts
 from .knots import KnotSequence
-from .scalars import format_scalar
+from .scalars import (_float_quotient, _float_quotients, _Pairs, _rational, _where,
+                      format_scalar)
 
 
 @dataclass(frozen=True)
@@ -171,17 +178,26 @@ class LemmaCheck:
 
 def _lemma_check(name, values, ok, witness, slack, bound=1) -> LemmaCheck:
     """The verdict rule of every lemma family: the verdicts ok decide when
-    given; else exact values (dtype object) pass at value <= bound, compared
-    exactly, and float values at value <= bound + slack.  The witness, from
-    a tuple of index columns, is the first maximal value's; an empty family
-    reads ratio 0.0 and witness None."""
+    given; else exact values (dtype object: a ``scalars._Pairs`` array, or
+    an object array of Fractions and ints, split into one by its integer
+    parts) pass at value <= bound, compared over the integers, and float
+    values at value <= bound + slack.  The reported ratios are floats, an
+    exact value's by int true division, bit for bit float(value).  The
+    witness, from a tuple of index columns, is the first maximal value's;
+    an empty family reads ratio 0.0 and witness None."""
     import numpy as np
 
     if not len(values):
         return LemmaCheck(name, True, 0.0, 1.0, None, 0)
-    if ok is None:
-        ok = values <= (bound if values.dtype == object else bound + slack)
-    ratio = np.asarray(values, dtype=float)
+    if values.dtype == object:
+        values = _rational(values)
+        ratio = values.floats()
+        if ok is None:
+            ok = values <= bound
+    else:
+        ratio = np.asarray(values, dtype=float)
+        if ok is None:
+            ok = values <= bound + slack
     at = int(np.argmax(ratio))
     worst = float(ratio[at])
     passed = bool(np.all(ok))
@@ -193,33 +209,21 @@ def _lemma_check(name, values, ok, witness, slack, bound=1) -> LemmaCheck:
 # The decay kernel
 
 
-def _abs_quotient(n, d) -> float:
-    """|n / d| for Python ints n and d > 0, by int true division (correctly
-    rounded), inf beyond the float range (where the division raises)."""
-    try:
-        return abs(n / d)
-    except OverflowError:
-        return math.inf
-
-
 def _abs_floats(x):
     """|x| as float64 for a 1-D array of floats, or for exact entries, a
     pair (num, den) or an object array of Fractions and ints (split into
     that pair by ``invstep._parts``).  An exact entry num/den becomes
-    num / den by int true division, correctly rounded like float(num/den)
-    and so equal to it bit for bit, reduced to lowest terms or not; an
-    entry beyond the float range reads inf."""
+    |num / den| by int true division (``scalars._float_quotients``),
+    correctly rounded like float(num/den) and so equal to it bit for bit,
+    reduced to lowest terms or not; an entry beyond the float range reads
+    inf."""
     import numpy as np
 
     if not isinstance(x, tuple):
         if x.dtype != object:
             return np.abs(x.astype(float))
         x = _parts(x)
-    n, d = x
-    try:
-        return np.abs((n / d).astype(float))
-    except OverflowError:
-        return np.array([_abs_quotient(a, b) for a, b in zip(n, d)])
+    return np.abs(_float_quotients(*x))
 
 
 def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
@@ -238,7 +242,10 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     by one int true division; where |x| or eta is not a normal float (an
     entry beyond the float range, an eta that underflows) raw is
     |num| eta_num / (den eta_den), the float of the exact product |x| eta by
-    one more.
+    one more.  eta_num and eta_den come from the copy the knots keep
+    (``KnotSequence._integer_knots``).  Where raw, gamma^d or K gamma^d is
+    zero or subnormal the ratio is ``_split_ratios``' (finite, never NaN);
+    every other ratio is the plain quotient above.
 
     The exact verdicts are filtered: an entry whose float ratio is at most
     1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs
@@ -265,19 +272,17 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     """
     import numpy as np
 
-    k, ts = ks.order, ks.knots
+    k = ks.order
     if not isinstance(x, tuple):
         x = _parts(x)
     if ks.exact:
         # integer differences over the common denominator, each rounded once
         # by int true division: the floats of float(t_a - t_b), far cheaper
-        common = math.lcm(*(t.denominator for t in ts))
-        num = np.array([t.numerator * (common // t.denominator) for t in ts],
-                       dtype=object)
+        num, common = ks._integer_knots
         eta_num = num[hi + k] - num[lo]
         eta = (eta_num / common).astype(float)
     else:
-        knots = np.array(ts)
+        knots = np.array(ks.knots)
         eta = knots[hi + k] - knots[lo]
     d = hi - lo
     ax = _abs_floats(x)
@@ -287,10 +292,18 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     if ks.exact and isinstance(x, tuple):
         xn, xd = x
         for e in np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny))):
-            raw[e] = _abs_quotient(xn[e] * eta_num[e], xd[e] * common)
-    pw = np.array([gamma ** e for e in range(ks.m)])[d]
+            raw[e] = abs(_float_quotient(xn[e] * eta_num[e], xd[e] * common))
+    powers = [gamma ** e for e in range(ks.m)]
+    pw = np.array(powers)[d]
     scale = float(K) * pw
-    ratio = raw / scale
+    # no pw or scale below min(1, gamma^(m-1)) min(1, K): the powers are monotone
+    if raw.min() >= tiny and min(1.0, powers[-1]) * min(1.0, float(K)) >= tiny:
+        ratio = raw / scale
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # replaced just below
+            ratio = raw / scale
+        low = np.flatnonzero((raw < tiny) | (scale < tiny) | (pw < tiny))
+        ratio[low] = _split_ratios(ax[low], eta[low], raw[low], pw[low], d[low], K, gamma)
     ok = None
     if gamma_sq is not None:
         g = Fraction(gamma_sq)
@@ -320,20 +333,55 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     return eta, raw, ratio, ok
 
 
+def _split_ratios(ax, eta, raw, pw, d, K, gamma: float):
+    """raw / (K gamma^d) for entries where raw, pw = gamma ** d or K pw is
+    zero or subnormal, where the plain quotient reads 0/0 or x/0, or loses
+    digits: each factor as an ``np.frexp`` pair of mantissa and binary
+    exponent.  raw is its own pair, or, where it is not normal but |x| and
+    eta are finite and nonzero, the product of theirs.  gamma^d is pw's
+    pair where pw is normal; else (gamma < 1) d = q c + r, with c the
+    largest power whose gamma^c is normal, and gamma^d is frexp(gamma^c)'s
+    mantissa to the power q (normal while q < 1022) times gamma^r, the
+    exponents added.  The mantissas' quotient is scaled by ``np.ldexp``:
+    the result is finite or inf, never NaN, and zero only where raw is."""
+    import numpy as np
+
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    rm, re = np.frexp(raw)
+    sub = ~(raw >= tiny) & (ax > 0) & (ax <= huge) & (eta > 0)
+    (xm, xe), (em, ee) = np.frexp(ax[sub]), np.frexp(eta[sub])
+    rm[sub], re[sub] = xm * em, xe + ee
+    pm, pe = np.frexp(pw)
+    low = np.flatnonzero(pw < tiny)
+    if len(low):
+        c = max(1, int(math.log(tiny) / math.log(gamma)))
+        while c > 1 and gamma ** c < tiny:
+            c -= 1
+        q, r = np.divmod(d[low], c)
+        cm, ce = math.frexp(gamma ** c)
+        (qm, qe), (sm, se) = np.frexp(cm ** q), np.frexp(gamma ** r)
+        pm[low], pe[low] = qm * sm, qe + se + ce * q
+    return np.ldexp(rm / (float(K) * pm), re - pe)
+
+
 # ---------------------------------------------------------------------------
 # Lemma batteries: each family as (name, bound, witness n, values), the
-# values one array over n of exact scalars (an object array) or float64;
+# values one array over n of exact scalars (a ``_Pairs`` array) or float64;
 # verify_lemmas applies the verdict rule.
 
 
-def _select(cond, value, fill=math.inf):
-    """value(at) at the positions ``at`` where cond holds, fill elsewhere:
-    value sees only those positions, so what cond guards never runs."""
+def _select(cond, value):
+    """value(at) at the positions ``at`` where cond holds, +inf elsewhere
+    (the pair (1, 0) for exact values): value sees only those positions, so
+    what cond guards never runs."""
     import numpy as np
 
     at = np.flatnonzero(cond)
     part = value(at)
-    out = np.full(len(cond), fill, part.dtype)
+    if isinstance(part, _Pairs):
+        out = _Pairs(np.full(len(cond), 1, object), np.zeros(len(cond), object))
+    else:
+        out = np.full(len(cond), math.inf, part.dtype)
     out[at] = part
     return out
 
@@ -348,7 +396,7 @@ def _linear_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
     """
     import numpy as np
 
-    br, n = ks.brackets, np.arange(1, ks.m + 1)
+    br, n, b = ks.brackets, np.arange(1, ks.m + 1), _rational(b)
     b20, b10, b21 = br(2, 0, n), br(1, 0, n), br(2, 1, n)
     mid_den = 3 * b10 + 4 * b21  # 4*((3/4)(10) + (21))
     return (("sandwich_lower", 1, n, _select(b > 0, lambda at: 3 / (b20[at] * b[at]))),
@@ -375,27 +423,29 @@ def _quadratic_families(ks: KnotSequence, A: SymBandedMatrix, b) -> tuple:
     """
     import numpy as np
 
-    br, n = ks.brackets, np.arange(1, ks.m + 1)
-    phin_inv, psin_inv = phi_inv_formula(br, ratio, n), psi_inv_formula(br, ratio, n)
+    br, n, b = ks.brackets, np.arange(1, ks.m + 1), _rational(b)
+    bands = [_rational(band) for band in A.bands]
+    phin_inv = phi_inv_formula(br, ratio, n)
+    psin_inv = psi_inv_formula(br, ratio, n)
     bad = np.flatnonzero(phin_inv[2:] <= 0)
     if len(bad):
         at = 2 + int(bad[0])
         raise ArithmeticFailure("phi_n^{-1} must be positive", step=at + 1,
-                                context=phin_inv.tolist()[at])
+                                context=phin_inv[at])
     chain_phi = _select(b > 0, lambda at: b[at] * phin_inv[at])  # b/phi
     chain_psi = psin_inv / phin_inv  # phi/psi
     chain_12 = br(3, 0, n) / (CHAIN_3 * psin_inv)  # psi*(30)/12
 
-    a = A.bands[1]  # a_{n-1,n} for n = 2..m
+    a = bands[1]  # a_{n-1,n} for n = 2..m
     n2, n3 = n[1:], n[2:]
     c = PSI_A_3
     pair = c.denominator * (b[1:] * a) * br(3, 0, n2) / (c.numerator * br(2, 0, n2))
-    Mn = minor_formula(br, ratio, n3, lambda i, d: A.bands[d][i - 1])
+    Mn = minor_formula(br, ratio, n3, lambda i, d: bands[d][i - 1])
     theta = b[2:] * Mn
     minor = -Mn / a[1:]
     hat_val = (1 / phin_inv[2:]) * Mn
     diff = hat_val - theta  # >= 0 since b <= phi and M >= 0
-    hat = -diff / np.where(hat_val > 0, hat_val, 1)
+    hat = -diff / _where(hat_val > 0, hat_val, 1)
     q = br(2, 0, n3) / br(3, 0, n3)
     # the float of gamma^2 in float mode, as Fraction * float computes
     g = GAMMA_SQ_3 if q.dtype == object else float(GAMMA_SQ_3)
@@ -415,9 +465,11 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
     order's own families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K
     gamma^{n-j} / eta_jn for all j <= n <= m, one kernel pass over the
     history columns (n outer, j inner), read from an exact inverse's scaled
-    form without building their Fractions.  The proofs' last family,
-    full_decay, comes from decay_report, which takes these checks as its
-    ``lemma_checks``."""
+    form without building their Fractions.  The exact families are computed
+    and compared as unreduced integer pairs (``scalars._Pairs``), so the
+    Fractions built here are those of the constants, as many at any m.  The
+    proofs' last family, full_decay, comes from decay_report, which takes
+    these checks as its ``lemma_checks``."""
     import numpy as np
 
     families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)

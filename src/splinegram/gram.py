@@ -13,13 +13,15 @@ for float knots.
 The order-2 and order-3 entries are written once (``linear_formula``,
 ``quad_formula``) over a bracket provider and a ratio combinator.
 ``build_gram`` evaluates them in one array pass per band over all indices
-i at once, with the array brackets ``KnotSequence.brackets`` (object arrays
-of Fractions in exact mode, float64 in float mode) and ``ratio``, the one
-evaluation of a Gram entry.  In exact mode ``ratio`` computes on the
-integers inside the Fractions: one Python-int product per side of each
-monomial ratio, and one Fraction per entry.  polycert instantiates the
-same formulas with gap-variable brackets and factored rational functions
-for the certificates.
+i at once, with the array brackets ``KnotSequence.brackets`` and ``ratio``,
+the one evaluation of a Gram entry.  In float mode both are float64
+arrays.  In exact mode they are ``scalars._Pairs`` arrays, unreduced
+integer pairs (N, D): the brackets are integer knot differences over the
+knots' common denominator, ``ratio`` takes one Python-int product per side
+of each monomial ratio, and the formulas' sums and differences take no
+gcd; ``build_gram`` then reduces each band entry once, to its canonical
+Fraction.  polycert instantiates the same formulas with gap-variable
+brackets and factored rational functions for the certificates.
 
 ``gram_quadrature`` runs the same array passes in both modes: every point
 of every knot interval at once, through one Cox-de Boor triangle
@@ -29,6 +31,7 @@ the mode chooses only its node table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -36,7 +39,8 @@ from operator import mul
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence
-from .scalars import _integer_parts, format_scalars, scalar_type
+from .scalars import (_object_where, _operand, _Pairs, _quotient, _times,
+                      format_scalars, scalar_type)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +116,18 @@ def ratio(num_factors, den_factors):
     Where any numerator factor is zero the ratio is zero, and nothing is
     divided there; elsewhere all denominator factors must be nonzero, and a
     zero one raises ArithmeticFailure with step its 1-based position, the
-    first.  Exact factors (object arrays of Fractions, int scalars) are
-    multiplied on their integer parts: one Python-int product per side,
-    the numerators of the numerator factors with the denominators of the
-    denominator factors and the reverse, then one Fraction per entry.
-    Float factors multiply left to right, the numerator's first (see
-    ``_divide``), and a dead entry is the zero of its factor.
+    first.  Exact factors (``scalars._Pairs`` arrays such as the exact
+    brackets, object arrays of Fractions, int scalars) are multiplied on
+    their integer parts: one Python-int product per side, the numerators of
+    the numerator factors with the denominators of the denominator factors
+    and the reverse, kept unreduced as a ``_Pairs`` array (no gcd, no
+    Fraction).  Float factors multiply left to right, the numerator's first
+    (see ``_divide``), and a dead entry is the zero of its factor.
     """
     import numpy as np
 
-    if next(f for f in num_factors if isinstance(f, np.ndarray)).dtype == object:
+    if next(f for f in num_factors
+            if isinstance(f, (np.ndarray, _Pairs))).dtype == object:
         return _exact_ratio(num_factors, den_factors)
     live = True
     for f in num_factors:
@@ -144,28 +150,30 @@ def ratio(num_factors, den_factors):
 
 
 def _exact_ratio(num_factors, den_factors):
-    """``ratio`` over exact factors: N / Q with N the product of the
+    """``ratio`` over exact factors (pair arrays, object arrays of
+    Fractions, ints): the pair array N/Q with N the product of the
     numerator factors' numerators and the denominator factors'
-    denominators, and Q the reverse, as Python ints (Q is an array, as a
-    numerator factor is).  N is zero exactly where a numerator factor is,
-    and there the ratio is Fraction(0)."""
+    denominators, and Q the reverse, unreduced but for the gcd of their
+    int parts (the constants and the brackets' shared denominators), which
+    is cancelled once.  N is zero exactly where a numerator factor is, and
+    where Q is zero too the pair is 0/1; a zero Q elsewhere raises, and Q's
+    sign moves onto N."""
     import numpy as np
 
-    def parts(f):
-        if isinstance(f, np.ndarray):
-            return _integer_parts(f, "ratio factor")
-        return f.numerator, f.denominator
-
-    top, bottom = map(parts, num_factors), map(parts, den_factors)
+    top, bottom = map(_operand, num_factors), map(_operand, den_factors)
     (num_n, num_d), (den_n, den_d) = zip(*top), zip(*bottom)
-    N, Q = reduce(mul, num_n + den_d), reduce(mul, num_d + den_n)
-    dead = N == 0
-    zero = (Q == 0) & ~dead
-    if zero.any():
-        raise _zero_denominator(zero)
-    if dead.any():  # nothing is divided there
-        Q = np.where(dead, 1, Q)
-    return np.frompyfunc(Fraction, 2, 1)(N, Q)
+    sides = [(reduce(mul, (f for f in fs if type(f) is int), 1),
+              [f for f in fs if type(f) is not int])
+             for fs in (num_n + den_d, num_d + den_n)]
+    g = math.gcd(sides[0][0], sides[1][0])
+    N, Q = (_times(reduce(mul, arrays), k // g) if arrays else k // g
+            for k, arrays in sides)
+    zero = Q == 0
+    if np.any(zero & (N != 0)):
+        raise _zero_denominator(zero & (N != 0))
+    if np.any(zero):  # 0/0: nothing is divided there
+        Q = _object_where(zero, 1, Q)
+    return _quotient(N, Q, Q)
 
 
 def linear_formula(br, ratio, i, d: int):
@@ -310,8 +318,11 @@ def build_gram(ks: KnotSequence, method: str = "auto") -> SymBandedMatrix:
         formula = {2: linear_formula, 3: quad_formula}.get(k)
         if formula is None:
             raise InputError(f"no closed form for order {k}")
-        return SymBandedMatrix(ks.m, k - 1, tuple(
-            formula(ks.brackets, ratio, np.arange(1, ks.m - d + 1), d) for d in range(k)))
+        bands = [formula(ks.brackets, ratio, np.arange(1, ks.m - d + 1), d)
+                 for d in range(k)]
+        if ks.exact:  # each entry reduced once, to its canonical Fraction
+            bands = [band.fractions() for band in bands]
+        return SymBandedMatrix(ks.m, k - 1, tuple(bands))
     if method == "quadrature":
         return gram_quadrature(ks)
     raise InputError(f"unknown gram method {method!r}")

@@ -10,20 +10,27 @@ derived field ``exact``: build the sequence from ints and ``Fraction`` values
 and every evaluation stays exact; one float among them and it runs in double
 precision.  Indexing follows the mathematical convention (1-based).
 
+An exact sequence also keeps its knots once as integers, built on first
+use: ``_integer_knots`` = (numerators, common denominator), the numerators
+of t_1 .. t_{m+k} over the least common denominator of all the knots.
+
 ``KnotSequence.brackets`` is the array bracket provider, which evaluates a
 bracket (ell en)_n = t_{n+ell} - t_{n+en} at a whole index array n at once
-(numpy arrays of Fractions in exact mode, float64 in float mode); every
-closed form in the package reads its brackets from it.
+(in exact mode a ``scalars._Pairs`` array of integer knot differences over
+the common denominator, unreduced; float64 in float mode); every closed form
+in the package reads its brackets from it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .scalars import format_scalar, parse_scalar, scalar_type
+from .scalars import _Pairs, format_scalar, parse_scalar, scalar_type
 
 # Knot indices the array bracket provider reaches beyond 1..m+k on each side.
 BRACKET_PAD = 4
@@ -66,6 +73,17 @@ class KnotSequence:
         object.__setattr__(self, "knots", full)
         object.__setattr__(self, "exact", scalar is Fraction)
 
+    @functools.cached_property
+    def _integer_knots(self) -> tuple:
+        """(num, common) for exact knots, built on first use: t_i = num[i-1] /
+        common, num an object array of Python ints and common the least
+        common denominator of the knots."""
+        import numpy as np
+
+        common = math.lcm(*(t.denominator for t in self.knots))
+        return np.array([t.numerator * (common // t.denominator) for t in self.knots],
+                        dtype=object), common
+
     @property
     def m(self) -> int:
         """Number of B-splines of order k on this sequence."""
@@ -81,9 +99,11 @@ class KnotSequence:
 
     def brackets(self, ell: int, en: int, n):
         """The array bracket provider: (ell en)_n = t_{n+ell} - t_{n+en} for
-        every entry of an int index array n with 0 <= n <= m, as a numpy
-        array (Fractions in an object array in exact mode, float64 in float
-        mode), each entry the knot difference of ``knot``'s clamped knots.
+        every entry of an int index array n with 0 <= n <= m, each entry the
+        knot difference of ``knot``'s clamped knots: in exact mode a
+        ``_Pairs`` array, the differences of ``_integer_knots``' numerators
+        over their common denominator (unreduced), in float mode a float64
+        array.
 
         The brackets come from a clamped knot array padded by BRACKET_PAD
         knots on each side, built once; each (ell, en) bracket is computed
@@ -97,12 +117,16 @@ class KnotSequence:
             if not (-pad <= min(ell, en) and max(ell, en) <= self.order + pad):
                 raise InputError(f"bracket ({ell},{en}) reaches past the "
                                  f"knot padding of {pad}")
-            if None not in arrays:  # t_i at position i + pad
-                arrays[None] = np.array(
-                    [self.knot(i) for i in range(-pad, m + self.order + pad + 1)],
-                    dtype=object if self.exact else float)
+            if None not in arrays:  # t_i (exact: its numerator) at position i + pad
+                at = np.arange(-pad, m + self.order + pad + 1)
+                at = np.minimum(np.maximum(at, 1), len(self.knots)) - 1
+                knots = self._integer_knots[0] if self.exact else np.array(self.knots)
+                arrays[None] = knots[at]
             t = arrays[None]
-            arrays[key] = t[pad + ell:pad + ell + m + 1] - t[pad + en:pad + en + m + 1]
+            diff = t[pad + ell:pad + ell + m + 1] - t[pad + en:pad + en + m + 1]
+            if self.exact:  # over the common denominator, shared by every entry
+                diff = _Pairs(diff, self._integer_knots[1])
+            arrays[key] = diff
         return arrays[key][n]
 
     def breakpoints(self) -> tuple:

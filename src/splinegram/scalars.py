@@ -3,16 +3,25 @@
 The scalar mode is decided once per object, by ``scalar_type``, in the
 constructors of ``KnotSequence`` (its ``exact`` field) and of
 ``SymBandedMatrix`` (its bands' dtype); every later routine reads it from
-there or from an array's dtype: object arrays hold Fractions, float64
-arrays floats.  The other helpers handle parsing/formatting at the JSON
-boundary, where exact values travel as ``"p/q"`` strings and floats as plain
-numbers.  ``_integer_parts`` splits an exact array into the Python ints
-inside its Fractions, so that exact arithmetic, signs and float images can
-run on those ints and build at most one Fraction per value kept.
+there or from an array's dtype: object arrays hold Fractions (or, inside the
+closed forms and the lemma battery, the pair arrays below), float64 arrays
+floats.  The other helpers handle parsing/formatting at the JSON boundary,
+where exact values travel as ``"p/q"`` strings and floats as plain numbers.
+
+``_integer_parts`` splits an exact array into the Python ints inside its
+Fractions, so that exact arithmetic, signs and float images can run on
+those ints.  ``_Pairs`` computes on them: exact rationals kept as unreduced
+pairs (N, D) of object arrays of Python ints, D > 0, on which + - * /,
+comparison with a bound and the float image take no gcd.  The exact closed
+forms and the lemma battery compute in it, so that a Fraction, and its
+gcd, is built only for a value that is kept (a Gram entry), never for one
+that is only checked.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -46,6 +55,226 @@ def _integer_parts(values, what: str) -> tuple:
     except AttributeError:
         bad = next(x for x in values.flat if not isinstance(x, (int, Fraction)))
         raise InputError(f"{what} {bad!r} is not an int or a Fraction") from None
+
+
+def _float_quotient(n: int, d: int) -> float:
+    """n / d for Python ints by int true division, correctly rounded (so
+    bit for bit float(Fraction(n, d)), reduced or not); +-inf beyond the
+    float range and at d = 0, with n's sign."""
+    try:
+        return n / d
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if n >= 0 else -math.inf
+
+
+def _float_quotients(N, D):
+    """``_float_quotient`` elementwise over an object array N of Python ints
+    and D, one of N's shape or a Python int, as a float64 array: one array
+    division, and a per-entry pass only where some entry leaves the float
+    range or has d = 0."""
+    import numpy as np
+
+    try:
+        return (N / D).astype(float)
+    except (OverflowError, ZeroDivisionError):
+        D = np.broadcast_to(np.asarray(D, object), N.shape)
+        return np.array([_float_quotient(n, d) for n, d in zip(N.tolist(), D.tolist())],
+                        dtype=float)
+
+
+def _object_where(cond, a, b):
+    """numpy.where over Python ints that is dtype object whatever a and b
+    are: numpy.where(cond, 1, 5) is int64, whose later products wrap."""
+    import numpy as np
+
+    return np.where(cond, np.asarray(a, object), np.asarray(b, object))
+
+
+def _value(n: int, d: int):
+    """One pair as a value: the canonical Fraction n/d, or +-inf at d = 0."""
+    return Fraction(n, d) if d else _float_quotient(n, d)
+
+
+def _times(x, k):
+    """x * k for an object array or an int x and an int k (or an array),
+    skipping the pass over x when k is the int 1."""
+    return x if type(k) is int and k == 1 else x * k
+
+
+class _Pairs:
+    """Exact rationals N/D elementwise, kept as unreduced pairs: N is a 1-D
+    object array of Python ints, D one of its length or a single Python int
+    shared by every entry (the exact brackets' common denominator), D > 0,
+    and no gcd is taken but between two shared denominators.  D = 0 occurs
+    only in the fill (1, 0) of ``decay._select``, which reads +inf as a
+    value, as a float and in comparisons.  A pair array is a value: only a
+    fresh one (``copy``, the fill) is written in place.
+
+    + - * / take ints, Fractions, object arrays of Fractions and ints (split
+    by ``_integer_parts``) and other pair arrays, on either side; a sum of
+    two shared denominators is taken over their lcm, a quotient moves its
+    divisor's sign onto N, and a zero divisor raises ZeroDivisionError, as
+    Fraction does.  A comparison with such an operand (a bound) is N * d
+    <op> n * D over the ints, exact as both denominators are positive.
+    ``floats`` is the float image N / D by int true division, bit for bit
+    float(Fraction(N, D)), and ``fractions`` the canonical Fractions.  An
+    int index or ``tolist`` gives canonical Fractions; a slice or an index
+    array gives a pair array.  numpy's operators defer to these
+    (``__array_ufunc__ = None``), so an object array of Fractions meets a
+    pair array on either side.
+    """
+
+    __slots__ = ("N", "D")
+    __array_ufunc__ = None
+
+    def __init__(self, N, D):
+        self.N, self.D = N, D
+
+    @property
+    def dtype(self):
+        return self.N.dtype
+
+    @property
+    def shape(self):
+        return self.N.shape
+
+    def __len__(self):
+        return len(self.N)
+
+    def _denominators(self):
+        """D as an array of N's length."""
+        import numpy as np
+
+        return self.D if type(self.D) is not int else np.full(len(self.N), self.D, object)
+
+    def __getitem__(self, key):
+        n = self.N[key]
+        d = self.D if type(self.D) is int else self.D[key]
+        return _value(n, d) if isinstance(n, int) else _Pairs(n, d)
+
+    def __setitem__(self, key, value):
+        self.D = self._denominators()
+        self.N[key], self.D[key] = _operand(value)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def copy(self):
+        return _Pairs(self.N.copy(), self._denominators().copy())
+
+    def tolist(self) -> list:
+        return [_value(n, d) for n, d in zip(self.N.tolist(), self._denominators().tolist())]
+
+    def fractions(self):
+        """The canonical Fractions N/D as an object array (D > 0 throughout:
+        an entry (1, 0) raises ZeroDivisionError)."""
+        import numpy as np
+
+        return np.frompyfunc(Fraction, 2, 1)(self.N, self.D)
+
+    def floats(self):
+        """The float64 image N / D (``_float_quotients``)."""
+        return _float_quotients(self.N, self.D)
+
+    def __neg__(self):
+        return _Pairs(-self.N, self.D)
+
+    def _sum(self, other, sign):
+        n, d = _operand(other)
+        if type(self.D) is int and type(d) is int:  # over the lcm
+            L = math.lcm(self.D, d)
+            top, n = _times(self.N, L // self.D), _times(n, L // d)
+        else:
+            top, n, L = _times(self.N, d), _times(n, self.D), self.D * d
+        return _Pairs(top + n if sign > 0 else top - n, L)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._sum(other, 1)
+
+    def __mul__(self, other):
+        n, d = _operand(other)
+        return _Pairs(_times(self.N, n), _times(self.D, d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        n, d = _operand(other)
+        return _quotient(_times(self.N, d), _times(self.D, n), n)
+
+    def __rtruediv__(self, other):
+        n, d = _operand(other)
+        return _quotient(_times(self.D, n), _times(self.N, d), self.N)
+
+    def _compare(self, other, op):
+        n, d = _operand(other)
+        return op(_times(self.N, d), 0 if type(n) is int and n == 0 else _times(self.D, n))
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+
+def _operand(x) -> tuple:
+    """x as (numerators, denominators) for ``_Pairs`` arithmetic: a pair
+    array's N and D, an int's or a Fraction's two ints, the integer parts of
+    an object array; anything else is a TypeError."""
+    import numpy as np
+
+    if isinstance(x, _Pairs):
+        return x.N, x.D
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x.numerator, x.denominator
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return _integer_parts(x, "rational operand")
+    raise TypeError(f"no exact rational arithmetic with {type(x).__name__}")
+
+
+def _quotient(N, D, divisor):
+    """The pair array N/D of a quotient whose divisor has the numerators
+    ``divisor`` (an array or an int; D carries their signs):
+    ZeroDivisionError where one is zero, else their signs moved onto N and
+    off D, so that D > 0."""
+    import numpy as np
+
+    if np.any(divisor == 0):
+        raise ZeroDivisionError("division of a rational array by zero")
+    if type(N) is int:  # a scalar over a pair array
+        N = np.full(len(D), N, object)
+    neg = divisor < 0
+    if type(D) is int:  # a shared denominator, of a scalar divisor
+        return _Pairs(-N, -D) if neg else _Pairs(N, D)
+    if np.any(neg):
+        N, D = _object_where(neg, -N, N), _object_where(neg, -D, D)
+    return _Pairs(N, D)
+
+
+def _where(cond, a, b):
+    """numpy.where(cond, a, b), kept a pair array when a or b is one (the
+    other an exact scalar or array), dtype object throughout."""
+    import numpy as np
+
+    if not isinstance(a, _Pairs) and not isinstance(b, _Pairs):
+        return np.where(cond, a, b)
+    (an, ad), (bn, bd) = _operand(a), _operand(b)
+    return _Pairs(_object_where(cond, an, bn), _object_where(cond, ad, bd))
+
+
+def _rational(values):
+    """An object array of Fractions and ints as a pair array, by its
+    integer parts; a pair array or a float64 array as it is."""
+    if isinstance(values, _Pairs) or values.dtype != object:
+        return values
+    return _Pairs(*_operand(values))
 
 
 def parse_scalar(value):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
@@ -262,14 +263,27 @@ def test_verify_fitted_order_never_fails(capsys):
     assert obj["worst_ratio"] <= 1 + 1e-12
 
 
-def test_non_finite_output_exits_2(capsys):
-    # at m = 1840 the float gamma^d underflows to 0 where b_ij eta_ij has,
-    # and the report's ratio 0/0 is NaN, which JSON cannot hold: an
-    # arithmetic failure with nothing on stdout, not a report holding NaN
-    code, out, err = _call(capsys, ["verify", "--order", "2", "--spec", "uniform:1840",
-                                    "--mode", "float"])
+def test_gamma_power_underflow_reads_a_finite_ratio(capsys):
+    # at m = 1840 the float gamma^d underflows to 0 where b_ij eta_ij has;
+    # those ratios come from mantissa/exponent pairs, so the report holds
+    # only finite numbers and passes
+    code, out = _run(capsys, ["verify", "--order", "2", "--spec", "uniform:1840",
+                              "--mode", "float"])
+    assert code == 0
+    obj = json.loads(out, parse_constant=_no_constant)
+    assert obj["passed"] and 0 < obj["worst_ratio"] < 1
+
+
+def test_non_finite_output_exits_2(capsys, monkeypatch):
+    # a report holding NaN, which JSON cannot hold, is an arithmetic failure
+    # with nothing on stdout, not a report holding NaN
+    real = cli.report_to_json
+    monkeypatch.setattr(cli, "report_to_json",
+                        lambda report: {**real(report), "worst_ratio": math.nan})
+    code, out, err = _call(capsys, ["verify", *UNIFORM, "--mode", "float"])
     assert (code, out) == (2, "")
     assert err.startswith("error: output holds a non-finite number")
+    monkeypatch.undo()
     # a passing float report holds only finite numbers
     code, out = _run(capsys, ["verify", *UNIFORM, "--mode", "float"])
     assert code == 0 and json.loads(out, parse_constant=_no_constant)["passed"]

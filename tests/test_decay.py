@@ -221,6 +221,103 @@ def test_lemma_check_compares_exact_values_exactly():
     assert _lemma_check("sign", signed.astype(float), None, (n,), 0.0, 0).passed
 
 
+def test_lemma_check_compares_pair_values_exactly():
+    # the twin of the test above on unreduced pair arrays: at the bound a
+    # value passes and 10^-30 above it fails (its float reads 1.0 at bound
+    # 1), for bound 1 and bound 0; the values come from quotients whose
+    # divisor is negative, whose sign moves onto the numerator
+    from splinegram.decay import _lemma_check
+    from splinegram.scalars import _Pairs
+
+    def pairs(num, den):
+        return _Pairs(np.array(num, dtype=object), np.array(den, dtype=object))
+
+    n, big = np.arange(1, 4), 10 ** 30
+    minus = pairs([-3, -7, -1], [1, 2, 1])  # a negative divisor
+    for bound in (1, 0):
+        at = pairs([-3 * bound * big, -7 * bound, 2 - 3 * bound], [big, 2, 3]) / minus
+        above = at + pairs([0, 1, 0], [1, big, 1])
+        assert (at.D > 0).all() and (above.D > 0).all()
+        assert at.tolist() == [bound, bound, bound - F(2, 3)]
+        check = _lemma_check("pair", at, None, (n,), 0.0, bound)
+        assert check.passed and (check.worst_ratio, check.witness) == (bound, (1,))
+        check = _lemma_check("pair", above, None, (n,), 0.0, bound)
+        assert not check.passed
+        assert check.worst_ratio == float(bound + F(1, big))  # 1.0 at bound 1
+        # the same values as Fractions get the same verdicts and floats
+        for values in (at, above):
+            as_fractions = np.array(values.tolist(), dtype=object)
+            assert (_lemma_check("pair", values, None, (n,), 0.0, bound)
+                    == _lemma_check("pair", as_fractions, None, (n,), 0.0, bound))
+
+
+def test_pair_arrays_stay_python_ints():
+    # entries that fit int64 whose products do not: every step of the exact
+    # battery's arithmetic keeps dtype object and equals the Fraction result
+    # (an int64 array would wrap around silently)
+    from splinegram.decay import _select
+    from splinegram.scalars import _object_where, _Pairs, _where
+
+    def exact(p, expected):
+        assert isinstance(p, _Pairs) and p.N.dtype == object
+        assert type(p.D) is int or p.D.dtype == object
+        assert np.all(np.asarray(p.D) > 0)
+        assert p.tolist() == expected
+        return p
+
+    assert _object_where(np.array([True, False]), 1, 5).dtype == object
+    D = 2 ** 41 - 1  # a shared denominator, as the exact brackets have
+    x = exact(_Pairs(np.array([0, 2 ** 40 - 3, 3 * 2 ** 38 + 5, 2 ** 39 + 1], object), D),
+              [F(0), F(2 ** 40 - 3, D), F(3 * 2 ** 38 + 5, D), F(2 ** 39 + 1, D)])
+    y = exact(_Pairs(np.array([0, 2 ** 40 + 9, 2 ** 39 - 7, 2 ** 38 + 3], object), D),
+              [F(0), F(2 ** 40 + 9, D), F(2 ** 39 - 7, D), F(2 ** 38 + 3, D)])
+    fx, fy = x.tolist(), y.tolist()
+    # 0/0 at the first entry: a dead numerator, nothing divided there
+    r = exact(ratio((x, y, x), (7, y, y)),
+              [F(0)] + [a * b * a / (7 * b * b) for a, b in zip(fx[1:], fy[1:])])
+    fr = r.tolist()
+    # a negative denominator factor: its sign moves onto N
+    exact(ratio((x,), (-3, y)), [F(0)] + [a / (-3 * b) for a, b in zip(fx[1:], fy[1:])])
+    # divisions by negative values: an array, and a scalar
+    exact(r[1:] / -x[1:], [a / -b for a, b in zip(fr[1:], fx[1:])])
+    exact(x / -3, [a / -3 for a in fx])
+    exact(3 / -y[1:], [3 / -b for b in fy[1:]])
+    # _select's fill, the pair (1, 0), reads +inf
+    cond = np.array([False, True, False, True])
+    sel = _select(cond, lambda at: r[at] * y[at])
+    assert sel.N.dtype == sel.D.dtype == object
+    assert sel.tolist() == [math.inf, fr[1] * fy[1], math.inf, fr[3] * fy[3]]
+    # theta_hat_bound's where: an int beside a pair array stays a Python int
+    val = exact(r - y * y, [a - b * b for a, b in zip(fr, fy)])
+    hat = exact(-val / _where(val > 0, val, 1),
+                [-v / (v if v > 0 else 1) for v in val.tolist()])
+    assert hat.D.dtype == object
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_exact_battery_builds_no_fraction_per_index(order, monkeypatch):
+    # verify_lemmas computes on integer pairs: the Fractions it builds are
+    # its constants', as many at m = 12 as at m = 40
+    real = F.__new__
+    counts = []
+    for count in (12 - order, 40 - order):
+        ks = shrink_one_gap(_random_exact(random.Random(count), order, count), 1,
+                            F(1, 10 ** 4))
+        A, st = build_gram(ks), _inverted(ks)
+        calls = []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        checks = verify_lemmas(ks, A, st, decay_constants(order))
+        monkeypatch.undo()
+        assert all(c.passed for c in checks)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_battery_requires_history():
     ks = KnotSequence(2, [F(1, 2)])
     with pytest.raises(InputError):
@@ -529,6 +626,23 @@ def test_filtered_verdicts_with_subnormal_bounds():
             hi += [j] * 3
     ok, ref = _kernel_verdicts(x, lo, hi, ks, c.K, c)
     assert ok == ref and 0 < sum(ok) < len(ok)
+
+
+def test_kernel_ratio_is_finite_where_gamma_power_underflows():
+    # float k = 2 at distances d >= 1838, where gamma ** d is 0.0: an entry
+    # that underflowed to 0.0 reads 0, and a subnormal and a normal entry
+    # read their true ratio |x| eta / (K gamma^d), computed here exactly
+    # from the same float gamma
+    c = decay_constants(2)
+    ks = KnotSequence(2, [i / 2001 for i in range(1, 2001)])
+    x, lo, hi = np.array([0.0, 3 * 5e-324, 1e-300]), np.array([0, 3, 100]), \
+        np.array([1838, 1990, 2001])
+    assert c.gamma ** 1838 == 0.0 and ks.m == 2002
+    eta, raw, ratio, ok = _decay_kernel(x, lo, hi, ks, c.K, c.gamma)
+    assert ok is None and np.isfinite(ratio).all() and ratio[0] == 0.0
+    for e in (1, 2):
+        true = F(x[e]) * F(eta[e]) / (c.K * F(c.gamma) ** int(hi[e] - lo[e]))
+        assert ratio[e] == pytest.approx(float(true), rel=1e-12)
 
 
 def test_filter_off_for_a_gamma_that_is_not_sqrt_gamma_sq():
