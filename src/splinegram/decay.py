@@ -296,13 +296,10 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     powers = [gamma ** e for e in range(ks.m)]
     pw = np.array(powers)[d]
     scale = float(K) * pw
-    # no pw or scale below min(1, gamma^(m-1)) min(1, K): the powers are monotone
-    if raw.min() >= tiny and min(1.0, powers[-1]) * min(1.0, float(K)) >= tiny:
+    with np.errstate(divide="ignore", invalid="ignore"):  # replaced just below
         ratio = raw / scale
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):  # replaced just below
-            ratio = raw / scale
-        low = np.flatnonzero((raw < tiny) | (scale < tiny) | (pw < tiny))
+    low = np.flatnonzero((raw < tiny) | (scale < tiny) | (pw < tiny))
+    if len(low):
         ratio[low] = _split_ratios(ax[low], eta[low], raw[low], pw[low], d[low], K, gamma)
     ok = None
     if gamma_sq is not None:
@@ -379,7 +376,7 @@ def _select(cond, value):
     at = np.flatnonzero(cond)
     part = value(at)
     if isinstance(part, _Pairs):
-        out = _Pairs(np.full(len(cond), 1, object), np.zeros(len(cond), object))
+        out = _Pairs.infinite(len(cond))
     else:
         out = np.full(len(cond), math.inf, part.dtype)
     out[at] = part

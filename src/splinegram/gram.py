@@ -31,7 +31,6 @@ the mode chooses only its node table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -39,8 +38,7 @@ from operator import mul
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence
-from .scalars import (_object_where, _operand, _Pairs, _quotient, _times,
-                      format_scalars, scalar_type)
+from .scalars import _Pairs, format_scalars, scalar_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,14 +119,17 @@ def ratio(num_factors, den_factors):
     their integer parts: one Python-int product per side, the numerators of
     the numerator factors with the denominators of the denominator factors
     and the reverse, kept unreduced as a ``_Pairs`` array (no gcd, no
-    Fraction).  Float factors multiply left to right, the numerator's first
+    Fraction; see ``_Pairs.monomial``).  Float factors multiply left to right, the numerator's first
     (see ``_divide``), and a dead entry is the zero of its factor.
     """
     import numpy as np
 
     if next(f for f in num_factors
             if isinstance(f, (np.ndarray, _Pairs))).dtype == object:
-        return _exact_ratio(num_factors, den_factors)
+        out, zero = _Pairs.monomial(num_factors, den_factors)
+        if zero.any():
+            raise _zero_denominator(zero)
+        return out
     live = True
     for f in num_factors:
         live = live & (f != 0)
@@ -147,33 +148,6 @@ def ratio(num_factors, den_factors):
                 out[e] = z * 0
                 break
     return out
-
-
-def _exact_ratio(num_factors, den_factors):
-    """``ratio`` over exact factors (pair arrays, object arrays of
-    Fractions, ints): the pair array N/Q with N the product of the
-    numerator factors' numerators and the denominator factors'
-    denominators, and Q the reverse, unreduced but for the gcd of their
-    int parts (the constants and the brackets' shared denominators), which
-    is cancelled once.  N is zero exactly where a numerator factor is, and
-    where Q is zero too the pair is 0/1; a zero Q elsewhere raises, and Q's
-    sign moves onto N."""
-    import numpy as np
-
-    top, bottom = map(_operand, num_factors), map(_operand, den_factors)
-    (num_n, num_d), (den_n, den_d) = zip(*top), zip(*bottom)
-    sides = [(reduce(mul, (f for f in fs if type(f) is int), 1),
-              [f for f in fs if type(f) is not int])
-             for fs in (num_n + den_d, num_d + den_n)]
-    g = math.gcd(sides[0][0], sides[1][0])
-    N, Q = (_times(reduce(mul, arrays), k // g) if arrays else k // g
-            for k, arrays in sides)
-    zero = Q == 0
-    if np.any(zero & (N != 0)):
-        raise _zero_denominator(zero & (N != 0))
-    if np.any(zero):  # 0/0: nothing is divided there
-        Q = _object_where(zero, 1, Q)
-    return _quotient(N, Q, Q)
 
 
 def linear_formula(br, ratio, i, d: int):

@@ -24,6 +24,7 @@ import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 from .errors import InputError
 
@@ -106,9 +107,9 @@ class _Pairs:
     object array of Python ints, D one of its length or a single Python int
     shared by every entry (the exact brackets' common denominator), D > 0,
     and no gcd is taken but between two shared denominators.  D = 0 occurs
-    only in the fill (1, 0) of ``decay._select``, which reads +inf as a
-    value, as a float and in comparisons.  A pair array is a value: only a
-    fresh one (``copy``, the fill) is written in place.
+    only in the pair (1, 0) of ``infinite``, which reads +inf as a value,
+    as a float and in comparisons.  A pair array is a value: only a fresh
+    one (``copy``, ``infinite``) is written in place.
 
     + - * / take ints, Fractions, object arrays of Fractions and ints (split
     by ``_integer_parts``) and other pair arrays, on either side; a sum of
@@ -129,6 +130,40 @@ class _Pairs:
 
     def __init__(self, N, D):
         self.N, self.D = N, D
+
+    @classmethod
+    def infinite(cls, n: int):
+        """A fresh array of n entries +inf, each the pair (1, 0)."""
+        import numpy as np
+
+        return cls(np.full(n, 1, object), np.zeros(n, object))
+
+    @classmethod
+    def monomial(cls, num_factors, den_factors) -> tuple:
+        """The monomial ratio of exact factors (pair arrays, object arrays
+        of Fractions and ints, ints), with at least one array among the
+        numerator factors, under the 0/0 rule: the pair array N/Q with N the
+        product of the numerator factors' numerators and the denominator
+        factors' denominators, and Q the reverse, unreduced but for the gcd
+        of their int parts (the constants and shared denominators), which
+        is cancelled once.  N is zero exactly where a numerator factor is,
+        and where Q is zero too the pair is 0/1; Q's sign moves onto N.
+        Returned with the bool array of the entries whose Q is zero while N
+        is not, which read N/1 here and are the caller's to reject."""
+        import numpy as np
+
+        top, bottom = map(_operand, num_factors), map(_operand, den_factors)
+        (num_n, num_d), (den_n, den_d) = zip(*top), zip(*bottom)
+        sides = [(reduce(operator.mul, (f for f in fs if type(f) is int), 1),
+                  [f for f in fs if type(f) is not int])
+                 for fs in (num_n + den_d, num_d + den_n)]
+        g = math.gcd(sides[0][0], sides[1][0])
+        N, Q = (_times(reduce(operator.mul, arrays), k // g) if arrays else k // g
+                for k, arrays in sides)
+        zero = Q == 0
+        if np.any(zero):  # nothing is divided there
+            Q = _object_where(zero, 1, Q)
+        return _quotient(N, Q, Q), zero & (N != 0)
 
     @property
     def dtype(self):
