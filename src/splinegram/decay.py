@@ -369,8 +369,8 @@ def _split_ratios(ax, eta, raw, pw, d, K, gamma: float):
 
 def _select(cond, value):
     """value(at) at the positions ``at`` where cond holds, +inf elsewhere
-    (the pair (1, 0) for exact values): value sees only those positions, so
-    what cond guards never runs."""
+    (``_Pairs.infinite`` for exact values): value sees only those
+    positions, so what cond guards never runs."""
     import numpy as np
 
     at = np.flatnonzero(cond)

@@ -119,8 +119,9 @@ def ratio(num_factors, den_factors):
     their integer parts: one Python-int product per side, the numerators of
     the numerator factors with the denominators of the denominator factors
     and the reverse, kept unreduced as a ``_Pairs`` array (no gcd, no
-    Fraction; see ``_Pairs.monomial``).  Float factors multiply left to right, the numerator's first
-    (see ``_divide``), and a dead entry is the zero of its factor.
+    Fraction; see ``_Pairs.monomial``).  Float factors multiply left to
+    right, the numerator's first (see ``_divide``), and a dead entry is the
+    zero of its factor.
     """
     import numpy as np
 
