@@ -25,14 +25,15 @@ at most 1 - (2m + 16) 2^-52 passes, since that margin exceeds every rounding
 error the ratio can carry (derived in ``_decay_kernel``), and only the
 remaining entries, near the bound or beyond it, are compared in the squared
 form over integers, every denominator cleared.  An exact inverse is read as
-integer numerators over positive denominators: an exact GrowingInverse's
-scaled form (B's numerators over one shared denominator, each history
-column's over its own), or the integer parts of a Fraction array.  The float
-image of an entry n/d is the int true division n / d, correctly rounded
-like float(n/d) and so equal to it bit for bit, and its sign is n's; no
-Fraction is built.  Where a float ratio's factors are zero or subnormal
-(gamma^d underflows from d = 1838 at k = 2) the ratio is taken from
-mantissa/exponent pairs, so that it is finite, never 0/0.  For other orders
+a ``scalars._Pairs`` array, integer numerators over positive denominators:
+an exact GrowingInverse's scaled form (B's numerators over one shared
+denominator, each history column's over its own), or the integer parts of
+a Fraction array.  The float image of an entry n/d is the int true
+division n / d, correctly rounded like float(n/d) and so equal to it bit
+for bit, and its sign is n's; no Fraction is built.  Where a float ratio's
+factors are zero or subnormal (gamma^d underflows from d = 1838 at k = 2)
+the ratio is taken from mantissa/exponent pairs, so that it is finite,
+never 0/0.  For other orders
 no certified constants are available: a report against the envelope
 observed on the inverse itself gives its ratios and no verdict.
 
@@ -75,8 +76,7 @@ from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix, quad_formula, ratio
 from .invstep import GrowingInverse, _history_parts, _parts
 from .knots import KnotSequence
-from .scalars import (_float_quotient, _float_quotients, _Pairs, _rational, _where,
-                      format_scalar)
+from .scalars import _Pairs, _rational, _where, format_scalar
 
 
 @dataclass(frozen=True)
@@ -210,42 +210,36 @@ def _lemma_check(name, values, ok, witness, slack, bound=1) -> LemmaCheck:
 
 
 def _abs_floats(x):
-    """|x| as float64 for a 1-D array of floats, or for exact entries, a
-    pair (num, den) or an object array of Fractions and ints (split into
-    that pair by ``invstep._parts``).  An exact entry num/den becomes
-    |num / den| by int true division (``scalars._float_quotients``),
-    correctly rounded like float(num/den) and so equal to it bit for bit,
-    reduced to lowest terms or not; an entry beyond the float range reads
-    inf."""
+    """|x| as float64 for a 1-D array of floats, or of exact entries (a
+    ``_Pairs`` array, or an object array of Fractions and ints, read by its
+    integer parts).  An exact entry N/D becomes |N / D| by int true division
+    (``_Pairs.floats``), correctly rounded like float(N/D) and so equal to
+    it bit for bit, reduced to lowest terms or not; an entry beyond the
+    float range reads inf."""
     import numpy as np
 
-    if not isinstance(x, tuple):
-        if x.dtype != object:
-            return np.abs(x.astype(float))
-        x = _parts(x)
-    return np.abs(_float_quotients(*x))
+    return np.abs(_rational(x).floats() if x.dtype == object else x.astype(float))
 
 
 def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     """x <= K gamma^d / eta at every entry of x, d = hi - lo.
 
-    x is a 1-D vector of inverse entries: float64, or exact as a pair (num,
-    den) of object arrays of Python ints (or an object array of Fractions,
-    split into one by ``invstep._parts``), and lo <= hi the 0-based
-    positions whose eta_{lo+1,hi+1} weighs them.  Returns (eta, raw,
-    ratio, ok): the floats eta (correctly rounded), raw = |x| eta and
-    ratio = raw / (K gamma^d) (1.0 = bound attained), and, given gamma_sq
-    (for exact entries only), the exact verdicts
-    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  For
-    exact entries the float |x| is num / den (``_abs_floats``) and eta comes
-    from the knots' integer numerators over their common denominator, each
-    by one int true division; where |x| or eta is not a normal float (an
-    entry beyond the float range, an eta that underflows) raw is
-    |num| eta_num / (den eta_den), the float of the exact product |x| eta by
-    one more.  eta_num and eta_den come from the copy the knots keep
-    (``KnotSequence._integer_knots``).  Where raw, gamma^d or K gamma^d is
-    zero or subnormal the ratio is ``_split_ratios``' (finite, never NaN);
-    every other ratio is the plain quotient above.
+    x is a 1-D vector of inverse entries, float64 or a ``_Pairs`` array (an
+    object array of Fractions and ints enters by its integer parts), and
+    lo <= hi the 0-based positions whose eta_{lo+1,hi+1} weighs them.
+    Returns (eta, raw, ratio, ok): the floats eta (correctly rounded), raw =
+    |x| eta and ratio = raw / (K gamma^d) (1.0 = bound attained), and, given
+    gamma_sq (for exact entries only), the exact verdicts
+    (x eta)^2 den(gamma_sq)^d <= K^2 num(gamma_sq)^d (else None).  Exact
+    knots give eta as a pair array too, the differences of the knots'
+    integer numerators over their common denominator
+    (``KnotSequence._integer_knots``), each float by one int true division.
+    For exact entries the float |x| is ``_abs_floats``'; where |x| or eta is
+    not a normal float (an entry beyond the float range, an eta that
+    underflows) raw is the float of the pair product |x| eta.  Where raw,
+    gamma^d or K gamma^d is zero or subnormal the ratio is
+    ``_split_ratios``' (finite, never NaN); every other ratio is the plain
+    quotient above.
 
     The exact verdicts are filtered: an entry whose float ratio is at most
     1 - delta, delta = (2m + 16) 2^-52, passes, and the exact comparison runs
@@ -264,23 +258,22 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     ratio <= 1 - delta = 1 - (4m + 32) u then gives
     r <= (1 - delta) e^L <= e^(L - delta) < 1: the entry passes exactly.
     A quotient that underflows lies far below 1 and needs no margin.
-    The exact comparison clears every denominator: with x = num/den, eta =
-    eta_num/eta_den and K = K_num/K_den it is
-    (|num| eta_num K_den)^2 den(gamma_sq)^d
-        <= K_num^2 num(gamma_sq)^d (den eta_den)^2,
+    The exact comparison clears every denominator: with the pair product
+    |x| eta = N/D (a float eta taken as its integer ratio) and K =
+    K_num/K_den it is
+    (N K_den)^2 den(gamma_sq)^d <= K_num^2 num(gamma_sq)^d D^2,
     over Python ints.
     """
     import numpy as np
 
-    k = ks.order
-    if not isinstance(x, tuple):
-        x = _parts(x)
+    k, x = ks.order, _rational(x)
+    exact = x.dtype == object
     if ks.exact:
         # integer differences over the common denominator, each rounded once
         # by int true division: the floats of float(t_a - t_b), far cheaper
         num, common = ks._integer_knots
-        eta_num = num[hi + k] - num[lo]
-        eta = (eta_num / common).astype(float)
+        eta_q = _Pairs(num[hi + k] - num[lo], common)
+        eta = eta_q.floats()
     else:
         knots = np.array(ks.knots)
         eta = knots[hi + k] - knots[lo]
@@ -289,10 +282,10 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
     with np.errstate(invalid="ignore"):  # inf * 0, replaced just below
         raw = ax * eta
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
-    if ks.exact and isinstance(x, tuple):
-        xn, xd = x
-        for e in np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny))):
-            raw[e] = abs(_float_quotient(xn[e] * eta_num[e], xd[e] * common))
+    if ks.exact and exact:
+        e = np.flatnonzero(~((ax >= tiny) & (ax <= huge) & (eta >= tiny)))
+        if len(e):
+            raw[e] = (abs(x[e]) * eta_q[e]).floats()
     powers = [gamma ** e for e in range(ks.m)]
     pw = np.array(powers)[d]
     scale = float(K) * pw
@@ -320,13 +313,12 @@ def _decay_kernel(x, lo, hi, ks: KnotSequence, K, gamma: float, gamma_sq=None):
             num_pow = np.array([Kq.numerator ** 2 * g.numerator ** e
                                 for e in range(top)], dtype=object)
             if ks.exact:
-                en, ed = eta_num[todo], common
+                q = eta_q[todo]
             else:  # a float eta is exact as its integer ratio
-                en, ed = (np.array(v, dtype=object) for v in
-                          zip(*map(float.as_integer_ratio, eta[todo].tolist())))
-            xn, xd = (v[todo] for v in x)
-            lhs, rhs = np.abs(xn) * en, xd * ed
-            ok[todo] = lhs * lhs * den_pow[dt] <= num_pow[dt] * (rhs * rhs)
+                q = _Pairs(*(np.array(v, dtype=object) for v in
+                             zip(*map(float.as_integer_ratio, eta[todo].tolist()))))
+            p = abs(x[todo]) * q
+            ok[todo] = p.N * p.N * den_pow[dt] <= num_pow[dt] * (p.D * p.D)
     return eta, raw, ratio, ok
 
 
@@ -486,7 +478,7 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
               for name, bound, n, values in families(ks, A, state.diag_history)]
     hi, lo = np.tril_indices(ks.m)
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
-                                    consts.gamma_sq if isinstance(x, tuple) else None)
+                                    consts.gamma_sq if x.dtype == object else None)
     checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))
     return tuple(checks)
 
@@ -514,9 +506,10 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
                  slack: float = 0.0, lemma_checks: tuple = ()) -> DecayReport:
     """Evaluate |b_ij| * eta_ij / (K gamma^|i-j|) over the full inverse.
 
-    B is the m x m inverse: a GrowingInverse, whose exact entries are read
-    from its scaled form without building B's Fractions, or a numpy array or
-    rows of exact scalars or floats (``invstep._parts``).  One kernel pass
+    B is the m x m inverse as ``invstep._parts`` reads it: a
+    GrowingInverse, whose exact entries are read from its scaled form
+    without building B's Fractions, or a numpy array or rows of exact
+    scalars or floats.  One kernel pass
     covers the upper triangle in row-major order; the worst entry is the
     first maximal ratio in that order.  With exact input and
     certified constants the pass/fail decision is exact: an entry passes on
@@ -538,25 +531,18 @@ def decay_report(B, ks: KnotSequence, consts: DecayConstants,
         B = _parts(B)
     except ValueError:  # ragged rows
         B = np.empty(0)
-    exact = isinstance(B, tuple)
-    if (B[0] if exact else B).shape != (m, m):
+    if B.shape != (m, m):
         raise InputError(f"inverse must be {m}x{m} to match the knot sequence")
     lo, hi = np.triu_indices(m)
-    _, _, ratio, ok = _decay_kernel(_at(B, lo, hi), lo, hi, ks, consts.K, consts.gamma,
-                                    consts.gamma_sq if exact and consts.certified
-                                    else None)
+    exact = B.dtype == object and consts.certified
+    _, _, ratio, ok = _decay_kernel(B[lo, hi], lo, hi, ks, consts.K, consts.gamma,
+                                    consts.gamma_sq if exact else None)
     full = _lemma_check("full_decay", ratio, ok, (lo + 1, hi + 1), slack)
     certified = consts.certified
     passed = full.passed and all(c.passed for c in lemma_checks)
     return DecayReport(ks.order, m, consts.K, consts.gamma_sq, full.worst_ratio,
                        full.witness, passed if certified else None, certified,
                        lemma_checks + ((full,) if certified else ()))
-
-
-def _at(B, i, j):
-    """The entries at the index arrays (i, j) of an inverse as ``_parts``
-    gives it: float, or the pair (num, den) for exact entries."""
-    return tuple(v[i, j] for v in B) if isinstance(B, tuple) else B[i, j]
 
 
 def _observed_constants(B, ks: KnotSequence) -> DecayConstants:
@@ -569,7 +555,7 @@ def _observed_constants(B, ks: KnotSequence) -> DecayConstants:
     import numpy as np
 
     lo, hi = np.triu_indices(ks.m)
-    _, raw, _, _ = _decay_kernel(_at(_parts(B), lo, hi), lo, hi, ks, 1, 1.0)
+    _, raw, _, _ = _decay_kernel(_parts(B)[lo, hi], lo, hi, ks, 1, 1.0)
     diag_max = np.zeros(ks.m)
     np.maximum.at(diag_max, hi - lo, raw)
     K = float(diag_max[0])
@@ -608,7 +594,7 @@ def report_csv_rows(B, ks: KnotSequence, consts: DecayConstants):
 
     i, j = np.indices((ks.m, ks.m)).reshape(2, -1)
     lo, hi = np.minimum(i, j), np.maximum(i, j)
-    x = _at(_parts(B), i, j)
+    x = _parts(B)[i, j]
     eta, _, ratio, _ = _decay_kernel(x, lo, hi, ks, consts.K, consts.gamma)
     return zip((i + 1).tolist(), (j + 1).tolist(), _abs_floats(x).tolist(),
                eta.tolist(), (hi - lo).tolist(), ratio.tolist())

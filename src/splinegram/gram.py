@@ -73,7 +73,9 @@ class SymBandedMatrix:
             rows = [b.tolist() if isinstance(b, np.ndarray) else list(b) for b in bands]
             scalar = scalar_type([x for row in rows for x in row], "band entry")
             dtype = object if scalar is Fraction else float
-            bands = tuple(np.array([scalar(x) for x in row], dtype) for row in rows)
+            # an entry already of the scalar type is kept, not copied
+            bands = tuple(np.array([x if type(x) is scalar else scalar(x) for x in row],
+                                   dtype) for row in rows)
         object.__setattr__(self, "bands", bands)
 
     def get(self, i: int, j: int):

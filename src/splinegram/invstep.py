@@ -35,8 +35,9 @@ division per entry, and a denominator grows only where a division demands
 it (the integer-preserving elimination of Bareiss, 1968, which defers every
 reduction to the end).  The exact inverse is kept in that scaled form, and
 the canonical Fractions of B and of the history columns are built only when
-they are first read; the decay report, its CSV rows and the checkerboard
-read the scaled form itself (``_parts``, ``_history_parts``).
+they are first read; the decay report, its CSV rows, the lemma battery and
+the checkerboard read the scaled form itself, as ``scalars._Pairs`` arrays
+(``_parts``, ``_history_parts``).
 
 One routine serves both scalar modes, taken from the dtype of A's bands:
 numpy arrays of dtype object hold Fractions in exact mode, float64 arrays
@@ -53,7 +54,7 @@ from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
-from .scalars import _integer_parts, format_scalars
+from .scalars import _Pairs, _rational, format_scalars
 
 
 class _built(functools.cached_property):
@@ -105,8 +106,7 @@ class GrowingInverse:
         NB, lam = self._scaled[:2]
         upper = np.triu_indices(self.n)
         B = np.empty(NB.shape, object)
-        B[upper] = np.frompyfunc(Fraction, 2, 1)(
-            NB[upper], np.full(len(upper[0]), lam, object))
+        B[upper] = _Pairs(NB[upper], lam).fractions()
         B.T[upper] = B[upper]
         return B
 
@@ -117,43 +117,42 @@ class GrowingInverse:
         _, _, NY, mu = self._scaled
         upper = np.triu_indices(self.n, 1)
         Y = self.diag_history.base  # the array the diagonal is a view of
-        Y[upper] = np.frompyfunc(Fraction, 2, 1)(NY[upper], mu[upper[1]])
+        Y[upper] = _Pairs(NY[upper], mu[upper[1]]).fractions()
         return tuple(Y[:n, n - 1] for n in range(1, self.n + 1))
 
 
-def _parts(B, what="inverse entry"):
-    """The entries of an inverse as the kernels read them: a numeric array
-    for float entries, and for exact ones the pair (num, den) of object
-    arrays of Python ints of B's shape, num/den = B entrywise with den > 0.
-    B is a GrowingInverse, whose exact entries come from its scaled form
-    without building a Fraction, or an array or nested rows; an object array
-    of Fractions and ints is split by ``_integer_parts``, which names a bad
-    entry as ``what``.  Ragged rows raise ValueError, as numpy does."""
+def _parts(B):
+    """An inverse as the kernels read it: float entries as a numeric array,
+    exact ones as a ``scalars._Pairs`` array of B's shape.  B is a
+    GrowingInverse, whose exact entries are its scaled form N_B over the
+    shared lam, with no Fraction built, or an array or nested rows, whose
+    Fractions and ints enter by their integer parts (``scalars._rational``;
+    an object entry with none is an InputError).  Ragged rows raise
+    ValueError, as numpy does."""
     import numpy as np
 
     if isinstance(B, GrowingInverse):
         if B._scaled is not None:
-            NB, lam = B._scaled[:2]
-            return NB, np.full(NB.shape, lam, object)
+            return _Pairs(*B._scaled[:2])
         B = B.B
-    B = np.asarray(B)
-    return _integer_parts(B, what) if B.dtype == object else B
+    return _rational(np.asarray(B))
 
 
 def _history_parts(state: GrowingInverse):
     """The history columns end to end (n outer, j inner), as ``_parts``
-    gives entries; None without history."""
+    gives entries: column n of the scaled form over its mu[n]; None without
+    history."""
     import numpy as np
 
     if state._scaled is None:
         if state.col_history is None:
             return None
-        return _parts(np.concatenate(state.col_history), "history entry")
+        return _parts(np.concatenate(state.col_history))
     _, _, NY, mu = state._scaled
     if NY is None:
         return None
     hi, lo = np.tril_indices(state.n)
-    return NY[lo, hi], mu[hi]
+    return _Pairs(NY[lo, hi], mu[hi])
 
 
 def _ldlt(A: SymBandedMatrix, zero):
@@ -345,18 +344,17 @@ def check_checkerboard(B):
     """Check (-1)^{i+j} b_{i,j} >= 0 for all entries.
 
     B is a GrowingInverse, or a 2-D array or nested sequences of floats,
-    ints or Fractions.  Exact entries are read by the signs of their
-    numerators over positive denominators (``_parts``): an exact
-    GrowingInverse's scaled form, without building its Fractions, or the
-    integer parts of an object array; an object entry with no integer parts
-    (a float) is an InputError.  Returns (passed, witness) with witness the
-    first violating 1-based (i,j) in row-major order, or None.
+    ints or Fractions, as ``_parts`` reads it.  Exact entries (dtype object)
+    are read by the signs of their numerators over positive denominators:
+    an exact GrowingInverse's scaled form, without building its Fractions,
+    or the integer parts of an object array.  Returns (passed, witness) with
+    witness the first violating 1-based (i,j) in row-major order, or None.
     """
     import numpy as np
 
-    B = _parts(B, "checkerboard entry")
-    if isinstance(B, tuple):
-        B = B[0]
+    B = _parts(B)
+    if B.dtype == object:
+        B = B.N
     odd = np.indices(B.shape).sum(axis=0) & 1 == 1
     bad = np.empty(B.shape, bool)  # one comparison per entry, x not negated
     bad[odd], bad[~odd] = B[odd] > 0, B[~odd] < 0

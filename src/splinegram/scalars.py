@@ -3,19 +3,18 @@
 The scalar mode is decided once per object, by ``scalar_type``, in the
 constructors of ``KnotSequence`` (its ``exact`` field) and of
 ``SymBandedMatrix`` (its bands' dtype); every later routine reads it from
-there or from an array's dtype: object arrays hold Fractions (or, inside the
-closed forms and the lemma battery, the pair arrays below), float64 arrays
-floats.  The other helpers handle parsing/formatting at the JSON boundary,
-where exact values travel as ``"p/q"`` strings and floats as plain numbers.
+there or from an array's dtype: object arrays hold Fractions (or, in the
+exact kernels, the pair arrays below), float64 arrays floats.  The other
+helpers handle parsing/formatting at the JSON boundary, where exact values
+travel as ``"p/q"`` strings and floats as plain numbers.
 
-``_integer_parts`` splits an exact array into the Python ints inside its
-Fractions, so that exact arithmetic, signs and float images can run on
-those ints.  ``_Pairs`` computes on them: exact rationals kept as unreduced
-pairs (N, D) of object arrays of Python ints, D > 0, on which + - * /,
-comparison with a bound and the float image take no gcd.  The exact closed
-forms and the lemma battery compute in it, so that a Fraction, and its
-gcd, is built only for a value that is kept (a Gram entry), never for one
-that is only checked.
+``_Pairs`` is the one exact array type the kernels read: exact rationals
+kept as unreduced pairs (N, D) of Python ints, D > 0, on which + - * /,
+comparison with a bound and the float image take no gcd.  The closed forms,
+the lemma battery and the readers of an exact inverse compute in it (an
+object array of Fractions enters by its integer parts), so that a Fraction,
+and its gcd, is built only for a value that is kept (a Gram entry), never
+for one that is only checked.
 """
 
 from __future__ import annotations
@@ -40,24 +39,6 @@ def scalar_type(values, what: str) -> type:
     return Fraction if all(isinstance(x, (int, Fraction)) for x in values) else float
 
 
-def _integer_parts(values, what: str) -> tuple:
-    """The integer parts of an object array of Fractions or ints: its
-    numerators and its denominators, object arrays of Python ints of its
-    shape (a Fraction's are in lowest terms, with the sign on the
-    numerator).  An entry with no integer parts (a float, a string, ...) is
-    an InputError naming it as ``what``."""
-    from operator import attrgetter
-
-    import numpy as np
-
-    try:
-        return tuple(np.frompyfunc(attrgetter(name), 1, 1)(values)
-                     for name in ("numerator", "denominator"))
-    except AttributeError:
-        bad = next(x for x in values.flat if not isinstance(x, (int, Fraction)))
-        raise InputError(f"{what} {bad!r} is not an int or a Fraction") from None
-
-
 def _float_quotient(n: int, d: int) -> float:
     """n / d for Python ints by int true division, correctly rounded (so
     bit for bit float(Fraction(n, d)), reduced or not); +-inf beyond the
@@ -78,9 +59,7 @@ def _float_quotients(N, D):
     try:
         return (N / D).astype(float)
     except (OverflowError, ZeroDivisionError):
-        D = np.broadcast_to(np.asarray(D, object), N.shape)
-        return np.array([_float_quotient(n, d) for n, d in zip(N.tolist(), D.tolist())],
-                        dtype=float)
+        return np.frompyfunc(_float_quotient, 2, 1)(N, D).astype(float)
 
 
 def _object_where(cond, a, b):
@@ -103,24 +82,26 @@ def _times(x, k):
 
 
 class _Pairs:
-    """Exact rationals N/D elementwise, kept as unreduced pairs: N is a 1-D
-    object array of Python ints, D one of its length or a single Python int
-    shared by every entry (the exact brackets' common denominator), D > 0,
-    and no gcd is taken but between two shared denominators.  D = 0 occurs
-    only in the pair (1, 0) of ``infinite``, which reads +inf as a value,
-    as a float and in comparisons.  A pair array is a value: only a fresh
-    one (``copy``, ``infinite``) is written in place.
+    """Exact rationals N/D elementwise, kept as unreduced pairs: N is an
+    object array of Python ints of any shape, D one of its shape or a single
+    Python int shared by every entry (the exact brackets' common
+    denominator, an exact inverse's lam), D > 0, and no gcd is taken but
+    between two shared denominators.  D = 0 occurs only in the pair (1, 0)
+    of ``infinite``, which reads +inf as a value, as a float and in
+    comparisons.  A pair array is a value: only a fresh one (``copy``,
+    ``infinite``) is written in place.
 
-    + - * / take ints, Fractions, object arrays of Fractions and ints (split
-    by ``_integer_parts``) and other pair arrays, on either side; a sum of
-    two shared denominators is taken over their lcm, a quotient moves its
-    divisor's sign onto N, and a zero divisor raises ZeroDivisionError, as
-    Fraction does.  A comparison with such an operand (a bound) is N * d
-    <op> n * D over the ints, exact as both denominators are positive.
+    + - * / take ints, Fractions, object arrays of Fractions and ints (by
+    their integer parts, see ``_operand``) and other pair arrays, on either
+    side (of a difference, only the left); a sum of two shared denominators
+    is taken over their lcm, a quotient moves its divisor's sign onto N, and
+    a zero divisor raises ZeroDivisionError, as Fraction does.  A comparison
+    with such an operand (a bound) is N * d <op> n * D over the ints, exact
+    as both denominators are positive.
     ``floats`` is the float image N / D by int true division, bit for bit
     float(Fraction(N, D)), and ``fractions`` the canonical Fractions.  An
-    int index or ``tolist`` gives canonical Fractions; a slice or an index
-    array gives a pair array.  numpy's operators defer to these
+    index of one entry or ``tolist`` gives canonical Fractions; a slice or
+    index arrays give a pair array.  numpy's operators defer to these
     (``__array_ufunc__ = None``), so an object array of Fractions meets a
     pair array on either side.
     """
@@ -177,10 +158,10 @@ class _Pairs:
         return len(self.N)
 
     def _denominators(self):
-        """D as an array of N's length."""
+        """D as an array of N's shape."""
         import numpy as np
 
-        return self.D if type(self.D) is not int else np.full(len(self.N), self.D, object)
+        return self.D if type(self.D) is not int else np.full(self.N.shape, self.D, object)
 
     def __getitem__(self, key):
         n = self.N[key]
@@ -198,7 +179,9 @@ class _Pairs:
         return _Pairs(self.N.copy(), self._denominators().copy())
 
     def tolist(self) -> list:
-        return [_value(n, d) for n, d in zip(self.N.tolist(), self._denominators().tolist())]
+        import numpy as np
+
+        return np.frompyfunc(_value, 2, 1)(self.N, self.D).tolist()
 
     def fractions(self):
         """The canonical Fractions N/D as an object array (D > 0 throughout:
@@ -213,6 +196,9 @@ class _Pairs:
 
     def __neg__(self):
         return _Pairs(-self.N, self.D)
+
+    def __abs__(self):
+        return _Pairs(abs(self.N), self.D)
 
     def _sum(self, other, sign):
         n, d = _operand(other)
@@ -230,9 +216,6 @@ class _Pairs:
 
     def __sub__(self, other):
         return self._sum(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         n, d = _operand(other)
@@ -261,8 +244,11 @@ class _Pairs:
 
 def _operand(x) -> tuple:
     """x as (numerators, denominators) for ``_Pairs`` arithmetic: a pair
-    array's N and D, an int's or a Fraction's two ints, the integer parts of
-    an object array; anything else is a TypeError."""
+    array's N and D, an int's or a Fraction's two ints, and for an object
+    array of Fractions and ints its integer parts, object arrays of Python
+    ints of its shape (a Fraction's in lowest terms, with the sign on the
+    numerator).  An entry of such an array with no integer parts (a float,
+    a string, ...) is an InputError naming it; any other x is a TypeError."""
     import numpy as np
 
     if isinstance(x, _Pairs):
@@ -270,7 +256,12 @@ def _operand(x) -> tuple:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x.numerator, x.denominator
     if isinstance(x, np.ndarray) and x.dtype == object:
-        return _integer_parts(x, "rational operand")
+        try:
+            return tuple(np.frompyfunc(operator.attrgetter(name), 1, 1)(x)
+                         for name in ("numerator", "denominator"))
+        except AttributeError:
+            bad = next(v for v in x.flat if not isinstance(v, (int, Fraction)))
+            raise InputError(f"exact entry {bad!r} is not an int or a Fraction") from None
     raise TypeError(f"no exact rational arithmetic with {type(x).__name__}")
 
 
@@ -284,7 +275,7 @@ def _quotient(N, D, divisor):
     if np.any(divisor == 0):
         raise ZeroDivisionError("division of a rational array by zero")
     if type(N) is int:  # a scalar over a pair array
-        N = np.full(len(D), N, object)
+        N = np.full(D.shape, N, object)
     neg = divisor < 0
     if type(D) is int:  # a shared denominator, of a scalar divisor
         return _Pairs(-N, -D) if neg else _Pairs(N, D)
@@ -305,8 +296,9 @@ def _where(cond, a, b):
 
 
 def _rational(values):
-    """An object array of Fractions and ints as a pair array, by its
-    integer parts; a pair array or a float64 array as it is."""
+    """An object array of Fractions and ints as a pair array of its shape,
+    by its integer parts (``_operand``); a pair array or a float64 array as
+    it is."""
     if isinstance(values, _Pairs) or values.dtype != object:
         return values
     return _Pairs(*_operand(values))

@@ -292,6 +292,32 @@ def test_pair_arrays_stay_python_ints():
     hat = exact(-val / _where(val > 0, val, 1),
                 [-v / (v if v > 0 else 1) for v in val.tolist()])
     assert hat.D.dtype == object
+    # a 2-D pair array over one shared D, as an exact inverse is read: index
+    # arrays (i, j) give a 1-D pair array over the same D, one entry its
+    # canonical Fraction
+    M = _Pairs(np.array([[2 ** 40 - 3, -(2 ** 70)], [3 * 2 ** 64, 0]], object), D)
+    assert M.shape == (2, 2) and len(M) == 2
+    assert M.tolist() == [[F(2 ** 40 - 3, D), F(-(2 ** 70), D)], [F(3 * 2 ** 64, D), F(0)]]
+    assert M[0, 1] == F(-(2 ** 70), D) and M[1, 1] == 0
+    i, j = np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0])
+    sub = exact(M[i, j], [F(-(2 ** 70), D), F(3 * 2 ** 64, D), F(0), F(2 ** 40 - 3, D)])
+    assert sub.D == D
+    exact(abs(sub) * x, [abs(a) * b for a, b in zip(sub.tolist(), fx)])
+    assert M.floats().tolist() == [[float(v) for v in row] for row in M.tolist()]
+    # and one D per entry, of N's shape
+    P = _Pairs(M.N, np.array([[1, 3], [7, 2 ** 70]], object))
+    assert P[i, j].tolist() == [F(-(2 ** 70), 3), F(3 * 2 ** 64, 7), F(0), F(2 ** 40 - 3)]
+    assert P.fractions().tolist() == P.tolist()
+    # entries beyond the float range, either way, read +-inf, 0.0 and -0.0
+    # through the per-entry fallback, as float(Fraction) rounds them
+    big = 10 ** 400
+    Q = _Pairs(np.array([[big, -big], [1, -1]], object),
+               np.array([[1, 3], [big, big]], object))
+    out = Q.floats()
+    assert out.dtype == float and out.shape == (2, 2)
+    assert out.tolist() == [[math.inf, -math.inf], [0.0, 0.0]]
+    assert np.signbit(out).tolist() == [[False, True], [False, True]]
+    assert _Pairs(Q.N[0], big).floats().tolist() == [1.0, -1.0]
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -509,6 +535,35 @@ def test_integer_verdicts_on_exact_ties():
     assert "B" not in vars(st) and "col_history" not in vars(st)
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_readers_agree_on_every_exact_route(order):
+    # an exact inverse read from its scaled form (the GrowingInverse), from
+    # its Fractions (a replaced B) and as nested rows gives the same report,
+    # CSV rows, observed envelope, checkerboard and battery, on meshes with
+    # one gap shrunk by 10^-4, whose lam and some mu_j exceed 1
+    import dataclasses
+
+    from splinegram import check_checkerboard
+
+    rng = random.Random(29 + order)
+    for count in (3, 9):
+        ks = shrink_one_gap(_random_exact(rng, order, count), count // 2, F(1, 10 ** 4))
+        A = build_gram(ks)
+        st = invert_iteratively(A, keep_history=True)
+        assert st._scaled[1] > 1 and max(st._scaled[3]) > 1
+        routes = (st, dataclasses.replace(st, B=st.B), st.B.tolist())
+        assert routes[1]._scaled is None and isinstance(routes[2][0][0], F)
+        consts = decay_constants(order) if order < 4 else _observed_constants(st, ks)
+        results = [(decay_report(B, ks, consts), list(report_csv_rows(B, ks, consts)),
+                    _observed_constants(B, ks), check_checkerboard(B)) for B in routes]
+        assert results[0] == results[1] == results[2]
+        assert len(results[0][1]) == ks.m ** 2
+        if order < 4:  # the battery takes the inversion state, not rows
+            battery = [verify_lemmas(ks, A, s, consts) for s in routes[:2]]
+            assert battery[0] == battery[1]
+            assert all(c.comparisons for c in battery[0])
+
+
 def _loop_decay(entries, ks, K, gamma, gamma_sq, exact):
     """Per-entry reference for the decay kernel over ((i, j), b_ij) pairs in
     order: (worst ratio, first witness, passed)."""
@@ -678,3 +733,17 @@ def test_abs_floats_of_exact_entries_match_float():
     assert math.isinf(_abs_floats(np.array(x + [F(10 ** 400)], dtype=object))[-1])
     floats = np.array([-1.5, 0.0, -0.0, 2.0])
     assert _abs_floats(floats).tolist() == [1.5, 0.0, 0.0, 2.0]
+    # the same values as pair arrays: 1-D over one D per entry, and 2-D over
+    # a shared D of 10^400, whose entries 10^+-400 read inf and 0.0
+    from splinegram.scalars import _Pairs
+
+    values = x + [F(10 ** 400), -(10 ** 400), F(2 ** 1024 - 2 ** 970)]
+    pairs = _Pairs(np.array([F(v).numerator for v in values], dtype=object),
+                   np.array([F(v).denominator for v in values], dtype=object))
+    assert _abs_floats(pairs).tolist() == [ref(v) for v in values]
+    big = 10 ** 400
+    square = _Pairs(np.array([[big * big, -big * big, 1], [-1, 3 * big, 0]], dtype=object),
+                    big)
+    out = _abs_floats(square)
+    assert out.tolist() == [[math.inf, math.inf, 0.0], [0.0, 3.0, 0.0]]
+    assert not np.signbit(out).any()

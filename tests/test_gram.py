@@ -390,6 +390,15 @@ def test_matrix_json_roundtrip(tmp_path):
     assert read_back(json.loads(path.read_text())) == band
 
 
+def test_banded_matrix_keeps_exact_entries():
+    # a Fraction given to the constructor is stored as it is, not copied;
+    # an int becomes its Fraction
+    third, half = F(1, 3), F(1, 2)
+    A = SymBandedMatrix(2, 1, [[third, 2], np.array([half], dtype=object)])
+    assert A.bands[0][0] is third and A.bands[1][0] is half
+    assert type(A.bands[0][1]) is F and A.bands[0][1] == 2
+
+
 def test_banded_matrix_validation():
     with pytest.raises(InputError):
         SymBandedMatrix(2, 1, [[F(1), F(1)]])          # missing a band

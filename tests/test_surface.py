@@ -34,15 +34,16 @@ ORACLES = ("dense_inverse_oracle", "check_total_positivity", "_int_det_bareiss",
 
 # per-entry copies of the array paths, wrappers, the per-order Gram builders,
 # and the Fraction-coefficient, per-polynomial field-width and wide-key
-# helpers of the polynomial engine, the report's lemma merger and the
-# least-squares decay fit, that were deleted
+# helpers of the polynomial engine, the report's lemma merger, the
+# least-squares decay fit, and the readers of bare (num, den) tuples, that
+# were deleted
 DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "minor_adjusted_factor", "matrix_from_json", "bspline_l1",
            "build_knots", "save_partition", "is_exact", "_is_float_partition",
            "_tidy", "_all_int", "_norm_coeff", "_MIN_BITS", "_bits_for",
            "_repack", "_repack_keys", "_keys_fit", "gram_linear",
            "gram_quadratic", "_quad_bands", "_banded", "_indices", "_NC_CACHE",
-           "attach_lemma_checks", "fit_decay_constants")
+           "attach_lemma_checks", "fit_decay_constants", "_at", "_integer_parts")
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps", "bracket", "eta"),
