@@ -14,14 +14,15 @@ The order-2 and order-3 entries are written once (``linear_formula``,
 ``quad_formula``) over a bracket provider and a ratio combinator.
 ``build_gram`` evaluates them in one array pass per band over all indices
 i at once, with the array brackets ``KnotSequence.brackets`` and ``ratio``,
-the one evaluation of a Gram entry.  In float mode both are float64
-arrays.  In exact mode they are ``scalars._Pairs`` arrays, unreduced
-integer pairs (N, D): the brackets are integer knot differences over the
-knots' common denominator, ``ratio`` takes one Python-int product per side
-of each monomial ratio, and the formulas' sums and differences take no
-gcd; ``build_gram`` then reduces each band entry once, to its canonical
-Fraction.  polycert instantiates the same formulas with gap-variable
-brackets and factored rational functions for the certificates.
+the one evaluation of a Gram entry, and of the 0/0 rule, in both modes.
+In float mode the brackets are float64 arrays.  In exact mode they are
+``scalars._Pairs`` arrays, unreduced integer pairs (N, D): integer knot
+differences over the knots' common denominator, on which ``ratio`` and the
+formulas' sums and differences cancel no gcd but that of two shared
+denominators or of one with an int constant; ``build_gram`` then reduces
+each band entry once, to its canonical Fraction.  polycert instantiates the
+same formulas with gap-variable brackets and factored rational functions
+for the certificates.
 
 ``gram_quadrature`` runs the same array passes in both modes: every point
 of every knot interval at once, through one Cox-de Boor triangle
@@ -34,11 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from operator import mul
+from operator import and_, mul
 
 from .errors import ArithmeticFailure, InputError
 from .knots import KnotSequence
-from .scalars import _Pairs, format_scalars, scalar_type
+from .scalars import _where, format_scalars, scalar_type
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +61,10 @@ class SymBandedMatrix:
     def __post_init__(self):
         import numpy as np
 
-        if self.n < 1 or self.bandwidth < 0:
-            raise InputError("matrix dimension must be >= 1 and bandwidth >= 0")
+        n, w = self.n, self.bandwidth
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, w)) or n < 1 or w < 0:
+            raise InputError("matrix dimension must be an integer >= 1 and bandwidth "
+                             f"an integer >= 0, got {n!r} and {w!r}")
         if len(self.bands) != self.bandwidth + 1:
             raise InputError("bands must hold bandwidth+1 diagonals")
         for d, band in enumerate(self.bands):
@@ -87,70 +90,33 @@ class SymBandedMatrix:
         return self.bands[d][min(i, j) - 1]
 
 
-def _zero_denominator(zero) -> ArithmeticFailure:
-    """The failure of a monomial ratio over zero, at the first position
-    where the bool array ``zero`` holds: its step is that 1-based
-    position."""
-    import numpy as np
-
-    return ArithmeticFailure("a monomial ratio has a zero denominator (in float "
-                             "mode, a bracket product that underflows)",
-                             step=int(np.flatnonzero(zero)[0]) + 1)
-
-
-def _divide(num, den):
-    """num / den elementwise over floats, for den a float64 array or a
-    nonzero int.  A zero denominator raises ArithmeticFailure (see
-    ``_zero_denominator``): float64 would divide to inf, and a product of
-    tiny float brackets can underflow to 0.0."""
-    if getattr(den, "dtype", None) != float or den.all():
-        return num / den
-    raise _zero_denominator(den == 0)
-
-
 def ratio(num_factors, den_factors):
-    """Monomial ratio under the 0/0 rule, elementwise over 1-D numpy arrays
-    of one length; scalar factors broadcast, and at least one numerator
-    factor is an array.
+    """Monomial ratio under the 0/0 rule, elementwise over 1-D arrays of one
+    length, one path for both scalar modes: float64 arrays, or exact ones
+    (``scalars._Pairs`` arrays such as the exact brackets, object arrays of
+    Fractions); scalar factors broadcast, and at least one numerator factor
+    is an array.
 
-    Where any numerator factor is zero the ratio is zero, and nothing is
-    divided there; elsewhere all denominator factors must be nonzero, and a
-    zero one raises ArithmeticFailure with step its 1-based position, the
-    first.  Exact factors (``scalars._Pairs`` arrays such as the exact
-    brackets, object arrays of Fractions, int scalars) are multiplied on
-    their integer parts: one Python-int product per side, the numerators of
-    the numerator factors with the denominators of the denominator factors
-    and the reverse, kept unreduced as a ``_Pairs`` array (no gcd, no
-    Fraction; see ``_Pairs.monomial``).  Float factors multiply left to
-    right, the numerator's first (see ``_divide``), and a dead entry is the
-    zero of its factor.
+    Each side's factors multiply left to right, and the products divide.
+    Where any numerator factor is zero the ratio is the numerator's zero,
+    and nothing is divided by zero there: a zero denominator reads 1.  A
+    zero denominator anywhere else raises ArithmeticFailure with step its
+    1-based position, the first (in float mode a product of tiny brackets
+    can underflow to 0.0).  Exact pairs stay unreduced but for the gcds of
+    their shared int denominators (see ``_Pairs``); no Fraction is built.
     """
     import numpy as np
 
-    if next(f for f in num_factors
-            if isinstance(f, (np.ndarray, _Pairs))).dtype == object:
-        out, zero = _Pairs.monomial(num_factors, den_factors)
-        if zero.any():
-            raise _zero_denominator(zero)
-        return out
-    live = True
-    for f in num_factors:
-        live = live & (f != 0)
     num, den = reduce(mul, num_factors), reduce(mul, den_factors)
-    if live.all():
-        return _divide(num, den)
-    dead = np.flatnonzero(~live)
-    if isinstance(den, np.ndarray):  # no division at the dead positions
-        den = den.copy()
-        den[dead] = 1
-    out = _divide(num, den)
-    for e in dead.tolist():
-        for f in num_factors:
-            z = f[e] if isinstance(f, np.ndarray) else f
-            if z == 0:
-                out[e] = z * 0
-                break
-    return out
+    zero = den == 0
+    if not np.any(zero):
+        return num / den
+    bad = zero & reduce(and_, [f != 0 for f in num_factors])
+    if np.any(bad):
+        raise ArithmeticFailure("a monomial ratio has a zero denominator (in float "
+                                "mode, a bracket product that underflows)",
+                                step=int(np.flatnonzero(bad)[0]) + 1)
+    return _where(zero, num * 0, num / _where(zero, 1, den))
 
 
 def linear_formula(br, ratio, i, d: int):

@@ -55,7 +55,7 @@ class KnotSequence:
 
     def __post_init__(self):
         k = self.order
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise InputError(f"order must be an integer >= 1, got {k!r}")
         # One scalar field for the whole sequence: exact inputs promote to
         # Fraction, any float demotes everything to double precision.

@@ -76,10 +76,7 @@ class GapBasis:
             raise InputError(
                 f"bracket ({ell},{en}) at offset {p} needs gaps {lo}..{hi}, "
                 f"have 1..{self.nvars}")
-        total = MultiPoly.zero(self.nvars)
-        for r in range(lo, hi + 1):
-            total = total + self.gap(r)
-        return total
+        return self.linear_form(dict.fromkeys(range(lo, hi + 1), 1))
 
     def linear_form(self, coeffs: dict) -> MultiPoly:
         """sum coeffs[r] * x_r (1-based variable indices)."""

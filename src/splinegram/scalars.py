@@ -10,11 +10,11 @@ travel as ``"p/q"`` strings and floats as plain numbers.
 
 ``_Pairs`` is the one exact array type the kernels read: exact rationals
 kept as unreduced pairs (N, D) of Python ints, D > 0, on which + - * /,
-comparison with a bound and the float image take no gcd.  The closed forms,
-the lemma battery and the readers of an exact inverse compute in it (an
-object array of Fractions enters by its integer parts), so that a Fraction,
-and its gcd, is built only for a value that is kept (a Gram entry), never
-for one that is only checked.
+comparison with a bound and the float image take no gcd of arrays.  The
+closed forms, the lemma battery and the readers of an exact inverse
+compute in it (an object array of Fractions enters by its integer parts),
+so that a Fraction, and its gcd, is built only for a value that is kept (a
+Gram entry), never for one that is only checked.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import operator
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
 
 from .errors import InputError
 
@@ -86,18 +85,20 @@ class _Pairs:
     object array of Python ints of any shape, D one of its shape or a single
     Python int shared by every entry (the exact brackets' common
     denominator, an exact inverse's lam), D > 0, and no gcd is taken but
-    between two shared denominators.  D = 0 occurs only in the pair (1, 0)
-    of ``infinite``, which reads +inf as a value, as a float and in
-    comparisons.  A pair array is a value: only a fresh one (``copy``,
-    ``infinite``) is written in place.
+    of a shared denominator with another or with an int factor.  D = 0
+    occurs only in the pair (1, 0) of ``infinite``, which reads +inf as a
+    value, as a float and in comparisons.  A pair array is a value: only a
+    fresh one (``copy``, ``infinite``) is written in place.
 
     + - * / take ints, Fractions, object arrays of Fractions and ints (by
     their integer parts, see ``_operand``) and other pair arrays, on either
     side (of a difference, only the left); a sum of two shared denominators
-    is taken over their lcm, a quotient moves its divisor's sign onto N, and
-    a zero divisor raises ZeroDivisionError, as Fraction does.  A comparison
-    with such an operand (a bound) is N * d <op> n * D over the ints, exact
-    as both denominators are positive.
+    is taken over their lcm, a product or quotient cancels the gcd of a
+    shared denominator with an int factor or the other shared denominator,
+    a quotient moves its divisor's sign onto N, and a zero divisor raises
+    ZeroDivisionError, as Fraction does.  A comparison (== != <= >) with
+    such an operand (a bound) is N * d <op> n * D over the ints, exact as
+    both denominators are positive.
     ``floats`` is the float image N / D by int true division, bit for bit
     float(Fraction(N, D)), and ``fractions`` the canonical Fractions.  An
     index of one entry or ``tolist`` gives canonical Fractions; a slice or
@@ -118,33 +119,6 @@ class _Pairs:
         import numpy as np
 
         return cls(np.full(n, 1, object), np.zeros(n, object))
-
-    @classmethod
-    def monomial(cls, num_factors, den_factors) -> tuple:
-        """The monomial ratio of exact factors (pair arrays, object arrays
-        of Fractions and ints, ints), with at least one array among the
-        numerator factors, under the 0/0 rule: the pair array N/Q with N the
-        product of the numerator factors' numerators and the denominator
-        factors' denominators, and Q the reverse, unreduced but for the gcd
-        of their int parts (the constants and shared denominators), which
-        is cancelled once.  N is zero exactly where a numerator factor is,
-        and where Q is zero too the pair is 0/1; Q's sign moves onto N.
-        Returned with the bool array of the entries whose Q is zero while N
-        is not, which read N/1 here and are the caller's to reject."""
-        import numpy as np
-
-        top, bottom = map(_operand, num_factors), map(_operand, den_factors)
-        (num_n, num_d), (den_n, den_d) = zip(*top), zip(*bottom)
-        sides = [(reduce(operator.mul, (f for f in fs if type(f) is int), 1),
-                  [f for f in fs if type(f) is not int])
-                 for fs in (num_n + den_d, num_d + den_n)]
-        g = math.gcd(sides[0][0], sides[1][0])
-        N, Q = (_times(reduce(operator.mul, arrays), k // g) if arrays else k // g
-                for k, arrays in sides)
-        zero = Q == 0
-        if np.any(zero):  # nothing is divided there
-            Q = _object_where(zero, 1, Q)
-        return _quotient(N, Q, Q), zero & (N != 0)
 
     @property
     def dtype(self):
@@ -219,13 +193,15 @@ class _Pairs:
 
     def __mul__(self, other):
         n, d = _operand(other)
-        return _Pairs(_times(self.N, n), _times(self.D, d))
+        D, n = _cancel(self.D, n)
+        return _Pairs(_times(self.N, n), _times(D, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         n, d = _operand(other)
-        return _quotient(_times(self.N, d), _times(self.D, n), n)
+        D, d = _cancel(self.D, d)
+        return _quotient(_times(self.N, d), _times(D, n), n)
 
     def __rtruediv__(self, other):
         n, d = _operand(other)
@@ -234,6 +210,12 @@ class _Pairs:
     def _compare(self, other, op):
         n, d = _operand(other)
         return op(_times(self.N, d), 0 if type(n) is int and n == 0 else _times(self.D, n))
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
+
+    def __ne__(self, other):
+        return self._compare(other, operator.ne)
 
     def __le__(self, other):
         return self._compare(other, operator.le)
@@ -265,6 +247,15 @@ def _operand(x) -> tuple:
     raise TypeError(f"no exact rational arithmetic with {type(x).__name__}")
 
 
+def _cancel(D, k):
+    """A shared denominator D and an int k (a factor, or the other shared
+    denominator of a quotient) over their gcd; anything else as it is."""
+    if type(D) is int and type(k) is int:
+        g = math.gcd(D, k)
+        return D // g, k // g
+    return D, k
+
+
 def _quotient(N, D, divisor):
     """The pair array N/D of a quotient whose divisor has the numerators
     ``divisor`` (an array or an int; D carries their signs):
@@ -286,12 +277,16 @@ def _quotient(N, D, divisor):
 
 def _where(cond, a, b):
     """numpy.where(cond, a, b), kept a pair array when a or b is one (the
-    other an exact scalar or array), dtype object throughout."""
+    other an exact scalar or array), dtype object throughout, over one
+    shared denominator, their lcm, when both have one."""
     import numpy as np
 
     if not isinstance(a, _Pairs) and not isinstance(b, _Pairs):
         return np.where(cond, a, b)
     (an, ad), (bn, bd) = _operand(a), _operand(b)
+    if type(ad) is int and type(bd) is int:  # over the lcm
+        L = math.lcm(ad, bd)
+        return _Pairs(_object_where(cond, _times(an, L // ad), _times(bn, L // bd)), L)
     return _Pairs(_object_where(cond, an, bn), _object_where(cond, ad, bd))
 
 

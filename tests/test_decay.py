@@ -308,6 +308,17 @@ def test_pair_arrays_stay_python_ints():
     P = _Pairs(M.N, np.array([[1, 3], [7, 2 ** 70]], object))
     assert P[i, j].tolist() == [F(-(2 ** 70), 3), F(3 * 2 ** 64, 7), F(0), F(2 ** 40 - 3)]
     assert P.fractions().tolist() == P.tolist()
+    # == and != compare N * d with n * D, as <= does: the ratio's zero tests
+    assert (x == 0).tolist() == [True, False, False, False]
+    assert (x != fx[2]).tolist() == [True, True, False, True]
+    assert (x == _Pairs(2 * x.N, 2 * D)).all() and not (x != y)[0]
+    assert (r == fr[1]).tolist() == [v == fr[1] for v in fr]
+    # a where between two shared denominators keeps one, their lcm, so
+    # that a quotient by it still cancels the gcd of two shared ints
+    w = exact(_where(cond, x, _Pairs(y.N, 3)),
+              [a if c else b for a, b, c in zip(fx, [F(v, 3) for v in y.N], cond)])
+    assert w.D == 3 * D
+    assert type(exact(_where(cond, 1, x), [1 if c else a for a, c in zip(fx, cond)]).D) is int
     # entries beyond the float range, either way, read +-inf, 0.0 and -0.0
     # through the per-entry fallback, as float(Fraction) rounds them
     big = 10 ** 400

@@ -2,6 +2,7 @@
 oracle in tests/oracles.py)."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from functools import partial
@@ -17,6 +18,7 @@ from splinegram import (ArithmeticFailure, InputError, KnotSequence,
                         ResourceBudgetError, SymBandedMatrix, build_gram,
                         gram_quadrature, matrix_to_json)
 from splinegram.cli import main
+from splinegram.decay import phi_inv_formula
 from splinegram.gram import linear_formula, quad_formula, ratio
 from splinegram.scalars import parse_scalar
 
@@ -201,6 +203,89 @@ def test_exact_ratio_matches_scalar_oracle(case):
     assert r.dtype == object and r.shape == (n,)
     for e, x in enumerate(r.tolist()):
         assert type(x) is F and x == scalar_ratio(at(num, e), at(den, e))
+
+
+@st.composite
+def float_ratio_factors(draw):
+    """The float twin of ``exact_ratio_factors``: float64 arrays of one
+    length (tiny and subnormal values included, so that a product can
+    underflow to 0.0, and zeros at up to two positions each) and positive int
+    scalars, at least one numerator array; every value nonnegative, or
+    drawn with either sign (zeros -0.0 as well as 0.0)."""
+    n = draw(st.integers(1, 20))
+    signed = draw(st.booleans())
+    value = st.floats(min_value=-3 if signed else 0, max_value=3).filter(bool)
+    zero = st.sampled_from([0.0, -0.0] if signed else [0.0])
+
+    def array():
+        f = np.array(draw(st.lists(value, min_size=n, max_size=n)), float)
+        for e in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            f[e] = draw(zero)
+        return f
+
+    def factors(min_arrays):
+        arrays = draw(st.integers(min_arrays, 3))
+        scalars = draw(st.lists(st.integers(1, 200), min_size=arrays == 0, max_size=2))
+        return tuple(draw(st.permutations([array() for _ in range(arrays)] + scalars)))
+
+    return n, factors(1), factors(0)
+
+
+# a tiny denominator divides to inf, as the oracle's does
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(float_ratio_factors())
+def test_float_ratio_matches_scalar_oracle(case):
+    # the float mode of the one ratio path: the oracle's values, and its
+    # bits (the sign of a zero included) where no factor has a sign bit
+    n, num, den = case
+
+    def at(factors, e):
+        return tuple(float(f[e]) if isinstance(f, np.ndarray) else f for f in factors)
+
+    def product(factors):
+        out = 1
+        for f in factors:
+            out = out * f
+        return out
+
+    zero_den = [e for e in range(n)
+                if all(x != 0 for x in at(num, e)) and product(at(den, e)) == 0]
+    if zero_den:  # a live ratio over zero (or an underflow): the first one is the step
+        with pytest.raises(ArithmeticFailure) as err:
+            ratio(num, den)
+        assert err.value.step == zero_den[0] + 1
+        return
+    r = ratio(num, den)
+    assert r.dtype == float and r.shape == (n,)
+    for e, x in enumerate(r.tolist()):
+        expected = scalar_ratio(at(num, e), at(den, e))
+        assert x == expected
+        if all(math.copysign(1, f) > 0 for f in at(num, e) + at(den, e)):
+            assert x.hex() == float(expected).hex()
+
+
+def test_exact_ratio_integers_are_pinned():
+    # the unreduced pairs (N, D) of an exact ratio, dead entries included
+    # (zero brackets at both ends: b21 at n = 1, b32 at n = 6, 7 and b31 at
+    # n = 7).  A shared denominator cancels its gcd with the other side's
+    # and with an int factor, so N and D are one Python-int product per side
+    # with the gcd of its int parts cancelled; an array D anywhere, say from
+    # the mask of a zero denominator, would skip those gcds and grow them.
+    ks = KnotSequence(3, [F(1, 10), F(1, 5), F(1, 2), F(7, 10)])
+    br, n = ks.brackets, np.arange(1, ks.m + 1)
+
+    def pairs(p):
+        return p.N.tolist(), np.broadcast_to(np.asarray(p.D, object), p.shape).tolist()
+
+    assert pairs(ratio((br(2, 1, n), br(3, 2, n)), (30, br(3, 1, n)))) == (
+        [0, 1, 3, 6, 6, 0, 0], [300, 600, 1200, 1500, 1500, 900, 1])
+    assert pairs(phi_inv_formula(br, ratio, n)) == (
+        [19440000, 55695600000, 420620356224000000, 15945633950400000000,
+         237776781096000000000, 28674696316500000000, 713178000],
+        [972000000, 2099520000000, 5296837017600000000, 206907696000000000000,
+         2069076960000000000000, 523735105500000000000, 17739000000])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +487,11 @@ def test_banded_matrix_keeps_exact_entries():
 def test_banded_matrix_validation():
     with pytest.raises(InputError):
         SymBandedMatrix(2, 1, [[F(1), F(1)]])          # missing a band
+    # a bool is no size, as it is no order of a knot sequence
+    with pytest.raises(InputError):
+        SymBandedMatrix(True, 0, [[F(1)]])
+    with pytest.raises(InputError):
+        SymBandedMatrix(1, False, [[F(1)]])
     with pytest.raises(InputError):
         SymBandedMatrix(2, 1, [[F(1)], [F(1)]])        # band 0 too short
     # entries are ints, Fractions or floats, as breakpoints are

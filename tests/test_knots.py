@@ -284,6 +284,18 @@ def test_partition_json_float_roundtrip(tmp_path):
     assert isinstance(back.knot(1), float)
 
 
+def test_bool_order_rejected():
+    # True is an int to isinstance, but knots_from_json rejects
+    # {"order": true}: a sequence of order True would write a partition
+    # file that it cannot read back
+    with pytest.raises(InputError):
+        KnotSequence(True, ())
+    with pytest.raises(InputError):
+        knots_from_json({"order": True, "interior": []})
+    ks = KnotSequence(1, ())
+    assert knots_from_json(json.loads(json.dumps(knots_to_json(ks)))) == ks
+
+
 def test_partition_json_rejects_garbage():
     with pytest.raises(InputError):
         knots_from_json({"order": 2})

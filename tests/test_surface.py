@@ -43,7 +43,8 @@ DELETED = ("linear_entry", "quad_entry", "phi_inv", "psi_inv",
            "_tidy", "_all_int", "_norm_coeff", "_MIN_BITS", "_bits_for",
            "_repack", "_repack_keys", "_keys_fit", "gram_linear",
            "gram_quadratic", "_quad_bands", "_banded", "_indices", "_NC_CACHE",
-           "attach_lemma_checks", "fit_decay_constants", "_at", "_integer_parts")
+           "attach_lemma_checks", "fit_decay_constants", "_at", "_integer_parts",
+           "_divide")
 DELETED_METHODS = {
     splinegram.SymBandedMatrix: ("row_sum", "leading", "to_dense", "is_exact_matrix"),
     splinegram.KnotSequence: ("mesh", "gaps", "bracket", "eta"),
