@@ -27,17 +27,23 @@ w >= 2 one row step computes row i of B and of Y together, by one matmul
 over the two stacked, and mirrors B's row into its column.  Each entry of
 both float paths is the same operations in the same order as the plain
 row-by-row recurrence, so they give its B and history bit for bit (a zero
-may differ in sign).  In exact mode, at every bandwidth, the row steps run
-over integer numerators instead of Fractions: by Cramer's rule B's entries
-share a denominator, and so do those of each column of Y (the last column
-of some A_n^{-1}).  Each row step is then an integer matmul and one exact
-division per entry, and a denominator grows only where a division demands
-it (the integer-preserving elimination of Bareiss, 1968, which defers every
-reduction to the end).  The exact inverse is kept in that scaled form, and
-the canonical Fractions of B and of the history columns are built only when
-they are first read; the decay report, its CSV rows, the lemma battery and
-the checkerboard read the scaled form itself, as ``scalars._Pairs`` arrays
-(``_parts``, ``_history_parts``).
+may differ in sign).  In exact mode no Fraction enters the arithmetic.  The
+factorization runs on (numerator, denominator) pairs of Python ints, read
+once from the band entries: each pivot and multiplier is one unreduced sum
+of products, reduced when it is stored, so that it is kept in lowest terms
+(a gcd per value, where one common denominator for all would grow much
+larger).  At every bandwidth the row steps then run over integer
+numerators: by Cramer's rule B's entries share a denominator, and so do
+those of each column of Y (the last column of some A_n^{-1}).  Each row
+step is an integer matmul and one exact division per entry, and a
+denominator grows only where a division demands it (the integer-preserving
+elimination of Bareiss, 1968, which defers every reduction to the end).  The exact
+inverse is kept in that scaled form, and the canonical Fractions of B and
+of the history columns are built only when they are first read; only the
+m Fractions of the diagonal history, 1/d_n, are built at once.  The decay
+report, its CSV rows, the lemma battery and the checkerboard read the
+scaled form itself, as ``scalars._Pairs`` arrays (``_parts``,
+``_history_parts``).
 
 One routine serves both scalar modes, taken from the dtype of A's bands:
 numpy arrays of dtype object hold Fractions in exact mode, float64 arrays
@@ -82,7 +88,8 @@ class GrowingInverse:
     N_Y[:, j] / mu[j], object arrays of Python ints over positive
     denominators, the last column of Y being B's (N_Y and mu are None
     without history).  Its B and col_history are canonical Fractions built
-    from that form on first read; its diag_history, 1/d_n, is built at once.
+    from that form on first read; its diag_history, 1/d_n, is built at once
+    from the factorization's reduced integer pairs.
     A B given to the constructor drops the scaled form.  Equality is
     identity.
     """
@@ -155,28 +162,28 @@ def _history_parts(state: GrowingInverse):
     return _Pairs(NY[lo, hi], mu[hi])
 
 
-def _ldlt(A: SymBandedMatrix, zero):
-    """Pivots d and the columns of L below the diagonal (``L[j][r] =
-    l_{j+r+1, j}``, zero past the last row), as lists of Python scalars.  L's
+def _ldlt(A: SymBandedMatrix):
+    """Float pivots d and the columns of L below the diagonal (``L[j][r] =
+    l_{j+r+1, j}``, 0.0 past the last row), as lists of Python floats.  L's
     rows have at least one entry, so that bandwidth 0 takes the bandwidth-1
     path.  A zero pivot d_n raises ArithmeticFailure with step n.
 
-    Each sum accumulates left to right from ``zero`` (``sum()`` of floats is
+    Each sum accumulates left to right from 0.0 (``sum()`` of floats is
     compensated from CPython 3.12 on).  A finite float whose square leaves
     float64 raises OverflowError from ``**``; that factorization reruns on
     numpy scalars, whose square is inf as before."""
     m, w = A.n, A.bandwidth
     bands = [b.tolist() for b in A.bands]  # a_{j+1, i+1} = bands[i-j][j]
     try:
-        return _ldlt_rows(m, w, bands, zero)
+        return _ldlt_rows(m, w, bands)
     except OverflowError:
-        return _ldlt_rows(m, w, [list(b) for b in A.bands], zero)
+        return _ldlt_rows(m, w, [list(b) for b in A.bands])
 
 
-def _ldlt_rows(m, w, bands, zero):
-    d, L = [], [[zero] * max(w, 1) for _ in range(m)]
+def _ldlt_rows(m, w, bands):
+    d, L = [], [[0.0] * max(w, 1) for _ in range(m)]
     for j in range(m):
-        acc = zero
+        acc = 0.0
         for k in range(max(0, j - w), j):
             acc = acc + L[k][j - k - 1] ** 2 * d[k]
         dj = bands[0][j] - acc
@@ -185,10 +192,50 @@ def _ldlt_rows(m, w, bands, zero):
                                     step=j + 1, context=bands[0][j])
         d.append(dj)
         for i in range(j + 1, min(m, j + w + 1)):
-            acc = zero
+            acc = 0.0
             for k in range(max(0, i - w), j):
                 acc = acc + L[k][i - k - 1] * L[k][j - k - 1] * d[k]
             L[j][i - j - 1] = (bands[i - j][j] - acc) / dj
+    return d, L
+
+
+def _ldlt_pairs(A: SymBandedMatrix):
+    """The exact ``_ldlt``: d and L as (numerator, denominator) pairs of
+    Python ints, each in lowest terms over a positive denominator, (0, 1)
+    past the last row.
+
+    Each band entry's integer parts are read once.  Beside l_{i,j} the
+    factorization keeps u_{i,j} = l_{i,j} d_j, the multiplier before its
+    division, and d_j = u_{j,j}: u_{i,j} = a_{i,j} - sum_k l_{i,k} u_{j,k}
+    is one unreduced sum of products, reduced by one gcd when it is stored,
+    and l_{i,j} = u_{i,j} / d_j by the two gcds that cross its reduced
+    parts.  A zero pivot d_n raises ArithmeticFailure with step n and the
+    band entry a_{n,n} as context."""
+    m, w = A.n, A.bandwidth
+    bands = [[(x.numerator, x.denominator) for x in b.tolist()] for b in A.bands]
+    d, L = [], [[(0, 1)] * max(w, 1) for _ in range(m)]
+    U = [[None] * w for _ in range(m)]  # U[j][r] = u_{j+r+1, j}
+    for j in range(m):
+        for i in range(j, min(m, j + w + 1)):
+            n, q = bands[i - j][j]
+            for k in range(max(0, i - w), j):
+                (a, b), (c, e) = L[k][i - k - 1], U[k][j - k - 1]
+                be = b * e
+                n, q = n * be - a * c * q, q * be
+            g = math.gcd(n, q)
+            n, q = n // g, q // g
+            if i == j:
+                if n == 0:
+                    raise ArithmeticFailure("zero pivot in the LDL^T factorization",
+                                            step=j + 1, context=A.bands[0][j])
+                d.append((n, q))
+                continue
+            U[j][i - j - 1] = n, q
+            dn, dd = d[j]
+            g, h = math.gcd(n, dn), math.gcd(q, dd)
+            if dn < 0:
+                g = -g
+            L[j][i - j - 1] = (n // g) * (dd // h), (q // h) * (dn // g)
     return d, L
 
 
@@ -244,14 +291,17 @@ def _integer_rows(L, inv_d, depth):
     """Exact B and, at depth 2, Y of any bandwidth in the scaled form
     (N_B, lam, N_Y, mu), N_Y and mu None at depth 1: the row steps of
     ``_row_steps`` over integer numerators, B's over one shared denominator
-    lam and each column of Y's over its own, mu[j].
+    lam and each column of Y's over its own, mu[j].  L and inv_d are
+    ``_ldlt_pairs``' reduced pairs, inv_d[i] = (q, p) for 1/d_i = q/p with
+    p > 0.
 
     Row i writes -l_{i+r+1,i} = c_r/Q over the row's common Q, and its
     numerators are s // Q with s = c @ (the numerator rows below).  Where a
     division leaves a remainder, the denominators it spans grow by the
     least factor that makes it exact, Q / gcd(Q, s...), and their
-    numerators with them; B's diagonal lam/d_i + (c . row)/Q grows lam by
-    its own denominator.  So lam and mu stay the least common denominators
+    numerators with them.  B's diagonal lam q/p + (c . row)/Q is
+    (lam q Q + (c . row) p) / (p Q), reduced by one gcd, and lam grows by
+    the denominator left.  So lam and mu stay the least common denominators
     of what they hold, and no numerator is reduced: N_B is symmetric, N_Y
     upper triangular, and both hold Python ints."""
     import numpy as np
@@ -260,13 +310,13 @@ def _integer_rows(L, inv_d, depth):
     split = np.frompyfunc(divmod, 2, 2)
     N = np.zeros((depth, m, m), object)  # Python ints
     NB, lam = N[0], 1
-    mu = np.array([x.denominator for x in inv_d], object)
+    mu = np.array([p for _, p in inv_d], object)
     if depth > 1:
-        N[1].reshape(m * m)[::m + 1] = [x.numerator for x in inv_d]
+        N[1].reshape(m * m)[::m + 1] = [q for q, _ in inv_d]
     for i in range(m - 1, -1, -1):
         neg_l = L[i][: min(w, m - i - 1)]
-        Q = math.lcm(*(x.denominator for x in neg_l))
-        c = np.array([-x.numerator * (Q // x.denominator) for x in neg_l], object)
+        Q = math.lcm(*(b for _, b in neg_l))
+        c = np.array([-a * (Q // b) for a, b in neg_l], object)
         s = c @ N[:, i + 1:i + 1 + len(c), i + 1:]
         rows, rem = split(s, Q)
         if rem[0].any():
@@ -283,11 +333,13 @@ def _integer_rows(L, inv_d, depth):
             rows[1, cols] = s[1, cols] // g
         N[:, i, i + 1:] = rows
         NB[i + 1:, i] = rows[0]
-        diag = lam * inv_d[i] + Fraction(c @ rows[0, : len(c)], Q)
-        if diag.denominator > 1:
-            lam *= diag.denominator
-            NB[i:, i:] *= diag.denominator
-        NB[i, i] = diag.numerator
+        q, p = inv_d[i]
+        top, bottom = lam * q * Q + (c @ rows[0, : len(c)]) * p, p * Q
+        g = math.gcd(top, bottom)
+        if bottom > g:
+            lam *= bottom // g
+            NB[i:, i:] *= bottom // g
+        NB[i, i] = top // g
     return (NB, lam, N[1], mu) if depth > 1 else (NB, lam, None, None)
 
 
@@ -295,11 +347,12 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     """Invert A and, with ``keep_history``, every leading A_n, from one
     banded LDL^T factorization (see the module docstring).
 
-    Exact matrices (bands of dtype object) run over integer numerators
-    (``_integer_rows``) and give B and the history as arrays of Fractions in
+    Exact matrices (bands of dtype object) are factored on integer pairs
+    (``_ldlt_pairs``) and inverted over integer numerators
+    (``_integer_rows``), and give B and the history as arrays of Fractions in
     lowest terms, built from the scaled form on first read (the diagonal
-    history at once); float matrices run in float64, and B and the history
-    are float64 arrays.
+    history at once); float matrices run in float64 (``_ldlt``), and B and
+    the history are float64 arrays.
     A zero pivot raises ArithmeticFailure with the 1-based step n of the
     singular A_n.  In float mode a non-finite entry of B or of the history
     (a subnormal pivot whose reciprocal overflows) raises ArithmeticFailure
@@ -307,24 +360,23 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
     """
     import numpy as np
 
-    m, exact = A.n, A.bands[0].dtype == object
-    zero = Fraction(0) if exact else 0.0
-    with np.errstate(all="ignore"):  # float overflow is caught below
-        d, L = _ldlt(A, zero)
-        inv_d = [1 / x for x in d]
-        if exact:
-            NB, lam, NY, mu = _integer_rows(L, inv_d, 1 + keep_history)
-        else:
-            S = (_product_chains if len(L[0]) == 1 else _row_steps)(
-                L, inv_d, 1 + keep_history)
-    if exact:
+    m = A.n
+    if A.bands[0].dtype == object:
+        d, L = _ldlt_pairs(A)
+        inv_d = [(q, p) if p > 0 else (-q, -p) for p, q in d]  # 1/d_i = q/p
+        NB, lam, NY, mu = _integer_rows(L, inv_d, 1 + keep_history)
         if not keep_history:
             return GrowingInverse(m, col_history=None, _scaled=(NB, lam, None, None))
         # the last leading inverse is B itself: take its column
         NY[:, m - 1], mu[m - 1] = NB[:, m - 1], lam
-        Y = np.full((m, m), zero, object)
-        Y.reshape(m * m)[::m + 1] = inv_d
+        Y = np.full((m, m), Fraction(0), object)
+        Y.reshape(m * m)[::m + 1] = [Fraction(q, p) for q, p in inv_d]
         return GrowingInverse(m, diag_history=Y.diagonal(), _scaled=(NB, lam, NY, mu))
+    with np.errstate(all="ignore"):  # float overflow is caught below
+        d, L = _ldlt(A)
+        inv_d = [1 / x for x in d]
+        S = (_product_chains if len(L[0]) == 1 else _row_steps)(
+            L, inv_d, 1 + keep_history)
     if not np.isfinite(S).all():
         raise ArithmeticFailure("non-finite entry in the float inverse "
                                 "(a pivot too small for float64)",

@@ -242,9 +242,10 @@ def dense_inverse_oracle(A):
 
 
 def ldlt_rowwise(A: SymBandedMatrix, zero):
-    """invstep._ldlt over numpy scalars, each sum by ``sum()`` from
-    ``zero``: the pivots d and ``Lb[j, r] = l_{j+r+1, j}`` as arrays of the
-    bands' dtype (Lb has at least one column, zero past the last row)."""
+    """invstep._ldlt, and with ``zero`` = Fraction(0) invstep._ldlt_pairs,
+    over numpy scalars, each sum by ``sum()`` from ``zero``: the pivots d
+    and ``Lb[j, r] = l_{j+r+1, j}`` as arrays of the bands' dtype (Lb has at
+    least one column, zero past the last row)."""
     import numpy as np
 
     m, w, bands = A.n, A.bandwidth, A.bands  # a_{j+1, i+1} = bands[i-j][j]

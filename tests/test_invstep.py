@@ -8,11 +8,14 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_inverse_oracle, invert_rowwise, to_dense
+from oracles import dense_inverse_oracle, invert_rowwise, ldlt_rowwise, to_dense
 from splinegram import (ArithmeticFailure, InputError, KnotSequence,
                         SymBandedMatrix, build_gram, check_checkerboard,
                         history_to_json, invert_iteratively, max_residual)
+from splinegram.invstep import _ldlt_pairs
 from splinegram.partitions import shrink_one_gap
 
 
@@ -101,6 +104,19 @@ def test_zero_pivot_reports_its_step(scalar):
         with pytest.raises(ArithmeticFailure) as err:
             invert_iteratively(A, keep_history=keep_history)
         assert err.value.step == 3
+
+
+def test_exact_zero_pivot_at_bandwidth_two():
+    # d = (2, 1/3, 0) with l_21 = 1/2, l_31 = -1 and l_32 = 3: the third
+    # pivot is 5 - (-1)^2 * 2 - 3^2 * 1/3 = 0 exactly, and the failure names
+    # step 3 and the band entry a_33 itself
+    A = SymBandedMatrix(4, 2, [[F(2), F(5, 6), F(5), F(7)], [F(1), F(0), F(1)],
+                               [F(-2), F(1)]])
+    for keep_history in (False, True):
+        with pytest.raises(ArithmeticFailure, match="zero pivot") as err:
+            invert_iteratively(A, keep_history=keep_history)
+        assert err.value.step == 3
+        assert type(err.value.context) is F and err.value.context == F(5)
 
 
 @pytest.mark.filterwarnings("error")
@@ -247,6 +263,68 @@ def test_integer_rows_grow_each_denominator():
     assert [c.tolist() for c in st.col_history[:3]] == [
         [F(1, 3)], [F(-1, 8), F(3, 8)], [F(1, 2), F(-1, 2), F(1)]]
     _assert_matches_rowwise(A)
+
+
+def _assert_pairs_match_oracle(A):
+    # every pivot and multiplier of the exact factorization is two Python
+    # ints in lowest terms over a positive denominator, and read as a
+    # Fraction it is the row-by-row factorization's, the zeros past the
+    # last row included
+    d, L = _ldlt_pairs(A)
+    ref_d, ref_L = ldlt_rowwise(A, F(0))
+    pairs = [*d, *(p for row in L for p in row)]
+    assert all(type(n) is int and type(q) is int and q > 0 and gcd(n, q) == 1
+               for n, q in pairs)
+    assert [F(*p) for p in d] == ref_d.tolist()
+    assert [[F(*p) for p in row] for row in L] == ref_L.tolist()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_pair_factorization_matches_rowwise_oracle(order):
+    # bandwidths 0..4 on random meshes, each once more with one gap shrunk
+    # by 1e-4, and a mesh with gaps of 10^-400
+    rng = random.Random(90 + order)
+    for count in (0, 1, 6, 20):
+        ks = _random_exact(rng, order, count)
+        _assert_pairs_match_oracle(build_gram(ks))
+        _assert_pairs_match_oracle(build_gram(
+            shrink_one_gap(ks, rng.randrange(count + 1), F(1, 10 ** 4))))
+    tiny = F(1, 10 ** 400)
+    _assert_pairs_match_oracle(build_gram(
+        KnotSequence(order, [tiny, 2 * tiny, 3 * tiny, F(1, 3), F(1, 2), 1 - tiny])))
+
+
+def test_pair_factorization_of_an_indefinite_matrix():
+    # pivots 1, -3 and 4/3: l_32 = 1/(-3) keeps its sign in the numerator,
+    # and 1/d_2 = -1/3 enters the inverse over a positive denominator; at
+    # bandwidth 2 the pivots are 2, -1/2, -3 and 31/4
+    A = SymBandedMatrix(3, 1, [[F(1), F(1), F(1)], [F(2), F(1)]])
+    assert _ldlt_pairs(A) == ([(1, 1), (-3, 1), (4, 3)], [[(2, 1)], [(-1, 3)], [(0, 1)]])
+    wide = SymBandedMatrix(4, 2, [[F(2), F(0), F(1), F(-1)], [F(1), F(1), F(1, 2)],
+                                  [F(3), F(2)]])
+    assert _ldlt_pairs(wide)[0] == [(2, 1), (-1, 2), (-3, 1), (31, 4)]
+    for M in (A, wide):
+        _assert_pairs_match_oracle(M)
+        _assert_matches_rowwise(M)
+
+
+@st.composite
+def exact_meshes(draw):
+    # order 2 or 3 on a grid of step 1/den, one gap shrunk by 10^-e or none
+    order = draw(st.sampled_from((2, 3)))
+    den = draw(st.integers(2, 400))
+    interior = sorted(draw(st.sets(st.integers(1, den - 1), max_size=24)))
+    ks = KnotSequence(order, [F(p, den) for p in interior])
+    e = draw(st.integers(0, 12))
+    if e:
+        ks = shrink_one_gap(ks, draw(st.integers(0, len(interior))), F(1, 10 ** e))
+    return ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_meshes())
+def test_pair_factorization_matches_oracle_on_drawn_meshes(ks):
+    _assert_pairs_match_oracle(build_gram(ks))
 
 
 def test_square_overflow_in_the_factorization_matches_rowwise():

@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 
 import splinegram
+from splinegram import invstep
 from splinegram.scalars import format_scalars
 
 PUBLIC = [
@@ -52,10 +53,12 @@ DELETED_METHODS = {
     splinegram.MultiPoly: ("coefficient", "content", "_int_coeffs", "_integral",
                            "_bits", "_plan", "_eval_plan", "_eval_rational"),
 }
-# mode parameters that the knots' ``exact`` or an array's dtype replaced,
-# and a field that nothing read
+# mode parameters that the knots' ``exact`` or an array's dtype replaced, a
+# field that nothing read, and the scalar zero of the factorization, which
+# is float-only since the exact one runs on integer pairs
 DELETED_PARAMETERS = {splinegram.gram_quadrature: "mode", format_scalars: "exact",
-                      splinegram.DecayConstants: "provenance"}
+                      splinegram.DecayConstants: "provenance", invstep._ldlt: "zero",
+                      invstep._ldlt_rows: "zero"}
 
 
 def _submodules():
