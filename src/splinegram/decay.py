@@ -59,8 +59,9 @@ once: the array brackets ``KnotSequence.brackets`` with gram.ratio acting
 elementwise, float64 arrays in float mode with the per-element operation
 order of a loop over n.  In exact mode every family is a ``scalars._Pairs``
 array of unreduced integer pairs (N, D): the brackets, the closed forms,
-the diagonal history and the Gram bands (split into their integer parts)
-combine with no gcd, and ``_lemma_check`` compares N <= bound * D, so the
+b_{n,n}^n (the last entry of each history column, as ``_history_parts``
+reads it) and the Gram bands (split into their integer parts) combine with
+no gcd, and ``_lemma_check`` compares N <= bound * D, so the
 battery builds no Fraction for a value it only checks.  That is their one
 numeric evaluation; polycert evaluates the same formulas over gap-variable
 brackets.
@@ -450,22 +451,24 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
                   consts: DecayConstants, slack: float = 0.0) -> tuple:
     """Check the inequalities of the order-2 or order-3 decay proof on this
     instance: the Gram matrix A of ks and its inverse ``state`` (exact or
-    float per B's dtype), against the constants ``consts``.  First the
-    order's own families, then lastcol_decay, |b_{j,n}^n| <= lastcol_K
-    gamma^{n-j} / eta_jn for all j <= n <= m, one kernel pass over the
-    history columns (n outer, j inner), read from an exact inverse's scaled
-    form without building their Fractions.  The exact families are computed
-    and compared as unreduced integer pairs (``scalars._Pairs``), so the
-    Fractions built here are those of the constants, as many at any m.  The
-    proofs' last family, full_decay, comes from decay_report, which takes
-    these checks as its ``lemma_checks``."""
+    float per B's dtype), against the constants ``consts``.  One history
+    is read, the columns (n outer, j inner) as ``_history_parts`` gives them,
+    from an exact inverse's scaled form without building their Fractions.
+    First the order's own families, over b_{n,n}^n, the last entry of each
+    column; then lastcol_decay, |b_{j,n}^n| <= lastcol_K gamma^{n-j} /
+    eta_jn for all j <= n <= m, one kernel pass over the columns.  The exact
+    families are computed and compared as unreduced integer pairs
+    (``scalars._Pairs``), so the Fractions built here are those of the
+    constants, as many at any m.  The proofs' last family, full_decay, comes
+    from decay_report, which takes these checks as its ``lemma_checks``.
+    Without a history (``keep_history=False``) it raises InputError."""
     import numpy as np
 
     families = {2: _linear_families, 3: _quadratic_families}.get(ks.order)
     if families is None:
         raise InputError(f"no certified lemma battery for order {ks.order}")
     x = _history_parts(state)
-    if state.diag_history is None or x is None:
+    if x is None:
         raise InputError("verification requires keep_history=True inversion state")
     if A.n != ks.m or A.bandwidth != ks.order - 1:
         raise InputError(f"Gram matrix of size {A.n} and bandwidth {A.bandwidth} "
@@ -474,9 +477,9 @@ def verify_lemmas(ks: KnotSequence, A: SymBandedMatrix, state: GrowingInverse,
         raise InputError(f"inverse of size {state.n} does not match m = {ks.m}")
     if consts.order != ks.order:
         raise InputError(f"constants for order {consts.order} used with order {ks.order}")
-    checks = [_lemma_check(name, values, None, (n,), slack, bound)
-              for name, bound, n, values in families(ks, A, state.diag_history)]
     hi, lo = np.tril_indices(ks.m)
+    checks = [_lemma_check(name, values, None, (n,), slack, bound)
+              for name, bound, n, values in families(ks, A, x[lo == hi])]
     _, _, ratio, ok = _decay_kernel(x, lo, hi, ks, consts.lastcol_K, consts.gamma,
                                     consts.gamma_sq if x.dtype == object else None)
     checks.append(_lemma_check("lastcol_decay", ratio, ok, (lo + 1, hi + 1), slack))

@@ -39,8 +39,8 @@ step is an integer matmul and one exact division per entry, and a
 denominator grows only where a division demands it (the integer-preserving
 elimination of Bareiss, 1968, which defers every reduction to the end).  The exact
 inverse is kept in that scaled form, and the canonical Fractions of B and
-of the history columns are built only when they are first read; only the
-m Fractions of the diagonal history, 1/d_n, are built at once.  The decay
+of the history (its diagonal and its columns, views of one array) are built
+only when they are first read, so inversion builds no Fraction.  The decay
 report, its CSV rows, the lemma battery and the checkerboard read the
 scaled form itself, as ``scalars._Pairs`` arrays (``_parts``,
 ``_history_parts``).
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ArithmeticFailure, InputError
 from .gram import SymBandedMatrix
@@ -66,7 +65,7 @@ from .scalars import _Pairs, _rational, format_scalars
 class _built(functools.cached_property):
     """A dataclass field built on first read: a value given to the
     constructor is stored as it is, and the field's default (this
-    descriptor) leaves the attribute unset until the decorated method builds
+    descriptor) leaves the attribute unset until the wrapped function builds
     it into the instance ``__dict__``."""
 
     def __set__(self, obj, value):
@@ -87,17 +86,17 @@ class GrowingInverse:
     ``_scaled = (N_B, lam, N_Y, mu)``: B = N_B / lam and column j of Y =
     N_Y[:, j] / mu[j], object arrays of Python ints over positive
     denominators, the last column of Y being B's (N_Y and mu are None
-    without history).  Its B and col_history are canonical Fractions built
-    from that form on first read; its diag_history, 1/d_n, is built at once
-    from the factorization's reduced integer pairs.
-    A B given to the constructor drops the scaled form.  Equality is
+    without history).  Its B and history are canonical Fractions built from
+    that form on first read, the two history fields together (``_history``).
+    A B given to the constructor drops the scaled form.  A field neither
+    given nor built from a scaled history reads None.  Equality is
     identity.
     """
 
     n: int
-    B: object  # B and col_history default to their builders below
-    diag_history: object = None
-    col_history: tuple | None
+    B: object  # built by the method below
+    diag_history: object = _built(lambda self: self._history[0])
+    col_history: tuple | None = _built(lambda self: self._history[1])
     _scaled: tuple | None = None
 
     def __post_init__(self):
@@ -117,15 +116,20 @@ class GrowingInverse:
         B.T[upper] = B[upper]
         return B
 
-    @_built
-    def col_history(self):
+    @functools.cached_property
+    def _history(self):
+        """The history fields' values, the diagonal and the column views of
+        one array Y (Fractions on and above the diagonal, 0 below), filled
+        at once from the scaled form; (None, None) without a scaled history."""
         import numpy as np
 
-        _, _, NY, mu = self._scaled
-        upper = np.triu_indices(self.n, 1)
-        Y = self.diag_history.base  # the array the diagonal is a view of
+        _, _, NY, mu = self._scaled or (None,) * 4
+        if NY is None:
+            return None, None
+        upper = np.triu_indices(self.n)
+        Y = np.zeros(NY.shape, object)
         Y[upper] = _Pairs(NY[upper], mu[upper[1]]).fractions()
-        return tuple(Y[:n, n - 1] for n in range(1, self.n + 1))
+        return Y.diagonal(), tuple(Y[:n, n - 1] for n in range(1, self.n + 1))
 
 
 def _parts(B):
@@ -147,17 +151,15 @@ def _parts(B):
 
 def _history_parts(state: GrowingInverse):
     """The history columns end to end (n outer, j inner), as ``_parts``
-    gives entries: column n of the scaled form over its mu[n]; None without
-    history."""
+    gives entries: column n of the scaled form over its mu[n], or else of
+    a given ``col_history``; None without history.  Column n ends in
+    b_{n,n}^n."""
     import numpy as np
 
-    if state._scaled is None:
-        if state.col_history is None:
-            return None
-        return _parts(np.concatenate(state.col_history))
-    _, _, NY, mu = state._scaled
+    _, _, NY, mu = state._scaled or (None,) * 4
     if NY is None:
-        return None
+        cols = state.col_history
+        return None if cols is None else _parts(np.concatenate(cols))
     hi, lo = np.tril_indices(state.n)
     return _Pairs(NY[lo, hi], mu[hi])
 
@@ -349,10 +351,10 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
 
     Exact matrices (bands of dtype object) are factored on integer pairs
     (``_ldlt_pairs``) and inverted over integer numerators
-    (``_integer_rows``), and give B and the history as arrays of Fractions in
-    lowest terms, built from the scaled form on first read (the diagonal
-    history at once); float matrices run in float64 (``_ldlt``), and B and
-    the history are float64 arrays.
+    (``_integer_rows``), with no Fraction built, and give B and the history
+    as arrays of Fractions in lowest terms, built from the scaled form on
+    first read; float matrices run in float64 (``_ldlt``), and B and the
+    history are float64 arrays.
     A zero pivot raises ArithmeticFailure with the 1-based step n of the
     singular A_n.  In float mode a non-finite entry of B or of the history
     (a subnormal pivot whose reciprocal overflows) raises ArithmeticFailure
@@ -369,9 +371,7 @@ def invert_iteratively(A: SymBandedMatrix, keep_history: bool = False) -> Growin
             return GrowingInverse(m, col_history=None, _scaled=(NB, lam, None, None))
         # the last leading inverse is B itself: take its column
         NY[:, m - 1], mu[m - 1] = NB[:, m - 1], lam
-        Y = np.full((m, m), Fraction(0), object)
-        Y.reshape(m * m)[::m + 1] = [Fraction(q, p) for q, p in inv_d]
-        return GrowingInverse(m, diag_history=Y.diagonal(), _scaled=(NB, lam, NY, mu))
+        return GrowingInverse(m, _scaled=(NB, lam, NY, mu))
     with np.errstate(all="ignore"):  # float overflow is caught below
         d, L = _ldlt(A)
         inv_d = [1 / x for x in d]

@@ -126,7 +126,7 @@ _BLOCK_PAIRS = 1 << 16     # term pairs per block of the array product, and
 
 
 def _valid_budget(n) -> int:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f"term budget must be a positive integer, got {n!r}")
     return n
 
@@ -363,8 +363,8 @@ class MultiPoly:
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
         """The variable x_i, 1-based index."""
         _check_nvars(nvars)
-        if not (1 <= i <= nvars):
-            raise InputError(f"variable index {i} outside [1,{nvars}]")
+        if isinstance(i, bool) or not 1 <= i <= nvars:
+            raise InputError(f"variable index must be in [1,{nvars}], got {i!r}")
         return cls._make(nvars, {(1 << _BITS * nvars) | (1 << _BITS * (nvars - i)): 1})
 
     # -- inspection ---------------------------------------------------------
@@ -532,7 +532,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise InputError(f"polynomial power must be a nonnegative integer, got {n!r}")
         result = MultiPoly.constant(self.nvars, 1)
         base = self

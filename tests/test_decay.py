@@ -17,6 +17,7 @@ from splinegram import (DecayConstants, InputError, KnotSequence, build_gram,
 from splinegram.decay import (_abs_floats, _decay_kernel, _observed_constants,
                               minor_formula, phi_inv_formula, psi_inv_formula)
 from splinegram.gram import ratio
+from splinegram.invstep import GrowingInverse, history_to_json
 from splinegram.partitions import shrink_one_gap
 
 
@@ -364,6 +365,21 @@ def test_battery_requires_history():
         verify_lemmas(k4, build_gram(k4), _inverted(k4), decay_constants(3))
     with pytest.raises(InputError):  # constants of another order
         verify_lemmas(ks, build_gram(ks), _inverted(ks), decay_constants(3))
+
+
+@pytest.mark.parametrize("scalar", [F, float])
+def test_inverse_made_without_history_reads_none(scalar):
+    # a GrowingInverse made from B alone, with neither a history nor a
+    # scaled form, reads both history fields as None, and the battery
+    # refuses it as bad input, as history_to_json does
+    ks = KnotSequence(2, [scalar(F(1, 3)), scalar(F(1, 2))])
+    A = build_gram(ks)
+    st = GrowingInverse(ks.m, invert_iteratively(A).B)
+    assert st.diag_history is None and st.col_history is None
+    with pytest.raises(InputError, match="requires keep_history=True"):
+        verify_lemmas(ks, A, st, decay_constants(2))
+    with pytest.raises(InputError, match="history was not retained"):
+        history_to_json(st)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ def test_lazy_fractions_match_rowwise_oracle(order):
                 ref = invert_rowwise(A, keep_history)
                 assert "B" not in vars(st)
                 assert ("col_history" not in vars(st)) == keep_history
+                assert "diag_history" not in vars(st)  # no Fraction built at once
                 NB, lam, NY, mu = st._scaled
                 assert _same(st.B, ref.B) and "B" in vars(st)
                 assert lam == math.lcm(*(x.denominator for x in st.B.ravel()))
@@ -422,6 +423,12 @@ def test_history_scalar_types():
         for scalar, dtype in ((F, object), (float, np.float64)):
             ks = KnotSequence(order, [scalar(F(1, 4)), scalar(F(2, 3))])
             st = invert_iteratively(build_gram(ks), keep_history=True)
+            # the array the diagonal is a view of is whole when first read:
+            # reading col_history after it writes nothing into it
+            diag = st.diag_history
+            before = diag.base.tolist()
+            assert st.col_history[-1].base is diag.base
+            assert diag.base.tolist() == before
             arrays = (st.B, st.diag_history, *st.col_history)
             assert all(a.dtype == dtype for a in arrays)
             Y = st.diag_history.base

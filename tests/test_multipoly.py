@@ -622,7 +622,11 @@ def test_array_form_keys_beyond_int64():
 def test_bool_nvars_rejected():
     for call in (lambda: MultiPoly(True, {}), lambda: MultiPoly(False, {}),
                  lambda: MultiPoly.zero(True), lambda: MultiPoly.constant(True, 1),
-                 lambda: MultiPoly.variable(True, 1), lambda: GapBasis(True)):
+                 lambda: MultiPoly.variable(True, 1), lambda: GapBasis(True),
+                 lambda: MultiPoly.variable(3, True), lambda: MultiPoly.variable(3, 1) ** True,
+                 # entered in a copied context, so that a budget set by a
+                 # regression does not leak into later tests
+                 lambda: contextvars.copy_context().run(term_budget(True).__enter__)):
         with pytest.raises(InputError, match="got (True|False)"):
             call()
 
